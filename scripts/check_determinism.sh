@@ -19,9 +19,14 @@
 # queues, load shedding, deadline expiry, the generation-validated warm
 # model cache, and the closed-loop load harness — the serving stack's
 # cross-thread hand-offs.
+# A fifth pass rebuilds with AddressSanitizer in its own tree and runs
+# the byte parsers under it: serde (every model kind decodes through
+# DeserializeModel), the artifact store's read-through path, the
+# service's resolve + score path, and the CSV and JSON readers.
 #
 # Usage: scripts/check_determinism.sh [extra ctest args...]
-# Env:   BUILD_DIR (default build-tsan), JOBS (default nproc).
+# Env:   BUILD_DIR (default build-tsan), ASAN_BUILD_DIR (default
+#        build-asan), JOBS (default nproc).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,3 +57,15 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -L joins "$@"
 # control, warm cache) and the artifact store's concurrent hit path.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
   -R 'ShardedServiceTest|ServiceTest|ArtifactStoreTest' "$@"
+
+# The byte parsers under AddressSanitizer (separate build tree).
+ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
+cmake -B "${ASAN_BUILD_DIR}" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DHAMLET_SANITIZE=address \
+  -DHAMLET_BUILD_BENCHMARKS=OFF \
+  -DHAMLET_BUILD_EXAMPLES=OFF
+cmake --build "${ASAN_BUILD_DIR}" -j"${JOBS}"
+ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
+  -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|JsonReaderTest' \
+  "$@"

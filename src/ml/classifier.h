@@ -40,6 +40,15 @@ class Classifier {
 
   /// Human-readable model name ("naive_bayes", ...).
   virtual std::string name() const = 0;
+
+  /// Trained feature indices (empty before Train()).
+  virtual const std::vector<uint32_t>& trained_features() const = 0;
+
+  /// Code-domain size the model covers for trained feature slot `jj` —
+  /// the training-time cardinality. Scoring a row whose code reaches past
+  /// it reads out of bounds, so the serving layer checks block layouts
+  /// against it before scoring.
+  virtual uint32_t trained_cardinality(size_t jj) const = 0;
 };
 
 /// Creates fresh classifier instances; wrappers re-train one model per

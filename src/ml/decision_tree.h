@@ -124,12 +124,10 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
     return static_cast<uint32_t>(split_slot_.size());
   }
 
-  /// Code-domain size trained slot `jj` covers; the serving layer checks
-  /// block layouts against it before scoring (serve/service.h).
-  uint32_t trained_cardinality(size_t jj) const;
-
-  /// Trained feature indices (empty before Train()).
-  const std::vector<uint32_t>& trained_features() const { return features_; }
+  uint32_t trained_cardinality(size_t jj) const override;
+  const std::vector<uint32_t>& trained_features() const override {
+    return features_;
+  }
 
   const DecisionTreeOptions& options() const { return options_; }
 

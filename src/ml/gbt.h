@@ -114,12 +114,10 @@ class Gbt : public Classifier, public FactorizedTrainable {
   uint32_t num_classes() const { return num_classes_; }
   uint32_t num_trees() const { return static_cast<uint32_t>(trees_.size()); }
 
-  /// Code-domain size trained slot `jj` covers (serving-layer layout
-  /// validation, serve/service.h).
-  uint32_t trained_cardinality(size_t jj) const;
-
-  /// Trained feature indices (empty before Train()).
-  const std::vector<uint32_t>& trained_features() const { return features_; }
+  uint32_t trained_cardinality(size_t jj) const override;
+  const std::vector<uint32_t>& trained_features() const override {
+    return features_;
+  }
 
   const GbtOptions& options() const { return options_; }
 

@@ -82,17 +82,16 @@ class LogisticRegression : public Classifier {
   /// Total one-hot dimensionality (without bias); for tests.
   uint32_t num_dims() const { return num_dims_; }
 
-  /// Training-time cardinality of trained feature slot `jj` (its one-hot
-  /// group width + 1). The serving layer checks block layouts against it
-  /// before scoring, since the zero-vector convention keys off the
-  /// block's cardinality.
-  uint32_t trained_cardinality(size_t jj) const;
+  /// Its one-hot group width + 1: the zero-vector convention keys off
+  /// the block's cardinality, so it must match the training layout.
+  uint32_t trained_cardinality(size_t jj) const override;
 
   /// Coefficient for (class, dim); for tests.
   double weight(uint32_t cls, uint32_t dim) const;
 
-  /// Trained feature indices (empty before Train()).
-  const std::vector<uint32_t>& trained_features() const { return features_; }
+  const std::vector<uint32_t>& trained_features() const override {
+    return features_;
+  }
 
   /// Copies the trained state out as plain data.
   LogisticRegressionParams ExportParams() const;

@@ -143,7 +143,8 @@ std::vector<double> NaiveBayes::PredictProbabilities(
 
 uint32_t NaiveBayes::PredictOne(const EncodedDataset& data,
                                 uint32_t row) const {
-  std::vector<double> scores = LogScores(data, row);
+  thread_local std::vector<double> scores;
+  LogScoresInto(data, row, &scores);
   uint32_t best = 0;
   for (uint32_t c = 1; c < num_classes_; ++c) {
     if (scores[c] > scores[best]) best = c;

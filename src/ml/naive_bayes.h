@@ -79,14 +79,10 @@ class NaiveBayes : public Classifier {
   /// Number of classes seen at training time (0 before Train()).
   uint32_t num_classes() const { return num_classes_; }
 
-  /// Code-domain size the likelihood table of trained feature slot `jj`
-  /// covers — the training-time cardinality. Scoring a row whose code
-  /// reaches past this reads out of bounds, so the serving layer checks
-  /// block layouts against it before scoring.
-  uint32_t trained_cardinality(size_t jj) const;
-
-  /// Trained feature indices (empty before Train()).
-  const std::vector<uint32_t>& trained_features() const { return features_; }
+  uint32_t trained_cardinality(size_t jj) const override;
+  const std::vector<uint32_t>& trained_features() const override {
+    return features_;
+  }
 
   /// Copies the trained state out as plain data (see NaiveBayesParams).
   NaiveBayesParams ExportParams() const;

@@ -62,6 +62,10 @@ Status TreeAugmentedNaiveBayes::Train(const EncodedDataset& data,
   features_ = features;
   const uint32_t d = static_cast<uint32_t>(features_.size());
   num_features_trained_ = d;
+  cardinalities_.clear();
+  for (uint32_t j : features_) {
+    cardinalities_.push_back(data.meta(j).cardinality);
+  }
   const std::vector<uint32_t>& y = data.labels();
 
   // Priors.
@@ -204,6 +208,12 @@ uint32_t TreeAugmentedNaiveBayes::PredictOne(const EncodedDataset& data,
     if (scores[c] > scores[best]) best = c;
   }
   return best;
+}
+
+uint32_t TreeAugmentedNaiveBayes::trained_cardinality(size_t jj) const {
+  HAMLET_CHECK(jj < cardinalities_.size(),
+               "trained_cardinality slot out of range");
+  return cardinalities_[jj];
 }
 
 double TreeAugmentedNaiveBayes::EdgeWeight(uint32_t i, uint32_t j) const {

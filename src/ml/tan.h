@@ -31,6 +31,11 @@ class TreeAugmentedNaiveBayes : public Classifier {
 
   std::string name() const override { return "tan"; }
 
+  uint32_t trained_cardinality(size_t jj) const override;
+  const std::vector<uint32_t>& trained_features() const override {
+    return features_;
+  }
+
   /// parent(j) as a position into the trained feature list, or -1 for the
   /// root / featureless cases. Exposed so tests can verify the FD-induced
   /// tree shape (all X_R hanging off FK).
@@ -44,6 +49,7 @@ class TreeAugmentedNaiveBayes : public Classifier {
   double alpha_;
   uint32_t num_classes_ = 0;
   std::vector<uint32_t> features_;
+  std::vector<uint32_t> cardinalities_;   // Training-time, per slot.
   std::vector<int32_t> parents_;          // Position of parent, -1 = root.
   std::vector<double> log_priors_;
   // Root/orphan features: flat [code * K + y]; child features: flat

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "common/bloom.h"
 #include "common/parallel_for.h"
@@ -357,22 +358,30 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   const DomainRemap remap(lcol.domain(), rcol.domain());
   const uint32_t n_left = left.num_rows();
   std::vector<uint32_t> l_rows, r_rows;
-  std::atomic<uint64_t> skipped{0};
+  // Bloom-skipped probe rows, counted per shard and only while
+  // collecting: each shard writes its slot once, never a shared line
+  // per row.
+  const uint32_t shards = ResolvedThreads(options.num_threads);
+  const uint64_t chunk = (static_cast<uint64_t>(n_left) + shards - 1) / shards;
+  std::vector<uint64_t> skipped(shards, 0);
   const uint64_t t_probe = collect ? obs::NowNanos() : 0;
   {
     std::vector<uint64_t> out_pos(n_left + 1, 0);
-    ParallelFor(n_left, options.num_threads, [&](uint32_t row) {
-      const uint32_t rc = remap[lcol.code(row)];
-      if (rc == DomainRemap::kNoCode) {
-        out_pos[row + 1] = 0;
-        return;
+    ParallelFor(shards, options.num_threads, [&](uint32_t shard) {
+      const uint64_t end = std::min<uint64_t>(n_left, (shard + 1) * chunk);
+      uint64_t shard_skipped = 0;
+      for (uint64_t row = shard * chunk; row < end; ++row) {
+        const uint32_t rc = remap[lcol.code(static_cast<uint32_t>(row))];
+        if (rc == DomainRemap::kNoCode) {
+          out_pos[row + 1] = 0;
+        } else if (use_bloom && !bloom.MayContain(rc)) {
+          out_pos[row + 1] = 0;
+          if (collect) ++shard_skipped;
+        } else {
+          out_pos[row + 1] = offsets[rc + 1] - offsets[rc];
+        }
       }
-      if (use_bloom && !bloom.MayContain(rc)) {
-        out_pos[row + 1] = 0;
-        skipped.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      out_pos[row + 1] = offsets[rc + 1] - offsets[rc];
+      skipped[shard] = shard_skipped;
     });
     for (uint32_t row = 0; row < n_left; ++row) {
       out_pos[row + 1] += out_pos[row];
@@ -395,8 +404,9 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     probe_ns = obs::NowNanos() - t_probe;
     ProbeLatency().RecordAlways(probe_ns);
   }
-  if (use_bloom) {
-    const uint64_t n_skipped = skipped.load(std::memory_order_relaxed);
+  if (use_bloom && collect) {
+    const uint64_t n_skipped =
+        std::accumulate(skipped.begin(), skipped.end(), uint64_t{0});
     ProbeSkippedCounter().Add(n_skipped);
     if (span.active()) span.AddAttr("probe_skipped", n_skipped);
   }

@@ -172,40 +172,44 @@ Result<uint32_t> ArtifactStore::PutGbt(const std::string& name,
   return PutBytes(name, SerializeGbt(model));
 }
 
+Result<uint32_t> ArtifactStore::PutModel(const std::string& name,
+                                         const Classifier& model) {
+  HAMLET_ASSIGN_OR_RETURN(std::string bytes, SerializeModel(model));
+  return PutBytes(name, bytes);
+}
+
 Result<uint32_t> ArtifactStore::PutFsRunReport(const std::string& name,
                                                const FsRunReport& report) {
   return PutBytes(name, SerializeFsRunReport(report));
 }
 
-std::shared_ptr<const void> ArtifactStore::CacheLookup(
-    const std::string& name, uint32_t version, ArtifactKind kind) {
-  // Hit path: shared lock only. The returned shared_ptr copy pins the
-  // artifact — a concurrent evict (exclusive side) can remove the
-  // entry, but never the value a pass already holds.
+bool ArtifactStore::CacheLookup(const std::string& name, uint32_t version,
+                                Artifact* out) {
+  // Hit path: shared lock only. The copied shared_ptr pins the artifact
+  // — a concurrent evict (exclusive side) can remove the entry, but
+  // never the value a pass already holds.
   std::shared_lock<std::shared_mutex> lock(cache_mu_);
   for (CacheEntry& entry : cache_) {
-    if (entry.version == version && entry.kind == kind &&
-        entry.name == name) {
+    if (entry.version == version && entry.name == name) {
       entry.last_used.store(
           tick_.fetch_add(1, std::memory_order_relaxed) + 1,
           std::memory_order_relaxed);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       CacheHitCounter().Add();
-      return entry.value;
+      *out = entry.value;
+      return true;
     }
   }
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
   CacheMissCounter().Add();
-  return nullptr;
+  return false;
 }
 
 void ArtifactStore::CacheInsert(const std::string& name, uint32_t version,
-                                ArtifactKind kind,
-                                std::shared_ptr<const void> value) {
+                                Artifact value) {
   std::unique_lock<std::shared_mutex> lock(cache_mu_);
   for (CacheEntry& entry : cache_) {
-    if (entry.version == version && entry.kind == kind &&
-        entry.name == name) {
+    if (entry.version == version && entry.name == name) {
       // Lost a benign race; keep the winner.
       entry.last_used.store(
           tick_.fetch_add(1, std::memory_order_relaxed) + 1,
@@ -222,118 +226,61 @@ void ArtifactStore::CacheInsert(const std::string& name, uint32_t version,
         });
     cache_.erase(victim);
   }
-  cache_.emplace_back(name, version, kind,
+  cache_.emplace_back(name, version,
                       tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                       std::move(value));
 }
 
+Result<std::string> ArtifactStore::ReadVersion(const std::string& name,
+                                               uint32_t version) const {
+  Result<std::string> bytes = ReadFileBytes(PathFor(name, version));
+  if (!bytes.ok()) {
+    return Status::NotFound(
+        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(),
+                     version, root_.c_str()));
+  }
+  return bytes;
+}
+
+Result<ArtifactStore::Artifact> ArtifactStore::ReadThrough(
+    const std::string& name, uint32_t version, bool want_model) {
+  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
+  Artifact artifact;
+  if (CacheLookup(name, v, &artifact)) return artifact;
+  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadVersion(name, v));
+  if (want_model) {
+    HAMLET_ASSIGN_OR_RETURN(artifact.model, DeserializeModel(bytes));
+  } else {
+    HAMLET_ASSIGN_OR_RETURN(EncodedDataset data, DeserializeDataset(bytes));
+    artifact.dataset = std::make_shared<const EncodedDataset>(std::move(data));
+  }
+  CacheInsert(name, v, artifact);
+  return artifact;
+}
+
+Result<std::shared_ptr<const Classifier>> ArtifactStore::GetModel(
+    const std::string& name, uint32_t version) {
+  HAMLET_ASSIGN_OR_RETURN(Artifact artifact,
+                          ReadThrough(name, version, /*want_model=*/true));
+  if (artifact.model == nullptr) return KindMismatchError("dataset", "model");
+  return artifact.model;
+}
+
 Result<std::shared_ptr<const EncodedDataset>> ArtifactStore::GetDataset(
     const std::string& name, uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kEncodedDataset)) {
-    return std::static_pointer_cast<const EncodedDataset>(hit);
+  HAMLET_ASSIGN_OR_RETURN(Artifact artifact,
+                          ReadThrough(name, version, /*want_model=*/false));
+  if (artifact.dataset == nullptr) {
+    return KindMismatchError(artifact.model->name(), "dataset");
   }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(EncodedDataset data, DeserializeDataset(*bytes));
-  auto value = std::make_shared<const EncodedDataset>(std::move(data));
-  CacheInsert(name, v, ArtifactKind::kEncodedDataset, value);
-  return value;
-}
-
-Result<std::shared_ptr<const NaiveBayes>> ArtifactStore::GetNaiveBayes(
-    const std::string& name, uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kNaiveBayes)) {
-    return std::static_pointer_cast<const NaiveBayes>(hit);
-  }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(NaiveBayes model, DeserializeNaiveBayes(*bytes));
-  auto value = std::make_shared<const NaiveBayes>(std::move(model));
-  CacheInsert(name, v, ArtifactKind::kNaiveBayes, value);
-  return value;
-}
-
-Result<std::shared_ptr<const LogisticRegression>>
-ArtifactStore::GetLogisticRegression(const std::string& name,
-                                     uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kLogisticRegression)) {
-    return std::static_pointer_cast<const LogisticRegression>(hit);
-  }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(LogisticRegression model,
-                          DeserializeLogisticRegression(*bytes));
-  auto value = std::make_shared<const LogisticRegression>(std::move(model));
-  CacheInsert(name, v, ArtifactKind::kLogisticRegression, value);
-  return value;
-}
-
-Result<std::shared_ptr<const DecisionTree>> ArtifactStore::GetDecisionTree(
-    const std::string& name, uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kDecisionTree)) {
-    return std::static_pointer_cast<const DecisionTree>(hit);
-  }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(DecisionTree model, DeserializeDecisionTree(*bytes));
-  auto value = std::make_shared<const DecisionTree>(std::move(model));
-  CacheInsert(name, v, ArtifactKind::kDecisionTree, value);
-  return value;
-}
-
-Result<std::shared_ptr<const Gbt>> ArtifactStore::GetGbt(
-    const std::string& name, uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kGradientBoostedTrees)) {
-    return std::static_pointer_cast<const Gbt>(hit);
-  }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(Gbt model, DeserializeGbt(*bytes));
-  auto value = std::make_shared<const Gbt>(std::move(model));
-  CacheInsert(name, v, ArtifactKind::kGradientBoostedTrees, value);
-  return value;
+  return artifact.dataset;
 }
 
 Result<FsRunReport> ArtifactStore::GetFsRunReport(const std::string& name,
                                                   uint32_t version) {
   HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  return DeserializeFsRunReport(*bytes);
+  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadVersion(name, v));
+  return DeserializeFsRunReport(bytes);
 }
 
 Result<ArtifactKind> ArtifactStore::KindOf(const std::string& name,

@@ -80,20 +80,45 @@ class ArtifactStore {
   Result<uint32_t> PutFsRunReport(const std::string& name,
                                   const FsRunReport& report);
 
+  /// Publishes any servable model under its own kind (SerializeModel).
+  Result<uint32_t> PutModel(const std::string& name, const Classifier& model);
+
   /// --- Readers: resolve the version (kLatest → highest), consult the
   /// LRU, load + verify + deserialize on miss. NotFound when the name
   /// or version does not exist; serde's typed errors when the file is
   /// corrupt or of the wrong kind. ---
+
+  /// Any servable model, whatever its kind. The one read-through path
+  /// behind every cached getter: the version is resolved once, the LRU
+  /// is keyed by (name, version) alone — a version file holds exactly
+  /// one kind — and a miss reads the file once.
+  Result<std::shared_ptr<const Classifier>> GetModel(
+      const std::string& name, uint32_t version = kLatest);
   Result<std::shared_ptr<const EncodedDataset>> GetDataset(
       const std::string& name, uint32_t version = kLatest);
+
+  /// Typed getters: GetModel plus a checked downcast (kKindMismatch when
+  /// the stored model is of another kind).
   Result<std::shared_ptr<const NaiveBayes>> GetNaiveBayes(
-      const std::string& name, uint32_t version = kLatest);
+      const std::string& name, uint32_t version = kLatest) {
+    return GetModelAs<NaiveBayes>(name, version, ArtifactKind::kNaiveBayes);
+  }
   Result<std::shared_ptr<const LogisticRegression>> GetLogisticRegression(
-      const std::string& name, uint32_t version = kLatest);
+      const std::string& name, uint32_t version = kLatest) {
+    return GetModelAs<LogisticRegression>(name, version,
+                                          ArtifactKind::kLogisticRegression);
+  }
   Result<std::shared_ptr<const DecisionTree>> GetDecisionTree(
-      const std::string& name, uint32_t version = kLatest);
+      const std::string& name, uint32_t version = kLatest) {
+    return GetModelAs<DecisionTree>(name, version,
+                                    ArtifactKind::kDecisionTree);
+  }
   Result<std::shared_ptr<const Gbt>> GetGbt(const std::string& name,
-                                            uint32_t version = kLatest);
+                                            uint32_t version = kLatest) {
+    return GetModelAs<Gbt>(name, version,
+                           ArtifactKind::kGradientBoostedTrees);
+  }
+
   /// Reports are small and rarely re-read; loaded fresh each call.
   Result<FsRunReport> GetFsRunReport(const std::string& name,
                                      uint32_t version = kLatest);
@@ -125,35 +150,60 @@ class ArtifactStore {
   }
 
  private:
+  /// A cached artifact: exactly one pointer is set.
+  struct Artifact {
+    std::shared_ptr<const Classifier> model;
+    std::shared_ptr<const EncodedDataset> dataset;
+  };
+
   struct CacheEntry {
     std::string name;
     uint32_t version = 0;
-    ArtifactKind kind = ArtifactKind::kEncodedDataset;
     /// Recency tick, written on the shared-lock hit path — atomic so
     /// concurrent hits on the same entry never race.
     std::atomic<uint64_t> last_used{0};
-    std::shared_ptr<const void> value;
+    Artifact value;
 
     CacheEntry() = default;
-    CacheEntry(std::string n, uint32_t v, ArtifactKind k, uint64_t tick,
-               std::shared_ptr<const void> val)
-        : name(std::move(n)), version(v), kind(k), last_used(tick),
+    CacheEntry(std::string n, uint32_t v, uint64_t tick, Artifact val)
+        : name(std::move(n)), version(v), last_used(tick),
           value(std::move(val)) {}
     CacheEntry(CacheEntry&& other) noexcept
         : name(std::move(other.name)), version(other.version),
-          kind(other.kind),
           last_used(other.last_used.load(std::memory_order_relaxed)),
           value(std::move(other.value)) {}
     CacheEntry& operator=(CacheEntry&& other) noexcept {
       name = std::move(other.name);
       version = other.version;
-      kind = other.kind;
       last_used.store(other.last_used.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
       value = std::move(other.value);
       return *this;
     }
   };
+
+  template <typename Model>
+  Result<std::shared_ptr<const Model>> GetModelAs(const std::string& name,
+                                                  uint32_t version,
+                                                  ArtifactKind kind) {
+    HAMLET_ASSIGN_OR_RETURN(std::shared_ptr<const Classifier> model,
+                            GetModel(name, version));
+    std::shared_ptr<const Model> typed =
+        std::dynamic_pointer_cast<const Model>(model);
+    if (typed == nullptr) {
+      return KindMismatchError(model->name(), ArtifactKindToString(kind));
+    }
+    return typed;
+  }
+
+  /// Resolves, then serves (name, version) from the LRU or reads it once;
+  /// `want_model` picks the decoder on a miss.
+  Result<Artifact> ReadThrough(const std::string& name, uint32_t version,
+                               bool want_model);
+
+  /// The bytes of one stored version (NotFound when unreadable).
+  Result<std::string> ReadVersion(const std::string& name,
+                                  uint32_t version) const;
 
   /// Serialize-agnostic write path shared by every Put.
   Result<uint32_t> PutBytes(const std::string& name,
@@ -171,11 +221,10 @@ class ArtifactStore {
   /// lock; the scan reads directory entries only).
   uint32_t ScanLatestVersion(const std::string& name) const;
 
-  std::shared_ptr<const void> CacheLookup(const std::string& name,
-                                          uint32_t version,
-                                          ArtifactKind kind);
+  /// True on a hit, with the entry's artifact copied into `*out`.
+  bool CacheLookup(const std::string& name, uint32_t version, Artifact* out);
   void CacheInsert(const std::string& name, uint32_t version,
-                   ArtifactKind kind, std::shared_ptr<const void> value);
+                   Artifact value);
 
   std::string root_;
   size_t cache_capacity_;

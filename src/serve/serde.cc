@@ -254,47 +254,21 @@ Status ParseHeader(std::string_view bytes, ArtifactKind* kind,
   return Status::OK();
 }
 
-/// Full envelope validation (header + size + CRC); on success returns
-/// the payload view into `bytes`.
+/// The payload view of bytes whose envelope KindOfSerialized accepted.
+std::string_view PayloadOf(std::string_view bytes) {
+  return bytes.substr(kHeaderSize, bytes.size() - kHeaderSize - kFooterSize);
+}
+
+/// Full envelope validation: KindOfSerialized's header → size → CRC
+/// checks, then the kind; on success returns the payload view.
 Result<std::string_view> UnwrapEnvelope(std::string_view bytes,
                                         ArtifactKind expected) {
-  ArtifactKind kind;
-  uint64_t payload_size = 0;
-  HAMLET_RETURN_NOT_OK(ParseHeader(bytes, &kind, &payload_size));
-  const uint64_t want = kHeaderSize + payload_size + kFooterSize;
-  if (bytes.size() < want) {
-    return SerdeStatus(
-        SerdeError::kTruncated,
-        StringFormat("header promises %llu bytes, file has %zu",
-                     static_cast<unsigned long long>(want), bytes.size()));
-  }
-  if (bytes.size() > want) {
-    return SerdeStatus(
-        SerdeError::kTrailingBytes,
-        StringFormat("%zu bytes after the footer",
-                     bytes.size() - static_cast<size_t>(want)));
-  }
-  const size_t covered = kHeaderSize + payload_size;
-  uint32_t want_crc = 0;
-  {
-    ByteReader footer(bytes.substr(covered, kFooterSize));
-    HAMLET_RETURN_NOT_OK(footer.GetU32(&want_crc));
-  }
-  uint32_t got_crc = Crc32(bytes.data(), covered);
-  if (got_crc != want_crc) {
-    return SerdeStatus(
-        SerdeError::kCrcMismatch,
-        StringFormat("checksum %08x does not match stored %08x", got_crc,
-                     want_crc));
-  }
+  HAMLET_ASSIGN_OR_RETURN(ArtifactKind kind, KindOfSerialized(bytes));
   if (kind != expected) {
-    return SerdeStatus(
-        SerdeError::kKindMismatch,
-        StringFormat("file holds a %s artifact, caller asked for %s",
-                     ArtifactKindToString(kind),
-                     ArtifactKindToString(expected)));
+    return KindMismatchError(ArtifactKindToString(kind),
+                             ArtifactKindToString(expected));
   }
-  return bytes.substr(kHeaderSize, payload_size);
+  return PayloadOf(bytes);
 }
 
 Status Malformed(std::string detail) {
@@ -343,6 +317,14 @@ SerdeError SerdeErrorOf(const Status& status) {
     if (tag == SerdeErrorTag(e)) return e;
   }
   return SerdeError::kNone;
+}
+
+Status KindMismatchError(std::string_view holds, std::string_view wanted) {
+  return SerdeStatus(
+      SerdeError::kKindMismatch,
+      StringFormat("file holds a %.*s artifact, caller asked for %.*s",
+                   static_cast<int>(holds.size()), holds.data(),
+                   static_cast<int>(wanted.size()), wanted.data()));
 }
 
 // --- EncodedDataset ---
@@ -435,9 +417,9 @@ std::string SerializeNaiveBayes(const NaiveBayes& model) {
   return WrapEnvelope(ArtifactKind::kNaiveBayes, w.Take());
 }
 
-Result<NaiveBayes> DeserializeNaiveBayes(std::string_view bytes) {
-  HAMLET_ASSIGN_OR_RETURN(std::string_view payload,
-                          UnwrapEnvelope(bytes, ArtifactKind::kNaiveBayes));
+namespace {
+
+Result<NaiveBayes> DecodeNaiveBayes(std::string_view payload) {
   ByteReader r(payload);
   NaiveBayesParams params;
   HAMLET_RETURN_NOT_OK(r.GetF64(&params.alpha));
@@ -452,6 +434,14 @@ Result<NaiveBayes> DeserializeNaiveBayes(std::string_view bytes) {
   Result<NaiveBayes> model = NaiveBayes::FromParams(std::move(params));
   if (!model.ok()) return Malformed(model.status().message());
   return model;
+}
+
+}  // namespace
+
+Result<NaiveBayes> DeserializeNaiveBayes(std::string_view bytes) {
+  HAMLET_ASSIGN_OR_RETURN(std::string_view payload,
+                          UnwrapEnvelope(bytes, ArtifactKind::kNaiveBayes));
+  return DecodeNaiveBayes(payload);
 }
 
 // --- LogisticRegression ---
@@ -472,11 +462,10 @@ std::string SerializeLogisticRegression(const LogisticRegression& model) {
   return WrapEnvelope(ArtifactKind::kLogisticRegression, w.Take());
 }
 
-Result<LogisticRegression> DeserializeLogisticRegression(
-    std::string_view bytes) {
-  HAMLET_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      UnwrapEnvelope(bytes, ArtifactKind::kLogisticRegression));
+namespace {
+
+Result<LogisticRegression> DecodeLogisticRegression(
+    std::string_view payload) {
   ByteReader r(payload);
   LogisticRegressionParams params;
   uint8_t regularizer = 0;
@@ -503,6 +492,16 @@ Result<LogisticRegression> DeserializeLogisticRegression(
   return model;
 }
 
+}  // namespace
+
+Result<LogisticRegression> DeserializeLogisticRegression(
+    std::string_view bytes) {
+  HAMLET_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      UnwrapEnvelope(bytes, ArtifactKind::kLogisticRegression));
+  return DecodeLogisticRegression(payload);
+}
+
 // --- DecisionTree ---
 
 std::string SerializeDecisionTree(const DecisionTree& model) {
@@ -520,9 +519,9 @@ std::string SerializeDecisionTree(const DecisionTree& model) {
   return WrapEnvelope(ArtifactKind::kDecisionTree, w.Take());
 }
 
-Result<DecisionTree> DeserializeDecisionTree(std::string_view bytes) {
-  HAMLET_ASSIGN_OR_RETURN(std::string_view payload,
-                          UnwrapEnvelope(bytes, ArtifactKind::kDecisionTree));
+namespace {
+
+Result<DecisionTree> DecodeDecisionTree(std::string_view payload) {
   ByteReader r(payload);
   DecisionTreeParams params;
   HAMLET_RETURN_NOT_OK(r.GetF64(&params.alpha));
@@ -539,6 +538,14 @@ Result<DecisionTree> DeserializeDecisionTree(std::string_view bytes) {
       DecisionTree::FromParams(std::move(params));
   if (!model_result.ok()) return Malformed(model_result.status().message());
   return model_result;
+}
+
+}  // namespace
+
+Result<DecisionTree> DeserializeDecisionTree(std::string_view bytes) {
+  HAMLET_ASSIGN_OR_RETURN(std::string_view payload,
+                          UnwrapEnvelope(bytes, ArtifactKind::kDecisionTree));
+  return DecodeDecisionTree(payload);
 }
 
 // --- Gbt ---
@@ -563,10 +570,9 @@ std::string SerializeGbt(const Gbt& model) {
   return WrapEnvelope(ArtifactKind::kGradientBoostedTrees, w.Take());
 }
 
-Result<Gbt> DeserializeGbt(std::string_view bytes) {
-  HAMLET_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      UnwrapEnvelope(bytes, ArtifactKind::kGradientBoostedTrees));
+namespace {
+
+Result<Gbt> DecodeGbt(std::string_view payload) {
   ByteReader r(payload);
   GbtParams params;
   HAMLET_RETURN_NOT_OK(r.GetF64(&params.learning_rate));
@@ -595,6 +601,15 @@ Result<Gbt> DeserializeGbt(std::string_view bytes) {
   Result<Gbt> model_result = Gbt::FromParams(std::move(params));
   if (!model_result.ok()) return Malformed(model_result.status().message());
   return model_result;
+}
+
+}  // namespace
+
+Result<Gbt> DeserializeGbt(std::string_view bytes) {
+  HAMLET_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      UnwrapEnvelope(bytes, ArtifactKind::kGradientBoostedTrees));
+  return DecodeGbt(payload);
 }
 
 // --- FsRunReport ---
@@ -649,6 +664,56 @@ Result<FsRunReport> DeserializeFsRunReport(std::string_view bytes) {
   return report;
 }
 
+// --- Any servable model ---
+
+namespace {
+
+template <typename Model>
+Result<std::shared_ptr<const Classifier>> Share(Result<Model> model) {
+  HAMLET_RETURN_NOT_OK(model.status());
+  return std::shared_ptr<const Classifier>(
+      std::make_shared<const Model>(std::move(model).ValueOrDie()));
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const Classifier>> DeserializeModel(
+    std::string_view bytes) {
+  HAMLET_ASSIGN_OR_RETURN(ArtifactKind kind, KindOfSerialized(bytes));
+  const std::string_view payload = PayloadOf(bytes);
+  switch (kind) {
+    case ArtifactKind::kNaiveBayes:
+      return Share(DecodeNaiveBayes(payload));
+    case ArtifactKind::kLogisticRegression:
+      return Share(DecodeLogisticRegression(payload));
+    case ArtifactKind::kDecisionTree:
+      return Share(DecodeDecisionTree(payload));
+    case ArtifactKind::kGradientBoostedTrees:
+      return Share(DecodeGbt(payload));
+    case ArtifactKind::kEncodedDataset:
+    case ArtifactKind::kFsRunReport:
+      break;
+  }
+  return KindMismatchError(ArtifactKindToString(kind), "model");
+}
+
+Result<std::string> SerializeModel(const Classifier& model) {
+  if (const auto* nb = dynamic_cast<const NaiveBayes*>(&model)) {
+    return SerializeNaiveBayes(*nb);
+  }
+  if (const auto* lr = dynamic_cast<const LogisticRegression*>(&model)) {
+    return SerializeLogisticRegression(*lr);
+  }
+  if (const auto* tree = dynamic_cast<const DecisionTree*>(&model)) {
+    return SerializeDecisionTree(*tree);
+  }
+  if (const auto* gbt = dynamic_cast<const Gbt*>(&model)) {
+    return SerializeGbt(*gbt);
+  }
+  return Status::InvalidArgument(StringFormat(
+      "no artifact kind serializes a %s model", model.name().c_str()));
+}
+
 Result<ArtifactKind> KindOfSerialized(std::string_view bytes) {
   ArtifactKind kind;
   uint64_t payload_size = 0;
@@ -670,9 +735,12 @@ Result<ArtifactKind> KindOfSerialized(std::string_view bytes) {
   uint32_t want_crc = 0;
   ByteReader footer(bytes.substr(covered, kFooterSize));
   HAMLET_RETURN_NOT_OK(footer.GetU32(&want_crc));
-  if (Crc32(bytes.data(), covered) != want_crc) {
-    return SerdeStatus(SerdeError::kCrcMismatch,
-                       "checksum does not match the stored footer");
+  const uint32_t got_crc = Crc32(bytes.data(), covered);
+  if (got_crc != want_crc) {
+    return SerdeStatus(
+        SerdeError::kCrcMismatch,
+        StringFormat("checksum %08x does not match stored %08x", got_crc,
+                     want_crc));
   }
   return kind;
 }
@@ -705,61 +773,6 @@ Status WriteFileBytes(const std::string& path, std::string_view bytes) {
     return Status::IOError(StringFormat("short write to '%s'", path.c_str()));
   }
   return Status::OK();
-}
-
-Status SaveDataset(const EncodedDataset& data, const std::string& path) {
-  return WriteFileBytes(path, SerializeDataset(data));
-}
-
-Result<EncodedDataset> LoadDataset(const std::string& path) {
-  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return DeserializeDataset(bytes);
-}
-
-Status SaveNaiveBayes(const NaiveBayes& model, const std::string& path) {
-  return WriteFileBytes(path, SerializeNaiveBayes(model));
-}
-
-Result<NaiveBayes> LoadNaiveBayes(const std::string& path) {
-  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return DeserializeNaiveBayes(bytes);
-}
-
-Status SaveLogisticRegression(const LogisticRegression& model,
-                              const std::string& path) {
-  return WriteFileBytes(path, SerializeLogisticRegression(model));
-}
-
-Result<LogisticRegression> LoadLogisticRegression(const std::string& path) {
-  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return DeserializeLogisticRegression(bytes);
-}
-
-Status SaveDecisionTree(const DecisionTree& model, const std::string& path) {
-  return WriteFileBytes(path, SerializeDecisionTree(model));
-}
-
-Result<DecisionTree> LoadDecisionTree(const std::string& path) {
-  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return DeserializeDecisionTree(bytes);
-}
-
-Status SaveGbt(const Gbt& model, const std::string& path) {
-  return WriteFileBytes(path, SerializeGbt(model));
-}
-
-Result<Gbt> LoadGbt(const std::string& path) {
-  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return DeserializeGbt(bytes);
-}
-
-Status SaveFsRunReport(const FsRunReport& report, const std::string& path) {
-  return WriteFileBytes(path, SerializeFsRunReport(report));
-}
-
-Result<FsRunReport> LoadFsRunReport(const std::string& path) {
-  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return DeserializeFsRunReport(bytes);
 }
 
 Result<ArtifactKind> PeekKind(const std::string& path) {

@@ -20,12 +20,13 @@
 ///   [last 4] CRC-32 (common/crc32.h), little-endian u32, over every
 ///            byte before the footer (header + payload)
 ///
-/// Every Load/Deserialize failure is a typed error: the Status carries a
+/// Every Deserialize failure is a typed error: the Status carries a
 /// distinct code per failure class plus a "serde/<tag>:" message prefix
 /// that SerdeErrorOf() parses back into a SerdeError. Corrupt, truncated,
 /// or wrong-version files never crash and never produce a silently wrong
 /// artifact (the CRC is verified before any payload parsing).
 
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -82,7 +83,8 @@ enum class SerdeError {
 /// typed error; kNone for OK statuses and non-serde failures.
 SerdeError SerdeErrorOf(const Status& status);
 
-/// --- In-memory encode/decode (the file APIs below wrap these). ---
+/// --- In-memory encode/decode. Files are WriteFileBytes(path,
+/// Serialize*(x)) and Deserialize*(*ReadFileBytes(path)). ---
 
 std::string SerializeDataset(const EncodedDataset& data);
 Result<EncodedDataset> DeserializeDataset(std::string_view bytes);
@@ -110,32 +112,25 @@ Result<Gbt> DeserializeGbt(std::string_view bytes);
 std::string SerializeFsRunReport(const FsRunReport& report);
 Result<FsRunReport> DeserializeFsRunReport(std::string_view bytes);
 
+/// Any servable model: reads the kind once (KindOfSerialized) and
+/// decodes the payload of that kind. Dataset and fs_report bytes are
+/// kKindMismatch. Adding a model kind means its payload codec and one
+/// case here and in SerializeModel; the store and the service need no
+/// change.
+Result<std::shared_ptr<const Classifier>> DeserializeModel(
+    std::string_view bytes);
+
+/// The Serialize* of `model`'s concrete kind; InvalidArgument for a
+/// classifier no artifact kind covers (e.g. TAN).
+Result<std::string> SerializeModel(const Classifier& model);
+
 /// Validates the envelope (magic, version, kind, size, CRC) and returns
 /// the artifact kind without parsing the payload.
 Result<ArtifactKind> KindOfSerialized(std::string_view bytes);
 
-/// --- File APIs. Save writes the serialized bytes; Load reads and
-/// deserializes with the full typed-error contract. Writes are plain
-/// (the artifact store layers tmp-file + rename atomicity on top). ---
-
-Status SaveDataset(const EncodedDataset& data, const std::string& path);
-Result<EncodedDataset> LoadDataset(const std::string& path);
-
-Status SaveNaiveBayes(const NaiveBayes& model, const std::string& path);
-Result<NaiveBayes> LoadNaiveBayes(const std::string& path);
-
-Status SaveLogisticRegression(const LogisticRegression& model,
-                              const std::string& path);
-Result<LogisticRegression> LoadLogisticRegression(const std::string& path);
-
-Status SaveDecisionTree(const DecisionTree& model, const std::string& path);
-Result<DecisionTree> LoadDecisionTree(const std::string& path);
-
-Status SaveGbt(const Gbt& model, const std::string& path);
-Result<Gbt> LoadGbt(const std::string& path);
-
-Status SaveFsRunReport(const FsRunReport& report, const std::string& path);
-Result<FsRunReport> LoadFsRunReport(const std::string& path);
+/// The typed kKindMismatch failure: a valid artifact of kind `holds`
+/// read as `wanted` (display names, e.g. "dataset" and "model").
+Status KindMismatchError(std::string_view holds, std::string_view wanted);
 
 /// Reads only the header and reports the artifact kind (no CRC check —
 /// this is the cheap "what is this file?" probe the store's List uses).

@@ -96,20 +96,11 @@ void FailPending(Pending* p, Status status) {
              p->op);
 }
 
-/// Exactly one of the pointers is set.
-struct ResolvedModel {
-  std::shared_ptr<const NaiveBayes> nb;
-  std::shared_ptr<const LogisticRegression> lr;
-  std::shared_ptr<const DecisionTree> tree;
-  std::shared_ptr<const Gbt> gbt;
-};
-
 /// The block must have every trained feature at its training-time
 /// cardinality; anything else would index the model's tables out of
-/// bounds (NB) or shift the zero-vector convention (LR).
-template <typename Model>
-Status ValidateBlockForModel(const EncodedDataset& block, const Model& model,
-                             const char* model_kind) {
+/// bounds (NB, trees) or shift the zero-vector convention (LR).
+Status ValidateBlockForModel(const EncodedDataset& block,
+                             const Classifier& model) {
   const std::vector<uint32_t>& features = model.trained_features();
   for (size_t jj = 0; jj < features.size(); ++jj) {
     uint32_t j = features[jj];
@@ -117,14 +108,14 @@ Status ValidateBlockForModel(const EncodedDataset& block, const Model& model,
       return Status::InvalidArgument(StringFormat(
           "score block has %u features but %s model was trained on "
           "feature index %u",
-          block.num_features(), model_kind, j));
+          block.num_features(), model.name().c_str(), j));
     }
     uint32_t want = model.trained_cardinality(jj);
     if (block.meta(j).cardinality != want) {
       return Status::InvalidArgument(StringFormat(
           "score block feature %u has cardinality %u but %s model was "
           "trained with cardinality %u",
-          j, block.meta(j).cardinality, model_kind, want));
+          j, block.meta(j).cardinality, model.name().c_str(), want));
     }
   }
   return Status::OK();
@@ -159,7 +150,7 @@ struct HamletService::Impl {
   /// entries are valid only while the store's publish generation is
   /// unchanged.
   struct WarmEntry {
-    ResolvedModel model;
+    std::shared_ptr<const Classifier> model;
     uint64_t generation = 0;  ///< store->generation() read BEFORE resolving.
   };
 
@@ -299,50 +290,14 @@ struct HamletService::Impl {
                                          p.request.options));
   }
 
-  /// Tries each servable model kind in turn; a kind-mismatch means "try
-  /// the next kind", any other failure is final.
-  Result<ResolvedModel> ResolveModel(const std::string& name,
-                                     uint32_t version) {
-    Result<std::shared_ptr<const NaiveBayes>> nb =
-        store->GetNaiveBayes(name, version);
-    if (nb.ok()) {
-      return ResolvedModel{std::move(nb).ValueOrDie(), nullptr, nullptr,
-                           nullptr};
-    }
-    if (SerdeErrorOf(nb.status()) != SerdeError::kKindMismatch) {
-      return nb.status();
-    }
-    Result<std::shared_ptr<const LogisticRegression>> lr =
-        store->GetLogisticRegression(name, version);
-    if (lr.ok()) {
-      return ResolvedModel{nullptr, std::move(lr).ValueOrDie(), nullptr,
-                           nullptr};
-    }
-    if (SerdeErrorOf(lr.status()) != SerdeError::kKindMismatch) {
-      return lr.status();
-    }
-    Result<std::shared_ptr<const DecisionTree>> tree =
-        store->GetDecisionTree(name, version);
-    if (tree.ok()) {
-      return ResolvedModel{nullptr, nullptr, std::move(tree).ValueOrDie(),
-                           nullptr};
-    }
-    if (SerdeErrorOf(tree.status()) != SerdeError::kKindMismatch) {
-      return tree.status();
-    }
-    HAMLET_ASSIGN_OR_RETURN(std::shared_ptr<const Gbt> gbt,
-                            store->GetGbt(name, version));
-    return ResolvedModel{nullptr, nullptr, nullptr, std::move(gbt)};
-  }
-
   /// Dispatcher-side resolution through the shard's warm cache. Only
   /// the shard's own dispatcher thread may call this (the map is
   /// unlocked by design). A hit costs one hash lookup — and for kLatest
   /// one atomic generation load — instead of the artifact-store path
   /// (cache mutex + directory scan for kLatest).
-  Result<ResolvedModel> ResolveOnShard(Shard* shard, const std::string& name,
-                                       uint32_t version) {
-    if (!options.warm_model_cache) return ResolveModel(name, version);
+  Result<std::shared_ptr<const Classifier>> ResolveOnShard(
+      Shard* shard, const std::string& name, uint32_t version) {
+    if (!options.warm_model_cache) return store->GetModel(name, version);
     ServeMetrics& m = ServeMetrics::Get();
     const std::string key = name + "@" + std::to_string(version);
     auto it = shard->warm_cache.find(key);
@@ -362,7 +317,8 @@ struct HamletService::Impl {
     // resolve, the entry is stamped stale and the next batch re-resolves
     // — conservative, never serves a version older than it cached.
     const uint64_t generation = store->generation();
-    HAMLET_ASSIGN_OR_RETURN(ResolvedModel model, ResolveModel(name, version));
+    HAMLET_ASSIGN_OR_RETURN(std::shared_ptr<const Classifier> model,
+                            store->GetModel(name, version));
     if (shard->warm_cache.size() >= kWarmCacheMaxEntries) {
       shard->warm_cache.clear();
     }
@@ -379,7 +335,8 @@ struct HamletService::Impl {
   Result<std::vector<BlockScore>> ScorePass(
       const std::string& model_name, uint32_t version,
       const std::vector<const EncodedDataset*>& blocks,
-      const Result<ResolvedModel>* preresolved, uint32_t shard_index) {
+      const Result<std::shared_ptr<const Classifier>>* preresolved,
+      uint32_t shard_index) {
     ServeMetrics& m = ServeMetrics::Get();
     m.requests.Add(blocks.size());
     m.score_requests.Add(blocks.size());
@@ -392,12 +349,12 @@ struct HamletService::Impl {
       m.batch_size.RecordAlways(static_cast<uint64_t>(blocks.size()));
     }
 
-    ResolvedModel model;
+    std::shared_ptr<const Classifier> model;
     if (preresolved != nullptr) {
       HAMLET_RETURN_NOT_OK(preresolved->status());
       model = preresolved->ValueOrDie();
     } else {
-      HAMLET_ASSIGN_OR_RETURN(model, ResolveModel(model_name, version));
+      HAMLET_ASSIGN_OR_RETURN(model, store->GetModel(model_name, version));
     }
 
     std::vector<BlockScore> out(blocks.size());
@@ -407,16 +364,7 @@ struct HamletService::Impl {
     uint64_t total_rows = 0;
     for (size_t i = 0; i < blocks.size(); ++i) {
       const EncodedDataset& block = *blocks[i];
-      Status st;
-      if (model.nb != nullptr) {
-        st = ValidateBlockForModel(block, *model.nb, "naive_bayes");
-      } else if (model.lr != nullptr) {
-        st = ValidateBlockForModel(block, *model.lr, "logistic_regression");
-      } else if (model.tree != nullptr) {
-        st = ValidateBlockForModel(block, *model.tree, "decision_tree");
-      } else {
-        st = ValidateBlockForModel(block, *model.gbt, "gbt");
-      }
+      Status st = ValidateBlockForModel(block, *model);
       if (!st.ok()) {
         out[i].status = std::move(st);
         continue;
@@ -434,19 +382,7 @@ struct HamletService::Impl {
     span.AddAttr("rows", total_rows);
     m.score_rows.Add(total_rows);
 
-    const NaiveBayes* nb = model.nb.get();
-    const LogisticRegression* lr = model.lr.get();
-    const DecisionTree* tree = model.tree.get();
-    const Gbt* gbt = model.gbt.get();
-    // Same argmax tie-break as every PredictOne in ml/: first
-    // strictly-greatest class wins.
-    const auto argmax = [](const std::vector<double>& scores) {
-      uint32_t best = 0;
-      for (uint32_t c = 1; c < scores.size(); ++c) {
-        if (scores[c] > scores[best]) best = c;
-      }
-      return best;
-    };
+    const Classifier& scorer = *model;
     ThreadPool::Global().ParallelFor(
         static_cast<uint32_t>(total_rows), options.num_threads,
         [&](uint32_t fused) {
@@ -456,21 +392,7 @@ struct HamletService::Impl {
           while (base[b] > fused) --b;
           const EncodedDataset& block = *blocks[valid[b]];
           const uint32_t row = static_cast<uint32_t>(fused - base[b]);
-          uint32_t pred;
-          thread_local std::vector<double> scores;
-          if (nb != nullptr) {
-            nb->LogScoresInto(block, row, &scores);
-            pred = argmax(scores);
-          } else if (tree != nullptr) {
-            tree->LogScoresInto(block, row, &scores);
-            pred = argmax(scores);
-          } else if (gbt != nullptr) {
-            gbt->LogScoresInto(block, row, &scores);
-            pred = argmax(scores);
-          } else {
-            pred = lr->PredictOne(block, row);
-          }
-          out[valid[b]].predictions[row] = pred;
+          out[valid[b]].predictions[row] = scorer.PredictOne(block, row);
         });
 
     if (start_ns != 0) {
@@ -507,7 +429,7 @@ struct HamletService::Impl {
     for (const ScorePending& g : group) blocks.push_back(g.request.rows.get());
     // Resolve through the shard's warm cache before the pass; the
     // shared_ptrs inside keep the artifacts pinned for its duration.
-    Result<ResolvedModel> model =
+    Result<std::shared_ptr<const Classifier>> model =
         ResolveOnShard(shards[shard_index].get(), model_name, version);
     Result<std::vector<BlockScore>> scored =
         ScorePass(model_name, version, blocks, &model, shard_index);
@@ -549,12 +471,12 @@ struct HamletService::Impl {
                             candidates));
     // Refit the winner exactly as the runner's final fit did, so the
     // persisted model reproduces the reported holdout error.
-    NaiveBayes model(request.nb_alpha);
+    std::unique_ptr<Classifier> model = factory();
     HAMLET_RETURN_NOT_OK(
-        model.Train(*data, split.train, report.selection.selected));
+        model->Train(*data, split.train, report.selection.selected));
     SelectFeaturesResponse response;
     HAMLET_ASSIGN_OR_RETURN(response.model_version,
-                            store->PutNaiveBayes(request.model_name, model));
+                            store->PutModel(request.model_name, *model));
     HAMLET_ASSIGN_OR_RETURN(
         response.report_version,
         store->PutFsRunReport(request.model_name + ".fs_report", report));

@@ -22,9 +22,9 @@
 /// same shard, so micro-batch fusion needs no cross-shard coordination:
 /// each dispatcher coalesces up to max_batch queued requests for its
 /// head's (model, version) into ONE scoring pass — a single parallel
-/// region running LogScoresInto row by row — and N such passes run
-/// concurrently across shards. Requests without a model key (Advise,
-/// SelectFeatures) round-robin across shards.
+/// region calling the model's Classifier::PredictOne row by row — and N
+/// such passes run concurrently across shards. Requests without a model
+/// key (Advise, SelectFeatures) round-robin across shards.
 ///
 /// Determinism contract (extended from the single-queue service): a
 /// request's response payload — the predictions — is a pure function of

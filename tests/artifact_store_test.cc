@@ -271,6 +271,55 @@ TEST_F(ArtifactStoreTest, TreeKindMismatchIsTypedError) {
             StatusCode::kNotFound);
 }
 
+// GetModel is the one read-through path: a version file holds one
+// kind, so the LRU is keyed by (name, version) alone and a typed getter
+// shares the entry GetModel filled. Non-model artifacts are typed
+// kind mismatches, and so is a model read as a dataset.
+TEST_F(ArtifactStoreTest, GetModelReadsEachVersionOnce) {
+  ArtifactStore store(root_);
+  EncodedDataset data = MakeData(16, 300);
+  std::vector<uint32_t> rows(data.num_rows());
+  for (uint32_t i = 0; i < data.num_rows(); ++i) rows[i] = i;
+  GbtOptions gbt_options;
+  gbt_options.num_rounds = 3;
+  Gbt gbt(gbt_options);
+  ASSERT_TRUE(gbt.Train(data, rows, {0}).ok());
+  auto version = store.PutModel("gbt", gbt);
+  ASSERT_TRUE(version.ok()) << version.status();
+  EXPECT_EQ(*store.KindOf("gbt"), ArtifactKind::kGradientBoostedTrees);
+
+  auto model = store.GetModel("gbt");
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ((*model)->name(), "gbt");
+  EXPECT_EQ((*model)->Predict(data, rows), gbt.Predict(data, rows));
+  EXPECT_EQ(store.cache_misses(), 1u);
+  auto typed = store.GetGbt("gbt");
+  ASSERT_TRUE(typed.ok()) << typed.status();
+  EXPECT_EQ(static_cast<const Classifier*>(typed->get()), model->get());
+  auto wrong_type = store.GetNaiveBayes("gbt");
+  ASSERT_FALSE(wrong_type.ok());
+  EXPECT_EQ(SerdeErrorOf(wrong_type.status()), SerdeError::kKindMismatch);
+  auto as_dataset = store.GetDataset("gbt");
+  ASSERT_FALSE(as_dataset.ok());
+  EXPECT_EQ(SerdeErrorOf(as_dataset.status()), SerdeError::kKindMismatch);
+  EXPECT_EQ(store.cache_misses(), 1u);
+  EXPECT_EQ(store.cache_hits(), 3u);
+
+  ASSERT_TRUE(store.PutDataset("d", data).ok());
+  ASSERT_TRUE(store.PutFsRunReport("r", FsRunReport{}).ok());
+  for (const char* name : {"d", "r"}) {
+    auto not_a_model = store.GetModel(name);
+    ASSERT_FALSE(not_a_model.ok()) << name;
+    EXPECT_EQ(SerdeErrorOf(not_a_model.status()), SerdeError::kKindMismatch)
+        << name;
+  }
+  // A cached dataset read as a model is still a typed mismatch.
+  ASSERT_TRUE(store.GetDataset("d").ok());
+  EXPECT_EQ(SerdeErrorOf(store.GetModel("d").status()),
+            SerdeError::kKindMismatch);
+  EXPECT_EQ(store.GetModel("absent").status().code(), StatusCode::kNotFound);
+}
+
 TEST_F(ArtifactStoreTest, FsRunReportRoundTripThroughStore) {
   ArtifactStore store(root_);
   FsRunReport report;

@@ -19,7 +19,9 @@
 #include "common/bloom.h"
 #include "common/radix_partition.h"
 #include "obs/cost_profile.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "relational/domain.h"
 #include "relational/join.h"
 #include "relational/radix_join.h"
 #include "relational/table.h"
@@ -396,6 +398,54 @@ TEST(RadixJoinDeterminismTest, SparseAndDenseEmitPathsAgree) {
     ExpectSameJoinOutput(*sparse_out, *dense_out,
                          "threads=" + std::to_string(num_threads));
   }
+}
+
+// The CSR probe counts Bloom-skipped rows per shard, and only while
+// collecting: the total is the number of probe rows whose key the
+// filter rejects, at any thread count, and nothing is counted with
+// collection off. Both sides share one key domain (identity remap), the
+// case the filter exists for.
+TEST(RadixJoinDeterminismTest, CsrProbeSkippedCountIsThreadInvariant) {
+  constexpr uint32_t kDomain = 4096;
+  const auto keys = Domain::Dense(kDomain, "k");
+  const auto values = Domain::Dense(8, "v");
+  std::vector<uint32_t> r_key(300), r_val(300), l_key(50000), l_val(50000);
+  for (uint32_t i = 0; i < r_key.size(); ++i) {
+    r_key[i] = (i * 7) % 64;
+    r_val[i] = i % 8;
+  }
+  for (uint32_t i = 0; i < l_key.size(); ++i) {
+    l_key[i] = static_cast<uint32_t>(SplitMix64(i)) % kDomain;
+    l_val[i] = i % 8;
+  }
+  const BlockedBloomFilter bloom = BlockedBloomFilter::FromCodes(r_key);
+  uint64_t expected = 0;
+  for (uint32_t k : l_key) expected += !bloom.MayContain(k);
+  ASSERT_GT(expected, 0u);
+  const Table right(
+      "R", Schema({ColumnSpec::Feature("K2"), ColumnSpec::Feature("VR")}),
+      {Column(std::move(r_key), keys), Column(std::move(r_val), values)});
+  const Table probe(
+      "L", Schema({ColumnSpec::Feature("K"), ColumnSpec::Feature("VL")}),
+      {Column(std::move(l_key), keys), Column(std::move(l_val), values)});
+
+  JoinOptions options;
+  options.algorithm = JoinAlgorithm::kCsr;
+  options.bloom = BloomFilterMode::kOn;
+  for (uint32_t num_threads : {1u, 2u, 7u}) {
+    options.num_threads = num_threads;
+    obs::ScopedCollection collection(true);
+    ASSERT_TRUE(HashJoin(probe, right, "K", "K2", options).ok());
+    EXPECT_EQ(obs::MetricsRegistry::Global().Snapshot().CounterValue(
+                  "join.probe_skipped"),
+              expected)
+        << "threads=" << num_threads;
+  }
+  obs::MetricsRegistry::Global().Reset();
+  ASSERT_TRUE(HashJoin(probe, right, "K", "K2", options).ok());
+  EXPECT_EQ(obs::MetricsRegistry::Global().Snapshot().CounterValue(
+                "join.probe_skipped"),
+            0u);
 }
 
 TEST(RadixJoinTest, CostRecordCarriesPartitionAndBloomPhases) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "core/advisor.h"
 
@@ -42,6 +43,11 @@ struct Fig6Row {
   uint32_t k, k_closed;
   std::vector<std::pair<uint32_t, uint32_t>> tables;  // (n_Ri, d_Ri).
 };
+
+// gtest names each case after its printed parameter. Without a printer it
+// dumps the row's raw bytes, whose name pointer moves with every
+// address-space layout, so the case names would differ from run to run.
+void PrintTo(const Fig6Row& row, std::ostream* os) { *os << row.name; }
 
 class Figure6Test : public ::testing::TestWithParam<Fig6Row> {};
 
@@ -87,6 +93,8 @@ struct DecisionRow {
   const char* name;
   std::vector<const char*> avoided;
 };
+
+void PrintTo(const DecisionRow& row, std::ostream* os) { *os << row.name; }
 
 class PaperDecisionTest : public ::testing::TestWithParam<DecisionRow> {};
 

@@ -11,6 +11,7 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "data/splits.h"
+#include "ml/tan.h"
 
 namespace hamlet::serve {
 namespace {
@@ -273,19 +274,19 @@ TEST(SerdeTest, FileRoundTripAndMissingFile) {
   EncodedDataset data = MakeData(12, 40);
   NaiveBayes model = TrainNb(data);
   std::string path = ::testing::TempDir() + "/serde_nb_roundtrip.hamlet";
-  ASSERT_TRUE(SaveNaiveBayes(model, path).ok());
+  ASSERT_TRUE(WriteFileBytes(path, SerializeNaiveBayes(model)).ok());
 
   auto kind = PeekKind(path);
   ASSERT_TRUE(kind.ok());
   EXPECT_EQ(*kind, ArtifactKind::kNaiveBayes);
 
-  auto back = LoadNaiveBayes(path);
+  auto back = DeserializeNaiveBayes(*ReadFileBytes(path));
   ASSERT_TRUE(back.ok()) << back.status();
   NaiveBayesParams a = model.ExportParams();
   NaiveBayesParams b = back->ExportParams();
   EXPECT_TRUE(BitsEqual(a.log_priors, b.log_priors));
 
-  EXPECT_EQ(LoadNaiveBayes("/nonexistent/model.hamlet").status().code(),
+  EXPECT_EQ(ReadFileBytes("/nonexistent/model.hamlet").status().code(),
             StatusCode::kIOError);
   std::remove(path.c_str());
 }
@@ -293,12 +294,12 @@ TEST(SerdeTest, FileRoundTripAndMissingFile) {
 TEST(SerdeTest, TruncatedFileOnDiskIsTypedError) {
   EncodedDataset data = MakeData(13, 40);
   std::string path = ::testing::TempDir() + "/serde_truncated.hamlet";
-  ASSERT_TRUE(SaveDataset(data, path).ok());
+  ASSERT_TRUE(WriteFileBytes(path, SerializeDataset(data)).ok());
   std::string bytes = *ReadFileBytes(path);
   ASSERT_TRUE(
       WriteFileBytes(path, std::string_view(bytes).substr(0, bytes.size() / 2))
           .ok());
-  auto back = LoadDataset(path);
+  auto back = DeserializeDataset(*ReadFileBytes(path));
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(SerdeErrorOf(back.status()), SerdeError::kTruncated);
   std::remove(path.c_str());
@@ -524,8 +525,8 @@ TEST(SerdeTest, TreeFileRoundTrip) {
   Gbt gbt = TrainGbt(data);
   std::string tree_path = ::testing::TempDir() + "/serde_tree.hamlet";
   std::string gbt_path = ::testing::TempDir() + "/serde_gbt.hamlet";
-  ASSERT_TRUE(SaveDecisionTree(tree, tree_path).ok());
-  ASSERT_TRUE(SaveGbt(gbt, gbt_path).ok());
+  ASSERT_TRUE(WriteFileBytes(tree_path, SerializeDecisionTree(tree)).ok());
+  ASSERT_TRUE(WriteFileBytes(gbt_path, SerializeGbt(gbt)).ok());
 
   auto tree_kind = PeekKind(tree_path);
   ASSERT_TRUE(tree_kind.ok());
@@ -534,19 +535,97 @@ TEST(SerdeTest, TreeFileRoundTrip) {
   ASSERT_TRUE(gbt_kind.ok());
   EXPECT_EQ(*gbt_kind, ArtifactKind::kGradientBoostedTrees);
 
-  auto tree_back = LoadDecisionTree(tree_path);
+  auto tree_back = DeserializeDecisionTree(*ReadFileBytes(tree_path));
   ASSERT_TRUE(tree_back.ok()) << tree_back.status();
   EXPECT_TRUE(BitsEqual(tree.ExportParams().scores,
                         tree_back->ExportParams().scores));
-  auto gbt_back = LoadGbt(gbt_path);
+  auto gbt_back = DeserializeGbt(*ReadFileBytes(gbt_path));
   ASSERT_TRUE(gbt_back.ok()) << gbt_back.status();
   EXPECT_TRUE(BitsEqual(gbt.ExportParams().base_scores,
                         gbt_back->ExportParams().base_scores));
 
-  EXPECT_EQ(LoadDecisionTree("/nonexistent/tree.hamlet").status().code(),
+  EXPECT_EQ(ReadFileBytes("/nonexistent/tree.hamlet").status().code(),
             StatusCode::kIOError);
   std::remove(tree_path.c_str());
   std::remove(gbt_path.c_str());
+}
+
+// Format pin: CRC-32 over the serialized bytes (header + payload) of
+// fixed-seed models of every servable kind, recorded before the scoring
+// path was unified. A change here means .hamlet files written by
+// earlier builds may no longer load byte-for-byte.
+TEST(SerdeTest, SerializedModelBytesArePinned) {
+  EncodedDataset data = MakeData(31, 300);
+  const auto crc = [](const std::string& bytes) {
+    return Crc32(bytes.data(), bytes.size() - kFooterSize);
+  };
+  EXPECT_EQ(crc(SerializeNaiveBayes(TrainNb(data))), 0x15be7c82u);
+  EXPECT_EQ(crc(SerializeLogisticRegression(TrainLr(data))), 0x4298b277u);
+  EXPECT_EQ(crc(SerializeDecisionTree(TrainTree(data))), 0x3ab4ec9eu);
+  EXPECT_EQ(crc(SerializeGbt(TrainGbt(data))), 0x62f03748u);
+}
+
+// DeserializeModel reads the kind once and decodes any servable model;
+// SerializeModel is its inverse over the same kinds.
+TEST(SerdeTest, DeserializeModelCoversEveryModelKind) {
+  EncodedDataset data = MakeData(32, 200);
+  std::vector<uint32_t> rows(data.num_rows());
+  for (uint32_t i = 0; i < data.num_rows(); ++i) rows[i] = i;
+  const NaiveBayes nb = TrainNb(data);
+  const LogisticRegression lr = TrainLr(data);
+  const DecisionTree tree = TrainTree(data);
+  const Gbt gbt = TrainGbt(data);
+  for (const Classifier* model :
+       std::vector<const Classifier*>{&nb, &lr, &tree, &gbt}) {
+    Result<std::string> bytes = SerializeModel(*model);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto kind = KindOfSerialized(*bytes);
+    ASSERT_TRUE(kind.ok());
+    EXPECT_EQ(model->name(), ArtifactKindToString(*kind));
+    auto back = DeserializeModel(*bytes);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ((*back)->name(), model->name());
+    EXPECT_EQ((*back)->Predict(data, rows), model->Predict(data, rows));
+  }
+  EXPECT_EQ(*SerializeModel(nb), SerializeNaiveBayes(nb));
+  EXPECT_EQ(*SerializeModel(gbt), SerializeGbt(gbt));
+
+  TreeAugmentedNaiveBayes tan;
+  ASSERT_TRUE(tan.Train(data, rows, {0, 1}).ok());
+  EXPECT_EQ(SerializeModel(tan).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SerdeTest, DeserializeModelRejectsNonModelsTyped) {
+  FsRunReport report;
+  report.method = "Forward Selection";
+  const std::string dataset_bytes = SerializeDataset(MakeData(33, 50));
+  for (const std::string& bytes :
+       {dataset_bytes, SerializeFsRunReport(report)}) {
+    auto back = DeserializeModel(bytes);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(SerdeErrorOf(back.status()), SerdeError::kKindMismatch);
+    EXPECT_EQ(back.status().code(), StatusCode::kFailedPrecondition);
+  }
+  // Header → size → CRC → kind: a corrupt dataset is a CRC failure, not
+  // a kind mismatch.
+  std::string corrupt = dataset_bytes;
+  corrupt[kHeaderSize + 1] ^= 0x5a;
+  EXPECT_EQ(SerdeErrorOf(DeserializeModel(corrupt).status()),
+            SerdeError::kCrcMismatch);
+  // Every truncation and byte flip of a model is a typed error.
+  const std::string gbt_bytes = SerializeGbt(TrainGbt(MakeData(34, 25)));
+  for (size_t i = 0; i < gbt_bytes.size(); ++i) {
+    EXPECT_NE(SerdeErrorOf(
+                  DeserializeModel(gbt_bytes.substr(0, i)).status()),
+              SerdeError::kNone)
+        << "prefix length " << i;
+    std::string flipped = gbt_bytes;
+    flipped[i] = static_cast<char>(~static_cast<uint8_t>(flipped[i]));
+    EXPECT_NE(SerdeErrorOf(DeserializeModel(flipped).status()),
+              SerdeError::kNone)
+        << "byte " << i;
+  }
 }
 
 }  // namespace

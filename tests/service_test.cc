@@ -148,6 +148,23 @@ TEST_F(ServiceTest, ScoreGbtModel) {
   Result<ScoreResponse> response = service.Score(std::move(request));
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->predictions, expected);
+  // The artifact kind is read once: a cold resolve is one store read.
+  EXPECT_EQ(store_->cache_misses(), 1u);
+  EXPECT_EQ(store_->cache_hits(), 0u);
+
+  // A fresh service (cold warm cache) finds the GBT in the store's LRU:
+  // no miss at all.
+  {
+    HamletService fresh(store_.get());
+    ScoreRequest again;
+    again.model = "gbt";
+    again.rows = std::make_shared<EncodedDataset>(MakeData(12));
+    Result<ScoreResponse> scored = fresh.Score(std::move(again));
+    ASSERT_TRUE(scored.ok()) << scored.status();
+    EXPECT_EQ(scored->predictions, expected);
+  }
+  EXPECT_EQ(store_->cache_misses(), 1u);
+  EXPECT_EQ(store_->cache_hits(), 1u);
 
   // Batched direct scoring resolves the same GBT artifact and agrees.
   auto block = std::make_shared<EncodedDataset>(MakeData(12));
@@ -287,6 +304,19 @@ TEST_F(ServiceTest, ScoreErrorsAreTyped) {
   missing_model.rows = std::make_shared<EncodedDataset>(MakeData(6, 10));
   EXPECT_EQ(service.Score(std::move(missing_model)).status().code(),
             StatusCode::kNotFound);
+
+  // Dataset and fs_report artifacts are not models: typed kind mismatch.
+  ASSERT_TRUE(store_->PutDataset("data", MakeData(6, 10)).ok());
+  ASSERT_TRUE(store_->PutFsRunReport("report", FsRunReport{}).ok());
+  for (const char* name : {"data", "report"}) {
+    ScoreRequest not_a_model;
+    not_a_model.model = name;
+    not_a_model.rows = std::make_shared<EncodedDataset>(MakeData(6, 10));
+    Result<ScoreResponse> response = service.Score(std::move(not_a_model));
+    ASSERT_FALSE(response.ok()) << name;
+    EXPECT_EQ(SerdeErrorOf(response.status()), SerdeError::kKindMismatch)
+        << name;
+  }
 }
 
 TEST_F(ServiceTest, LayoutMismatchRejectedNotCrashed) {

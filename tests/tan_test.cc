@@ -34,6 +34,26 @@ TEST(TanTest, LearnsSimpleConcept) {
   EXPECT_GT(correct, 900u);
 }
 
+// The Classifier layout accessors report the training-time layout the
+// serving layer validates score blocks against.
+TEST(TanTest, ReportsTrainedLayout) {
+  Rng rng(3);
+  std::vector<uint32_t> f(200), g(200), h(200), y(200);
+  for (int i = 0; i < 200; ++i) {
+    f[i] = rng.Uniform(2);
+    g[i] = rng.Uniform(3);
+    h[i] = rng.Uniform(5);
+    y[i] = rng.Bernoulli(0.9) ? f[i] : 1 - f[i];
+  }
+  EncodedDataset d({f, g, h}, {{"F", 2}, {"G", 3}, {"H", 5}}, y, 2);
+  TreeAugmentedNaiveBayes tan;
+  ASSERT_TRUE(tan.Train(d, AllRows(d), {2, 0}).ok());
+  const Classifier& model = tan;
+  EXPECT_EQ(model.trained_features(), (std::vector<uint32_t>{2, 0}));
+  EXPECT_EQ(model.trained_cardinality(0), 5u);
+  EXPECT_EQ(model.trained_cardinality(1), 2u);
+}
+
 TEST(TanTest, CapturesXorThatNaiveBayesCannot) {
   // Y = F XOR G: marginally both features are independent of Y, so NB is
   // at chance; TAN's pairwise conditional P(G | F, Y) captures it.
