@@ -23,10 +23,16 @@
 # the byte parsers under it: serde (every model kind decodes through
 # DeserializeModel), the artifact store's read-through path, the
 # service's resolve + score path, and the CSV and JSON readers.
+# A sixth pass rebuilds with UndefinedBehaviorSanitizer in its own tree
+# (halting on the first report) and runs the join engine — the `joins`
+# label plus the JoinDeterminismTest bit-identity sweeps, whose radix
+# scatters and packed entries are shift- and index-heavy — and the same
+# byte parsers' serde, CSV and JSON suites.
 #
 # Usage: scripts/check_determinism.sh [extra ctest args...]
 # Env:   BUILD_DIR (default build-tsan), ASAN_BUILD_DIR (default
-#        build-asan), JOBS (default nproc).
+#        build-asan), UBSAN_BUILD_DIR (default build-ubsan), JOBS
+#        (default nproc).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,3 +75,18 @@ cmake --build "${ASAN_BUILD_DIR}" -j"${JOBS}"
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
   -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|JsonReaderTest' \
   "$@"
+
+# The join engine and the byte parsers under UndefinedBehaviorSanitizer
+# (separate build tree). UBSan reports and carries on by default;
+# halt_on_error turns a report into a test failure.
+UBSAN_BUILD_DIR=${UBSAN_BUILD_DIR:-build-ubsan}
+cmake -B "${UBSAN_BUILD_DIR}" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DHAMLET_SANITIZE=undefined \
+  -DHAMLET_BUILD_BENCHMARKS=OFF \
+  -DHAMLET_BUILD_EXAMPLES=OFF
+cmake --build "${UBSAN_BUILD_DIR}" -j"${JOBS}"
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure -L joins "$@"
+ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure \
+  -R 'JoinDeterminismTest|SerdeTest|CsvTest|JsonReaderTest' "$@"

@@ -3,6 +3,8 @@
 
 Usage: compare_bench.py OLD.json NEW.json [--threshold 0.10]
 
+Refuses (exit 2) to compare files from different build types or
+different hosts (context num_cpus or largest cache size differ).
 Benchmarks are matched by full name ("BM_Foo/25"). Only the feature
 selection / Naive Bayes microbenches gate (see GATED below) — the rest of
 the suite is reported but informational, since e.g. the obs probes sit at
@@ -41,6 +43,12 @@ GATED = re.compile(
 )
 
 
+def context(path):
+    """A BENCH file's google-benchmark "context" object."""
+    with open(path) as f:
+        return json.load(f).get("context", {})
+
+
 def build_type(path):
     """Hamlet's own build type recorded in a BENCH file's context.
 
@@ -50,9 +58,28 @@ def build_type(path):
     and report "unknown" — comparisons against them stay allowed, with a
     warning, so history remains usable.
     """
-    with open(path) as f:
-        doc = json.load(f)
-    return doc.get("context", {}).get("hamlet_build_type", "unknown")
+    return context(path).get("hamlet_build_type", "unknown")
+
+
+def host(path):
+    """(num_cpus, largest cache size in bytes) from a BENCH file's context.
+
+    Ratios between runs on different machines measure the machines, not
+    the code, so main() refuses them. Missing fields read as None.
+    """
+    ctx = context(path)
+    sizes = [c.get("size", 0) for c in ctx.get("caches", [])]
+    return ctx.get("num_cpus"), max(sizes, default=None)
+
+
+def same_host_baseline(new, candidates):
+    """The last of `candidates` recorded on `new`'s host, or None.
+
+    scripts/run_benchmarks.sh --compare passes the previous BENCH files
+    oldest first, so this is the newest comparable baseline.
+    """
+    matching = [p for p in candidates if host(p) == host(new)]
+    return matching[-1] if matching else None
 
 
 def load(path):
@@ -105,6 +132,14 @@ def main():
               f"(hamlet_build_type={bt_old}) against {args.new} "
               f"(hamlet_build_type={bt_new}): debug-vs-release ratios "
               "are meaningless", file=sys.stderr)
+        return 2
+
+    host_old, host_new = host(args.old), host(args.new)
+    if host_old != host_new:
+        print(f"compare_bench: refusing to compare {args.old} "
+              f"(num_cpus, largest cache = {host_old}) against {args.new} "
+              f"({host_new}): cross-host ratios are meaningless",
+              file=sys.stderr)
         return 2
 
     old = load(args.old)

@@ -8,7 +8,8 @@
 #   scripts/run_benchmarks.sh 'BM_TraceSpan.*'   # just the obs probes
 #
 # --compare additionally diffs the fresh BENCH json against the most
-# recent previous one (scripts/compare_bench.py) and exits nonzero on a
+# recent previous one recorded on the same host (same num_cpus and
+# largest cache size; scripts/compare_bench.py) and exits nonzero on a
 # >10% real_time regression in the gated microbenches (the FS/NB
 # families, the serving stack's BM_SerdeSave/Load and BM_ServeScore* —
 # see docs/SERVING.md — the ingest/join fast paths BM_ReadCsv*,
@@ -52,12 +53,11 @@ OUT=${OUT:-BENCH_$(date +%Y-%m-%d).json}
 FILTER=${1:-.}
 COMPARE_THRESHOLD=${COMPARE_THRESHOLD:-0.10}
 
-# Before overwriting today's file, remember the newest BENCH json as the
-# comparison baseline (lexicographic order == chronological order).
-PREV=""
+# Before overwriting today's file, remember the previous BENCH jsons as
+# comparison candidates (lexicographic order == chronological order).
+PREVS=""
 if [[ "${COMPARE}" == 1 ]]; then
-  PREV=$(ls BENCH_*.json 2>/dev/null | grep -vFx "${OUT}" | sort | tail -1 \
-         || true)
+  PREVS=$(ls BENCH_*.json 2>/dev/null | grep -vFx "${OUT}" | sort || true)
 fi
 
 cmake -B "${BUILD_DIR}" -S . \
@@ -147,8 +147,21 @@ fi
 echo "Provenance: hamlet_build_type=${HAMLET_BUILD_TYPE}"
 
 if [[ "${COMPARE}" == 1 ]]; then
-  if [[ -z "${PREV}" ]]; then
+  # The baseline is the newest previous file recorded on this host
+  # (compare_bench.py refuses cross-host pairs).
+  PREV=$(python3 - "${OUT}" ${PREVS} <<'EOF'
+import sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "scripts")
+from compare_bench import same_host_baseline
+print(same_host_baseline(sys.argv[1], sys.argv[2:]) or "")
+EOF
+)
+  if [[ -z "${PREVS}" ]]; then
     echo "No previous BENCH_*.json to compare against; skipping the gate."
+  elif [[ -z "${PREV}" ]]; then
+    echo "No previous BENCH_*.json from this host (same num_cpus and"
+    echo "largest cache size) to compare against; skipping the gate."
   else
     echo "Comparing ${PREV} -> ${OUT}"
     python3 scripts/compare_bench.py "${PREV}" "${OUT}" \

@@ -61,11 +61,9 @@ struct PipelineConfig {
   /// thread, 1 = serial). Selections are bit-for-bit identical at any
   /// setting; only the runtime changes.
   uint32_t num_threads = 0;
-  /// Physical algorithm for the joins the plan keeps (join.h). kAuto
-  /// consults the cost-profile store — seeded from cost_profile_path /
-  /// HAMLET_COST_PROFILE at run start, so calibration from earlier runs
-  /// steers later ones — and falls back to a size heuristic. Results are
-  /// bit-identical for every choice.
+  /// Forwarded as JoinOptions::algorithm to the joins the plan keeps.
+  /// Those are KFK joins, which have one physical path and ignore it
+  /// (join.h); results are bit-identical for every choice.
   JoinAlgorithm join_algorithm = JoinAlgorithm::kAuto;
   /// Collect a span tree + metrics for this run (see docs/OBSERVABILITY.md).
   /// The HAMLET_TRACE environment variable turns tracing on as well; when

@@ -105,8 +105,8 @@ RadixPartitions PartitionByCodeMasked(
 /// How a radix join splits a key-code range of `domain_size` codes into
 /// contiguous sub-ranges: partition(c) = c >> shift, sub-key(c) =
 /// c & (sub_count - 1). Contiguous ranges (high bits, not low) keep each
-/// partition's slice of any code-indexed array — per-partition CSR
-/// offsets, the KFK rid_to_row index — contiguous and cache-resident.
+/// partition's slice of a code-indexed array (the per-partition CSR
+/// offsets) contiguous and cache-resident.
 struct RadixLayout {
   uint32_t shift = 0;           ///< Sub-key bits.
   uint32_t num_partitions = 1;  ///< ceil(domain_size / 2^shift), >= 1.

@@ -220,14 +220,17 @@ Status CostProfile::ParseJsonText(const std::string& text) {
 }
 
 double CostProfile::MeanNsPerProbeRow(std::string_view op,
-                                      uint64_t build_rows) const {
+                                      uint64_t build_rows,
+                                      uint32_t num_threads) const {
   const uint64_t lo = build_rows / 4;
   const uint64_t hi =
       build_rows > UINT64_MAX / 4 ? UINT64_MAX : build_rows * 4;
   uint64_t ns = 0;
   uint64_t rows = 0;
   for (const auto& [key, r] : records_) {
-    if (r.features.op != op) continue;
+    if (r.features.op != op || r.features.num_threads != num_threads) {
+      continue;
+    }
     if (r.observations == 0 || r.features.rows_in == 0) continue;
     if (r.features.build_rows < lo || r.features.build_rows > hi) continue;
     ns += r.total_ns_sum;
@@ -294,11 +297,12 @@ void CostProfileStore::ClearCalibration() {
 }
 
 double CostProfileStore::MeanNsPerProbeRow(std::string_view op,
-                                           uint64_t build_rows) const {
+                                           uint64_t build_rows,
+                                           uint32_t num_threads) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const double live = profile_.MeanNsPerProbeRow(op, build_rows);
+  const double live = profile_.MeanNsPerProbeRow(op, build_rows, num_threads);
   if (live > 0.0) return live;
-  return calibration_.MeanNsPerProbeRow(op, build_rows);
+  return calibration_.MeanNsPerProbeRow(op, build_rows, num_threads);
 }
 
 }  // namespace hamlet::obs

@@ -69,8 +69,9 @@ struct CostObservation {
   uint64_t build_ns = 0;
   uint64_t probe_ns = 0;
   uint64_t materialize_ns = 0;
-  /// Radix-path phases (join.radix / join.radix.kfk): the two-pass
-  /// partition scatter and the Bloom pre-filter build. 0 elsewhere.
+  /// HashJoin-only phases: the radix path's two-pass partition scatter
+  /// (join.radix) and the Bloom pre-filter build (either path, when the
+  /// filter is on). 0 elsewhere.
   uint64_t partition_ns = 0;
   uint64_t bloom_build_ns = 0;
 };
@@ -132,13 +133,16 @@ class CostProfile {
   Status LoadFromFile(const std::string& path);
 
   /// Observation-weighted mean cost per probe row (total_ns / rows_in)
-  /// over every record of operator `op` whose build_rows lies within a
-  /// factor of 4 of `build_rows` — a log-scale neighborhood, because an
-  /// exact feature-vector hit is rare while per-row cost varies slowly
-  /// with build size. Returns 0 when no comparable record exists. This
-  /// is what JoinAlgorithm::kAuto ranks competing operators with
+  /// over every record of operator `op` taken at `num_threads` threads
+  /// whose build_rows lies within a factor of 4 of `build_rows` — a
+  /// log-scale neighborhood, because an exact feature-vector hit is rare
+  /// while per-row cost varies slowly with build size. Thread counts
+  /// must match exactly: a parallel run's per-row cost says nothing
+  /// about a serial one. Returns 0 when no comparable record exists.
+  /// This is what JoinAlgorithm::kAuto ranks competing operators with
   /// (relational/radix_join.h).
-  double MeanNsPerProbeRow(std::string_view op, uint64_t build_rows) const;
+  double MeanNsPerProbeRow(std::string_view op, uint64_t build_rows,
+                           uint32_t num_threads) const;
 
  private:
   std::map<std::string, CostRecord> records_;
@@ -177,7 +181,8 @@ class CostProfileStore {
   /// CostProfile::MeanNsPerProbeRow over the live window, falling back
   /// to the seeded calibration profile when the window has no
   /// comparable record.
-  double MeanNsPerProbeRow(std::string_view op, uint64_t build_rows) const;
+  double MeanNsPerProbeRow(std::string_view op, uint64_t build_rows,
+                           uint32_t num_threads) const;
 
  private:
   CostProfileStore() = default;

@@ -98,8 +98,7 @@ void TraceSpan::AddAttr(const char* key, const std::string& value) {
 }
 
 double TraceSpan::ElapsedSeconds() const {
-  return active_ ? static_cast<double>(NowNanos() - start_ns_) * 1e-9
-                 : 0.0;
+  return static_cast<double>(ElapsedNanos()) * 1e-9;
 }
 
 ScopedCollection::ScopedCollection(bool enable) : enabled_(enable) {

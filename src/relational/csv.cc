@@ -409,16 +409,13 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
                                  const CsvOptions& options) {
   obs::TraceSpan span("ingest.csv");
 
-  // Explicit phase clocks (instead of ScopedLatency) because the phase
-  // times also feed the operator cost profile below.
-  const bool collect = obs::Enabled();
-  uint64_t read_ns = 0;
-  uint64_t parse_ns = 0;
-  const uint64_t start_ns = collect ? obs::NowNanos() : 0;
-
+  // Phase times feed both the ingest.*_ns histograms and the operator
+  // cost profile below. Cost-profile phase mapping for ingest: build =
+  // file read, probe = chunk parse, materialize = dictionary merge.
+  obs::CostObservation cost;
   std::string buffer;
   {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(ReadLatency, &cost.build_ns);
     std::ifstream in(path, std::ios::binary);
     if (!in) {
       return Status::IOError(
@@ -432,10 +429,6 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
         !in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()))) {
       return Status::IOError(
           StringFormat("short read from '%s'", path.c_str()));
-    }
-    if (collect) {
-      read_ns = obs::NowNanos() - t;
-      ReadLatency().RecordAlways(read_ns);
     }
   }
   BytesReadCounter().Add(buffer.size());
@@ -520,7 +513,7 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
 
   std::vector<ChunkOutput> outs(starts.size());
   {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(ParseLatency, &cost.probe_ns);
     ParallelFor(static_cast<uint32_t>(starts.size()),
                 static_cast<uint32_t>(starts.size()), [&](uint32_t j) {
                   const size_t lo = starts[j].offset;
@@ -531,10 +524,6 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
                   parser.Parse(body.data() + lo, body.data() + hi,
                                starts[j].line);
                 });
-    if (collect) {
-      parse_ns = obs::NowNanos() - t;
-      ParseLatency().RecordAlways(parse_ns);
-    }
   }
   // The lowest-indexed chunk's error is the first error in row order —
   // identical to what a serial read would have reported.
@@ -558,8 +547,8 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
     if (fresh[c]) domains[c] = std::make_shared<Domain>();
   }
   std::vector<std::vector<uint32_t>> final_codes(num_columns);
-  const uint64_t t_merge = collect ? obs::NowNanos() : 0;
   {
+    obs::ScopedLatency latency(MergeLatency, &cost.materialize_ns);
     // Columns are independent (distinct fresh Domain objects; fixed
     // domains are read-only), so the merge shards per column.
     ParallelFor(num_columns, options.num_threads, [&](uint32_t c) {
@@ -603,12 +592,6 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
     span.AddAttr("rows", total_rows);
     span.AddAttr("chunks", static_cast<uint64_t>(starts.size()));
     span.AddAttr("columns", num_columns);
-  }
-  if (collect) {
-    const uint64_t merge_ns = obs::NowNanos() - t_merge;
-    MergeLatency().RecordAlways(merge_ns);
-    // Cost-profile phase mapping for ingest: build = file read,
-    // probe = chunk parse, materialize = dictionary merge;
     // distinct_keys carries the column count (the merge's width).
     obs::OperatorFeatures features;
     features.op = "ingest.csv";
@@ -616,12 +599,8 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
     features.rows_out = total_rows;
     features.distinct_keys = num_columns;
     features.num_threads = static_cast<uint32_t>(starts.size());
-    obs::CostObservation obs_cost;
-    obs_cost.total_ns = obs::NowNanos() - start_ns;
-    obs_cost.build_ns = read_ns;
-    obs_cost.probe_ns = parse_ns;
-    obs_cost.materialize_ns = merge_ns;
-    obs::CostProfileStore::Global().Record(features, obs_cost);
+    cost.total_ns = span.ElapsedNanos();
+    obs::CostProfileStore::Global().Record(features, cost);
   }
 
   std::vector<Column> cols;

@@ -8,20 +8,12 @@
 #include "common/parallel_for.h"
 #include "common/thread_pool.h"
 #include "common/string_util.h"
-#include "obs/cost_profile.h"
-#include "obs/trace.h"
+#include "relational/join_internal.h"
 #include "relational/radix_join.h"
 
 namespace hamlet {
 
 namespace {
-
-// Shards a join actually runs with (0 = pool default), recorded as a
-// cost-profile feature so timings calibrate against real parallelism.
-uint32_t ResolvedThreads(uint32_t num_threads) {
-  return num_threads == 0 ? ThreadPool::Global().DefaultShards()
-                          : num_threads;
-}
 
 obs::Counter& RowsBuiltCounter() {
   static obs::Counter& counter =
@@ -41,33 +33,9 @@ obs::Counter& RowsEmittedCounter() {
   return counter;
 }
 
-obs::Histogram& BuildLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.build_ns");
-  return h;
-}
-
-obs::Histogram& ProbeLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.probe_ns");
-  return h;
-}
-
 obs::Histogram& MaterializeLatency() {
   static obs::Histogram& h =
       obs::MetricsRegistry::Global().GetHistogram("join.materialize_ns");
-  return h;
-}
-
-obs::Counter& ProbeSkippedCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("join.probe_skipped");
-  return counter;
-}
-
-obs::Histogram& BloomBuildLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.bloom_build_ns");
   return h;
 }
 
@@ -90,7 +58,114 @@ class FirstFailure {
   std::atomic<uint32_t> index_{UINT32_MAX};
 };
 
+// Records one join's cost-profile observation (only while collecting:
+// the join's span is active exactly then). The total is the span's age,
+// so it covers the whole operator.
+void RecordCost(const char* op, const Table& probe, const Table& build,
+                uint32_t rows_out, uint32_t distinct_keys,
+                uint32_t num_threads, const obs::TraceSpan& span,
+                obs::CostObservation cost) {
+  if (!span.active()) return;
+  obs::OperatorFeatures features;
+  features.op = op;
+  features.rows_in = probe.num_rows();
+  features.rows_out = rows_out;
+  features.build_rows = build.num_rows();
+  features.distinct_keys = distinct_keys;
+  features.num_threads = join_internal::ResolvedThreads(num_threads);
+  cost.total_ns = span.ElapsedNanos();
+  obs::CostProfileStore::Global().Record(features, cost);
+}
+
 }  // namespace
+
+namespace join_internal {
+
+uint32_t ResolvedThreads(uint32_t num_threads) {
+  return num_threads == 0 ? ThreadPool::Global().DefaultShards()
+                          : num_threads;
+}
+
+obs::Counter& ProbeSkippedCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("join.probe_skipped");
+  return counter;
+}
+
+obs::Histogram& BuildLatency() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("join.build_ns");
+  return h;
+}
+
+obs::Histogram& ProbeLatency() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("join.probe_ns");
+  return h;
+}
+
+obs::Histogram& PartitionLatency() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("join.partition_ns");
+  return h;
+}
+
+obs::Histogram& BloomBuildLatency() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("join.bloom_build_ns");
+  return h;
+}
+
+void BeginHashJoin(obs::TraceSpan& span, const Table& left,
+                   const Table& right, const char* algorithm) {
+  if (span.active()) {
+    span.AddAttr("rows_built", right.num_rows());
+    span.AddAttr("rows_probed", left.num_rows());
+    span.AddAttr("algorithm", algorithm);
+  }
+  RowsBuiltCounter().Add(right.num_rows());
+  RowsProbedCounter().Add(left.num_rows());
+}
+
+Result<Table> FinishHashJoin(const char* op, const Table& left,
+                             const Table& right, uint32_t r_idx,
+                             const std::vector<uint32_t>& l_rows,
+                             const std::vector<uint32_t>& r_rows,
+                             const JoinOptions& options,
+                             obs::TraceSpan& span, obs::CostObservation cost) {
+  RowsEmittedCounter().Add(l_rows.size());
+  if (span.active()) {
+    span.AddAttr("rows_emitted", static_cast<uint64_t>(l_rows.size()));
+  }
+  for (uint32_t c = 0; c < right.num_columns(); ++c) {
+    const std::string& name = right.schema().column(c).name;
+    if (c != r_idx && left.schema().Contains(name)) {
+      return Status::InvalidArgument(
+          StringFormat("column name collision on '%s'", name.c_str()));
+    }
+  }
+  std::vector<ColumnSpec> out_specs = left.schema().columns();
+  std::vector<Column> out_cols;
+  {
+    obs::ScopedLatency latency(MaterializeLatency, &cost.materialize_ns);
+    for (uint32_t c = 0; c < left.num_columns(); ++c) {
+      out_cols.push_back(left.column(c).Gather(l_rows, options.num_threads));
+    }
+    for (uint32_t c = 0; c < right.num_columns(); ++c) {
+      if (c == r_idx) continue;
+      out_specs.push_back(right.schema().column(c));
+      out_cols.push_back(right.column(c).Gather(r_rows, options.num_threads));
+    }
+  }
+  Table result(left.name() + "_join_" + right.name(),
+               Schema(std::move(out_specs)), std::move(out_cols));
+  RecordCost(op, left, right, result.num_rows(),
+             right.column(r_idx).domain_size(), options.num_threads, span,
+             cost);
+  return result;
+}
+
+}  // namespace join_internal
 
 Result<std::vector<uint32_t>> BuildFkRowIndex(const Column& fk,
                                               const Column& rid) {
@@ -160,17 +235,6 @@ std::vector<uint64_t> GroupCountByCode(const std::vector<uint32_t>& key_codes,
 Result<Table> KfkJoin(const Table& s, const Table& r,
                       const std::string& fk_column,
                       const JoinOptions& options) {
-  if (options.algorithm != JoinAlgorithm::kCsr) {
-    // Dispatch needs the FK's code range; if the column is missing the
-    // CSR body below produces the canonical error, so fall through.
-    const Result<uint32_t> fk_idx = s.schema().IndexOf(fk_column);
-    if (fk_idx.ok() &&
-        ResolveJoinAlgorithm(options, s.num_rows(), r.num_rows(),
-                             s.column(*fk_idx).domain_size(), "join.kfk",
-                             "join.radix.kfk") == JoinAlgorithm::kRadix) {
-      return RadixKfkJoin(s, r, fk_column, options);
-    }
-  }
   obs::TraceSpan span("join.kfk");
   if (span.active()) {
     span.AddAttr("entity", s.name());
@@ -182,14 +246,6 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   RowsBuiltCounter().Add(r.num_rows());
   RowsProbedCounter().Add(s.num_rows());
 
-  // Phase timings feed both the join.*_ns histograms and the operator
-  // cost profile, so they are read explicitly rather than via
-  // ScopedLatency (the profile needs the raw numbers).
-  const bool collect = obs::Enabled();
-  uint64_t build_ns = 0;
-  uint64_t probe_ns = 0;
-  const uint64_t start_ns = collect ? obs::NowNanos() : 0;
-
   HAMLET_ASSIGN_OR_RETURN(uint32_t fk_idx, s.schema().IndexOf(fk_column));
   const ColumnSpec& fk_spec = s.schema().column(fk_idx);
   if (fk_spec.role != ColumnRole::kForeignKey) {
@@ -199,16 +255,15 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   }
   HAMLET_ASSIGN_OR_RETURN(uint32_t rid_idx, r.schema().PrimaryKeyIndex());
 
+  // Phase timings feed both the join.*_ns histograms and the operator
+  // cost profile.
+  obs::CostObservation cost;
   const Column& fk = s.column(fk_idx);
   const Column& rid = r.column(rid_idx);
   std::vector<uint32_t> rid_to_row;
   {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(join_internal::BuildLatency, &cost.build_ns);
     HAMLET_ASSIGN_OR_RETURN(rid_to_row, BuildFkRowIndex(fk, rid));
-    if (collect) {
-      build_ns = obs::NowNanos() - t;
-      BuildLatency().RecordAlways(build_ns);
-    }
   }
 
   // Match every S row to its unique R row: a pure per-index gather, so
@@ -217,16 +272,12 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   std::vector<uint32_t> matched(s.num_rows());
   FirstFailure failure;
   {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(join_internal::ProbeLatency, &cost.probe_ns);
     ParallelFor(s.num_rows(), options.num_threads, [&](uint32_t row) {
       const uint32_t m = rid_to_row[fk.code(row)];
       if (m == kNoFkRow) failure.Report(row);
       matched[row] = m;
     });
-    if (collect) {
-      probe_ns = obs::NowNanos() - t;
-      ProbeLatency().RecordAlways(probe_ns);
-    }
   }
   if (failure.failed()) {
     return Status::InvalidArgument(StringFormat(
@@ -237,43 +288,31 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   RowsEmittedCounter().Add(s.num_rows());
   if (span.active()) span.AddAttr("rows_emitted", s.num_rows());
 
+  for (uint32_t c = 0; c < r.num_columns(); ++c) {
+    const std::string& name = r.schema().column(c).name;
+    // RID is represented by FK in the output.
+    if (c != rid_idx && s.schema().Contains(name)) {
+      return Status::InvalidArgument(StringFormat(
+          "column name collision on '%s' between '%s' and '%s'",
+          name.c_str(), s.name().c_str(), r.name().c_str()));
+    }
+  }
   std::vector<ColumnSpec> out_specs = s.schema().columns();
   std::vector<Column> out_cols;
   out_cols.reserve(s.num_columns() + r.num_columns() - 1);
   for (uint32_t c = 0; c < s.num_columns(); ++c) out_cols.push_back(s.column(c));
-
-  const uint64_t t_mat = collect ? obs::NowNanos() : 0;
-  for (uint32_t c = 0; c < r.num_columns(); ++c) {
-    if (c == rid_idx) continue;  // RID is represented by FK in the output.
-    const ColumnSpec& spec = r.schema().column(c);
-    if (s.schema().Contains(spec.name)) {
-      return Status::InvalidArgument(StringFormat(
-          "column name collision on '%s' between '%s' and '%s'",
-          spec.name.c_str(), s.name().c_str(), r.name().c_str()));
+  {
+    obs::ScopedLatency latency(MaterializeLatency, &cost.materialize_ns);
+    for (uint32_t c = 0; c < r.num_columns(); ++c) {
+      if (c == rid_idx) continue;
+      out_specs.push_back(r.schema().column(c));
+      out_cols.push_back(r.column(c).Gather(matched, options.num_threads));
     }
-    out_specs.push_back(spec);
-    out_cols.push_back(r.column(c).Gather(matched, options.num_threads));
   }
-
   Table result(s.name() + "_join_" + r.name(), Schema(std::move(out_specs)),
                std::move(out_cols));
-  if (collect) {
-    const uint64_t materialize_ns = obs::NowNanos() - t_mat;
-    MaterializeLatency().RecordAlways(materialize_ns);
-    obs::OperatorFeatures features;
-    features.op = "join.kfk";
-    features.rows_in = s.num_rows();
-    features.rows_out = result.num_rows();
-    features.build_rows = r.num_rows();
-    features.distinct_keys = fk.domain_size();
-    features.num_threads = ResolvedThreads(options.num_threads);
-    obs::CostObservation obs_cost;
-    obs_cost.total_ns = obs::NowNanos() - start_ns;
-    obs_cost.build_ns = build_ns;
-    obs_cost.probe_ns = probe_ns;
-    obs_cost.materialize_ns = materialize_ns;
-    obs::CostProfileStore::Global().Record(features, obs_cost);
-  }
+  RecordCost("join.kfk", s, r, result.num_rows(), fk.domain_size(),
+             options.num_threads, span, cost);
   return result;
 }
 
@@ -285,32 +324,20 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     const Result<uint32_t> dispatch_idx = right.schema().IndexOf(right_column);
     if (dispatch_idx.ok() &&
         ResolveJoinAlgorithm(options, left.num_rows(), right.num_rows(),
-                             right.column(*dispatch_idx).domain_size(),
-                             "join.hash",
-                             "join.radix") == JoinAlgorithm::kRadix) {
+                             right.column(*dispatch_idx).domain_size()) ==
+            JoinAlgorithm::kRadix) {
       return RadixHashJoin(left, right, left_column, right_column, options);
     }
   }
-  obs::TraceSpan span("join.hash");
-  if (span.active()) {
-    span.AddAttr("rows_built", right.num_rows());
-    span.AddAttr("rows_probed", left.num_rows());
-    span.AddAttr("algorithm", "csr");
-  }
-  RowsBuiltCounter().Add(right.num_rows());
-  RowsProbedCounter().Add(left.num_rows());
-
-  const bool collect = obs::Enabled();
-  uint64_t build_ns = 0;
-  uint64_t bloom_build_ns = 0;
-  uint64_t probe_ns = 0;
-  const uint64_t start_ns = collect ? obs::NowNanos() : 0;
+  obs::TraceSpan span(kHashJoinOp);
+  join_internal::BeginHashJoin(span, left, right, "csr");
 
   HAMLET_ASSIGN_OR_RETURN(uint32_t l_idx, left.schema().IndexOf(left_column));
   HAMLET_ASSIGN_OR_RETURN(uint32_t r_idx,
                           right.schema().IndexOf(right_column));
   const Column& lcol = left.column(l_idx);
   const Column& rcol = right.column(r_idx);
+  obs::CostObservation cost;
 
   // Build side: a CSR-style counting sort of right rows by key code —
   // bucket k holds rows offsets[k]..offsets[k+1] in ascending row order
@@ -320,7 +347,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   std::vector<uint32_t> offsets(n_buckets + 1, 0);
   std::vector<uint32_t> bucket_rows(right.num_rows());
   {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(join_internal::BuildLatency, &cost.build_ns);
     for (uint32_t row = 0; row < right.num_rows(); ++row) {
       ++offsets[rcol.code(row) + 1];
     }
@@ -328,10 +355,6 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
     for (uint32_t row = 0; row < right.num_rows(); ++row) {
       bucket_rows[cursor[rcol.code(row)]++] = row;
-    }
-    if (collect) {
-      build_ns = obs::NowNanos() - t;
-      BuildLatency().RecordAlways(build_ns);
     }
   }
 
@@ -342,12 +365,9 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   const bool use_bloom =
       ResolveBloomFilter(options.bloom, right.num_rows(), n_buckets);
   if (use_bloom) {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(join_internal::BloomBuildLatency,
+                               &cost.bloom_build_ns);
     bloom = BlockedBloomFilter::FromCodes(rcol.codes(), options.num_threads);
-    if (collect) {
-      bloom_build_ns = obs::NowNanos() - t;
-      BloomBuildLatency().RecordAlways(bloom_build_ns);
-    }
   }
 
   // Probe side: translate left codes into right codes once, then emit
@@ -361,11 +381,12 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   // Bloom-skipped probe rows, counted per shard and only while
   // collecting: each shard writes its slot once, never a shared line
   // per row.
-  const uint32_t shards = ResolvedThreads(options.num_threads);
+  const bool collect = span.active();
+  const uint32_t shards = join_internal::ResolvedThreads(options.num_threads);
   const uint64_t chunk = (static_cast<uint64_t>(n_left) + shards - 1) / shards;
   std::vector<uint64_t> skipped(shards, 0);
-  const uint64_t t_probe = collect ? obs::NowNanos() : 0;
   {
+    obs::ScopedLatency latency(join_internal::ProbeLatency, &cost.probe_ns);
     std::vector<uint64_t> out_pos(n_left + 1, 0);
     ParallelFor(shards, options.num_threads, [&](uint32_t shard) {
       const uint64_t end = std::min<uint64_t>(n_left, (shard + 1) * chunk);
@@ -400,58 +421,14 @@ Result<Table> HashJoin(const Table& left, const Table& right,
       }
     });
   }
-  if (collect) {
-    probe_ns = obs::NowNanos() - t_probe;
-    ProbeLatency().RecordAlways(probe_ns);
-  }
   if (use_bloom && collect) {
     const uint64_t n_skipped =
         std::accumulate(skipped.begin(), skipped.end(), uint64_t{0});
-    ProbeSkippedCounter().Add(n_skipped);
-    if (span.active()) span.AddAttr("probe_skipped", n_skipped);
+    join_internal::ProbeSkippedCounter().Add(n_skipped);
+    span.AddAttr("probe_skipped", n_skipped);
   }
-  RowsEmittedCounter().Add(l_rows.size());
-  if (span.active()) {
-    span.AddAttr("rows_emitted", static_cast<uint64_t>(l_rows.size()));
-  }
-
-  const uint64_t t_mat = collect ? obs::NowNanos() : 0;
-  std::vector<ColumnSpec> out_specs = left.schema().columns();
-  std::vector<Column> out_cols;
-  for (uint32_t c = 0; c < left.num_columns(); ++c) {
-    out_cols.push_back(left.column(c).Gather(l_rows, options.num_threads));
-  }
-  for (uint32_t c = 0; c < right.num_columns(); ++c) {
-    if (c == r_idx) continue;
-    const ColumnSpec& spec = right.schema().column(c);
-    if (left.schema().Contains(spec.name)) {
-      return Status::InvalidArgument(StringFormat(
-          "column name collision on '%s'", spec.name.c_str()));
-    }
-    out_specs.push_back(spec);
-    out_cols.push_back(right.column(c).Gather(r_rows, options.num_threads));
-  }
-  Table result(left.name() + "_join_" + right.name(),
-               Schema(std::move(out_specs)), std::move(out_cols));
-  if (collect) {
-    const uint64_t materialize_ns = obs::NowNanos() - t_mat;
-    MaterializeLatency().RecordAlways(materialize_ns);
-    obs::OperatorFeatures features;
-    features.op = "join.hash";
-    features.rows_in = left.num_rows();
-    features.rows_out = result.num_rows();
-    features.build_rows = right.num_rows();
-    features.distinct_keys = rcol.domain_size();
-    features.num_threads = ResolvedThreads(options.num_threads);
-    obs::CostObservation obs_cost;
-    obs_cost.total_ns = obs::NowNanos() - start_ns;
-    obs_cost.build_ns = build_ns;
-    obs_cost.probe_ns = probe_ns;
-    obs_cost.materialize_ns = materialize_ns;
-    obs_cost.bloom_build_ns = bloom_build_ns;
-    obs::CostProfileStore::Global().Record(features, obs_cost);
-  }
-  return result;
+  return join_internal::FinishHashJoin(kHashJoinOp, left, right, r_idx,
+                                       l_rows, r_rows, options, span, cost);
 }
 
 }  // namespace hamlet

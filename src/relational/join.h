@@ -58,8 +58,10 @@ std::vector<uint64_t> GroupCountByCode(const std::vector<uint32_t>& key_codes,
                                        const std::vector<uint32_t>& rows,
                                        uint32_t num_threads = 0);
 
-/// Physical join algorithm. Every choice produces bit-identical tables
-/// (and identical error reports); only cache behaviour differs.
+/// HashJoin's physical algorithm. Every choice produces bit-identical
+/// tables (and identical error reports); only cache behaviour differs.
+/// KfkJoin ignores it: its probe is a dense code -> row gather with
+/// nothing to partition.
 enum class JoinAlgorithm : uint8_t {
   /// Pick per call: measured cost-profile records for the competing
   /// operators when the store has them (obs/cost_profile.h), else a
@@ -89,12 +91,12 @@ enum class BloomFilterMode : uint8_t {
   kOn,
 };
 
-/// Knobs shared by both joins.
+/// Join knobs. KfkJoin reads only num_threads; the rest tune HashJoin.
 struct JoinOptions {
   /// Shards for probe and output materialization (0 = all hardware
   /// threads, 1 = serial). Any value yields the same table.
   uint32_t num_threads = 0;
-  /// Physical algorithm; results never depend on it.
+  /// Physical algorithm (HashJoin only); results never depend on it.
   JoinAlgorithm algorithm = JoinAlgorithm::kAuto;
   /// log2 of the requested partition fanout for kRadix (0 = derive from
   /// the build side's code range; see MakeRadixLayout). Any fanout

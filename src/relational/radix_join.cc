@@ -1,163 +1,14 @@
 #include "relational/radix_join.h"
 
 #include <algorithm>
-#include <atomic>
-#include <utility>
 #include <vector>
 
 #include "common/bloom.h"
 #include "common/parallel_for.h"
 #include "common/radix_partition.h"
-#include "common/string_util.h"
-#include "common/thread_pool.h"
-#include "obs/cost_profile.h"
-#include "obs/trace.h"
+#include "relational/join_internal.h"
 
 namespace hamlet {
-
-namespace {
-
-uint32_t ResolvedThreads(uint32_t num_threads) {
-  return num_threads == 0 ? ThreadPool::Global().DefaultShards()
-                          : num_threads;
-}
-
-// Same registry entries join.cc reports into: GetCounter/GetHistogram
-// return the one named instance, so both algorithms share join.rows_*
-// and join.{build,probe,materialize}_ns.
-obs::Counter& RowsBuiltCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("join.rows_built");
-  return counter;
-}
-
-obs::Counter& RowsProbedCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("join.rows_probed");
-  return counter;
-}
-
-obs::Counter& RowsEmittedCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("join.rows_emitted");
-  return counter;
-}
-
-obs::Counter& ProbeSkippedCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("join.probe_skipped");
-  return counter;
-}
-
-obs::Histogram& BuildLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.build_ns");
-  return h;
-}
-
-obs::Histogram& ProbeLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.probe_ns");
-  return h;
-}
-
-obs::Histogram& MaterializeLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.materialize_ns");
-  return h;
-}
-
-obs::Histogram& PartitionLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.partition_ns");
-  return h;
-}
-
-obs::Histogram& BloomBuildLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.bloom_build_ns");
-  return h;
-}
-
-// Lowest index for which a parallel work item reported failure, or
-// UINT32_MAX — identical to join.cc's, so error reports match the CSR
-// path byte for byte.
-class FirstFailure {
- public:
-  void Report(uint32_t index) {
-    uint32_t seen = index_.load(std::memory_order_relaxed);
-    while (index < seen &&
-           !index_.compare_exchange_weak(seen, index,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  uint32_t index() const { return index_.load(std::memory_order_relaxed); }
-  bool failed() const { return index() != UINT32_MAX; }
-
- private:
-  std::atomic<uint32_t> index_{UINT32_MAX};
-};
-
-// The per-partition CSR over the build side: partition p's sub-range
-// offsets live at offsets[p * (sub_count + 1)] (values relative to the
-// partition's slice of entries), and its rows at
-// rows[partitions.offsets[p]..], sorted by sub-key with original row
-// order preserved inside each bucket — the exact bucket contents the
-// monolithic CSR would hold for each code.
-struct PartitionedCsr {
-  RadixPartitions partitions;
-  std::vector<uint32_t> offsets;
-  // Default-initialized storage: the per-partition counting sorts tile
-  // [0, n) exactly, so every slot is written before it is read.
-  std::vector<uint32_t, UninitAllocator<uint32_t>> rows;
-};
-
-PartitionedCsr BuildPartitionedCsr(const Column& key, const RadixLayout& lay,
-                                   uint32_t num_threads,
-                                   uint64_t* partition_ns, uint64_t* build_ns,
-                                   bool collect) {
-  PartitionedCsr csr;
-  const uint32_t n = key.size();
-
-  uint64_t t = collect ? obs::NowNanos() : 0;
-  // The scatter carries each row's code inside its packed entry, so the
-  // per-partition passes below read codes sequentially instead of
-  // chasing scattered row ids back into the column (which would re-pay
-  // the monolithic CSR's cache miss per row).
-  csr.partitions = PartitionByCode(key.codes(), lay.shift,
-                                   lay.num_partitions, num_threads);
-  if (collect) *partition_ns += obs::NowNanos() - t;
-
-  t = collect ? obs::NowNanos() : 0;
-  const uint32_t sub_mask = lay.sub_count - 1;
-  // Stride sub_count + 2 makes room for the destructive-cursor trick:
-  // counts land at off[sub + 2], the prefix sum turns off[k + 1] into
-  // bucket k's start, and the scatter's off[sub + 1]++ walks each
-  // cursor forward until it equals the NEXT bucket's start — leaving
-  // off[k] = bucket k's start and off[k + 1] = its end, exactly the
-  // probe's read layout, without a separate cursor copy of the offsets.
-  const size_t stride = static_cast<size_t>(lay.sub_count) + 2;
-  csr.offsets.assign(static_cast<size_t>(lay.num_partitions) * stride, 0);
-  csr.rows.resize(n);
-  ParallelFor(lay.num_partitions, num_threads, [&](uint32_t p) {
-    uint32_t* off = &csr.offsets[p * stride];
-    const uint32_t begin = csr.partitions.offsets[p];
-    const uint32_t end = csr.partitions.offsets[p + 1];
-    for (uint32_t i = begin; i < end; ++i) {
-      ++off[(RadixEntryCode(csr.partitions.entries[i]) & sub_mask) + 2];
-    }
-    for (uint32_t k = 0; k < lay.sub_count; ++k) off[k + 2] += off[k + 1];
-    for (uint32_t i = begin; i < end; ++i) {
-      const uint64_t e = csr.partitions.entries[i];
-      csr.rows[begin + off[(RadixEntryCode(e) & sub_mask) + 1]++] =
-          RadixEntryRow(e);
-    }
-  });
-  if (collect) *build_ns += obs::NowNanos() - t;
-  return csr;
-}
-
-}  // namespace
 
 bool ResolveBloomFilter(BloomFilterMode mode, uint64_t build_rows,
                         uint64_t distinct_keys) {
@@ -177,12 +28,15 @@ bool ResolveBloomFilter(BloomFilterMode mode, uint64_t build_rows,
 
 JoinAlgorithm ResolveJoinAlgorithm(const JoinOptions& options,
                                    uint64_t probe_rows, uint64_t build_rows,
-                                   uint64_t distinct_keys,
-                                   const char* csr_op, const char* radix_op) {
+                                   uint64_t distinct_keys) {
   if (options.algorithm != JoinAlgorithm::kAuto) return options.algorithm;
   const auto& store = obs::CostProfileStore::Global();
-  const double csr_ns = store.MeanNsPerProbeRow(csr_op, build_rows);
-  const double radix_ns = store.MeanNsPerProbeRow(radix_op, build_rows);
+  const uint32_t threads =
+      join_internal::ResolvedThreads(options.num_threads);
+  const double csr_ns =
+      store.MeanNsPerProbeRow(kHashJoinOp, build_rows, threads);
+  const double radix_ns =
+      store.MeanNsPerProbeRow(kRadixJoinOp, build_rows, threads);
   if (csr_ns > 0.0 && radix_ns > 0.0) {
     return radix_ns < csr_ns ? JoinAlgorithm::kRadix : JoinAlgorithm::kCsr;
   }
@@ -196,66 +50,47 @@ Result<Table> RadixHashJoin(const Table& left, const Table& right,
                             const std::string& left_column,
                             const std::string& right_column,
                             const JoinOptions& options) {
-  obs::TraceSpan span("join.hash");
-  if (span.active()) {
-    span.AddAttr("rows_built", right.num_rows());
-    span.AddAttr("rows_probed", left.num_rows());
-    span.AddAttr("algorithm", "radix");
-  }
-  RowsBuiltCounter().Add(right.num_rows());
-  RowsProbedCounter().Add(left.num_rows());
-
-  const bool collect = obs::Enabled();
-  uint64_t partition_ns = 0;
-  uint64_t bloom_build_ns = 0;
-  uint64_t build_ns = 0;
-  uint64_t probe_ns = 0;
-  const uint64_t start_ns = collect ? obs::NowNanos() : 0;
+  obs::TraceSpan span(kHashJoinOp);
+  join_internal::BeginHashJoin(span, left, right, "radix");
 
   HAMLET_ASSIGN_OR_RETURN(uint32_t l_idx, left.schema().IndexOf(left_column));
   HAMLET_ASSIGN_OR_RETURN(uint32_t r_idx,
                           right.schema().IndexOf(right_column));
   const Column& lcol = left.column(l_idx);
   const Column& rcol = right.column(r_idx);
+  obs::CostObservation cost;
 
   const uint32_t n_buckets = rcol.domain_size();
   const RadixLayout lay = MakeRadixLayout(n_buckets, options.radix_bits);
   const uint32_t sub_mask = lay.sub_count - 1;
-  // Matches BuildPartitionedCsr's layout; see the stride comment there.
-  const size_t stride = static_cast<size_t>(lay.sub_count) + 2;
-
-  // Build side: partition right rows by code sub-range, then a CSR per
-  // partition. Bucket (p, sub) holds exactly the rows of code
-  // p * sub_count + sub in ascending row order — the monolithic CSR's
-  // bucket for that code.
-  const PartitionedCsr csr =
-      BuildPartitionedCsr(rcol, lay, options.num_threads, &partition_ns,
-                          &build_ns, collect);
-  if (collect) BuildLatency().RecordAlways(build_ns);
 
   BlockedBloomFilter bloom;
   const bool use_bloom =
       ResolveBloomFilter(options.bloom, right.num_rows(), n_buckets);
   if (use_bloom) {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(join_internal::BloomBuildLatency,
+                               &cost.bloom_build_ns);
     bloom = BlockedBloomFilter::FromCodes(rcol.codes(), options.num_threads);
-    if (collect) {
-      bloom_build_ns = obs::NowNanos() - t;
-      BloomBuildLatency().RecordAlways(bloom_build_ns);
-    }
   }
 
-  // Probe side: remap codes once, drop rows the pre-filter rejects, and
-  // partition the survivors into the same sub-ranges as the build side.
+  // Partition both sides into the same code sub-ranges. Each entry
+  // carries its row's code, so the per-partition passes below read codes
+  // sequentially instead of chasing scattered row ids back into the
+  // column (which would re-pay the monolithic CSR's cache miss per row).
+  // On the probe side, rows the pre-filter rejects are dropped first.
   // DomainRemap::kNoCode doubles as kRadixSkipCode, so a remapped-code
   // array is already in PartitionByCode's input form; when the domains
   // are shared and nothing is pre-filtered, the column's own code array
   // is, and the remap pass disappears entirely.
   const DomainRemap remap(lcol.domain(), rcol.domain());
   const uint32_t n_left = left.num_rows();
+  RadixPartitions rparts;
   RadixPartitions lparts;
   {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(join_internal::PartitionLatency,
+                               &cost.partition_ns);
+    rparts = PartitionByCode(rcol.codes(), lay.shift, lay.num_partitions,
+                             options.num_threads);
     if (remap.identity() && !use_bloom) {
       lparts = PartitionByCode(lcol.codes(), lay.shift, lay.num_partitions,
                                options.num_threads);
@@ -295,13 +130,46 @@ Result<Table> RadixHashJoin(const Table& left, const Table& right,
       lparts = PartitionByCode(rc, lay.shift, lay.num_partitions,
                                options.num_threads);
     }
-    if (collect) {
-      partition_ns += obs::NowNanos() - t;
-      PartitionLatency().RecordAlways(partition_ns);
-    }
   }
+
+  // Build side: a CSR per partition. Bucket (p, sub) holds exactly the
+  // rows of code p * sub_count + sub in ascending row order — the
+  // monolithic CSR's bucket for that code. Partition p's sub-range
+  // offsets live at offsets[p * stride] (values relative to the
+  // partition's slice of rparts), its rows at rows[rparts.offsets[p]..].
+  // Stride sub_count + 2 makes room for the destructive-cursor trick:
+  // counts land at off[sub + 2], the prefix sum turns off[k + 1] into
+  // bucket k's start, and the scatter's off[sub + 1]++ walks each
+  // cursor forward until it equals the NEXT bucket's start — leaving
+  // off[k] = bucket k's start and off[k + 1] = its end, exactly the
+  // probe's read layout, without a separate cursor copy of the offsets.
+  const size_t stride = static_cast<size_t>(lay.sub_count) + 2;
+  std::vector<uint32_t> offsets;
+  // Default-initialized storage: the per-partition counting sorts tile
+  // [0, n) exactly, so every slot is written before it is read.
+  std::vector<uint32_t, UninitAllocator<uint32_t>> rows;
+  {
+    obs::ScopedLatency latency(join_internal::BuildLatency, &cost.build_ns);
+    offsets.assign(static_cast<size_t>(lay.num_partitions) * stride, 0);
+    rows.resize(right.num_rows());
+    ParallelFor(lay.num_partitions, options.num_threads, [&](uint32_t p) {
+      uint32_t* off = &offsets[p * stride];
+      const uint32_t begin = rparts.offsets[p];
+      const uint32_t end = rparts.offsets[p + 1];
+      for (uint32_t i = begin; i < end; ++i) {
+        ++off[(RadixEntryCode(rparts.entries[i]) & sub_mask) + 2];
+      }
+      for (uint32_t k = 0; k < lay.sub_count; ++k) off[k + 2] += off[k + 1];
+      for (uint32_t i = begin; i < end; ++i) {
+        const uint64_t e = rparts.entries[i];
+        rows[begin + off[(RadixEntryCode(e) & sub_mask) + 1]++] =
+            RadixEntryRow(e);
+      }
+    });
+  }
+
   const uint64_t skipped = n_left - lparts.entries.size();
-  ProbeSkippedCounter().Add(skipped);
+  join_internal::ProbeSkippedCounter().Add(skipped);
   if (span.active()) span.AddAttr("probe_skipped", skipped);
 
   // Probe in three deterministic passes that reproduce the monolithic
@@ -310,275 +178,105 @@ Result<Table> RadixHashJoin(const Table& left, const Table& right,
   // scatters below walk their arrays in ascending page order instead of
   // jumping randomly.
   std::vector<uint32_t> l_rows, r_rows;
-  const uint64_t t_probe = collect ? obs::NowNanos() : 0;
-  if (lparts.entries.size() * 8 < n_left) {
-    // Sparse path: the pre-filter (or a disjoint key domain) dropped
-    // most probe rows, so the dense path's row-indexed count and
-    // prefix-sum arrays — which cost a fixed sweep per LEFT row no
-    // matter how few survive — would dominate. Collect the surviving
-    // matches, order them by left row (rows are unique across
-    // partitions, so a plain sort reproduces the dense path's
-    // left-row-major output exactly), and emit serially.
-    struct Match {
-      uint32_t row;
-      uint32_t start;  // Global index into csr.rows.
-      uint32_t count;
-    };
-    std::vector<Match> ms;
-    ms.reserve(lparts.entries.size());
-    for (uint32_t p = 0; p < lay.num_partitions; ++p) {
-      const uint32_t* off = &csr.offsets[p * stride];
-      const uint32_t rbase = csr.partitions.offsets[p];
-      const uint32_t begin = lparts.offsets[p];
-      const uint32_t end = lparts.offsets[p + 1];
-      for (uint32_t i = begin; i < end; ++i) {
-        const uint64_t entry = lparts.entries[i];
-        const uint32_t sub = RadixEntryCode(entry) & sub_mask;
-        const uint32_t b = off[sub];
-        const uint32_t e = off[sub + 1];
-        if (b == e) continue;
-        ms.push_back(Match{RadixEntryRow(entry), rbase + b, e - b});
+  {
+    obs::ScopedLatency latency(join_internal::ProbeLatency, &cost.probe_ns);
+    if (lparts.entries.size() * 8 < n_left) {
+      // Sparse path: the pre-filter (or a disjoint key domain) dropped
+      // most probe rows, so the dense path's row-indexed count and
+      // prefix-sum arrays — which cost a fixed sweep per LEFT row no
+      // matter how few survive — would dominate. Collect the surviving
+      // matches, order them by left row (rows are unique across
+      // partitions, so a plain sort reproduces the dense path's
+      // left-row-major output exactly), and emit serially.
+      struct Match {
+        uint32_t row;
+        uint32_t start;  // Global index into rows.
+        uint32_t count;
+      };
+      std::vector<Match> ms;
+      ms.reserve(lparts.entries.size());
+      for (uint32_t p = 0; p < lay.num_partitions; ++p) {
+        const uint32_t* off = &offsets[p * stride];
+        const uint32_t rbase = rparts.offsets[p];
+        const uint32_t begin = lparts.offsets[p];
+        const uint32_t end = lparts.offsets[p + 1];
+        for (uint32_t i = begin; i < end; ++i) {
+          const uint64_t entry = lparts.entries[i];
+          const uint32_t sub = RadixEntryCode(entry) & sub_mask;
+          const uint32_t b = off[sub];
+          const uint32_t e = off[sub + 1];
+          if (b == e) continue;
+          ms.push_back(Match{RadixEntryRow(entry), rbase + b, e - b});
+        }
       }
-    }
-    std::sort(ms.begin(), ms.end(),
-              [](const Match& a, const Match& b) { return a.row < b.row; });
-    uint64_t total = 0;
-    for (const Match& m : ms) total += m.count;
-    l_rows.resize(total);
-    r_rows.resize(total);
-    uint64_t pos = 0;
-    for (const Match& m : ms) {
-      for (uint32_t k = 0; k < m.count; ++k) {
-        l_rows[pos] = m.row;
-        r_rows[pos] = csr.rows[m.start + k];
-        ++pos;
-      }
-    }
-  } else {
-    // Pass 1: per-partition bucket lookup against the partition's own
-    // cache-resident offsets slice, recording each left row's match
-    // count.
-    std::vector<uint32_t> cnt(n_left, 0);
-    ParallelFor(lay.num_partitions, options.num_threads, [&](uint32_t p) {
-      const uint32_t* off = &csr.offsets[p * stride];
-      const uint32_t begin = lparts.offsets[p];
-      const uint32_t end = lparts.offsets[p + 1];
-      for (uint32_t i = begin; i < end; ++i) {
-        const uint64_t entry = lparts.entries[i];
-        const uint32_t sub = RadixEntryCode(entry) & sub_mask;
-        cnt[RadixEntryRow(entry)] = off[sub + 1] - off[sub];
-      }
-    });
-    // Pass 2: row-ordered prefix sum fixes every match's output
-    // position.
-    std::vector<uint64_t, UninitAllocator<uint64_t>> out_pos;
-    out_pos.resize(n_left + 1);
-    out_pos[0] = 0;
-    for (uint32_t row = 0; row < n_left; ++row) {
-      out_pos[row + 1] = out_pos[row] + cnt[row];
-    }
-    const uint64_t total = out_pos[n_left];
-    l_rows.resize(total);
-    r_rows.resize(total);
-    // Pass 3: per-partition emit. Each matched row owns a disjoint
-    // output range, and the right rows it copies live in the
-    // partition's own csr.rows slice — the gather that costs a random
-    // full-array access per output row in the monolithic path stays
-    // inside the partition's cache-resident window here.
-    ParallelFor(lay.num_partitions, options.num_threads, [&](uint32_t p) {
-      const uint32_t* off = &csr.offsets[p * stride];
-      const uint32_t rbase = csr.partitions.offsets[p];
-      const uint32_t begin = lparts.offsets[p];
-      const uint32_t end = lparts.offsets[p + 1];
-      for (uint32_t i = begin; i < end; ++i) {
-        const uint64_t entry = lparts.entries[i];
-        const uint32_t row = RadixEntryRow(entry);
-        const uint32_t sub = RadixEntryCode(entry) & sub_mask;
-        const uint32_t b = off[sub];
-        const uint32_t e = off[sub + 1];
-        uint64_t pos = out_pos[row];
-        for (uint32_t k = b; k < e; ++k) {
-          l_rows[pos] = row;
-          r_rows[pos] = csr.rows[rbase + k];
+      std::sort(ms.begin(), ms.end(),
+                [](const Match& a, const Match& b) { return a.row < b.row; });
+      uint64_t total = 0;
+      for (const Match& m : ms) total += m.count;
+      l_rows.resize(total);
+      r_rows.resize(total);
+      uint64_t pos = 0;
+      for (const Match& m : ms) {
+        for (uint32_t k = 0; k < m.count; ++k) {
+          l_rows[pos] = m.row;
+          r_rows[pos] = rows[m.start + k];
           ++pos;
         }
       }
-    });
-  }
-  if (collect) {
-    probe_ns = obs::NowNanos() - t_probe;
-    ProbeLatency().RecordAlways(probe_ns);
-  }
-  RowsEmittedCounter().Add(l_rows.size());
-  if (span.active()) {
-    span.AddAttr("rows_emitted", static_cast<uint64_t>(l_rows.size()));
-  }
-
-  const uint64_t t_mat = collect ? obs::NowNanos() : 0;
-  std::vector<ColumnSpec> out_specs = left.schema().columns();
-  std::vector<Column> out_cols;
-  for (uint32_t c = 0; c < left.num_columns(); ++c) {
-    out_cols.push_back(left.column(c).Gather(l_rows, options.num_threads));
-  }
-  for (uint32_t c = 0; c < right.num_columns(); ++c) {
-    if (c == r_idx) continue;
-    const ColumnSpec& spec = right.schema().column(c);
-    if (left.schema().Contains(spec.name)) {
-      return Status::InvalidArgument(StringFormat(
-          "column name collision on '%s'", spec.name.c_str()));
-    }
-    out_specs.push_back(spec);
-    out_cols.push_back(right.column(c).Gather(r_rows, options.num_threads));
-  }
-  Table result(left.name() + "_join_" + right.name(),
-               Schema(std::move(out_specs)), std::move(out_cols));
-  if (collect) {
-    const uint64_t materialize_ns = obs::NowNanos() - t_mat;
-    MaterializeLatency().RecordAlways(materialize_ns);
-    obs::OperatorFeatures features;
-    features.op = "join.radix";
-    features.rows_in = left.num_rows();
-    features.rows_out = result.num_rows();
-    features.build_rows = right.num_rows();
-    features.distinct_keys = rcol.domain_size();
-    features.num_threads = ResolvedThreads(options.num_threads);
-    obs::CostObservation obs_cost;
-    obs_cost.total_ns = obs::NowNanos() - start_ns;
-    obs_cost.build_ns = build_ns;
-    obs_cost.probe_ns = probe_ns;
-    obs_cost.materialize_ns = materialize_ns;
-    obs_cost.partition_ns = partition_ns;
-    obs_cost.bloom_build_ns = bloom_build_ns;
-    obs::CostProfileStore::Global().Record(features, obs_cost);
-  }
-  return result;
-}
-
-Result<Table> RadixKfkJoin(const Table& s, const Table& r,
-                           const std::string& fk_column,
-                           const JoinOptions& options) {
-  obs::TraceSpan span("join.kfk");
-  if (span.active()) {
-    span.AddAttr("entity", s.name());
-    span.AddAttr("attribute_table", r.name());
-    span.AddAttr("rows_built", r.num_rows());
-    span.AddAttr("rows_probed", s.num_rows());
-    span.AddAttr("algorithm", "radix");
-  }
-  RowsBuiltCounter().Add(r.num_rows());
-  RowsProbedCounter().Add(s.num_rows());
-
-  const bool collect = obs::Enabled();
-  uint64_t build_ns = 0;
-  uint64_t partition_ns = 0;
-  uint64_t probe_ns = 0;
-  const uint64_t start_ns = collect ? obs::NowNanos() : 0;
-
-  HAMLET_ASSIGN_OR_RETURN(uint32_t fk_idx, s.schema().IndexOf(fk_column));
-  const ColumnSpec& fk_spec = s.schema().column(fk_idx);
-  if (fk_spec.role != ColumnRole::kForeignKey) {
-    return Status::InvalidArgument(StringFormat(
-        "column '%s' of '%s' is not a foreign key", fk_column.c_str(),
-        s.name().c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(uint32_t rid_idx, r.schema().PrimaryKeyIndex());
-
-  const Column& fk = s.column(fk_idx);
-  const Column& rid = r.column(rid_idx);
-  std::vector<uint32_t> rid_to_row;
-  {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
-    HAMLET_ASSIGN_OR_RETURN(rid_to_row, BuildFkRowIndex(fk, rid));
-    if (collect) {
-      build_ns = obs::NowNanos() - t;
-      BuildLatency().RecordAlways(build_ns);
-    }
-  }
-
-  // Partition S rows by FK-code sub-range: each partition's rid_to_row
-  // slice is one contiguous cache-sized window, so the gather below hits
-  // cache instead of striding across the whole index.
-  const RadixLayout lay = MakeRadixLayout(fk.domain_size(),
-                                          options.radix_bits);
-  RadixPartitions parts;
-  {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
-    parts = PartitionByCode(fk.codes(), lay.shift, lay.num_partitions,
-                            options.num_threads);
-    if (collect) {
-      partition_ns = obs::NowNanos() - t;
-      PartitionLatency().RecordAlways(partition_ns);
-    }
-  }
-
-  std::vector<uint32_t> matched(s.num_rows());
-  FirstFailure failure;
-  {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
-    ParallelFor(lay.num_partitions, options.num_threads, [&](uint32_t p) {
-      const uint32_t begin = parts.offsets[p];
-      const uint32_t end = parts.offsets[p + 1];
-      for (uint32_t i = begin; i < end; ++i) {
-        const uint64_t entry = parts.entries[i];
-        const uint32_t row = RadixEntryRow(entry);
-        const uint32_t m = rid_to_row[RadixEntryCode(entry)];
-        if (m == kNoFkRow) failure.Report(row);
-        matched[row] = m;
+    } else {
+      // Pass 1: per-partition bucket lookup against the partition's own
+      // cache-resident offsets slice, recording each left row's match
+      // count.
+      std::vector<uint32_t> cnt(n_left, 0);
+      ParallelFor(lay.num_partitions, options.num_threads, [&](uint32_t p) {
+        const uint32_t* off = &offsets[p * stride];
+        const uint32_t begin = lparts.offsets[p];
+        const uint32_t end = lparts.offsets[p + 1];
+        for (uint32_t i = begin; i < end; ++i) {
+          const uint64_t entry = lparts.entries[i];
+          const uint32_t sub = RadixEntryCode(entry) & sub_mask;
+          cnt[RadixEntryRow(entry)] = off[sub + 1] - off[sub];
+        }
+      });
+      // Pass 2: row-ordered prefix sum fixes every match's output
+      // position.
+      std::vector<uint64_t, UninitAllocator<uint64_t>> out_pos;
+      out_pos.resize(n_left + 1);
+      out_pos[0] = 0;
+      for (uint32_t row = 0; row < n_left; ++row) {
+        out_pos[row + 1] = out_pos[row] + cnt[row];
       }
-    });
-    if (collect) {
-      probe_ns = obs::NowNanos() - t;
-      ProbeLatency().RecordAlways(probe_ns);
+      const uint64_t total = out_pos[n_left];
+      l_rows.resize(total);
+      r_rows.resize(total);
+      // Pass 3: per-partition emit. Each matched row owns a disjoint
+      // output range, and the right rows it copies live in the
+      // partition's own rows slice — the gather that costs a random
+      // full-array access per output row in the monolithic path stays
+      // inside the partition's cache-resident window here.
+      ParallelFor(lay.num_partitions, options.num_threads, [&](uint32_t p) {
+        const uint32_t* off = &offsets[p * stride];
+        const uint32_t rbase = rparts.offsets[p];
+        const uint32_t begin = lparts.offsets[p];
+        const uint32_t end = lparts.offsets[p + 1];
+        for (uint32_t i = begin; i < end; ++i) {
+          const uint64_t entry = lparts.entries[i];
+          const uint32_t row = RadixEntryRow(entry);
+          const uint32_t sub = RadixEntryCode(entry) & sub_mask;
+          const uint32_t b = off[sub];
+          const uint32_t e = off[sub + 1];
+          uint64_t pos = out_pos[row];
+          for (uint32_t k = b; k < e; ++k) {
+            l_rows[pos] = row;
+            r_rows[pos] = rows[rbase + k];
+            ++pos;
+          }
+        }
+      });
     }
   }
-  if (failure.failed()) {
-    return Status::InvalidArgument(StringFormat(
-        "referential integrity violation: FK value '%s' has no matching "
-        "RID in '%s'",
-        fk.label(failure.index()).c_str(), r.name().c_str()));
-  }
-  RowsEmittedCounter().Add(s.num_rows());
-  if (span.active()) span.AddAttr("rows_emitted", s.num_rows());
-
-  std::vector<ColumnSpec> out_specs = s.schema().columns();
-  std::vector<Column> out_cols;
-  out_cols.reserve(s.num_columns() + r.num_columns() - 1);
-  for (uint32_t c = 0; c < s.num_columns(); ++c) out_cols.push_back(s.column(c));
-
-  const uint64_t t_mat = collect ? obs::NowNanos() : 0;
-  for (uint32_t c = 0; c < r.num_columns(); ++c) {
-    if (c == rid_idx) continue;  // RID is represented by FK in the output.
-    const ColumnSpec& spec = r.schema().column(c);
-    if (s.schema().Contains(spec.name)) {
-      return Status::InvalidArgument(StringFormat(
-          "column name collision on '%s' between '%s' and '%s'",
-          spec.name.c_str(), s.name().c_str(), r.name().c_str()));
-    }
-    out_specs.push_back(spec);
-    out_cols.push_back(r.column(c).Gather(matched, options.num_threads));
-  }
-
-  Table result(s.name() + "_join_" + r.name(), Schema(std::move(out_specs)),
-               std::move(out_cols));
-  if (collect) {
-    const uint64_t materialize_ns = obs::NowNanos() - t_mat;
-    MaterializeLatency().RecordAlways(materialize_ns);
-    obs::OperatorFeatures features;
-    features.op = "join.radix.kfk";
-    features.rows_in = s.num_rows();
-    features.rows_out = result.num_rows();
-    features.build_rows = r.num_rows();
-    features.distinct_keys = fk.domain_size();
-    features.num_threads = ResolvedThreads(options.num_threads);
-    obs::CostObservation obs_cost;
-    obs_cost.total_ns = obs::NowNanos() - start_ns;
-    obs_cost.build_ns = build_ns;
-    obs_cost.probe_ns = probe_ns;
-    obs_cost.materialize_ns = materialize_ns;
-    obs_cost.partition_ns = partition_ns;
-    obs::CostProfileStore::Global().Record(features, obs_cost);
-  }
-  return result;
+  return join_internal::FinishHashJoin(kRadixJoinOp, left, right, r_idx,
+                                       l_rows, r_rows, options, span, cost);
 }
 
 }  // namespace hamlet

@@ -2,8 +2,12 @@
 #define HAMLET_RELATIONAL_RADIX_JOIN_H_
 
 /// \file radix_join.h
-/// The radix-partitioned join path (JoinAlgorithm::kRadix) and the
+/// HashJoin's radix-partitioned path (JoinAlgorithm::kRadix) and the
 /// cost-profile-driven algorithm choice behind JoinAlgorithm::kAuto.
+/// KfkJoin has no radix path: it is a dense FK code -> R row gather, and
+/// partitioning that gather measured slower than the plain CSR probe at
+/// every FK domain size tried (docs/PERFORMANCE.md "Join algorithm
+/// matrix").
 ///
 /// The monolithic CSR join (join.cc) random-accesses two code-indexed
 /// arrays per probe row; once the build side's code range outgrows the
@@ -19,17 +23,15 @@
 ///
 /// Determinism contract (tests/ingest_join_determinism_test.cc,
 /// tests/radix_join_test.cc): output tables are bit-identical to
-/// HashJoin/KfkJoin's CSR path — same left-row-major order, right rows
+/// HashJoin's CSR path — same left-row-major order, right rows
 /// ascending within a key — at every thread count and partition fanout,
-/// and error reports (referential integrity, duplicate RIDs, name
-/// collisions) are byte-identical too.
+/// and error reports are byte-identical too.
 ///
 /// Telemetry: phase timings land in the join.partition_ns /
 /// join.bloom_build_ns histograms and rows the pre-filter drops in the
 /// join.probe_skipped counter; whole-operator observations are recorded
-/// under the cost-profile operator keys "join.radix" (hash) and
-/// "join.radix.kfk" — the records kAuto reads back on later runs
-/// (docs/OBSERVABILITY.md).
+/// under the cost-profile operator key kRadixJoinOp — the records kAuto
+/// reads back on later runs (docs/OBSERVABILITY.md).
 
 #include <cstdint>
 #include <string>
@@ -40,6 +42,11 @@
 
 namespace hamlet {
 
+/// Cost-profile operator keys of HashJoin's two paths, the pair kAuto
+/// ranks. kHashJoinOp also names both paths' trace span.
+inline constexpr char kHashJoinOp[] = "join.hash";
+inline constexpr char kRadixJoinOp[] = "join.radix";
+
 /// kAuto thresholds for the no-profile fallback heuristic: radix pays
 /// once the build side's code range (≈ 4 bytes of CSR offsets per code)
 /// and the probe side both leave cache-resident scale.
@@ -47,15 +54,15 @@ inline constexpr uint64_t kRadixAutoMinDistinctKeys = 1u << 15;
 inline constexpr uint64_t kRadixAutoMinProbeRows = 1u << 15;
 
 /// Resolves options.algorithm to a concrete kCsr/kRadix choice for one
-/// join. Explicit choices pass through. For kAuto: if the cost-profile
-/// store holds measured per-probe-row costs for both `csr_op` and
-/// `radix_op` near this build size (live window first, then the seeded
-/// calibration profile — see CostProfileStore::SeedCalibrationFromFile),
-/// the cheaper one wins; otherwise the size heuristic above decides.
+/// HashJoin. Explicit choices pass through. For kAuto: if the
+/// cost-profile store holds measured per-probe-row costs for both
+/// kHashJoinOp and kRadixJoinOp near this build size at the join's
+/// resolved thread count (live window first, then the seeded calibration
+/// profile — see CostProfileStore::SeedCalibrationFromFile), the cheaper
+/// one wins; otherwise the size heuristic above decides.
 JoinAlgorithm ResolveJoinAlgorithm(const JoinOptions& options,
                                    uint64_t probe_rows, uint64_t build_rows,
-                                   uint64_t distinct_keys,
-                                   const char* csr_op, const char* radix_op);
+                                   uint64_t distinct_keys);
 
 /// Resolves a BloomFilterMode to a concrete on/off decision. kAuto turns
 /// the filter on exactly when the build side cannot cover its key domain
@@ -72,14 +79,6 @@ Result<Table> RadixHashJoin(const Table& left, const Table& right,
                             const std::string& left_column,
                             const std::string& right_column,
                             const JoinOptions& options = {});
-
-/// KfkJoin's radix path: S rows are partitioned by FK-code sub-range so
-/// the probe's rid_to_row lookups stay inside one contiguous,
-/// cache-resident slice per partition. No Bloom filter — KFK joins
-/// require every row to match. Same contract/output/errors as KfkJoin.
-Result<Table> RadixKfkJoin(const Table& s, const Table& r,
-                           const std::string& fk_column,
-                           const JoinOptions& options = {});
 
 }  // namespace hamlet
 

@@ -157,16 +157,6 @@ Result<uint32_t> ArtifactStore::PutNaiveBayes(const std::string& name,
   return PutBytes(name, SerializeNaiveBayes(model));
 }
 
-Result<uint32_t> ArtifactStore::PutLogisticRegression(
-    const std::string& name, const LogisticRegression& model) {
-  return PutBytes(name, SerializeLogisticRegression(model));
-}
-
-Result<uint32_t> ArtifactStore::PutDecisionTree(const std::string& name,
-                                                const DecisionTree& model) {
-  return PutBytes(name, SerializeDecisionTree(model));
-}
-
 Result<uint32_t> ArtifactStore::PutGbt(const std::string& name,
                                        const Gbt& model) {
   return PutBytes(name, SerializeGbt(model));

@@ -72,10 +72,6 @@ class ArtifactStore {
                               const EncodedDataset& data);
   Result<uint32_t> PutNaiveBayes(const std::string& name,
                                  const NaiveBayes& model);
-  Result<uint32_t> PutLogisticRegression(const std::string& name,
-                                         const LogisticRegression& model);
-  Result<uint32_t> PutDecisionTree(const std::string& name,
-                                   const DecisionTree& model);
   Result<uint32_t> PutGbt(const std::string& name, const Gbt& model);
   Result<uint32_t> PutFsRunReport(const std::string& name,
                                   const FsRunReport& report);
@@ -102,16 +98,6 @@ class ArtifactStore {
   Result<std::shared_ptr<const NaiveBayes>> GetNaiveBayes(
       const std::string& name, uint32_t version = kLatest) {
     return GetModelAs<NaiveBayes>(name, version, ArtifactKind::kNaiveBayes);
-  }
-  Result<std::shared_ptr<const LogisticRegression>> GetLogisticRegression(
-      const std::string& name, uint32_t version = kLatest) {
-    return GetModelAs<LogisticRegression>(name, version,
-                                          ArtifactKind::kLogisticRegression);
-  }
-  Result<std::shared_ptr<const DecisionTree>> GetDecisionTree(
-      const std::string& name, uint32_t version = kLatest) {
-    return GetModelAs<DecisionTree>(name, version,
-                                    ArtifactKind::kDecisionTree);
   }
   Result<std::shared_ptr<const Gbt>> GetGbt(const std::string& name,
                                             uint32_t version = kLatest) {

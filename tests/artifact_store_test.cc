@@ -227,7 +227,7 @@ TEST_F(ArtifactStoreTest, TreeModelsRoundTripThroughStore) {
   Gbt gbt(gbt_options);
   ASSERT_TRUE(gbt.Train(data, rows, {0}).ok());
 
-  auto tree_version = store.PutDecisionTree("tree", tree);
+  auto tree_version = store.PutModel("tree", tree);
   ASSERT_TRUE(tree_version.ok()) << tree_version.status();
   EXPECT_EQ(*tree_version, 1u);
   auto gbt_version = store.PutGbt("gbt", gbt);
@@ -240,15 +240,18 @@ TEST_F(ArtifactStoreTest, TreeModelsRoundTripThroughStore) {
   ASSERT_TRUE(gbt_kind.ok());
   EXPECT_EQ(*gbt_kind, ArtifactKind::kGradientBoostedTrees);
 
-  auto tree_back = store.GetDecisionTree("tree");
+  auto tree_back = store.GetModel("tree");
   ASSERT_TRUE(tree_back.ok()) << tree_back.status();
-  EXPECT_EQ((*tree_back)->Predict(data, rows), tree.Predict(data, rows));
+  const auto* tree_model =
+      dynamic_cast<const DecisionTree*>(tree_back->get());
+  ASSERT_NE(tree_model, nullptr);
+  EXPECT_EQ(tree_model->Predict(data, rows), tree.Predict(data, rows));
   auto gbt_back = store.GetGbt("gbt");
   ASSERT_TRUE(gbt_back.ok()) << gbt_back.status();
   EXPECT_EQ((*gbt_back)->Predict(data, rows), gbt.Predict(data, rows));
 
   // Cache hits hand back the same deserialized instance.
-  auto tree_again = store.GetDecisionTree("tree");
+  auto tree_again = store.GetModel("tree");
   ASSERT_TRUE(tree_again.ok());
   EXPECT_EQ(tree_back->get(), tree_again->get());
 }
@@ -260,14 +263,14 @@ TEST_F(ArtifactStoreTest, TreeKindMismatchIsTypedError) {
   for (uint32_t i = 0; i < data.num_rows(); ++i) rows[i] = i;
   DecisionTree tree;
   ASSERT_TRUE(tree.Train(data, rows, {0}).ok());
-  ASSERT_TRUE(store.PutDecisionTree("tree", tree).ok());
+  ASSERT_TRUE(store.PutModel("tree", tree).ok());
   auto as_gbt = store.GetGbt("tree");
   ASSERT_FALSE(as_gbt.ok());
   EXPECT_EQ(SerdeErrorOf(as_gbt.status()), SerdeError::kKindMismatch);
   auto as_nb = store.GetNaiveBayes("tree");
   ASSERT_FALSE(as_nb.ok());
   EXPECT_EQ(SerdeErrorOf(as_nb.status()), SerdeError::kKindMismatch);
-  EXPECT_EQ(store.GetDecisionTree("absent").status().code(),
+  EXPECT_EQ(store.GetModel("absent").status().code(),
             StatusCode::kNotFound);
 }
 

@@ -248,18 +248,22 @@ TEST(CostProfileTest, MeanNsPerProbeRowUsesLogScaleNeighborhood) {
   features.op = "join.radix";
   features.rows_in = 1'000'000;
   features.build_rows = 1'000'000;
+  features.num_threads = 1;
   obs::CostObservation cost;
   cost.total_ns = 20'000'000;  // 20ns per probe row.
   profile.Add(features, cost);
 
   // Within a factor of 4 of the recorded build size: comparable.
-  EXPECT_DOUBLE_EQ(profile.MeanNsPerProbeRow("join.radix", 1'000'000), 20.0);
-  EXPECT_GT(profile.MeanNsPerProbeRow("join.radix", 3'000'000), 0.0);
-  EXPECT_GT(profile.MeanNsPerProbeRow("join.radix", 300'000), 0.0);
-  // Outside the neighborhood, or the wrong operator: no estimate.
-  EXPECT_EQ(profile.MeanNsPerProbeRow("join.radix", 10'000'000), 0.0);
-  EXPECT_EQ(profile.MeanNsPerProbeRow("join.radix", 1'000), 0.0);
-  EXPECT_EQ(profile.MeanNsPerProbeRow("join.hash", 1'000'000), 0.0);
+  EXPECT_DOUBLE_EQ(profile.MeanNsPerProbeRow("join.radix", 1'000'000, 1),
+                   20.0);
+  EXPECT_GT(profile.MeanNsPerProbeRow("join.radix", 3'000'000, 1), 0.0);
+  EXPECT_GT(profile.MeanNsPerProbeRow("join.radix", 300'000, 1), 0.0);
+  // Outside the neighborhood, the wrong operator or another thread
+  // count: no estimate.
+  EXPECT_EQ(profile.MeanNsPerProbeRow("join.radix", 10'000'000, 1), 0.0);
+  EXPECT_EQ(profile.MeanNsPerProbeRow("join.radix", 1'000, 1), 0.0);
+  EXPECT_EQ(profile.MeanNsPerProbeRow("join.hash", 1'000'000, 1), 0.0);
+  EXPECT_EQ(profile.MeanNsPerProbeRow("join.radix", 1'000'000, 8), 0.0);
 }
 
 TEST_F(CostProfileFileTest, CalibrationSeedBacksTheLiveWindow) {
@@ -276,6 +280,7 @@ TEST_F(CostProfileFileTest, CalibrationSeedBacksTheLiveWindow) {
   features.op = "join.radix";
   features.rows_in = 1'000'000;
   features.build_rows = 1'000'000;
+  features.num_threads = 1;
   obs::CostObservation seeded;
   seeded.total_ns = 40'000'000;  // 40ns per probe row.
   {
@@ -284,27 +289,30 @@ TEST_F(CostProfileFileTest, CalibrationSeedBacksTheLiveWindow) {
     ASSERT_TRUE(profile.SaveToFile(path_).ok());
   }
   ASSERT_TRUE(store.SeedCalibrationFromFile(path_).ok());
-  EXPECT_DOUBLE_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000), 40.0);
+  EXPECT_DOUBLE_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1),
+                   40.0);
 
   // Clear() resets the live window only; the calibration seed survives.
   store.Clear();
-  EXPECT_DOUBLE_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000), 40.0);
+  EXPECT_DOUBLE_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1),
+                   40.0);
 
   // A live measurement shadows the seed.
   obs::CostObservation live;
   live.total_ns = 10'000'000;  // 10ns per probe row.
   store.Record(features, live);
-  EXPECT_DOUBLE_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000), 10.0);
+  EXPECT_DOUBLE_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1),
+                   10.0);
 
   store.Clear();
   store.ClearCalibration();
-  EXPECT_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000), 0.0);
+  EXPECT_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1), 0.0);
 
   // Seeding from a missing file reports NotFound and leaves no seed.
   std::remove(path_.c_str());
   EXPECT_EQ(store.SeedCalibrationFromFile(path_).code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000), 0.0);
+  EXPECT_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1), 0.0);
 }
 
 }  // namespace

@@ -415,7 +415,9 @@ TEST_F(JoinDeterminismTest, RadixHashJoinMatchesCsrAcrossThreadsAndBits) {
   }
 }
 
-TEST_F(JoinDeterminismTest, RadixKfkJoinMatchesCsrAcrossThreadsAndBits) {
+TEST_F(JoinDeterminismTest, KfkJoinIsIdenticalUnderEveryAlgorithm) {
+  // KfkJoin has one physical path; no JoinAlgorithm choice, fanout or
+  // thread count may change its table.
   for (const char* name : {"Walmart", "MovieLens1M"}) {
     auto ds = MakeDataset(name, 0.02, 29);
     ASSERT_TRUE(ds.ok()) << ds.status();
@@ -429,17 +431,19 @@ TEST_F(JoinDeterminismTest, RadixKfkJoinMatchesCsrAcrossThreadsAndBits) {
     auto base = KfkJoin(ds->entity(), *r, fks[0].fk_column, serial);
     ASSERT_TRUE(base.ok()) << base.status();
 
-    for (uint32_t radix_bits : {4u, 8u, 16u}) {
+    for (JoinAlgorithm algorithm :
+         {JoinAlgorithm::kAuto, JoinAlgorithm::kCsr, JoinAlgorithm::kRadix}) {
       for (uint32_t num_threads : {1u, 2u, 8u}) {
-        JoinOptions par;
-        par.num_threads = num_threads;
-        par.algorithm = JoinAlgorithm::kRadix;
-        par.radix_bits = radix_bits;
-        auto t = KfkJoin(ds->entity(), *r, fks[0].fk_column, par);
+        JoinOptions options;
+        options.num_threads = num_threads;
+        options.algorithm = algorithm;
+        options.radix_bits = 4;
+        auto t = KfkJoin(ds->entity(), *r, fks[0].fk_column, options);
         ASSERT_TRUE(t.ok()) << t.status();
         ExpectTablesIdentical(
             *t, *base,
-            std::string(name) + " bits=" + std::to_string(radix_bits) +
+            std::string(name) + " algorithm=" +
+                std::to_string(static_cast<int>(algorithm)) +
                 " threads=" + std::to_string(num_threads));
       }
     }
@@ -448,9 +452,9 @@ TEST_F(JoinDeterminismTest, RadixKfkJoinMatchesCsrAcrossThreadsAndBits) {
 
 TEST_F(JoinDeterminismTest,
        RadixReferentialIntegrityErrorMatchesCsrAcrossThreadsAndBits) {
-  // Same dangling-FK construction as the CSR test above: the radix path
-  // must report the lowest offending S row's label, byte-identically,
-  // at every thread count and fanout.
+  // Same dangling-FK construction as the CSR test above: every
+  // algorithm choice must report the lowest offending S row's label,
+  // byte-identically, at every thread count.
   Schema r_schema(
       {ColumnSpec::PrimaryKey("RID"), ColumnSpec::Feature("XR")});
   TableBuilder rb("R", r_schema);
@@ -477,17 +481,19 @@ TEST_F(JoinDeterminismTest,
   auto base = KfkJoin(s, r, "FK", csr);
   ASSERT_FALSE(base.ok());
 
-  for (uint32_t radix_bits : {0u, 2u, 8u}) {
+  for (JoinAlgorithm algorithm :
+       {JoinAlgorithm::kAuto, JoinAlgorithm::kCsr, JoinAlgorithm::kRadix}) {
     for (uint32_t num_threads : {1u, 2u, 8u}) {
       JoinOptions options;
       options.num_threads = num_threads;
-      options.algorithm = JoinAlgorithm::kRadix;
-      options.radix_bits = radix_bits;
+      options.algorithm = algorithm;
+      options.radix_bits = 2;
       auto t = KfkJoin(s, r, "FK", options);
       ASSERT_FALSE(t.ok());
       EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
       EXPECT_EQ(t.status().message(), base.status().message())
-          << "bits=" << radix_bits << " threads=" << num_threads;
+          << "algorithm=" << static_cast<int>(algorithm)
+          << " threads=" << num_threads;
     }
   }
 }

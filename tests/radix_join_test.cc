@@ -1,9 +1,9 @@
 /// Unit lockdown for the radix join path's building blocks: the blocked
 /// Bloom filter (common/bloom.h), the deterministic radix partitioner
 /// (common/radix_partition.h), and the algorithm/filter resolution plus
-/// telemetry of relational/radix_join.h. End-to-end bit-identity against
-/// the CSR join on bundled datasets lives in
-/// ingest_join_determinism_test.cc; this file pins the pieces.
+/// telemetry of relational/radix_join.h (and of KfkJoin's single path).
+/// End-to-end bit-identity against the CSR join on bundled datasets
+/// lives in ingest_join_determinism_test.cc; this file pins the pieces.
 ///
 /// Suite names contain "Determinism" where the contract is layout
 /// stability across thread counts, so scripts/check_determinism.sh's
@@ -220,13 +220,10 @@ TEST(ResolveJoinAlgorithmTest, ExplicitChoicePassesThrough) {
   obs::CostProfileStore::Global().Clear();
   JoinOptions options;
   options.algorithm = JoinAlgorithm::kCsr;
-  EXPECT_EQ(ResolveJoinAlgorithm(options, 1u << 20, 1u << 20, 1u << 20,
-                                 "join.hash", "join.radix"),
+  EXPECT_EQ(ResolveJoinAlgorithm(options, 1u << 20, 1u << 20, 1u << 20),
             JoinAlgorithm::kCsr);
   options.algorithm = JoinAlgorithm::kRadix;
-  EXPECT_EQ(ResolveJoinAlgorithm(options, 8, 8, 8, "join.hash",
-                                 "join.radix"),
-            JoinAlgorithm::kRadix);
+  EXPECT_EQ(ResolveJoinAlgorithm(options, 8, 8, 8), JoinAlgorithm::kRadix);
 }
 
 TEST(ResolveJoinAlgorithmTest, FallbackHeuristicUsesSizeThresholds) {
@@ -234,21 +231,16 @@ TEST(ResolveJoinAlgorithmTest, FallbackHeuristicUsesSizeThresholds) {
   obs::CostProfileStore::Global().ClearCalibration();
   JoinOptions options;  // kAuto.
   // Small on either axis: CSR.
-  EXPECT_EQ(ResolveJoinAlgorithm(options, 100, 100, 100, "join.hash",
-                                 "join.radix"),
-            JoinAlgorithm::kCsr);
+  EXPECT_EQ(ResolveJoinAlgorithm(options, 100, 100, 100), JoinAlgorithm::kCsr);
   EXPECT_EQ(ResolveJoinAlgorithm(options, 1u << 20, 1u << 20,
-                                 kRadixAutoMinDistinctKeys - 1, "join.hash",
-                                 "join.radix"),
+                                 kRadixAutoMinDistinctKeys - 1),
             JoinAlgorithm::kCsr);
   EXPECT_EQ(ResolveJoinAlgorithm(options, kRadixAutoMinProbeRows - 1,
-                                 1u << 20, 1u << 20, "join.hash",
-                                 "join.radix"),
+                                 1u << 20, 1u << 20),
             JoinAlgorithm::kCsr);
   // Large on both: radix.
   EXPECT_EQ(ResolveJoinAlgorithm(options, kRadixAutoMinProbeRows, 1u << 20,
-                                 kRadixAutoMinDistinctKeys, "join.hash",
-                                 "join.radix"),
+                                 kRadixAutoMinDistinctKeys),
             JoinAlgorithm::kRadix);
 }
 
@@ -261,11 +253,12 @@ TEST(ResolveJoinAlgorithmTest, MeasuredCostProfileOverridesHeuristic) {
   store.ClearCalibration();
 
   obs::OperatorFeatures csr_features;
-  csr_features.op = "join.hash";
+  csr_features.op = kHashJoinOp;
   csr_features.rows_in = 1u << 20;
   csr_features.build_rows = 1u << 20;
+  csr_features.num_threads = 1;
   obs::OperatorFeatures radix_features = csr_features;
-  radix_features.op = "join.radix";
+  radix_features.op = kRadixJoinOp;
 
   obs::CostObservation cheap, expensive;
   cheap.total_ns = 10'000'000;      // 10ns per probe row.
@@ -274,15 +267,54 @@ TEST(ResolveJoinAlgorithmTest, MeasuredCostProfileOverridesHeuristic) {
   store.Record(csr_features, cheap);
   store.Record(radix_features, expensive);
   JoinOptions options;  // kAuto.
-  EXPECT_EQ(ResolveJoinAlgorithm(options, 1u << 20, 1u << 20, 1u << 20,
-                                 "join.hash", "join.radix"),
+  options.num_threads = 1;
+  EXPECT_EQ(ResolveJoinAlgorithm(options, 1u << 20, 1u << 20, 1u << 20),
             JoinAlgorithm::kCsr);
 
   store.Clear();
   store.Record(csr_features, expensive);
   store.Record(radix_features, cheap);
-  EXPECT_EQ(ResolveJoinAlgorithm(options, 1u << 20, 1u << 20, 1u << 20,
-                                 "join.hash", "join.radix"),
+  EXPECT_EQ(ResolveJoinAlgorithm(options, 1u << 20, 1u << 20, 1u << 20),
+            JoinAlgorithm::kRadix);
+  store.Clear();
+}
+
+TEST(ResolveJoinAlgorithmTest, RanksOnlyRecordsAtTheJoinsThreadCount) {
+  // A CSR record taken at 8 threads is cheap per probe row because the
+  // probe ran on 8 cores; it says nothing about a serial join. Pooled
+  // with the serial CSR record it would average 25ns and beat the 30ns
+  // serial radix record. Matched at 1 thread, radix (30ns) beats CSR
+  // (40ns).
+  auto& store = obs::CostProfileStore::Global();
+  store.Clear();
+  store.ClearCalibration();
+
+  obs::OperatorFeatures csr_parallel;
+  csr_parallel.op = kHashJoinOp;
+  csr_parallel.rows_in = 1u << 20;
+  csr_parallel.build_rows = 1u << 20;
+  csr_parallel.num_threads = 8;
+  obs::OperatorFeatures csr_serial = csr_parallel;
+  csr_serial.num_threads = 1;
+  obs::OperatorFeatures radix_serial = csr_serial;
+  radix_serial.op = kRadixJoinOp;
+
+  obs::CostObservation cost;
+  cost.total_ns = 10'000'000;  // 10ns per probe row.
+  store.Record(csr_parallel, cost);
+  cost.total_ns = 40'000'000;  // 40ns per probe row.
+  store.Record(csr_serial, cost);
+  cost.total_ns = 30'000'000;  // 30ns per probe row.
+  store.Record(radix_serial, cost);
+
+  JoinOptions options;  // kAuto.
+  options.num_threads = 1;
+  EXPECT_EQ(ResolveJoinAlgorithm(options, 1u << 20, 1u << 20, 1u << 20),
+            JoinAlgorithm::kRadix);
+  // At 8 threads radix has no record (its serial one does not count),
+  // so the size heuristic decides.
+  options.num_threads = 8;
+  EXPECT_EQ(ResolveJoinAlgorithm(options, 1u << 20, 1u << 20, 1u << 20),
             JoinAlgorithm::kRadix);
   store.Clear();
 }
@@ -298,7 +330,7 @@ TEST(ResolveBloomFilterTest, ModesAndCoverageHeuristic) {
 }
 
 // ---------------------------------------------------------------------------
-// The radix joins themselves.
+// The joins themselves.
 
 Table MakeBuildSide(uint32_t rows, uint32_t domain) {
   TableBuilder builder(
@@ -466,7 +498,7 @@ TEST(RadixJoinTest, CostRecordCarriesPartitionAndBloomPhases) {
   const obs::CostProfile profile = store.Snapshot();
   const obs::CostRecord* radix = nullptr;
   for (const auto& [key, record] : profile.records()) {
-    if (record.features.op == "join.radix") radix = &record;
+    if (record.features.op == kRadixJoinOp) radix = &record;
   }
   ASSERT_NE(radix, nullptr) << "no join.radix cost record";
   EXPECT_EQ(radix->observations, 1u);
@@ -478,7 +510,10 @@ TEST(RadixJoinTest, CostRecordCarriesPartitionAndBloomPhases) {
   store.Clear();
 }
 
-TEST(RadixJoinTest, KfkCostRecordCarriesPartitionPhase) {
+TEST(RadixJoinTest, KfkJoinRecordsOneCsrCostRecordUnderRadix) {
+  // KfkJoin has one physical path: asking for kRadix still runs the CSR
+  // gather and records a single join.kfk observation with no partition
+  // phase.
   TableBuilder rb("R", Schema({ColumnSpec::PrimaryKey("RID"),
                                ColumnSpec::Feature("XR")}));
   for (int i = 0; i < 500; ++i) {
@@ -508,13 +543,15 @@ TEST(RadixJoinTest, KfkCostRecordCarriesPartitionPhase) {
   ASSERT_EQ(t->num_rows(), s.num_rows());
 
   const obs::CostProfile profile = store.Snapshot();
-  const obs::CostRecord* radix = nullptr;
-  for (const auto& [key, record] : profile.records()) {
-    if (record.features.op == "join.radix.kfk") radix = &record;
-  }
-  ASSERT_NE(radix, nullptr) << "no join.radix.kfk cost record";
-  EXPECT_GT(radix->partition_ns_sum, 0u);
-  EXPECT_EQ(radix->bloom_build_ns_sum, 0u);  // KFK joins never filter.
+  ASSERT_EQ(profile.size(), 1u);
+  const obs::CostRecord& record = profile.records().begin()->second;
+  EXPECT_EQ(record.features.op, "join.kfk");
+  EXPECT_EQ(record.observations, 1u);
+  EXPECT_EQ(record.features.rows_in, s.num_rows());
+  EXPECT_EQ(record.features.num_threads, 2u);
+  EXPECT_GT(record.total_ns_sum, 0u);
+  EXPECT_EQ(record.partition_ns_sum, 0u);
+  EXPECT_EQ(record.bloom_build_ns_sum, 0u);  // KFK joins never filter.
   store.Clear();
 }
 

@@ -104,7 +104,7 @@ TEST_F(ServiceTest, ScoreLogisticRegressionModel) {
   options.max_epochs = 5;
   LogisticRegression model(options);
   ASSERT_TRUE(model.Train(data, AllRows(data), {0, 1}).ok());
-  ASSERT_TRUE(store_->PutLogisticRegression("lr", model).ok());
+  ASSERT_TRUE(store_->PutModel("lr", model).ok());
   std::vector<uint32_t> expected = model.Predict(data, AllRows(data));
 
   HamletService service(store_.get());
@@ -120,7 +120,7 @@ TEST_F(ServiceTest, ScoreDecisionTreeModel) {
   EncodedDataset data = MakeData(11);
   DecisionTree model;
   ASSERT_TRUE(model.Train(data, AllRows(data), {0, 1}).ok());
-  ASSERT_TRUE(store_->PutDecisionTree("tree", model).ok());
+  ASSERT_TRUE(store_->PutModel("tree", model).ok());
   std::vector<uint32_t> expected = model.Predict(data, AllRows(data));
 
   HamletService service(store_.get());
@@ -185,7 +185,7 @@ TEST_F(ServiceTest, TreeLayoutMismatchRejected) {
   EncodedDataset data = MakeData(13);
   DecisionTree model;
   ASSERT_TRUE(model.Train(data, AllRows(data), {0, 1}).ok());
-  ASSERT_TRUE(store_->PutDecisionTree("tree", model).ok());
+  ASSERT_TRUE(store_->PutModel("tree", model).ok());
   HamletService service(store_.get());
 
   // Wrong cardinality on feature 1: walking the tree could chase an
