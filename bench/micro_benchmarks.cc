@@ -11,7 +11,6 @@
 #include <fstream>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 
 #include "common/parallel_for.h"
 #include "relational/csv.h"
@@ -131,283 +130,6 @@ void BM_ReadCsvParallel(benchmark::State& state) {
   state.SetLabel(options.num_threads == 1 ? "serial" : "hw");
 }
 BENCHMARK(BM_ReadCsvParallel)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-// --- HashJoin: the pre-PR label-keyed build/probe (frozen baseline) vs
-// the code-level CSR implementation, 1M probe rows against a 10k-row
-// build side. Distinct-but-equal key domains force a real DomainRemap in
-// the new path (the old path always paid label hashing). ---
-
-struct HashJoinBenchState {
-  Table left;
-  Table right;
-
-  static HashJoinBenchState& Get() {
-    static HashJoinBenchState* state = [] {
-      auto* s = new HashJoinBenchState();
-      constexpr uint32_t kRightRows = 10000;
-      constexpr uint32_t kLeftRows = 1000000;
-      // Distinct Domain objects with identical labels: the code path
-      // builds a remap table, the baseline hashes labels either way.
-      auto l_keys = Domain::Dense(kRightRows, "k");
-      auto r_keys = Domain::Dense(kRightRows, "k");
-      auto values = Domain::Dense(64, "v");
-
-      std::vector<uint32_t> r_key(kRightRows), r_val(kRightRows);
-      for (uint32_t i = 0; i < kRightRows; ++i) {
-        r_key[i] = (i * 7919) % kRightRows;  // Permuted key order.
-        r_val[i] = i % 64;
-      }
-      s->right = Table(
-          "R",
-          Schema({ColumnSpec::Feature("K2"), ColumnSpec::Feature("VR")}),
-          {Column(std::move(r_key), r_keys),
-           Column(std::move(r_val), values)});
-
-      std::vector<uint32_t> l_key(kLeftRows), l_val(kLeftRows);
-      for (uint32_t i = 0; i < kLeftRows; ++i) {
-        l_key[i] = (i * 31) % kRightRows;
-        l_val[i] = (i * 3) % 64;
-      }
-      s->left = Table(
-          "L",
-          Schema({ColumnSpec::Feature("K"), ColumnSpec::Feature("VL")}),
-          {Column(std::move(l_key), l_keys),
-           Column(std::move(l_val), values)});
-      return s;
-    }();
-    return *state;
-  }
-};
-
-// The pre-PR HashJoin: label-keyed unordered_map build, per-key row
-// vectors, label-hash probe per left row.
-Table BaselineHashJoin(const Table& left, const Table& right,
-                       uint32_t l_idx, uint32_t r_idx) {
-  const Column& lcol = left.column(l_idx);
-  const Column& rcol = right.column(r_idx);
-  std::unordered_map<std::string, std::vector<uint32_t>> build;
-  build.reserve(right.num_rows());
-  for (uint32_t row = 0; row < right.num_rows(); ++row) {
-    build[rcol.label(row)].push_back(row);
-  }
-  std::vector<uint32_t> l_rows, r_rows;
-  for (uint32_t row = 0; row < left.num_rows(); ++row) {
-    auto it = build.find(lcol.label(row));
-    if (it == build.end()) continue;
-    for (uint32_t r_row : it->second) {
-      l_rows.push_back(row);
-      r_rows.push_back(r_row);
-    }
-  }
-  std::vector<ColumnSpec> out_specs = left.schema().columns();
-  std::vector<Column> out_cols;
-  for (uint32_t c = 0; c < left.num_columns(); ++c) {
-    out_cols.push_back(left.column(c).Gather(l_rows));
-  }
-  for (uint32_t c = 0; c < right.num_columns(); ++c) {
-    if (c == r_idx) continue;
-    out_specs.push_back(right.schema().column(c));
-    out_cols.push_back(right.column(c).Gather(r_rows));
-  }
-  return Table("LR", Schema(std::move(out_specs)), std::move(out_cols));
-}
-
-void BM_HashJoinBaseline(benchmark::State& state) {
-  auto& s = HashJoinBenchState::Get();
-  for (auto _ : state) {
-    Table t = BaselineHashJoin(s.left, s.right, 0, 0);
-    benchmark::DoNotOptimize(t.num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * s.left.num_rows());
-}
-BENCHMARK(BM_HashJoinBaseline)->Unit(benchmark::kMillisecond);
-
-void BM_HashJoin(benchmark::State& state) {
-  auto& s = HashJoinBenchState::Get();
-  JoinOptions options;
-  options.num_threads = static_cast<uint32_t>(state.range(0));
-  // This bench pins the monolithic CSR path (its 10k-code build side is
-  // cache-resident, CSR's home turf); the radix comparison below uses a
-  // build side large enough that the choice matters.
-  options.algorithm = JoinAlgorithm::kCsr;
-  for (auto _ : state) {
-    auto t = HashJoin(s.left, s.right, "K", "K2", options);
-    if (!t.ok()) std::abort();
-    benchmark::DoNotOptimize(t->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * s.left.num_rows());
-  state.SetLabel(options.num_threads == 1 ? "serial" : "hw");
-}
-BENCHMARK(BM_HashJoin)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-// --- Radix vs monolithic CSR at a build side whose code range dwarfs
-// a conventional LLC: 2^20 build rows over a 2^20-code domain (4 MB of
-// CSR offsets + 4 MB of bucket rows), probed by 1M rows with a skewed
-// key mix (half hit 1k hot keys, half spread uniformly). The radix path
-// partitions both sides into ~8 KB code sub-ranges before building and
-// probing. The measured ratio is hardware-dependent — see
-// docs/PERFORMANCE.md "Join algorithm matrix" for why a huge-LLC/
-// high-MLP machine lands near parity while a conventional hierarchy
-// favors radix; the pair exists so every BENCH trajectory records the
-// ratio kAuto's cost profile acts on for this box. ---
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-struct RadixJoinBenchState {
-  Table left;
-  Table right;
-
-  static RadixJoinBenchState& Get() {
-    static RadixJoinBenchState* state = [] {
-      auto* s = new RadixJoinBenchState();
-      constexpr uint32_t kBuildRows = 1u << 20;
-      constexpr uint32_t kProbeRows = 1000000;
-      auto keys = Domain::Dense(kBuildRows, "k");
-      auto values = Domain::Dense(64, "v");
-
-      std::vector<uint32_t> r_key(kBuildRows), r_val(kBuildRows);
-      for (uint32_t i = 0; i < kBuildRows; ++i) {
-        // Odd multiplier mod 2^20: a bijection, so every code occurs
-        // exactly once but in cache-hostile scattered order.
-        r_key[i] = (i * 2654435761u) & (kBuildRows - 1);
-        r_val[i] = i & 63;
-      }
-      s->right = Table(
-          "R",
-          Schema({ColumnSpec::Feature("K2"), ColumnSpec::Feature("VR")}),
-          {Column(std::move(r_key), keys),
-           Column(std::move(r_val), values)});
-
-      std::vector<uint32_t> l_key(kProbeRows), l_val(kProbeRows);
-      for (uint32_t i = 0; i < kProbeRows; ++i) {
-        const uint64_t h = SplitMix64(i);
-        // Skewed mix: half the probe hammers 1024 hot keys, half spreads
-        // across the full 2^20-code range.
-        l_key[i] = (h & 1) ? (h >> 1) & 1023u
-                           : (h >> 1) & (kBuildRows - 1);
-        l_val[i] = i & 63;
-      }
-      s->left = Table(
-          "L",
-          Schema({ColumnSpec::Feature("K"), ColumnSpec::Feature("VL")}),
-          {Column(std::move(l_key), keys),
-           Column(std::move(l_val), values)});
-      return s;
-    }();
-    return *state;
-  }
-};
-
-void BM_HashJoin1M(benchmark::State& state) {
-  auto& s = RadixJoinBenchState::Get();
-  JoinOptions options;
-  options.num_threads = static_cast<uint32_t>(state.range(0));
-  options.algorithm = JoinAlgorithm::kCsr;
-  for (auto _ : state) {
-    auto t = HashJoin(s.left, s.right, "K", "K2", options);
-    if (!t.ok()) std::abort();
-    benchmark::DoNotOptimize(t->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * s.left.num_rows());
-  state.SetLabel(options.num_threads == 1 ? "serial" : "hw");
-}
-BENCHMARK(BM_HashJoin1M)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-void BM_RadixHashJoin(benchmark::State& state) {
-  auto& s = RadixJoinBenchState::Get();
-  JoinOptions options;
-  options.num_threads = static_cast<uint32_t>(state.range(0));
-  options.algorithm = JoinAlgorithm::kRadix;
-  for (auto _ : state) {
-    auto t = HashJoin(s.left, s.right, "K", "K2", options);
-    if (!t.ok()) std::abort();
-    benchmark::DoNotOptimize(t->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * s.left.num_rows());
-  state.SetLabel(options.num_threads == 1 ? "serial" : "hw");
-}
-BENCHMARK(BM_RadixHashJoin)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-// --- Bloom semi-join pre-filter at ~1% probe selectivity: a 10k-row
-// build side scattered across a 2^20-code domain, probed by 1M uniform
-// rows, so ~99% of probe rows can never match. The filter (~16 KB,
-// L1-resident) answers those rows without touching the CSR offsets at
-// all. Args are (algorithm, bloom). Acceptance bar
-// (docs/PERFORMANCE.md): radix bloom-on >= 2x radix bloom-off — on the
-// radix path dropped rows also skip the partition scatter via the
-// keep-bitmap, which is where the filter earns its keep. The CSR arms
-// document the honest counter-case: with memory-level parallelism
-// hiding the probe misses the filter would skip, CSR bloom-on is a
-// small LOSS, which is why kAuto's filter heuristic keys on build-side
-// coverage rather than unconditionally filtering. ---
-
-struct BloomBenchState {
-  Table left;
-  Table right;
-
-  static BloomBenchState& Get() {
-    static BloomBenchState* state = [] {
-      auto* s = new BloomBenchState();
-      constexpr uint32_t kDomain = 1u << 20;
-      constexpr uint32_t kBuildRows = 10240;
-      constexpr uint32_t kProbeRows = 1000000;
-      auto keys = Domain::Dense(kDomain, "k");
-      auto values = Domain::Dense(64, "v");
-
-      std::vector<uint32_t> r_key(kBuildRows), r_val(kBuildRows);
-      for (uint32_t i = 0; i < kBuildRows; ++i) {
-        r_key[i] = (i * 104729u) & (kDomain - 1);  // Distinct, scattered.
-        r_val[i] = i & 63;
-      }
-      s->right = Table(
-          "R",
-          Schema({ColumnSpec::Feature("K2"), ColumnSpec::Feature("VR")}),
-          {Column(std::move(r_key), keys),
-           Column(std::move(r_val), values)});
-
-      std::vector<uint32_t> l_key(kProbeRows), l_val(kProbeRows);
-      for (uint32_t i = 0; i < kProbeRows; ++i) {
-        l_key[i] = SplitMix64(i) & (kDomain - 1);  // ~1% hit the build.
-        l_val[i] = i & 63;
-      }
-      s->left = Table(
-          "L",
-          Schema({ColumnSpec::Feature("K"), ColumnSpec::Feature("VL")}),
-          {Column(std::move(l_key), keys),
-           Column(std::move(l_val), values)});
-      return s;
-    }();
-    return *state;
-  }
-};
-
-void BM_BloomFilterProbe(benchmark::State& state) {
-  auto& s = BloomBenchState::Get();
-  JoinOptions options;
-  options.algorithm = state.range(0) == 0 ? JoinAlgorithm::kCsr
-                                          : JoinAlgorithm::kRadix;
-  options.bloom = state.range(1) == 0 ? BloomFilterMode::kOff
-                                      : BloomFilterMode::kOn;
-  for (auto _ : state) {
-    auto t = HashJoin(s.left, s.right, "K", "K2", options);
-    if (!t.ok()) std::abort();
-    benchmark::DoNotOptimize(t->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * s.left.num_rows());
-  state.SetLabel(std::string(state.range(0) == 0 ? "csr" : "radix") +
-                 (state.range(1) == 0 ? "/bloom_off" : "/bloom_on"));
-}
-BENCHMARK(BM_BloomFilterProbe)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
 
 // --- Naive Bayes training throughput (rows x features / s). ---
 void BM_NaiveBayesTrain(benchmark::State& state) {

@@ -9,10 +9,10 @@
 # pipeline's lock-free sharded histograms, cross-thread span
 # propagation, and concurrent registry snapshots (the writer-storm test)
 # are exactly the code most likely to hide a data race.
-# A third pass runs the joins-labeled suite (tests/radix_join_test.cc)
-# under TSAN: the radix partitioner's two-pass parallel scatter, the
-# Bloom filter's relaxed-atomic parallel build, and the per-partition
-# join passes all write shared arrays from ParallelFor workers.
+# A third pass runs the joins-labeled suite (tests/join_test.cc) under
+# TSAN: KfkJoin's sharded probe reports the lowest failing row through a
+# relaxed-atomic min, and its output gathers write shared arrays from
+# ParallelFor workers.
 # A fourth pass runs the sharded serving data plane
 # (tests/service_shard_determinism_test.cc + the artifact store's
 # concurrent shared-lock hit tests): N dispatcher threads draining MPSC
@@ -24,10 +24,10 @@
 # DeserializeModel), the artifact store's read-through path, the
 # service's resolve + score path, and the CSV and JSON readers.
 # A sixth pass rebuilds with UndefinedBehaviorSanitizer in its own tree
-# (halting on the first report) and runs the join engine — the `joins`
-# label plus the JoinDeterminismTest bit-identity sweeps, whose radix
-# scatters and packed entries are shift- and index-heavy — and the same
-# byte parsers' serde, CSV and JSON suites.
+# (halting on the first report) and runs the join — the `joins` label
+# plus the JoinDeterminismTest bit-identity sweeps, whose code remaps and
+# FK -> row gathers are index-heavy — and the same byte parsers' serde,
+# CSV and JSON suites.
 #
 # Usage: scripts/check_determinism.sh [extra ctest args...]
 # Env:   BUILD_DIR (default build-tsan), ASAN_BUILD_DIR (default
@@ -55,8 +55,9 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure \
 # label `obs`) under the same TSAN build.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L obs "$@"
 
-# The join engine lockdown (radix partitioner, Bloom filter, radix-vs-CSR
-# equivalence, label `joins`) under the same TSAN build.
+# The KFK join lockdown (error cases, equivalence against the frozen
+# reference join, the cost record; label `joins`) under the same TSAN
+# build.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L joins "$@"
 
 # The sharded scoring data plane (multi-queue dispatch, admission
@@ -76,7 +77,7 @@ ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
   -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|JsonReaderTest' \
   "$@"
 
-# The join engine and the byte parsers under UndefinedBehaviorSanitizer
+# The KFK join and the byte parsers under UndefinedBehaviorSanitizer
 # (separate build tree). UBSan reports and carries on by default;
 # halt_on_error turns a report into a test failure.
 UBSAN_BUILD_DIR=${UBSAN_BUILD_DIR:-build-ubsan}

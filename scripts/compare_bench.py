@@ -26,8 +26,7 @@ import sys
 # ns per scored row so a throughput drop reads as a real_time
 # regression),
 # the data-plane ingest/join fast paths (docs/PERFORMANCE.md "Ingest
-# & join fast path" and "Join algorithm matrix": BM_ReadCsv*,
-# BM_HashJoin*, BM_KfkJoin, BM_RadixHashJoin, BM_BloomFilterProbe), the
+# & join fast path": BM_ReadCsv*, BM_KfkJoin), the
 # factorized-learning family (docs/PERFORMANCE.md "Factorized training":
 # BM_Factorized*, BM_MaterializedStatsBuild), and the observability cost
 # contract (docs/OBSERVABILITY.md: BM_HistogramRecord* — the prefix
@@ -36,7 +35,7 @@ import sys
 GATED = re.compile(
     r"^BM_(NBTrain|NaiveBayesTrain|GreedyForward|ForwardSelection"
     r"|MiFilterScoring|SerdeSave|SerdeLoad|ServeScore|ServeLoad"
-    r"|ReadCsv|HashJoin|KfkJoin|RadixHashJoin|BloomFilterProbe"
+    r"|ReadCsv|KfkJoin"
     r"|Factorized|MaterializedStatsBuild"
     r"|HistogramRecord|TraceSpanPropagated"
     r"|TreeTrain|GbtTrain)"

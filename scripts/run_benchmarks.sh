@@ -12,8 +12,8 @@
 # largest cache size; scripts/compare_bench.py) and exits nonzero on a
 # >10% real_time regression in the gated microbenches (the FS/NB
 # families, the serving stack's BM_SerdeSave/Load and BM_ServeScore* —
-# see docs/SERVING.md — the ingest/join fast paths BM_ReadCsv*,
-# BM_HashJoin*, BM_KfkJoin, the factorized-learning family
+# see docs/SERVING.md — the ingest/join fast paths BM_ReadCsv* and
+# BM_KfkJoin, the factorized-learning family
 # BM_Factorized* / BM_MaterializedStatsBuild — see docs/PERFORMANCE.md —
 # and the tree training family BM_TreeTrain* / BM_GbtTrain* — see
 # docs/TREES.md; BM_FactorizedVsMaterialized's 10M-row variant and

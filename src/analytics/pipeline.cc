@@ -148,20 +148,6 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
   // training and candidate scoring take the original scan paths.
   ScopedSuffStatsBypass scan_only(config.force_scan_eval);
 
-  // Seed JoinAlgorithm::kAuto with earlier runs' measurements before any
-  // join executes. Best effort: a missing or unreadable profile just
-  // leaves kAuto on its size heuristic.
-  {
-    const std::string profile_path = PathFromConfigOrEnv(
-        config.cost_profile_path, "HAMLET_COST_PROFILE");
-    if (!profile_path.empty()) {
-      const Status seeded =
-          obs::CostProfileStore::Global().SeedCalibrationFromFile(
-              profile_path);
-      (void)seeded;
-    }
-  }
-
   PipelineReport report;
   report.avoidance_applied = config.enable_join_avoidance;
 
@@ -269,7 +255,6 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
         Timer join_timer;
         JoinOptions join_options;
         join_options.num_threads = config.num_threads;
-        join_options.algorithm = config.join_algorithm;
         HAMLET_ASSIGN_OR_RETURN(table,
                                 dataset.JoinSubset(to_join, join_options));
         report.join_seconds = join_timer.ElapsedSeconds();

@@ -61,9 +61,8 @@ struct PipelineConfig {
   /// thread, 1 = serial). Selections are bit-for-bit identical at any
   /// setting; only the runtime changes.
   uint32_t num_threads = 0;
-  /// Forwarded as JoinOptions::algorithm to the joins the plan keeps.
-  /// Those are KFK joins, which have one physical path and ignore it
-  /// (join.h); results are bit-identical for every choice.
+  /// Unread: JoinAlgorithm has one value (see join.h for why the field
+  /// has not been deleted yet).
   JoinAlgorithm join_algorithm = JoinAlgorithm::kAuto;
   /// Collect a span tree + metrics for this run (see docs/OBSERVABILITY.md).
   /// The HAMLET_TRACE environment variable turns tracing on as well; when
@@ -96,9 +95,10 @@ struct PipelineConfig {
   std::string metrics_jsonl_path;
   /// When non-empty (and the run is traced), merge the run's operator
   /// cost observations into this JSON file (obs/cost_profile.h) so
-  /// repeated runs accumulate planner calibration data. The
-  /// HAMLET_COST_PROFILE environment variable supplies a path as well;
-  /// an explicit config value wins.
+  /// repeated runs accumulate cost records. The file is only written:
+  /// no run reads it back, so its contents never change a plan or a
+  /// result. The HAMLET_COST_PROFILE environment variable supplies a
+  /// path as well; an explicit config value wins.
   std::string cost_profile_path;
 };
 

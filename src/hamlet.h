@@ -8,9 +8,7 @@
 /// finer-grained option.
 
 // Shared runtime (deterministic parallelism substrate).
-#include "common/bloom.h"              // Blocked Bloom semi-join filter.
 #include "common/parallel_for.h"       // Indexed data-parallel loops.
-#include "common/radix_partition.h"    // Deterministic radix scatter.
 #include "common/thread_pool.h"        // Persistent shared worker pool.
 
 // Observability (tracing, metrics, explain-style run reports).
@@ -26,8 +24,7 @@
 #include "relational/cold_start.h"     // "Others" key absorption.
 #include "relational/csv.h"            // Ingestion/export.
 #include "relational/functional_deps.h"  // Corollary C.1 machinery.
-#include "relational/join.h"           // KFK + hash joins.
-#include "relational/radix_join.h"     // Radix-partitioned join path.
+#include "relational/join.h"           // KFK joins.
 #include "relational/select.h"         // Row selection.
 #include "relational/table.h"
 

@@ -37,8 +37,6 @@ void CostRecord::Add(const CostObservation& obs) {
   build_ns_sum += obs.build_ns;
   probe_ns_sum += obs.probe_ns;
   materialize_ns_sum += obs.materialize_ns;
-  partition_ns_sum += obs.partition_ns;
-  bloom_build_ns_sum += obs.bloom_build_ns;
 }
 
 void CostRecord::Merge(const CostRecord& other) {
@@ -55,8 +53,6 @@ void CostRecord::Merge(const CostRecord& other) {
   build_ns_sum += other.build_ns_sum;
   probe_ns_sum += other.probe_ns_sum;
   materialize_ns_sum += other.materialize_ns_sum;
-  partition_ns_sum += other.partition_ns_sum;
-  bloom_build_ns_sum += other.bloom_build_ns_sum;
 }
 
 void CostProfile::Add(const OperatorFeatures& features,
@@ -115,10 +111,6 @@ void CostProfile::WriteJson(std::ostream& os) const {
     w.UInt(r.probe_ns_sum);
     w.Key("materialize_ns_sum");
     w.UInt(r.materialize_ns_sum);
-    w.Key("partition_ns_sum");
-    w.UInt(r.partition_ns_sum);
-    w.Key("bloom_build_ns_sum");
-    w.UInt(r.bloom_build_ns_sum);
     w.EndObject();
   }
   w.EndObject();
@@ -208,35 +200,15 @@ Status CostProfile::ParseJsonText(const std::string& text) {
     r.build_ns_sum = field("build_ns_sum");
     r.probe_ns_sum = field("probe_ns_sum");
     r.materialize_ns_sum = field("materialize_ns_sum");
-    // Absent in pre-radix files (schema v1 kept): they default to 0.
-    r.partition_ns_sum = field("partition_ns_sum");
-    r.bloom_build_ns_sum = field("bloom_build_ns_sum");
+    // Fields this reader does not know (the retired join.radix record's
+    // partition_ns_sum/bloom_build_ns_sum) are skipped, so older v1
+    // files still load.
     // Re-derive the key from the parsed features rather than trusting
     // the file: a hand-edited key would silently split records.
     records.emplace(r.features.Key(), std::move(r));
   }
   records_ = std::move(records);
   return Status::OK();
-}
-
-double CostProfile::MeanNsPerProbeRow(std::string_view op,
-                                      uint64_t build_rows,
-                                      uint32_t num_threads) const {
-  const uint64_t lo = build_rows / 4;
-  const uint64_t hi =
-      build_rows > UINT64_MAX / 4 ? UINT64_MAX : build_rows * 4;
-  uint64_t ns = 0;
-  uint64_t rows = 0;
-  for (const auto& [key, r] : records_) {
-    if (r.features.op != op || r.features.num_threads != num_threads) {
-      continue;
-    }
-    if (r.observations == 0 || r.features.rows_in == 0) continue;
-    if (r.features.build_rows < lo || r.features.build_rows > hi) continue;
-    ns += r.total_ns_sum;
-    rows += r.features.rows_in * r.observations;
-  }
-  return rows == 0 ? 0.0 : static_cast<double>(ns) / static_cast<double>(rows);
 }
 
 Status CostProfile::LoadFromFile(const std::string& path) {
@@ -281,28 +253,6 @@ Status CostProfileStore::MergeIntoFile(const std::string& path) const {
   if (!load.ok() && load.code() != StatusCode::kNotFound) return load;
   merged.Merge(Snapshot());
   return merged.SaveToFile(path);
-}
-
-Status CostProfileStore::SeedCalibrationFromFile(const std::string& path) {
-  CostProfile loaded;
-  HAMLET_RETURN_NOT_OK(loaded.LoadFromFile(path));
-  std::lock_guard<std::mutex> lock(mu_);
-  calibration_ = std::move(loaded);
-  return Status::OK();
-}
-
-void CostProfileStore::ClearCalibration() {
-  std::lock_guard<std::mutex> lock(mu_);
-  calibration_ = CostProfile();
-}
-
-double CostProfileStore::MeanNsPerProbeRow(std::string_view op,
-                                           uint64_t build_rows,
-                                           uint32_t num_threads) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const double live = profile_.MeanNsPerProbeRow(op, build_rows, num_threads);
-  if (live > 0.0) return live;
-  return calibration_.MeanNsPerProbeRow(op, build_rows, num_threads);
 }
 
 }  // namespace hamlet::obs

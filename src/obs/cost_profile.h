@@ -2,15 +2,15 @@
 #define HAMLET_OBS_COST_PROFILE_H_
 
 /// \file cost_profile.h
-/// Persisted per-operator cost calibration — the bridge between the
-/// telemetry pipeline and the cost-calibrated join-or-avoid planner on
-/// the roadmap. While collection is enabled, instrumented operators
-/// (join.kfk, join.hash, ingest.csv, fs.search, serve.score) report each
-/// execution's measured input features and phase timings here; the store
-/// aggregates them into one CostRecord per distinct feature vector, and
-/// MergeIntoFile folds the window's records into a JSON file under
-/// artifacts/ so repeated runs accumulate training data for a learned
-/// cost model instead of throwing their measurements away.
+/// Persisted per-operator cost records. While collection is enabled,
+/// instrumented operators (join.kfk, ingest.csv, fs.search, serve.score)
+/// report each execution's measured input features and phase timings
+/// here; the store aggregates them into one CostRecord per distinct
+/// feature vector, and MergeIntoFile folds the window's records into a
+/// JSON file under artifacts/ so repeated runs accumulate training data
+/// for a learned cost model instead of throwing their measurements away.
+/// Nothing in the library reads a profile back to make a decision: the
+/// records are output, not planner input.
 ///
 /// Feature vectors deliberately mirror the join-feature sets cost-model
 /// work keys on (rows in/out, build-side size, distinct key count,
@@ -35,7 +35,6 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <string_view>
 
 #include "common/status.h"
 
@@ -69,11 +68,6 @@ struct CostObservation {
   uint64_t build_ns = 0;
   uint64_t probe_ns = 0;
   uint64_t materialize_ns = 0;
-  /// HashJoin-only phases: the radix path's two-pass partition scatter
-  /// (join.radix) and the Bloom pre-filter build (either path, when the
-  /// filter is on). 0 elsewhere.
-  uint64_t partition_ns = 0;
-  uint64_t bloom_build_ns = 0;
 };
 
 /// Aggregate of every observation sharing one feature vector.
@@ -86,8 +80,6 @@ struct CostRecord {
   uint64_t build_ns_sum = 0;
   uint64_t probe_ns_sum = 0;
   uint64_t materialize_ns_sum = 0;
-  uint64_t partition_ns_sum = 0;
-  uint64_t bloom_build_ns_sum = 0;
 
   void Add(const CostObservation& obs);
   void Merge(const CostRecord& other);
@@ -132,18 +124,6 @@ class CostProfile {
   /// not exist (so first runs can treat it as an empty profile).
   Status LoadFromFile(const std::string& path);
 
-  /// Observation-weighted mean cost per probe row (total_ns / rows_in)
-  /// over every record of operator `op` taken at `num_threads` threads
-  /// whose build_rows lies within a factor of 4 of `build_rows` — a
-  /// log-scale neighborhood, because an exact feature-vector hit is rare
-  /// while per-row cost varies slowly with build size. Thread counts
-  /// must match exactly: a parallel run's per-row cost says nothing
-  /// about a serial one. Returns 0 when no comparable record exists.
-  /// This is what JoinAlgorithm::kAuto ranks competing operators with
-  /// (relational/radix_join.h).
-  double MeanNsPerProbeRow(std::string_view op, uint64_t build_rows,
-                           uint32_t num_threads) const;
-
  private:
   std::map<std::string, CostRecord> records_;
 };
@@ -169,27 +149,11 @@ class CostProfileStore {
   /// (callers may merge into several files).
   Status MergeIntoFile(const std::string& path) const;
 
-  /// Replaces the calibration profile with `path`'s contents. The
-  /// calibration profile is the feedback loop's memory: a previous run's
-  /// persisted measurements, consulted by MeanNsPerProbeRow when the
-  /// live window has no comparable record yet. It survives Clear() (and
-  /// therefore ScopedCollection window resets). NotFound is returned
-  /// as-is; callers seeding best-effort (the pipeline) ignore it.
-  Status SeedCalibrationFromFile(const std::string& path);
-  void ClearCalibration();
-
-  /// CostProfile::MeanNsPerProbeRow over the live window, falling back
-  /// to the seeded calibration profile when the window has no
-  /// comparable record.
-  double MeanNsPerProbeRow(std::string_view op, uint64_t build_rows,
-                           uint32_t num_threads) const;
-
  private:
   CostProfileStore() = default;
 
   mutable std::mutex mu_;
   CostProfile profile_;
-  CostProfile calibration_;
 };
 
 }  // namespace hamlet::obs

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 
-#include "common/bloom.h"
 #include "common/parallel_for.h"
 #include "common/thread_pool.h"
 #include "common/string_util.h"
-#include "relational/join_internal.h"
-#include "relational/radix_join.h"
+#include "obs/cost_profile.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hamlet {
 
@@ -31,6 +30,18 @@ obs::Counter& RowsEmittedCounter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("join.rows_emitted");
   return counter;
+}
+
+obs::Histogram& BuildLatency() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("join.build_ns");
+  return h;
+}
+
+obs::Histogram& ProbeLatency() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("join.probe_ns");
+  return h;
 }
 
 obs::Histogram& MaterializeLatency() {
@@ -58,6 +69,13 @@ class FirstFailure {
   std::atomic<uint32_t> index_{UINT32_MAX};
 };
 
+// Shards a join actually runs with (0 = pool default), recorded as a
+// cost-profile feature so timings calibrate against real parallelism.
+uint32_t ResolvedThreads(uint32_t num_threads) {
+  return num_threads == 0 ? ThreadPool::Global().DefaultShards()
+                          : num_threads;
+}
+
 // Records one join's cost-profile observation (only while collecting:
 // the join's span is active exactly then). The total is the span's age,
 // so it covers the whole operator.
@@ -72,100 +90,12 @@ void RecordCost(const char* op, const Table& probe, const Table& build,
   features.rows_out = rows_out;
   features.build_rows = build.num_rows();
   features.distinct_keys = distinct_keys;
-  features.num_threads = join_internal::ResolvedThreads(num_threads);
+  features.num_threads = ResolvedThreads(num_threads);
   cost.total_ns = span.ElapsedNanos();
   obs::CostProfileStore::Global().Record(features, cost);
 }
 
 }  // namespace
-
-namespace join_internal {
-
-uint32_t ResolvedThreads(uint32_t num_threads) {
-  return num_threads == 0 ? ThreadPool::Global().DefaultShards()
-                          : num_threads;
-}
-
-obs::Counter& ProbeSkippedCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("join.probe_skipped");
-  return counter;
-}
-
-obs::Histogram& BuildLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.build_ns");
-  return h;
-}
-
-obs::Histogram& ProbeLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.probe_ns");
-  return h;
-}
-
-obs::Histogram& PartitionLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.partition_ns");
-  return h;
-}
-
-obs::Histogram& BloomBuildLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.bloom_build_ns");
-  return h;
-}
-
-void BeginHashJoin(obs::TraceSpan& span, const Table& left,
-                   const Table& right, const char* algorithm) {
-  if (span.active()) {
-    span.AddAttr("rows_built", right.num_rows());
-    span.AddAttr("rows_probed", left.num_rows());
-    span.AddAttr("algorithm", algorithm);
-  }
-  RowsBuiltCounter().Add(right.num_rows());
-  RowsProbedCounter().Add(left.num_rows());
-}
-
-Result<Table> FinishHashJoin(const char* op, const Table& left,
-                             const Table& right, uint32_t r_idx,
-                             const std::vector<uint32_t>& l_rows,
-                             const std::vector<uint32_t>& r_rows,
-                             const JoinOptions& options,
-                             obs::TraceSpan& span, obs::CostObservation cost) {
-  RowsEmittedCounter().Add(l_rows.size());
-  if (span.active()) {
-    span.AddAttr("rows_emitted", static_cast<uint64_t>(l_rows.size()));
-  }
-  for (uint32_t c = 0; c < right.num_columns(); ++c) {
-    const std::string& name = right.schema().column(c).name;
-    if (c != r_idx && left.schema().Contains(name)) {
-      return Status::InvalidArgument(
-          StringFormat("column name collision on '%s'", name.c_str()));
-    }
-  }
-  std::vector<ColumnSpec> out_specs = left.schema().columns();
-  std::vector<Column> out_cols;
-  {
-    obs::ScopedLatency latency(MaterializeLatency, &cost.materialize_ns);
-    for (uint32_t c = 0; c < left.num_columns(); ++c) {
-      out_cols.push_back(left.column(c).Gather(l_rows, options.num_threads));
-    }
-    for (uint32_t c = 0; c < right.num_columns(); ++c) {
-      if (c == r_idx) continue;
-      out_specs.push_back(right.schema().column(c));
-      out_cols.push_back(right.column(c).Gather(r_rows, options.num_threads));
-    }
-  }
-  Table result(left.name() + "_join_" + right.name(),
-               Schema(std::move(out_specs)), std::move(out_cols));
-  RecordCost(op, left, right, result.num_rows(),
-             right.column(r_idx).domain_size(), options.num_threads, span,
-             cost);
-  return result;
-}
-
-}  // namespace join_internal
 
 Result<std::vector<uint32_t>> BuildFkRowIndex(const Column& fk,
                                               const Column& rid) {
@@ -262,7 +192,7 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   const Column& rid = r.column(rid_idx);
   std::vector<uint32_t> rid_to_row;
   {
-    obs::ScopedLatency latency(join_internal::BuildLatency, &cost.build_ns);
+    obs::ScopedLatency latency(BuildLatency, &cost.build_ns);
     HAMLET_ASSIGN_OR_RETURN(rid_to_row, BuildFkRowIndex(fk, rid));
   }
 
@@ -272,7 +202,7 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   std::vector<uint32_t> matched(s.num_rows());
   FirstFailure failure;
   {
-    obs::ScopedLatency latency(join_internal::ProbeLatency, &cost.probe_ns);
+    obs::ScopedLatency latency(ProbeLatency, &cost.probe_ns);
     ParallelFor(s.num_rows(), options.num_threads, [&](uint32_t row) {
       const uint32_t m = rid_to_row[fk.code(row)];
       if (m == kNoFkRow) failure.Report(row);
@@ -314,121 +244,6 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   RecordCost("join.kfk", s, r, result.num_rows(), fk.domain_size(),
              options.num_threads, span, cost);
   return result;
-}
-
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::string& left_column,
-                       const std::string& right_column,
-                       const JoinOptions& options) {
-  if (options.algorithm != JoinAlgorithm::kCsr) {
-    const Result<uint32_t> dispatch_idx = right.schema().IndexOf(right_column);
-    if (dispatch_idx.ok() &&
-        ResolveJoinAlgorithm(options, left.num_rows(), right.num_rows(),
-                             right.column(*dispatch_idx).domain_size()) ==
-            JoinAlgorithm::kRadix) {
-      return RadixHashJoin(left, right, left_column, right_column, options);
-    }
-  }
-  obs::TraceSpan span(kHashJoinOp);
-  join_internal::BeginHashJoin(span, left, right, "csr");
-
-  HAMLET_ASSIGN_OR_RETURN(uint32_t l_idx, left.schema().IndexOf(left_column));
-  HAMLET_ASSIGN_OR_RETURN(uint32_t r_idx,
-                          right.schema().IndexOf(right_column));
-  const Column& lcol = left.column(l_idx);
-  const Column& rcol = right.column(r_idx);
-  obs::CostObservation cost;
-
-  // Build side: a CSR-style counting sort of right rows by key code —
-  // bucket k holds rows offsets[k]..offsets[k+1] in ascending row order
-  // (the order the old per-key vectors accumulated). One allocation per
-  // side, no hash map, no per-key vectors.
-  const uint32_t n_buckets = rcol.domain_size();
-  std::vector<uint32_t> offsets(n_buckets + 1, 0);
-  std::vector<uint32_t> bucket_rows(right.num_rows());
-  {
-    obs::ScopedLatency latency(join_internal::BuildLatency, &cost.build_ns);
-    for (uint32_t row = 0; row < right.num_rows(); ++row) {
-      ++offsets[rcol.code(row) + 1];
-    }
-    for (uint32_t k = 0; k < n_buckets; ++k) offsets[k + 1] += offsets[k];
-    std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (uint32_t row = 0; row < right.num_rows(); ++row) {
-      bucket_rows[cursor[rcol.code(row)]++] = row;
-    }
-  }
-
-  // Optional semi-join pre-filter: an L1-resident membership test that
-  // lets selective probes skip both random offsets reads for rows whose
-  // key the build side provably never saw.
-  BlockedBloomFilter bloom;
-  const bool use_bloom =
-      ResolveBloomFilter(options.bloom, right.num_rows(), n_buckets);
-  if (use_bloom) {
-    obs::ScopedLatency latency(join_internal::BloomBuildLatency,
-                               &cost.bloom_build_ns);
-    bloom = BlockedBloomFilter::FromCodes(rcol.codes(), options.num_threads);
-  }
-
-  // Probe side: translate left codes into right codes once, then emit
-  // matches in two deterministic passes — count matches per left row,
-  // prefix-sum into output positions, write each row's slice. Output
-  // order is left-row-major with right rows ascending, exactly the
-  // label-keyed implementation's order.
-  const DomainRemap remap(lcol.domain(), rcol.domain());
-  const uint32_t n_left = left.num_rows();
-  std::vector<uint32_t> l_rows, r_rows;
-  // Bloom-skipped probe rows, counted per shard and only while
-  // collecting: each shard writes its slot once, never a shared line
-  // per row.
-  const bool collect = span.active();
-  const uint32_t shards = join_internal::ResolvedThreads(options.num_threads);
-  const uint64_t chunk = (static_cast<uint64_t>(n_left) + shards - 1) / shards;
-  std::vector<uint64_t> skipped(shards, 0);
-  {
-    obs::ScopedLatency latency(join_internal::ProbeLatency, &cost.probe_ns);
-    std::vector<uint64_t> out_pos(n_left + 1, 0);
-    ParallelFor(shards, options.num_threads, [&](uint32_t shard) {
-      const uint64_t end = std::min<uint64_t>(n_left, (shard + 1) * chunk);
-      uint64_t shard_skipped = 0;
-      for (uint64_t row = shard * chunk; row < end; ++row) {
-        const uint32_t rc = remap[lcol.code(static_cast<uint32_t>(row))];
-        if (rc == DomainRemap::kNoCode) {
-          out_pos[row + 1] = 0;
-        } else if (use_bloom && !bloom.MayContain(rc)) {
-          out_pos[row + 1] = 0;
-          if (collect) ++shard_skipped;
-        } else {
-          out_pos[row + 1] = offsets[rc + 1] - offsets[rc];
-        }
-      }
-      skipped[shard] = shard_skipped;
-    });
-    for (uint32_t row = 0; row < n_left; ++row) {
-      out_pos[row + 1] += out_pos[row];
-    }
-    const uint64_t total = out_pos[n_left];
-    l_rows.resize(total);
-    r_rows.resize(total);
-    ParallelFor(n_left, options.num_threads, [&](uint32_t row) {
-      if (out_pos[row + 1] == out_pos[row]) return;
-      const uint32_t rc = remap[lcol.code(row)];
-      uint64_t pos = out_pos[row];
-      for (uint32_t k = offsets[rc]; k < offsets[rc + 1]; ++k) {
-        l_rows[pos] = row;
-        r_rows[pos] = bucket_rows[k];
-        ++pos;
-      }
-    });
-  }
-  if (use_bloom && collect) {
-    const uint64_t n_skipped =
-        std::accumulate(skipped.begin(), skipped.end(), uint64_t{0});
-    join_internal::ProbeSkippedCounter().Add(n_skipped);
-    span.AddAttr("probe_skipped", n_skipped);
-  }
-  return join_internal::FinishHashJoin(kHashJoinOp, left, right, r_idx,
-                                       l_rows, r_rows, options, span, cost);
 }
 
 }  // namespace hamlet

@@ -10,16 +10,15 @@
 /// integrity is required), and R's feature columns are appended to S's.
 /// R's RID column is dropped from the output — it is duplicated by FK.
 ///
-/// HashJoin is a general inner equi-join used as a reference implementation
-/// and by tests.
-///
-/// Both joins are code-level: when the key columns use distinct Domain
+/// The join is code-level: when the key columns use distinct Domain
 /// objects a one-shot DomainRemap (domain.h) translates codes once, so
-/// build and probe never touch labels. HashJoin's build side is a
-/// CSR-style offsets+rows layout indexed by key code (no per-key
-/// allocations), and output materialization gathers each column with
-/// chunked parallel writes. Results are bit-identical at any thread count
-/// (the repo's determinism contract).
+/// build and probe never touch labels. The build side is a dense FK code
+/// -> R row index, the probe a per-row gather, and output
+/// materialization gathers each R column with chunked parallel writes.
+/// Results are bit-identical at any thread count (the repo's determinism
+/// contract). This is the only join in the library: the paper's question
+/// is whether to run this one join at all, and no workload here needs a
+/// general equi-join (docs/PERFORMANCE.md "KFK join: one CSR path").
 
 #include <cstdint>
 #include <string>
@@ -58,52 +57,22 @@ std::vector<uint64_t> GroupCountByCode(const std::vector<uint32_t>& key_codes,
                                        const std::vector<uint32_t>& rows,
                                        uint32_t num_threads = 0);
 
-/// HashJoin's physical algorithm. Every choice produces bit-identical
-/// tables (and identical error reports); only cache behaviour differs.
-/// KfkJoin ignores it: its probe is a dense code -> row gather with
-/// nothing to partition.
+/// A join's physical algorithm. KfkJoin has one path, so the enum has one
+/// value and nothing reads it. It stays only because
+/// perfbench/training.cc still assigns PipelineConfig::join_algorithm to
+/// JoinOptions::algorithm; delete the enum and both fields together with
+/// that line.
 enum class JoinAlgorithm : uint8_t {
-  /// Pick per call: measured cost-profile records for the competing
-  /// operators when the store has them (obs/cost_profile.h), else a
-  /// size heuristic — radix once the build side's code range and the
-  /// probe side both outgrow cache-resident scale. See
-  /// docs/PERFORMANCE.md "Join algorithm matrix".
   kAuto = 0,
-  /// One monolithic CSR over the whole key-code range (the PR 5 path):
-  /// unbeatable while offsets+rows stay LLC-resident.
-  kCsr,
-  /// Radix-partitioned per-partition CSR (relational/radix_join.h):
-  /// two-pass deterministic partition scatter, then build+probe inside
-  /// cache-sized code sub-ranges.
-  kRadix,
 };
 
-/// Blocked Bloom semi-join pre-filter over the build side's key codes
-/// (common/bloom.h). Probe rows whose key the filter rejects never touch
-/// the CSR. Applies to HashJoin only — KfkJoin requires every row to
-/// match, so a pre-filter could only hide referential-integrity errors.
-enum class BloomFilterMode : uint8_t {
-  /// On exactly when the build side cannot cover its key domain
-  /// (build_rows * 2 < distinct codes), i.e. when misses are certain to
-  /// exist; off for FK-shaped joins where every probe row matches.
-  kAuto = 0,
-  kOff,
-  kOn,
-};
-
-/// Join knobs. KfkJoin reads only num_threads; the rest tune HashJoin.
+/// Join knobs.
 struct JoinOptions {
   /// Shards for probe and output materialization (0 = all hardware
   /// threads, 1 = serial). Any value yields the same table.
   uint32_t num_threads = 0;
-  /// Physical algorithm (HashJoin only); results never depend on it.
+  /// Unread; see JoinAlgorithm.
   JoinAlgorithm algorithm = JoinAlgorithm::kAuto;
-  /// log2 of the requested partition fanout for kRadix (0 = derive from
-  /// the build side's code range; see MakeRadixLayout). Any fanout
-  /// yields the same table.
-  uint32_t radix_bits = 0;
-  /// Bloom pre-filter switch (HashJoin only).
-  BloomFilterMode bloom = BloomFilterMode::kAuto;
 };
 
 /// Joins entity table `s` with attribute table `r` on `s.fk_column` =
@@ -117,17 +86,6 @@ struct JoinOptions {
 Result<Table> KfkJoin(const Table& s, const Table& r,
                       const std::string& fk_column,
                       const JoinOptions& options = {});
-
-/// General inner equi-join of `left` and `right` on
-/// left.`left_column` = right.`right_column`. The output contains all
-/// left columns followed by all right columns except `right_column`.
-/// Output rows appear in left-row-major order of matches (right rows
-/// ascending within a key). Used as the nested-loop-checked reference for
-/// KfkJoin and available to library users for non-KFK joins.
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::string& left_column,
-                       const std::string& right_column,
-                       const JoinOptions& options = {});
 
 }  // namespace hamlet
 

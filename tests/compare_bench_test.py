@@ -38,7 +38,7 @@ def bench_file(directory, name, num_cpus, l3_size):
             ],
         },
         "benchmarks": [
-            {"name": "BM_HashJoin/1", "real_time": 10.0, "time_unit": "ms"},
+            {"name": "BM_KfkJoin/1", "real_time": 10.0, "time_unit": "ms"},
         ],
     }
     with open(path, "w") as f:

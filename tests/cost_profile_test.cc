@@ -203,116 +203,61 @@ TEST_F(CostProfileFileTest, StoreMergeIntoFileKeepsItsRecords) {
   obs::CostProfileStore::Global().Clear();
 }
 
-TEST_F(CostProfileFileTest, RadixPhaseTimingsRoundTripThroughJson) {
-  // The radix join's extra phases (partition scatter, Bloom build) must
-  // survive save -> load -> merge -> save with every integer intact —
-  // they are the training data the kAuto algorithm choice reads back.
-  obs::OperatorFeatures features;
-  features.op = "join.radix";
-  features.rows_in = 1u << 20;
-  features.rows_out = 9953;
-  features.build_rows = 10240;
-  features.distinct_keys = 1u << 20;
-  features.num_threads = 1;
+TEST_F(CostProfileFileTest, FileWithRetiredRadixFieldsStillLoadsAndMerges) {
+  // A v1 profile as the writer emitted it while the radix join existed:
+  // a join.radix record carrying partition_ns_sum and bloom_build_ns_sum,
+  // fields this reader no longer knows. It must load, keep every field
+  // it does know, and survive MergeIntoFile.
+  const std::string kfk_key = JoinFeatures(50000).Key();
+  {
+    std::ofstream out(path_);
+    out << R"({"hamlet_cost_profile_version":1,"operators":{)"
+        << R"("join.radix|1048576|9953|10240|1048576|1|0":{)"
+        << R"("op":"join.radix","rows_in":1048576,"rows_out":9953,)"
+        << R"("build_rows":10240,"distinct_keys":1048576,"num_threads":1,)"
+        << R"("shards":0,"observations":2,"total_ns_sum":25200000,)"
+        << R"("total_ns_min":12600000,"total_ns_max":12600000,)"
+        << R"("build_ns_sum":7600000,"probe_ns_sum":1600000,)"
+        << R"("materialize_ns_sum":400000,"partition_ns_sum":15000000,)"
+        << R"("bloom_build_ns_sum":120000}}})" << '\n';
+  }
+  const std::string radix_key = "join.radix|1048576|9953|10240|1048576|1|0";
 
-  obs::CostObservation cost;
-  cost.total_ns = 12'600'000;
-  cost.build_ns = 3'800'000;
-  cost.probe_ns = 800'000;
-  cost.materialize_ns = 200'000;
-  cost.partition_ns = 7'500'000;
-  cost.bloom_build_ns = 60'000;
+  obs::CostProfile loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path_).ok());
+  ASSERT_EQ(loaded.size(), 1u);
+  const auto check_radix = [&](const obs::CostProfile& profile) {
+    ASSERT_EQ(profile.records().count(radix_key), 1u);
+    const obs::CostRecord& r = profile.records().at(radix_key);
+    EXPECT_EQ(r.features.op, "join.radix");
+    EXPECT_EQ(r.features.rows_in, 1048576u);
+    EXPECT_EQ(r.features.rows_out, 9953u);
+    EXPECT_EQ(r.features.build_rows, 10240u);
+    EXPECT_EQ(r.features.distinct_keys, 1048576u);
+    EXPECT_EQ(r.features.num_threads, 1u);
+    EXPECT_EQ(r.observations, 2u);
+    EXPECT_EQ(r.total_ns_sum, 25'200'000u);
+    EXPECT_EQ(r.total_ns_min, 12'600'000u);
+    EXPECT_EQ(r.total_ns_max, 12'600'000u);
+    EXPECT_EQ(r.build_ns_sum, 7'600'000u);
+    EXPECT_EQ(r.probe_ns_sum, 1'600'000u);
+    EXPECT_EQ(r.materialize_ns_sum, 400'000u);
+  };
+  check_radix(loaded);
 
-  obs::CostProfile profile;
-  profile.Add(features, cost);
-  profile.Add(features, cost);
-  ASSERT_TRUE(profile.SaveToFile(path_).ok());
-
-  obs::CostProfile reloaded;
-  ASSERT_TRUE(reloaded.LoadFromFile(path_).ok());
-  ASSERT_EQ(reloaded.size(), 1u);
-  const obs::CostRecord& r = reloaded.records().at(features.Key());
-  EXPECT_EQ(r.observations, 2u);
-  EXPECT_EQ(r.partition_ns_sum, 15'000'000u);
-  EXPECT_EQ(r.bloom_build_ns_sum, 120'000u);
-
-  // And the loaded profile's writer reproduces the file byte for byte.
-  const std::string original = ReadWholeFile(path_);
-  ASSERT_TRUE(reloaded.SaveToFile(path_).ok());
-  EXPECT_EQ(ReadWholeFile(path_), original);
-}
-
-TEST(CostProfileTest, MeanNsPerProbeRowUsesLogScaleNeighborhood) {
-  obs::CostProfile profile;
-  obs::OperatorFeatures features;
-  features.op = "join.radix";
-  features.rows_in = 1'000'000;
-  features.build_rows = 1'000'000;
-  features.num_threads = 1;
-  obs::CostObservation cost;
-  cost.total_ns = 20'000'000;  // 20ns per probe row.
-  profile.Add(features, cost);
-
-  // Within a factor of 4 of the recorded build size: comparable.
-  EXPECT_DOUBLE_EQ(profile.MeanNsPerProbeRow("join.radix", 1'000'000, 1),
-                   20.0);
-  EXPECT_GT(profile.MeanNsPerProbeRow("join.radix", 3'000'000, 1), 0.0);
-  EXPECT_GT(profile.MeanNsPerProbeRow("join.radix", 300'000, 1), 0.0);
-  // Outside the neighborhood, the wrong operator or another thread
-  // count: no estimate.
-  EXPECT_EQ(profile.MeanNsPerProbeRow("join.radix", 10'000'000, 1), 0.0);
-  EXPECT_EQ(profile.MeanNsPerProbeRow("join.radix", 1'000, 1), 0.0);
-  EXPECT_EQ(profile.MeanNsPerProbeRow("join.hash", 1'000'000, 1), 0.0);
-  EXPECT_EQ(profile.MeanNsPerProbeRow("join.radix", 1'000'000, 8), 0.0);
-}
-
-TEST_F(CostProfileFileTest, CalibrationSeedBacksTheLiveWindow) {
-  // Persist a profile, seed it as calibration, and confirm the store
-  // answers MeanNsPerProbeRow from it when the live window is empty —
-  // the cross-run feedback loop behind JoinAlgorithm::kAuto. A live
-  // record for the same operator then takes precedence, and
-  // ClearCalibration() forgets the seed (while Clear() does not).
   auto& store = obs::CostProfileStore::Global();
   store.Clear();
-  store.ClearCalibration();
-
-  obs::OperatorFeatures features;
-  features.op = "join.radix";
-  features.rows_in = 1'000'000;
-  features.build_rows = 1'000'000;
-  features.num_threads = 1;
-  obs::CostObservation seeded;
-  seeded.total_ns = 40'000'000;  // 40ns per probe row.
-  {
-    obs::CostProfile profile;
-    profile.Add(features, seeded);
-    ASSERT_TRUE(profile.SaveToFile(path_).ok());
-  }
-  ASSERT_TRUE(store.SeedCalibrationFromFile(path_).ok());
-  EXPECT_DOUBLE_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1),
-                   40.0);
-
-  // Clear() resets the live window only; the calibration seed survives.
+  store.Record(JoinFeatures(50000), Cost(2000));
+  ASSERT_TRUE(store.MergeIntoFile(path_).ok());
   store.Clear();
-  EXPECT_DOUBLE_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1),
-                   40.0);
 
-  // A live measurement shadows the seed.
-  obs::CostObservation live;
-  live.total_ns = 10'000'000;  // 10ns per probe row.
-  store.Record(features, live);
-  EXPECT_DOUBLE_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1),
-                   10.0);
-
-  store.Clear();
-  store.ClearCalibration();
-  EXPECT_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1), 0.0);
-
-  // Seeding from a missing file reports NotFound and leaves no seed.
-  std::remove(path_.c_str());
-  EXPECT_EQ(store.SeedCalibrationFromFile(path_).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(store.MeanNsPerProbeRow("join.radix", 1'000'000, 1), 0.0);
+  obs::CostProfile merged;
+  ASSERT_TRUE(merged.LoadFromFile(path_).ok());
+  EXPECT_EQ(merged.size(), 2u);
+  check_radix(merged);
+  EXPECT_EQ(merged.records().at(kfk_key).observations, 1u);
+  // The merged file is written by the current writer.
+  EXPECT_EQ(ReadWholeFile(path_).find("partition_ns_sum"), std::string::npos);
 }
 
 }  // namespace

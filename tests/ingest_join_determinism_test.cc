@@ -1,9 +1,10 @@
 /// Determinism lockdown for the code-level ingest and join fast paths
 /// (docs/PERFORMANCE.md "Ingest & join fast path"): the chunked parallel
-/// CSV reader and the code-level KfkJoin/HashJoin must produce tables
+/// CSV reader and the code-level KfkJoin must produce tables
 /// byte-identical to the pre-optimization serial implementations, at any
-/// thread count. The legacy implementations are replicated here, inside
-/// the test, as the frozen reference.
+/// thread count. The legacy implementations are frozen in test code as
+/// the reference: the getline CSV reader here, the label-keyed hash join
+/// in legacy_hash_join.h.
 ///
 /// Suite names contain "Determinism" so scripts/check_determinism.sh's
 /// TSAN run picks them up.
@@ -12,11 +13,11 @@
 
 #include <fstream>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "analytics/pipeline.h"
 #include "datasets/registry.h"
+#include "legacy_hash_join.h"
 #include "ml/suff_stats.h"
 #include "relational/catalog.h"
 #include "relational/column.h"
@@ -189,46 +190,6 @@ TEST_F(CsvDeterminismTest, BundledDatasetRoundTripIsThreadInvariant) {
 // ---------------------------------------------------------------------------
 // Joins.
 
-/// The pre-PR HashJoin, frozen: label-keyed build map, per-key row
-/// vectors, serial probe in left-row order. Defines the exact output row
-/// order the CSR/code-level implementation must reproduce.
-Result<Table> LegacyHashJoin(const Table& left, const Table& right,
-                             const std::string& left_column,
-                             const std::string& right_column) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t l_idx, left.schema().IndexOf(left_column));
-  HAMLET_ASSIGN_OR_RETURN(uint32_t r_idx,
-                          right.schema().IndexOf(right_column));
-  const Column& lcol = left.column(l_idx);
-  const Column& rcol = right.column(r_idx);
-
-  std::unordered_map<std::string, std::vector<uint32_t>> build;
-  for (uint32_t row = 0; row < right.num_rows(); ++row) {
-    build[rcol.label(row)].push_back(row);
-  }
-  std::vector<uint32_t> l_rows, r_rows;
-  for (uint32_t row = 0; row < left.num_rows(); ++row) {
-    auto it = build.find(lcol.label(row));
-    if (it == build.end()) continue;
-    for (uint32_t r_row : it->second) {
-      l_rows.push_back(row);
-      r_rows.push_back(r_row);
-    }
-  }
-
-  std::vector<ColumnSpec> out_specs = left.schema().columns();
-  std::vector<Column> out_cols;
-  for (uint32_t c = 0; c < left.num_columns(); ++c) {
-    out_cols.push_back(left.column(c).Gather(l_rows));
-  }
-  for (uint32_t c = 0; c < right.num_columns(); ++c) {
-    if (c == r_idx) continue;
-    out_specs.push_back(right.schema().column(c));
-    out_cols.push_back(right.column(c).Gather(r_rows));
-  }
-  return Table(left.name() + "_join_" + right.name(),
-               Schema(std::move(out_specs)), std::move(out_cols));
-}
-
 class JoinDeterminismTest : public ::testing::Test {};
 
 TEST_F(JoinDeterminismTest, KfkJoinIsThreadInvariantOnBundledDatasets) {
@@ -256,7 +217,7 @@ TEST_F(JoinDeterminismTest, KfkJoinIsThreadInvariantOnBundledDatasets) {
   }
 }
 
-TEST_F(JoinDeterminismTest, HashJoinMatchesLegacyLabelKeyedJoin) {
+TEST_F(JoinDeterminismTest, KfkJoinMatchesLegacyLabelKeyedJoin) {
   for (const char* name : {"Walmart", "Yelp"}) {
     auto ds = MakeDataset(name, 0.02, 11);
     ASSERT_TRUE(ds.ok()) << ds.status();
@@ -274,45 +235,12 @@ TEST_F(JoinDeterminismTest, HashJoinMatchesLegacyLabelKeyedJoin) {
     for (uint32_t num_threads : {1u, 2u, 8u}) {
       JoinOptions par;
       par.num_threads = num_threads;
-      auto t = HashJoin(ds->entity(), *r, fks[0].fk_column, rid_name, par);
+      auto t = KfkJoin(ds->entity(), *r, fks[0].fk_column, par);
       ASSERT_TRUE(t.ok()) << t.status();
       ExpectTablesIdentical(*t, *legacy,
                             std::string(name) + " threads=" +
                                 std::to_string(num_threads));
     }
-  }
-}
-
-TEST_F(JoinDeterminismTest, ManyToManyHashJoinMatchesLegacyOrder) {
-  // Duplicate keys on both sides: output order (left-row-major, right
-  // rows ascending within a key) must match the legacy implementation.
-  Schema l_schema({ColumnSpec::Feature("K"), ColumnSpec::Feature("L")});
-  TableBuilder lb("L", l_schema);
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(lb.AppendRowLabels({"k" + std::to_string(i % 5),
-                                    "l" + std::to_string(i)})
-                    .ok());
-  }
-  Schema r_schema({ColumnSpec::Feature("K2"), ColumnSpec::Feature("R")});
-  TableBuilder rb("R", r_schema);
-  for (int i = 0; i < 40; ++i) {
-    // Keys k0..k7: some match the left side, some do not.
-    ASSERT_TRUE(rb.AppendRowLabels({"k" + std::to_string(i % 8),
-                                    "r" + std::to_string(i)})
-                    .ok());
-  }
-  Table left = lb.Build();
-  Table right = rb.Build();
-
-  auto legacy = LegacyHashJoin(left, right, "K", "K2");
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  for (uint32_t num_threads : {1u, 2u, 8u}) {
-    JoinOptions par;
-    par.num_threads = num_threads;
-    auto t = HashJoin(left, right, "K", "K2", par);
-    ASSERT_TRUE(t.ok()) << t.status();
-    ExpectTablesIdentical(*t, *legacy,
-                          "threads=" + std::to_string(num_threads));
   }
 }
 
@@ -360,140 +288,6 @@ TEST_F(JoinDeterminismTest,
       serial_message = t.status().message();
     } else {
       EXPECT_EQ(t.status().message(), serial_message);
-    }
-  }
-}
-
-TEST_F(JoinDeterminismTest, RadixHashJoinMatchesCsrAcrossThreadsAndBits) {
-  // The radix path must reproduce the monolithic CSR join bit for bit at
-  // every thread count and partition fanout — the partitioned layout is
-  // allowed to change cache behaviour, never results. The Bloom
-  // pre-filter must be invisible in the output too.
-  for (const char* name : {"Walmart", "Yelp"}) {
-    auto ds = MakeDataset(name, 0.02, 23);
-    ASSERT_TRUE(ds.ok()) << ds.status();
-    const auto fks = ds->foreign_keys();
-    ASSERT_FALSE(fks.empty());
-    const Table* r = *ds->AttributeTableFor(fks[0].fk_column);
-    auto rid_idx = r->schema().PrimaryKeyIndex();
-    ASSERT_TRUE(rid_idx.ok()) << rid_idx.status();
-    const std::string rid_name = r->schema().column(*rid_idx).name;
-
-    JoinOptions serial;
-    serial.num_threads = 1;
-    serial.algorithm = JoinAlgorithm::kCsr;
-    auto base = HashJoin(ds->entity(), *r, fks[0].fk_column, rid_name,
-                         serial);
-    ASSERT_TRUE(base.ok()) << base.status();
-
-    for (uint32_t radix_bits : {4u, 8u, 16u}) {
-      for (uint32_t num_threads : {1u, 2u, 8u}) {
-        JoinOptions par;
-        par.num_threads = num_threads;
-        par.algorithm = JoinAlgorithm::kRadix;
-        par.radix_bits = radix_bits;
-        auto t = HashJoin(ds->entity(), *r, fks[0].fk_column, rid_name,
-                          par);
-        ASSERT_TRUE(t.ok()) << t.status();
-        ExpectTablesIdentical(
-            *t, *base,
-            std::string(name) + " bits=" + std::to_string(radix_bits) +
-                " threads=" + std::to_string(num_threads));
-      }
-    }
-
-    // Bloom on: FK-shaped input, so the filter drops nothing — but it
-    // must also change nothing.
-    JoinOptions bloom_on;
-    bloom_on.num_threads = 8;
-    bloom_on.algorithm = JoinAlgorithm::kRadix;
-    bloom_on.bloom = BloomFilterMode::kOn;
-    auto t = HashJoin(ds->entity(), *r, fks[0].fk_column, rid_name,
-                      bloom_on);
-    ASSERT_TRUE(t.ok()) << t.status();
-    ExpectTablesIdentical(*t, *base, std::string(name) + " bloom=on");
-  }
-}
-
-TEST_F(JoinDeterminismTest, KfkJoinIsIdenticalUnderEveryAlgorithm) {
-  // KfkJoin has one physical path; no JoinAlgorithm choice, fanout or
-  // thread count may change its table.
-  for (const char* name : {"Walmart", "MovieLens1M"}) {
-    auto ds = MakeDataset(name, 0.02, 29);
-    ASSERT_TRUE(ds.ok()) << ds.status();
-    const auto fks = ds->foreign_keys();
-    ASSERT_FALSE(fks.empty());
-    const Table* r = *ds->AttributeTableFor(fks[0].fk_column);
-
-    JoinOptions serial;
-    serial.num_threads = 1;
-    serial.algorithm = JoinAlgorithm::kCsr;
-    auto base = KfkJoin(ds->entity(), *r, fks[0].fk_column, serial);
-    ASSERT_TRUE(base.ok()) << base.status();
-
-    for (JoinAlgorithm algorithm :
-         {JoinAlgorithm::kAuto, JoinAlgorithm::kCsr, JoinAlgorithm::kRadix}) {
-      for (uint32_t num_threads : {1u, 2u, 8u}) {
-        JoinOptions options;
-        options.num_threads = num_threads;
-        options.algorithm = algorithm;
-        options.radix_bits = 4;
-        auto t = KfkJoin(ds->entity(), *r, fks[0].fk_column, options);
-        ASSERT_TRUE(t.ok()) << t.status();
-        ExpectTablesIdentical(
-            *t, *base,
-            std::string(name) + " algorithm=" +
-                std::to_string(static_cast<int>(algorithm)) +
-                " threads=" + std::to_string(num_threads));
-      }
-    }
-  }
-}
-
-TEST_F(JoinDeterminismTest,
-       RadixReferentialIntegrityErrorMatchesCsrAcrossThreadsAndBits) {
-  // Same dangling-FK construction as the CSR test above: every
-  // algorithm choice must report the lowest offending S row's label,
-  // byte-identically, at every thread count.
-  Schema r_schema(
-      {ColumnSpec::PrimaryKey("RID"), ColumnSpec::Feature("XR")});
-  TableBuilder rb("R", r_schema);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(rb.AppendRowLabels({"r" + std::to_string(i),
-                                    "v" + std::to_string(i)})
-                    .ok());
-  }
-  Table r = rb.Build();
-
-  Schema s_schema(
-      {ColumnSpec::Target("Y"), ColumnSpec::ForeignKey("FK", "R")});
-  TableBuilder sb("S", s_schema);
-  for (int i = 0; i < 100; ++i) {
-    std::string fk = i == 40 ? "r5" : (i == 70 ? "r6" : "r" +
-                                       std::to_string(i % 5));
-    ASSERT_TRUE(sb.AppendRowLabels({"0", fk}).ok());
-  }
-  Table s = sb.Build();
-
-  JoinOptions csr;
-  csr.num_threads = 1;
-  csr.algorithm = JoinAlgorithm::kCsr;
-  auto base = KfkJoin(s, r, "FK", csr);
-  ASSERT_FALSE(base.ok());
-
-  for (JoinAlgorithm algorithm :
-       {JoinAlgorithm::kAuto, JoinAlgorithm::kCsr, JoinAlgorithm::kRadix}) {
-    for (uint32_t num_threads : {1u, 2u, 8u}) {
-      JoinOptions options;
-      options.num_threads = num_threads;
-      options.algorithm = algorithm;
-      options.radix_bits = 2;
-      auto t = KfkJoin(s, r, "FK", options);
-      ASSERT_FALSE(t.ok());
-      EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_EQ(t.status().message(), base.status().message())
-          << "algorithm=" << static_cast<int>(algorithm)
-          << " threads=" << num_threads;
     }
   }
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "legacy_hash_join.h"
+#include "obs/cost_profile.h"
+#include "obs/metrics.h"
 
 namespace hamlet {
 namespace {
@@ -138,37 +141,49 @@ TEST(KfkJoinTest, WorksAcrossDistinctDomainObjects) {
   EXPECT_EQ((*t->ColumnByName("Country"))->label(1), "US");
 }
 
-TEST(HashJoinTest, MatchesOnEquality) {
-  ChurnFixture f;
-  auto t = HashJoin(f.customers, f.employers, "EmployerID", "EmployerID");
+TEST(JoinCostTest, KfkJoinRecordsOneCostRecord) {
+  // One traced KfkJoin records exactly one join.kfk observation carrying
+  // its input sizes and resolved thread count.
+  TableBuilder rb("R", Schema({ColumnSpec::PrimaryKey("RID"),
+                               ColumnSpec::Feature("XR")}));
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(rb.AppendRowLabels({"r" + std::to_string(i),
+                                    "x" + std::to_string(i % 7)})
+                    .ok());
+  }
+  Table r = rb.Build();
+  TableBuilder sb("S", Schema({ColumnSpec::Target("Y"),
+                               ColumnSpec::ForeignKey("FK", "R")}),
+                  {nullptr, r.column(0).domain()});
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(
+        sb.AppendRowLabels({"0", "r" + std::to_string(i % 500)}).ok());
+  }
+  Table s = sb.Build();
+
+  auto& store = obs::CostProfileStore::Global();
+  store.Clear();
+  obs::SetEnabled(true);
+  JoinOptions options;
+  options.num_threads = 2;
+  auto t = KfkJoin(s, r, "FK", options);
+  obs::SetEnabled(false);
   ASSERT_TRUE(t.ok()) << t.status();
-  EXPECT_EQ(t->num_rows(), 4u);  // Every customer matches exactly once.
+  ASSERT_EQ(t->num_rows(), s.num_rows());
+
+  const obs::CostProfile profile = store.Snapshot();
+  ASSERT_EQ(profile.size(), 1u);
+  const obs::CostRecord& record = profile.records().begin()->second;
+  EXPECT_EQ(record.features.op, "join.kfk");
+  EXPECT_EQ(record.observations, 1u);
+  EXPECT_EQ(record.features.rows_in, s.num_rows());
+  EXPECT_EQ(record.features.num_threads, 2u);
+  EXPECT_GT(record.total_ns_sum, 0u);
+  store.Clear();
 }
 
-TEST(HashJoinTest, DropsNonMatchingRows) {
-  ChurnFixture f;
-  Table shrunk = f.employers.GatherRows({1});  // Only e1 remains.
-  auto t = HashJoin(f.customers, shrunk, "EmployerID", "EmployerID");
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->num_rows(), 2u);  // c0 and c2 reference e1.
-}
-
-TEST(HashJoinTest, ManyToManyProducesCrossMatches) {
-  Schema l_schema({ColumnSpec::Feature("K"), ColumnSpec::Feature("L")});
-  TableBuilder lb("L", l_schema);
-  ASSERT_TRUE(lb.AppendRowLabels({"k1", "l1"}).ok());
-  ASSERT_TRUE(lb.AppendRowLabels({"k1", "l2"}).ok());
-  Schema r_schema({ColumnSpec::Feature("K2"), ColumnSpec::Feature("R")});
-  TableBuilder rb("R", r_schema);
-  ASSERT_TRUE(rb.AppendRowLabels({"k1", "r1"}).ok());
-  ASSERT_TRUE(rb.AppendRowLabels({"k1", "r2"}).ok());
-  auto t = HashJoin(lb.Build(), rb.Build(), "K", "K2");
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->num_rows(), 4u);  // 2 x 2 cross matches.
-}
-
-// Property test: KfkJoin agrees with HashJoin (the nested-loop-equivalent
-// reference) on randomized star schemas.
+// Property test: KfkJoin agrees with the frozen label-keyed hash join
+// (legacy_hash_join.h) on randomized star schemas.
 class JoinEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(JoinEquivalenceTest, KfkJoinMatchesHashJoin) {
@@ -202,12 +217,12 @@ TEST_P(JoinEquivalenceTest, KfkJoinMatchesHashJoin) {
 
   auto kfk = KfkJoin(s, r, "FK");
   ASSERT_TRUE(kfk.ok()) << kfk.status();
-  auto reference = HashJoin(s, r, "FK", "RID");
+  auto reference = LegacyHashJoin(s, r, "FK", "RID");
   ASSERT_TRUE(reference.ok()) << reference.status();
 
   ASSERT_EQ(kfk->num_rows(), reference->num_rows());
-  // HashJoin emits matches in left-row order and each S row matches one R
-  // row, so outputs must agree cell-for-cell on the shared columns.
+  // The reference emits matches in left-row order and each S row matches
+  // one R row, so outputs must agree cell-for-cell on the shared columns.
   for (const char* col : {"Y", "XS", "FK", "XR1", "XR2"}) {
     const Column& a = **kfk->ColumnByName(col);
     const Column& b = **reference->ColumnByName(col);
