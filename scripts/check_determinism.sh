@@ -51,12 +51,12 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure \
   -R 'ThreadPool|ParallelFor|Determinism|TieBreak|ThreadInvariant|ParallelSearch|Factorized' \
   "$@"
 
-# The observability suite (metrics/trace/exporter/cost-profile tests,
+# The observability suite (metrics/trace/propagation/exporter tests,
 # label `obs`) under the same TSAN build.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L obs "$@"
 
 # The KFK join lockdown (error cases, equivalence against the frozen
-# reference join, the cost record; label `joins`) under the same TSAN
+# reference join, the phase probes; label `joins`) under the same TSAN
 # build.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L joins "$@"
 

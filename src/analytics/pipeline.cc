@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -15,7 +16,6 @@
 #include "ml/naive_bayes.h"
 #include "ml/suff_stats.h"
 #include "ml/tan.h"
-#include "obs/cost_profile.h"
 #include "obs/exporter.h"
 
 namespace hamlet {
@@ -306,27 +306,21 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
     report.trace = obs::Tracer::Global().Collect();
     report.trace_summary = obs::SummarizeTrace(report.trace, snapshot);
 
-    // Structured export: one JSONL snapshot line per traced run, and the
-    // run's operator cost observations merged into the persisted
-    // profile. Export failures are reported, not fatal — a read-only
-    // artifacts/ directory must not fail the analysis itself.
+    // Structured export: each traced run appends one JSONL snapshot
+    // line. The run is its own collection window, so its line is seq 0.
+    // Export failures are reported, not fatal — a read-only artifacts/
+    // directory must not fail the analysis itself.
     const std::string jsonl_path = PathFromConfigOrEnv(
         config.metrics_jsonl_path, "HAMLET_METRICS_JSONL");
     if (!jsonl_path.empty()) {
-      obs::JsonlExporter exporter;
-      Status st = exporter.Open(jsonl_path);
-      if (st.ok()) st = exporter.Flush(snapshot, &report.trace_summary);
-      if (!st.ok()) {
-        std::cerr << "hamlet: metrics export failed: " << st << "\n";
+      std::ofstream out(jsonl_path, std::ios::out | std::ios::app);
+      if (out.is_open()) {
+        obs::WriteSnapshotJsonl(snapshot, &report.trace_summary, 0, out);
+        out.flush();
       }
-    }
-    const std::string profile_path = PathFromConfigOrEnv(
-        config.cost_profile_path, "HAMLET_COST_PROFILE");
-    if (!profile_path.empty()) {
-      const Status st =
-          obs::CostProfileStore::Global().MergeIntoFile(profile_path);
-      if (!st.ok()) {
-        std::cerr << "hamlet: cost-profile export failed: " << st << "\n";
+      if (!out.good()) {
+        std::cerr << "hamlet: metrics export failed: cannot append to "
+                  << jsonl_path << "\n";
       }
     }
   } else {

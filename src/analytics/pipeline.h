@@ -90,16 +90,11 @@ struct PipelineConfig {
   bool avoid_materialization = false;
   /// When non-empty (and the run is traced), append one structured
   /// metrics snapshot line to this JSONL file at the end of the run
-  /// (obs/exporter.h). The HAMLET_METRICS_JSONL environment variable
-  /// supplies a path as well; an explicit config value wins.
+  /// (obs/exporter.h). Each line is that run's own collection window
+  /// (`seq` 0), so repeated runs accumulate one line each. The
+  /// HAMLET_METRICS_JSONL environment variable supplies a path as well;
+  /// an explicit config value wins.
   std::string metrics_jsonl_path;
-  /// When non-empty (and the run is traced), merge the run's operator
-  /// cost observations into this JSON file (obs/cost_profile.h) so
-  /// repeated runs accumulate cost records. The file is only written:
-  /// no run reads it back, so its contents never change a plan or a
-  /// result. The HAMLET_COST_PROFILE environment variable supplies a
-  /// path as well; an explicit config value wins.
-  std::string cost_profile_path;
 };
 
 /// Everything one pipeline run produces.

@@ -3,18 +3,18 @@
 
 /// \file json_reader.h
 /// A small hand-rolled JSON parser — the read-side counterpart of
-/// common/json_writer.h, added so the cost-profile store
-/// (obs/cost_profile.h) can load and merge the JSON files it persists
-/// across runs without pulling in a dependency.
+/// common/json_writer.h, so exported JSON (the metrics JSONL lines of
+/// obs/exporter.h) can be parsed back without pulling in a dependency.
+/// Only tests read JSON today; the library itself parses none.
 ///
 /// Scope: strict RFC 8259 JSON (objects, arrays, strings with the
 /// standard escapes, numbers, true/false/null), recursive descent, whole
-/// document at once. Integers that fit int64 are kept exact (the cost
-/// profile's bit-identical round-trip depends on it); everything else
+/// document at once. Integers that fit int64 are kept exact (exported
+/// nanosecond sums must not pass through a double); everything else
 /// numeric falls back to double. Object members keep insertion order
 /// irrelevant: they land in a std::map, which matches the writer's
 /// sorted emission. Not built for speed or for streaming gigabyte
-/// documents — profile files are kilobytes.
+/// documents — the files it reads are kilobytes.
 
 #include <cstdint>
 #include <map>

@@ -3,50 +3,13 @@
 #include "common/timer.h"
 #include "fs/filters.h"
 #include "fs/greedy_search.h"
-#include "ml/decision_tree.h"
 #include "ml/eval.h"
 #include "ml/factorized.h"
-#include "ml/gbt.h"
 #include "ml/naive_bayes.h"
-#include "obs/cost_profile.h"
 #include "obs/trace.h"
 #include "stats/metrics.h"
 
 namespace hamlet {
-
-namespace {
-
-// Reports one finished search to the operator cost profile. `op`
-// distinguishes the materialized and factorized paths — their relative
-// cost at matched features is exactly the join-or-avoid trade-off the
-// calibrated planner needs. build_rows carries the candidate count (the
-// search's work-list width); models_trained lands in rows_out since a
-// search "produces" trained models, not rows.
-void RecordSearchCost(const char* op, uint32_t data_rows,
-                      uint64_t models_trained, size_t candidates,
-                      uint32_t num_threads, double search_seconds) {
-  if (!obs::Enabled()) return;
-  obs::OperatorFeatures features;
-  features.op = op;
-  features.rows_in = data_rows;
-  features.rows_out = models_trained;
-  features.build_rows = candidates;
-  features.num_threads = num_threads;
-  obs::CostObservation cost;
-  cost.total_ns = static_cast<uint64_t>(search_seconds * 1e9);
-  obs::CostProfileStore::Global().Record(features, cost);
-}
-
-// Tree-model searches retrain histogram trees/ensembles per candidate —
-// a different cost regime from the NB statistics fast path — so they get
-// their own operator key in the cost profile.
-bool FactoryMakesTreeModel(const ClassifierFactory& factory) {
-  std::unique_ptr<Classifier> probe = factory();
-  return dynamic_cast<DecisionTree*>(probe.get()) != nullptr ||
-         dynamic_cast<Gbt*>(probe.get()) != nullptr;
-}
-
-}  // namespace
 
 const char* FsMethodToString(FsMethod method) {
   switch (method) {
@@ -114,11 +77,6 @@ Result<FsRunReport> RunFeatureSelection(
     span.AddAttr("models_trained", report.selection.models_trained);
     span.AddAttr("selected",
                  static_cast<uint64_t>(report.selection.selected.size()));
-    RecordSearchCost(FactoryMakesTreeModel(factory) ? "fs.search.tree"
-                                                    : "fs.search.materialized",
-                     data.num_rows(), report.selection.models_trained,
-                     candidates.size(), selector.num_threads(),
-                     report.runtime_seconds);
   }
 
   report.selected_names = data.FeatureNames(report.selection.selected);
@@ -134,17 +92,6 @@ Result<FsRunReport> RunFeatureSelection(
     report.fit_seconds = timer.ElapsedSeconds();
   }
   report.total_seconds = total_timer.ElapsedSeconds();
-
-  // The same decomposition the spans record, embedded so every consumer
-  // (traced or not) sees where the run's time went.
-  report.trace_summary.stages = {
-      {"fs.search", 0, 1, report.runtime_seconds, report.runtime_seconds,
-       {{"models_trained",
-         static_cast<int64_t>(report.selection.models_trained)}}},
-      {"fs.final_fit", 0, 1, report.fit_seconds, report.fit_seconds, {}}};
-  report.trace_summary.counters = {
-      {"fs.models_trained", report.selection.models_trained}};
-  report.trace_summary.total_seconds = report.total_seconds;
   return report;
 }
 
@@ -168,11 +115,6 @@ Result<FsRunReport> RunFeatureSelectionFactorized(
     span.AddAttr("models_trained", report.selection.models_trained);
     span.AddAttr("selected",
                  static_cast<uint64_t>(report.selection.selected.size()));
-    RecordSearchCost(FactoryMakesTreeModel(factory) ? "fs.search.tree"
-                                                    : "fs.search.factorized",
-                     data.num_rows(), report.selection.models_trained,
-                     candidates.size(), selector.num_threads(),
-                     report.runtime_seconds);
   }
 
   report.selected_names = data.FeatureNames(report.selection.selected);
@@ -227,15 +169,6 @@ Result<FsRunReport> RunFeatureSelectionFactorized(
     report.fit_seconds = timer.ElapsedSeconds();
   }
   report.total_seconds = total_timer.ElapsedSeconds();
-
-  report.trace_summary.stages = {
-      {"fs.search", 0, 1, report.runtime_seconds, report.runtime_seconds,
-       {{"models_trained",
-         static_cast<int64_t>(report.selection.models_trained)}}},
-      {"fs.final_fit", 0, 1, report.fit_seconds, report.fit_seconds, {}}};
-  report.trace_summary.counters = {
-      {"fs.models_trained", report.selection.models_trained}};
-  report.trace_summary.total_seconds = report.total_seconds;
   return report;
 }
 

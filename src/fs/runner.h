@@ -11,7 +11,6 @@
 #include <string>
 
 #include "fs/feature_selector.h"
-#include "obs/report.h"
 
 namespace hamlet {
 
@@ -52,9 +51,6 @@ struct FsRunReport {
   double runtime_seconds = 0.0;  ///< Search time only.
   double fit_seconds = 0.0;      ///< Final fit + holdout scoring.
   double total_seconds = 0.0;    ///< Search + final fit wall clock.
-  /// Per-stage seconds (fs.search, fs.final_fit) + the models-trained
-  /// counter, sourced from the same spans tracing records.
-  obs::TraceSummary trace_summary;
 };
 
 /// Runs `selector` over `candidates`, then fits the chosen subset on
@@ -69,9 +65,11 @@ Result<FsRunReport> RunFeatureSelection(
 /// is trained straight from the factorized sufficient statistics — no
 /// joined table is ever materialized, not even for the holdout scoring,
 /// which goes through an evaluator that gathers test-row codes via the
-/// FK hops. Requires a Naive Bayes factory (the view's statistics are
-/// what NB trains from); reports, selections, errors, and timings carry
-/// the same fields and stage names as the materialized runner, and every
+/// FK hops. Requires a Naive Bayes factory (NB trains from the view's
+/// statistics) or a FactorizedTrainable one (decision trees and GBT train
+/// and predict through the FK hops themselves); anything else is
+/// InvalidArgument. Reports, selections, errors, and timings carry the
+/// same fields and stage names as the materialized runner, and every
 /// number except the timings is bit-identical to it.
 Result<FsRunReport> RunFeatureSelectionFactorized(
     FeatureSelector& selector, const FactorizedDataset& data,

@@ -13,7 +13,6 @@
 
 // Observability (tracing, metrics, explain-style run reports).
 #include "common/json_writer.h"        // Hand-rolled JSON serializer.
-#include "obs/cost_profile.h"          // Persisted operator cost records.
 #include "obs/exporter.h"              // JSONL + Prometheus export.
 #include "obs/metrics.h"               // Counters + latency histograms.
 #include "obs/report.h"                // Explain tree + Chrome JSON.

@@ -11,10 +11,10 @@
 ///  - JSONL: WriteSnapshotJsonl emits ONE JSON object per call, on one
 ///    line — a flush. A JsonlExporter appends successive flushes to a
 ///    stream/file, stamping each with a monotonically increasing `seq`,
-///    so a long-running process (the serving loop, the pipeline runner)
-///    produces an append-only log whose consecutive lines are directly
-///    diffable: every counter and histogram count is cumulative, so
-///    line N+1 minus line N is the activity of that window. Histogram
+///    so a long-running process (the serving loop) produces an
+///    append-only log whose consecutive lines are directly diffable:
+///    every counter and histogram count is cumulative, so line N+1
+///    minus line N is the activity of that window. Histogram
 ///    buckets are emitted sparsely (index/count pairs for non-empty
 ///    buckets only — the log-linear layout has 1408 buckets, almost all
 ///    empty) along with precomputed p50/p90/p99.
@@ -51,9 +51,10 @@ void WriteSnapshotJsonl(const MetricsSnapshot& snapshot,
 void DumpPrometheusText(const MetricsSnapshot& snapshot, std::ostream& os);
 
 /// Append-only JSONL metrics log: each Flush() writes one line with the
-/// next sequence number. Open() truncates the target (a flush sequence
-/// belongs to one process run; cross-run accumulation is the cost
-/// profile's job, obs/cost_profile.h).
+/// next sequence number. Open() truncates the target: a flush sequence
+/// belongs to one process run. A caller that keeps one line per run
+/// across runs (RunPipeline) appends WriteSnapshotJsonl to its own
+/// stream instead.
 class JsonlExporter {
  public:
   JsonlExporter() = default;

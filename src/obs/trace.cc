@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "obs/cost_profile.h"
-
 namespace hamlet::obs {
 
 // The innermost open span is tracked via the thread pool's opaque task
@@ -106,7 +104,6 @@ ScopedCollection::ScopedCollection(bool enable) : enabled_(enable) {
   prev_ = Enabled();
   Tracer::Global().Clear();
   MetricsRegistry::Global().Reset();
-  CostProfileStore::Global().Clear();
   SetEnabled(true);
 }
 

@@ -176,40 +176,30 @@ class ScopedCollection {
 
 /// RAII latency probe: records the scope's duration into `histogram` at
 /// destruction. One branch (plus no clock reads) when collection is off.
-/// A non-null `elapsed_ns` also receives the recorded reading, so a
-/// caller that reports the phase elsewhere (a cost-profile observation)
-/// reports the same number; it is left untouched when collection is off.
 class ScopedLatency {
  public:
-  explicit ScopedLatency(Histogram& histogram, uint64_t* elapsed_ns = nullptr)
-      : ScopedLatency(Enabled() ? &histogram : nullptr, elapsed_ns) {}
+  explicit ScopedLatency(Histogram& histogram)
+      : ScopedLatency(Enabled() ? &histogram : nullptr) {}
 
   /// Takes the histogram's accessor instead, and calls it only when
   /// collection is on, so a probe that never collects never registers
   /// its histogram (each one is ~180 KB of sharded buckets).
-  explicit ScopedLatency(Histogram& (*histogram)(),
-                         uint64_t* elapsed_ns = nullptr)
-      : ScopedLatency(Enabled() ? &histogram() : nullptr, elapsed_ns) {}
+  explicit ScopedLatency(Histogram& (*histogram)())
+      : ScopedLatency(Enabled() ? &histogram() : nullptr) {}
 
   ~ScopedLatency() {
-    if (histogram_ != nullptr) {
-      const uint64_t ns = NowNanos() - start_ns_;
-      histogram_->RecordAlways(ns);
-      if (elapsed_ns_ != nullptr) *elapsed_ns_ = ns;
-    }
+    if (histogram_ != nullptr) histogram_->RecordAlways(NowNanos() - start_ns_);
   }
 
   ScopedLatency(const ScopedLatency&) = delete;
   ScopedLatency& operator=(const ScopedLatency&) = delete;
 
  private:
-  ScopedLatency(Histogram* histogram, uint64_t* elapsed_ns)
+  explicit ScopedLatency(Histogram* histogram)
       : histogram_(histogram),
-        elapsed_ns_(elapsed_ns),
         start_ns_(histogram_ != nullptr ? NowNanos() : 0) {}
 
   Histogram* histogram_;
-  uint64_t* elapsed_ns_;
   uint64_t start_ns_;
 };
 

@@ -9,7 +9,6 @@
 #include "common/parallel_for.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "obs/cost_profile.h"
 #include "obs/trace.h"
 
 namespace hamlet {
@@ -408,14 +407,9 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
                                  std::vector<std::shared_ptr<Domain>> domains,
                                  const CsvOptions& options) {
   obs::TraceSpan span("ingest.csv");
-
-  // Phase times feed both the ingest.*_ns histograms and the operator
-  // cost profile below. Cost-profile phase mapping for ingest: build =
-  // file read, probe = chunk parse, materialize = dictionary merge.
-  obs::CostObservation cost;
   std::string buffer;
   {
-    obs::ScopedLatency latency(ReadLatency, &cost.build_ns);
+    obs::ScopedLatency latency(ReadLatency);
     std::ifstream in(path, std::ios::binary);
     if (!in) {
       return Status::IOError(
@@ -513,7 +507,7 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
 
   std::vector<ChunkOutput> outs(starts.size());
   {
-    obs::ScopedLatency latency(ParseLatency, &cost.probe_ns);
+    obs::ScopedLatency latency(ParseLatency);
     ParallelFor(static_cast<uint32_t>(starts.size()),
                 static_cast<uint32_t>(starts.size()), [&](uint32_t j) {
                   const size_t lo = starts[j].offset;
@@ -548,7 +542,7 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
   }
   std::vector<std::vector<uint32_t>> final_codes(num_columns);
   {
-    obs::ScopedLatency latency(MergeLatency, &cost.materialize_ns);
+    obs::ScopedLatency latency(MergeLatency);
     // Columns are independent (distinct fresh Domain objects; fixed
     // domains are read-only), so the merge shards per column.
     ParallelFor(num_columns, options.num_threads, [&](uint32_t c) {
@@ -592,15 +586,6 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
     span.AddAttr("rows", total_rows);
     span.AddAttr("chunks", static_cast<uint64_t>(starts.size()));
     span.AddAttr("columns", num_columns);
-    // distinct_keys carries the column count (the merge's width).
-    obs::OperatorFeatures features;
-    features.op = "ingest.csv";
-    features.rows_in = total_rows;
-    features.rows_out = total_rows;
-    features.distinct_keys = num_columns;
-    features.num_threads = static_cast<uint32_t>(starts.size());
-    cost.total_ns = span.ElapsedNanos();
-    obs::CostProfileStore::Global().Record(features, cost);
   }
 
   std::vector<Column> cols;

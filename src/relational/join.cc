@@ -6,7 +6,6 @@
 #include "common/parallel_for.h"
 #include "common/thread_pool.h"
 #include "common/string_util.h"
-#include "obs/cost_profile.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -68,32 +67,6 @@ class FirstFailure {
  private:
   std::atomic<uint32_t> index_{UINT32_MAX};
 };
-
-// Shards a join actually runs with (0 = pool default), recorded as a
-// cost-profile feature so timings calibrate against real parallelism.
-uint32_t ResolvedThreads(uint32_t num_threads) {
-  return num_threads == 0 ? ThreadPool::Global().DefaultShards()
-                          : num_threads;
-}
-
-// Records one join's cost-profile observation (only while collecting:
-// the join's span is active exactly then). The total is the span's age,
-// so it covers the whole operator.
-void RecordCost(const char* op, const Table& probe, const Table& build,
-                uint32_t rows_out, uint32_t distinct_keys,
-                uint32_t num_threads, const obs::TraceSpan& span,
-                obs::CostObservation cost) {
-  if (!span.active()) return;
-  obs::OperatorFeatures features;
-  features.op = op;
-  features.rows_in = probe.num_rows();
-  features.rows_out = rows_out;
-  features.build_rows = build.num_rows();
-  features.distinct_keys = distinct_keys;
-  features.num_threads = ResolvedThreads(num_threads);
-  cost.total_ns = span.ElapsedNanos();
-  obs::CostProfileStore::Global().Record(features, cost);
-}
 
 }  // namespace
 
@@ -185,14 +158,11 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   }
   HAMLET_ASSIGN_OR_RETURN(uint32_t rid_idx, r.schema().PrimaryKeyIndex());
 
-  // Phase timings feed both the join.*_ns histograms and the operator
-  // cost profile.
-  obs::CostObservation cost;
   const Column& fk = s.column(fk_idx);
   const Column& rid = r.column(rid_idx);
   std::vector<uint32_t> rid_to_row;
   {
-    obs::ScopedLatency latency(BuildLatency, &cost.build_ns);
+    obs::ScopedLatency latency(BuildLatency);
     HAMLET_ASSIGN_OR_RETURN(rid_to_row, BuildFkRowIndex(fk, rid));
   }
 
@@ -202,7 +172,7 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   std::vector<uint32_t> matched(s.num_rows());
   FirstFailure failure;
   {
-    obs::ScopedLatency latency(ProbeLatency, &cost.probe_ns);
+    obs::ScopedLatency latency(ProbeLatency);
     ParallelFor(s.num_rows(), options.num_threads, [&](uint32_t row) {
       const uint32_t m = rid_to_row[fk.code(row)];
       if (m == kNoFkRow) failure.Report(row);
@@ -232,18 +202,15 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   out_cols.reserve(s.num_columns() + r.num_columns() - 1);
   for (uint32_t c = 0; c < s.num_columns(); ++c) out_cols.push_back(s.column(c));
   {
-    obs::ScopedLatency latency(MaterializeLatency, &cost.materialize_ns);
+    obs::ScopedLatency latency(MaterializeLatency);
     for (uint32_t c = 0; c < r.num_columns(); ++c) {
       if (c == rid_idx) continue;
       out_specs.push_back(r.schema().column(c));
       out_cols.push_back(r.column(c).Gather(matched, options.num_threads));
     }
   }
-  Table result(s.name() + "_join_" + r.name(), Schema(std::move(out_specs)),
+  return Table(s.name() + "_join_" + r.name(), Schema(std::move(out_specs)),
                std::move(out_cols));
-  RecordCost("join.kfk", s, r, result.num_rows(), fk.domain_size(),
-             options.num_threads, span, cost);
-  return result;
 }
 
 }  // namespace hamlet

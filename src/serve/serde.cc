@@ -652,15 +652,6 @@ Result<FsRunReport> DeserializeFsRunReport(std::string_view bytes) {
   HAMLET_RETURN_NOT_OK(r.GetF64(&report.fit_seconds));
   HAMLET_RETURN_NOT_OK(r.GetF64(&report.total_seconds));
   HAMLET_RETURN_NOT_OK(r.ExpectEnd());
-  // Re-derive the embedded digest exactly the way fs/runner.cc builds it.
-  report.trace_summary.stages = {
-      {"fs.search", 0, 1, report.runtime_seconds, report.runtime_seconds,
-       {{"models_trained",
-         static_cast<int64_t>(report.selection.models_trained)}}},
-      {"fs.final_fit", 0, 1, report.fit_seconds, report.fit_seconds, {}}};
-  report.trace_summary.counters = {
-      {"fs.models_trained", report.selection.models_trained}};
-  report.trace_summary.total_seconds = report.total_seconds;
   return report;
 }
 

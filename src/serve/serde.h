@@ -106,9 +106,7 @@ Result<DecisionTree> DeserializeDecisionTree(std::string_view bytes);
 std::string SerializeGbt(const Gbt& model);
 Result<Gbt> DeserializeGbt(std::string_view bytes);
 
-/// FsRunReport serialization persists the selection and every scalar;
-/// the embedded trace_summary is re-derived on load from those scalars
-/// (the same two-stage digest fs/runner.cc builds), not stored.
+/// FsRunReport serialization persists the selection and every scalar.
 std::string SerializeFsRunReport(const FsRunReport& report);
 Result<FsRunReport> DeserializeFsRunReport(std::string_view bytes);
 

@@ -17,7 +17,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "data/splits.h"
-#include "obs/cost_profile.h"
 #include "obs/trace.h"
 
 namespace hamlet::serve {
@@ -402,21 +401,6 @@ struct HamletService::Impl {
       for (size_t i = 0; i < blocks.size(); ++i) {
         m.score_ns.RecordAlways(elapsed);
       }
-      // Cost profile: one record per pass. rows_out = predictions
-      // written; build_rows = requests coalesced into the pass; shards =
-      // dispatcher shards of the data plane.
-      obs::OperatorFeatures features;
-      features.op = "serve.score";
-      features.rows_in = total_rows;
-      features.rows_out = total_rows;
-      features.build_rows = blocks.size();
-      features.num_threads = options.num_threads == 0
-                                 ? ThreadPool::Global().DefaultShards()
-                                 : options.num_threads;
-      features.shards = options.num_shards;
-      obs::CostObservation cost;
-      cost.total_ns = elapsed;
-      obs::CostProfileStore::Global().Record(features, cost);
     }
     return out;
   }

@@ -62,8 +62,8 @@
 /// histograms (see docs/SERVING.md and docs/OBSERVABILITY.md) when obs
 /// collection is enabled; queue depth/wait, batch sizes, sheds, expired
 /// deadlines and warm-cache hits are measured too, and each scoring
-/// pass reports a `serve.score` cost-profile record carrying the shard
-/// count and fused batch size.
+/// pass opens a `serve.score` span carrying its shard, fused batch size
+/// and row count.
 
 #include <memory>
 #include <string>

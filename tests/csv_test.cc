@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hamlet {
 namespace {
@@ -63,6 +67,40 @@ TEST_F(CsvTest, ReadsSimpleFile) {
   ASSERT_TRUE(t.ok()) << t.status();
   EXPECT_EQ(t->num_rows(), 2u);
   EXPECT_EQ((*t->ColumnByName("Color"))->label(1), "blue");
+}
+
+TEST_F(CsvTest, ReadRecordsEachPhaseOnce) {
+  // One traced read adds exactly one observation to each ingest phase
+  // histogram, and its ingest.csv span carries the row count.
+  std::string path = WriteTemp("ID,Color\nr1,red\nr2,blue\nr3,red\n");
+  Schema schema(
+      {ColumnSpec::PrimaryKey("ID"), ColumnSpec::Feature("Color")});
+  obs::Trace trace;
+  {
+    obs::ScopedCollection collection(true);
+    auto t = ReadCsv(path, "T", schema);
+    ASSERT_TRUE(t.ok()) << t.status();
+    trace = obs::Tracer::Global().Collect();
+  }
+
+  for (const char* phase :
+       {"ingest.read_ns", "ingest.parse_ns", "ingest.merge_ns"}) {
+    EXPECT_EQ(
+        obs::MetricsRegistry::Global().GetHistogram(phase).Snapshot().count,
+        1u)
+        << phase;
+  }
+
+  const auto ingest = std::find_if(
+      trace.events.begin(), trace.events.end(),
+      [](const obs::TraceEvent& e) { return e.name == "ingest.csv"; });
+  ASSERT_NE(ingest, trace.events.end());
+  const auto rows = std::find_if(
+      ingest->attrs.begin(), ingest->attrs.end(),
+      [](const obs::TraceAttr& a) { return a.key == "rows"; });
+  ASSERT_NE(rows, ingest->attrs.end());
+  EXPECT_TRUE(rows->is_number);
+  EXPECT_EQ(rows->number, 3);
 }
 
 TEST_F(CsvTest, HeaderMismatchRejected) {

@@ -4,8 +4,8 @@
 
 #include "common/rng.h"
 #include "legacy_hash_join.h"
-#include "obs/cost_profile.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hamlet {
 namespace {
@@ -141,9 +141,9 @@ TEST(KfkJoinTest, WorksAcrossDistinctDomainObjects) {
   EXPECT_EQ((*t->ColumnByName("Country"))->label(1), "US");
 }
 
-TEST(JoinCostTest, KfkJoinRecordsOneCostRecord) {
-  // One traced KfkJoin records exactly one join.kfk observation carrying
-  // its input sizes and resolved thread count.
+TEST(JoinProbeTest, KfkJoinRecordsEachPhaseOnce) {
+  // One traced 2-thread KfkJoin adds exactly one observation to each
+  // phase histogram, and its span carries the row counts.
   TableBuilder rb("R", Schema({ColumnSpec::PrimaryKey("RID"),
                                ColumnSpec::Feature("XR")}));
   for (int i = 0; i < 500; ++i) {
@@ -161,25 +161,42 @@ TEST(JoinCostTest, KfkJoinRecordsOneCostRecord) {
   }
   Table s = sb.Build();
 
-  auto& store = obs::CostProfileStore::Global();
-  store.Clear();
-  obs::SetEnabled(true);
   JoinOptions options;
   options.num_threads = 2;
-  auto t = KfkJoin(s, r, "FK", options);
-  obs::SetEnabled(false);
-  ASSERT_TRUE(t.ok()) << t.status();
-  ASSERT_EQ(t->num_rows(), s.num_rows());
+  obs::Trace trace;
+  {
+    obs::ScopedCollection collection(true);
+    auto t = KfkJoin(s, r, "FK", options);
+    ASSERT_TRUE(t.ok()) << t.status();
+    ASSERT_EQ(t->num_rows(), s.num_rows());
+    trace = obs::Tracer::Global().Collect();
+  }
 
-  const obs::CostProfile profile = store.Snapshot();
-  ASSERT_EQ(profile.size(), 1u);
-  const obs::CostRecord& record = profile.records().begin()->second;
-  EXPECT_EQ(record.features.op, "join.kfk");
-  EXPECT_EQ(record.observations, 1u);
-  EXPECT_EQ(record.features.rows_in, s.num_rows());
-  EXPECT_EQ(record.features.num_threads, 2u);
-  EXPECT_GT(record.total_ns_sum, 0u);
-  store.Clear();
+  for (const char* phase :
+       {"join.build_ns", "join.probe_ns", "join.materialize_ns"}) {
+    EXPECT_EQ(
+        obs::MetricsRegistry::Global().GetHistogram(phase).Snapshot().count,
+        1u)
+        << phase;
+  }
+
+  const obs::TraceEvent* join = nullptr;
+  for (const obs::TraceEvent& event : trace.events) {
+    if (event.name != "join.kfk") continue;
+    ASSERT_EQ(join, nullptr) << "more than one join.kfk span";
+    join = &event;
+  }
+  ASSERT_NE(join, nullptr);
+  const auto attr = [&](const std::string& key) -> int64_t {
+    for (const obs::TraceAttr& a : join->attrs) {
+      if (a.key == key && a.is_number) return a.number;
+    }
+    ADD_FAILURE() << "join.kfk span has no numeric '" << key << "'";
+    return -1;
+  };
+  EXPECT_EQ(attr("rows_built"), static_cast<int64_t>(r.num_rows()));
+  EXPECT_EQ(attr("rows_probed"), static_cast<int64_t>(s.num_rows()));
+  EXPECT_EQ(attr("rows_emitted"), static_cast<int64_t>(s.num_rows()));
 }
 
 // Property test: KfkJoin agrees with the frozen label-keyed hash join

@@ -44,8 +44,8 @@ TEST(JsonReaderTest, ParsesEveryValueKind) {
 }
 
 TEST(JsonReaderTest, IntegersStayInt64Exact) {
-  // The cost profile's bit-identical round-trip depends on large
-  // nanosecond sums not passing through a double.
+  // Exported histogram sums are large nanosecond counts that must not
+  // pass through a double.
   const JsonValue doc = MustParse(
       R"({"max":9223372036854775807,"min":-9223372036854775808,)"
       R"("big_ns":1311768467463790320})");

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "common/json_reader.h"
 #include "datasets/registry.h"
 
 namespace hamlet {
@@ -166,6 +174,36 @@ TEST(PipelineTest, TracedRunProducesACoveringSpanTree) {
   // The rendered tree and the trace survive the collection window.
   EXPECT_NE(report.ExplainTree().find("pipeline"), std::string::npos);
   EXPECT_FALSE(obs::Enabled());
+}
+
+TEST(PipelineTest, TracedRunsAppendOneJsonlLineEach) {
+  const std::string path = ::testing::TempDir() + "/hamlet_pipeline_" +
+                           std::to_string(::getpid()) + ".jsonl";
+  std::remove(path.c_str());
+  auto ds = *MakeDataset("Walmart", 0.02, 3);
+  PipelineConfig config = BaseConfig();
+  config.trace = true;
+  config.metrics_jsonl_path = path;
+  ASSERT_TRUE(RunPipeline(ds, config).ok());
+  ASSERT_TRUE(RunPipeline(ds, config).ok());
+
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& line : lines) {
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(ParseJson(line, &doc, &error)) << error;
+    const JsonValue* seq = doc.Find("seq");
+    ASSERT_NE(seq, nullptr);
+    EXPECT_EQ(seq->AsInt(), 0);  // Each run is its own window.
+    const JsonValue* stages = doc.Find("stages");
+    ASSERT_NE(stages, nullptr);
+    ASSERT_TRUE(stages->is_array());
+    EXPECT_FALSE(stages->AsArray().empty());
+  }
 }
 
 TEST(PipelineTest, TracingDoesNotChangeResults) {
