@@ -350,14 +350,18 @@ int main(int argc, char** argv) {
   if (!metrics_jsonl_path.empty()) {
     const obs::TraceSummary summary =
         obs::SummarizeTrace(obs::Tracer::Global().Collect(), metrics);
-    obs::JsonlExporter exporter;
-    auto st = exporter.Open(metrics_jsonl_path);
-    if (st.ok()) st = exporter.Flush(metrics, &summary);
-    if (!st.ok()) {
-      std::fprintf(stderr, "metrics export failed: %s\n",
-                   st.ToString().c_str());
+    // One line per run, appended: the run is its own window (seq 0),
+    // as in RunPipeline, so repeated runs accumulate one line each.
+    std::ofstream out(metrics_jsonl_path, std::ios::out | std::ios::app);
+    if (out.is_open()) {
+      obs::WriteSnapshotJsonl(metrics, &summary, 0, out);
+      out.flush();
+    }
+    if (!out.good()) {
+      std::fprintf(stderr, "metrics export failed: cannot append to %s\n",
+                   metrics_jsonl_path.c_str());
     } else {
-      std::printf("\nMetrics JSONL written to %s\n",
+      std::printf("\nMetrics JSONL line appended to %s\n",
                   metrics_jsonl_path.c_str());
     }
   }

@@ -9,21 +9,26 @@
 # pipeline's lock-free sharded histograms, cross-thread span
 # propagation, and concurrent registry snapshots (the writer-storm test)
 # are exactly the code most likely to hide a data race.
-# A third pass runs the joins-labeled suite (tests/join_test.cc) under
+# A third pass runs the fs-labeled suite (the forward/backward, filter
+# and exhaustive searches and the runner) under TSAN: every search scores
+# its candidates in parallel into per-index slots through one shared
+# scorer, and the serial reduction over those slots is what keeps
+# selections identical at any thread count.
+# A fourth pass runs the joins-labeled suite (tests/join_test.cc) under
 # TSAN: KfkJoin's sharded probe reports the lowest failing row through a
 # relaxed-atomic min, and its output gathers write shared arrays from
 # ParallelFor workers.
-# A fourth pass runs the sharded serving data plane
+# A fifth pass runs the sharded serving data plane
 # (tests/service_shard_determinism_test.cc + the artifact store's
 # concurrent shared-lock hit tests): N dispatcher threads draining MPSC
 # queues, load shedding, deadline expiry, the generation-validated warm
 # model cache, and the closed-loop load harness — the serving stack's
 # cross-thread hand-offs.
-# A fifth pass rebuilds with AddressSanitizer in its own tree and runs
+# A sixth pass rebuilds with AddressSanitizer in its own tree and runs
 # the byte parsers under it: serde (every model kind decodes through
 # DeserializeModel), the artifact store's read-through path, the
 # service's resolve + score path, and the CSV and JSON readers.
-# A sixth pass rebuilds with UndefinedBehaviorSanitizer in its own tree
+# A seventh pass rebuilds with UndefinedBehaviorSanitizer in its own tree
 # (halting on the first report) and runs the join — the `joins` label
 # plus the JoinDeterminismTest bit-identity sweeps, whose code remaps and
 # FK -> row gathers are index-heavy — and the same byte parsers' serde,
@@ -54,6 +59,10 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure \
 # The observability suite (metrics/trace/propagation/exporter tests,
 # label `obs`) under the same TSAN build.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L obs "$@"
+
+# The feature-selection searches and runner (label `fs`) under the same
+# TSAN build.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -L fs "$@"
 
 # The KFK join lockdown (error cases, equivalence against the frozen
 # reference join, the phase probes; label `joins`) under the same TSAN

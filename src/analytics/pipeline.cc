@@ -10,6 +10,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "data/encoded_dataset.h"
+#include "fs/candidate_eval.h"
 #include "ml/decision_tree.h"
 #include "ml/factorized.h"
 #include "ml/gbt.h"
@@ -192,21 +193,18 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
         to_join.push_back(fk.fk_column);
       }
     }
-    // Naive Bayes trains from factorized statistics and the tree
-    // classifiers train through the FK hops (FactorizedTrainable); NB's
-    // scan escape hatch inherently needs a table to scan, while the tree
-    // "scan" path *is* factorized, so force_scan_eval only forces
-    // materialization for NB. Everything else falls back to
-    // materializing.
-    const bool use_factorized =
-        config.avoid_materialization &&
-        (config.classifier == ClassifierKind::kDecisionTree ||
-         config.classifier == ClassifierKind::kGradientBoostedTrees ||
-         (config.classifier == ClassifierKind::kNaiveBayes &&
-          !config.force_scan_eval));
     std::unique_ptr<FeatureSelector> selector = MakeSelector(
         config.method, config.num_threads, config.force_scan_eval);
     ClassifierFactory factory = MakeClassifierFactory(config.classifier);
+    // The factorized view answers the kept joins whenever a candidate
+    // scorer exists for it (fs/candidate_eval.h): Naive Bayes off the scan
+    // escape hatch, or a classifier that trains through the FK hops
+    // (decision trees, GBT). Everything else falls back to materializing.
+    const bool use_factorized =
+        config.avoid_materialization &&
+        ChooseScoringBackend(*factory(), /*factorized_view=*/true,
+                             config.force_scan_eval)
+            .ok();
 
     if (use_factorized) {
       report.factorized = true;

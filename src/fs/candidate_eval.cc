@@ -1,7 +1,17 @@
 #include "fs/candidate_eval.h"
 
+#include <algorithm>
+#include <functional>
+
+#include "common/check.h"
+#include "common/parallel_for.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
+#include "ml/eval.h"
 #include "ml/factorized.h"
 #include "ml/naive_bayes.h"
+#include "ml/suff_stats.h"
+#include "obs/trace.h"
 
 namespace hamlet {
 
@@ -23,42 +33,256 @@ obs::Counter& FsDeltaEvalsCounter() {
   return counter;
 }
 
-std::unique_ptr<NbSubsetEvaluator> TryMakeNbEvaluator(
-    const EncodedDataset& data, const HoldoutSplit& split, ErrorMetric metric,
-    const ClassifierFactory& factory, const std::vector<uint32_t>& candidates,
-    uint32_t num_threads) {
-  if (SuffStatsCache::Bypassed()) return nullptr;
-  if (split.train.empty()) return nullptr;
-  // The factory is an opaque std::function; probe one instance to learn
-  // the concrete classifier (and its smoothing constant).
-  std::unique_ptr<Classifier> probe = factory();
-  auto* nb = dynamic_cast<NaiveBayes*>(probe.get());
-  if (nb == nullptr) return nullptr;
-  std::shared_ptr<const SuffStats> stats =
-      SuffStatsCache::Global().GetOrBuild(data, split.train, num_threads);
-  if (stats == nullptr) return nullptr;
-  return std::make_unique<NbSubsetEvaluator>(data, stats, split.validation,
-                                             metric, nb->alpha(), candidates,
-                                             num_threads);
+Result<ScoringBackend> ChooseScoringBackend(const Classifier& model,
+                                            bool factorized_view,
+                                            bool force_scan_eval) {
+  if (dynamic_cast<const NaiveBayes*>(&model) != nullptr &&
+      !force_scan_eval && !SuffStatsCache::Bypassed()) {
+    return ScoringBackend::kNbDelta;
+  }
+  if (!factorized_view) return ScoringBackend::kScan;
+  if (dynamic_cast<const FactorizedTrainable*>(&model) != nullptr) {
+    return ScoringBackend::kFactorizedScan;
+  }
+  return Status::InvalidArgument(StringFormat(
+      "the factorized view cannot score %s models: it needs Naive Bayes "
+      "with the sufficient-statistics path on, or a FactorizedTrainable "
+      "classifier such as decision_tree or gbt (no scan exists without the "
+      "materialized join)",
+      model.name().c_str()));
 }
 
-std::unique_ptr<NbSubsetEvaluator> TryMakeNbEvaluatorFactorized(
-    const FactorizedDataset& data, const HoldoutSplit& split,
-    ErrorMetric metric, const ClassifierFactory& factory,
-    const std::vector<uint32_t>& candidates, uint32_t num_threads) {
-  if (SuffStatsCache::Bypassed()) return nullptr;
-  if (split.train.empty()) return nullptr;
-  std::unique_ptr<Classifier> probe = factory();
-  auto* nb = dynamic_cast<NaiveBayes*>(probe.get());
-  if (nb == nullptr) return nullptr;
-  std::shared_ptr<const SuffStats> stats =
-      GetOrBuildFactorizedSuffStats(data, split.train, num_threads);
-  if (stats == nullptr) return nullptr;
-  return MakeFactorizedNbEvaluator(data, std::move(stats), split.validation,
-                                   metric, nb->alpha(), candidates,
-                                   num_threads);
+namespace {
+
+// Subtree count for the parallel lattice DFS: enough to keep every worker
+// busy (≥4× effective threads), but never more than the lattice has — or
+// than is worth the per-task setup.
+uint32_t ChooseSplitBits(uint32_t d, uint32_t num_threads) {
+  const uint32_t effective =
+      num_threads == 0
+          ? static_cast<uint32_t>(ThreadPool::Global().num_workers() + 1)
+          : num_threads;
+  uint32_t split_bits = 0;
+  while ((1u << split_bits) < 4 * effective && split_bits < d &&
+         split_bits < 12) {
+    ++split_bits;
+  }
+  return split_bits;
 }
 
+// kNbDelta: every error is derived from the evaluator's log-likelihood
+// tables and the per-row base scores of the current subset. The
+// summation orders are pinned to the scan path's, so additions, prefixes
+// and lattice leaves are bit-identical to a retrain; removals subtract,
+// which re-associates the sum (~1e-15 per score, docs/PERFORMANCE.md).
+class NbDeltaScorer final : public CandidateScorer {
+ public:
+  NbDeltaScorer(std::unique_ptr<NbSubsetEvaluator> ev, uint32_t num_threads)
+      : ev_(std::move(ev)), num_threads_(num_threads) {}
+
+  Result<double> ScoreBase(const std::vector<uint32_t>& base) override {
+    ev_->ResetBase(base);
+    return ev_->EvalBase();
+  }
+  void AddToBase(uint32_t feature) override { ev_->AddToBase(feature); }
+  void RemoveFromBase(uint32_t feature) override {
+    ev_->RemoveFromBase(feature);
+  }
+
+  Status ScoreAdditions(const std::vector<uint32_t>& adds,
+                        std::vector<double>* errors) override {
+    return ScoreEach(adds, &NbSubsetEvaluator::EvalBasePlus, errors);
+  }
+
+  Status ScoreRemovals(const std::vector<uint32_t>& drops,
+                       std::vector<double>* errors) override {
+    return ScoreEach(drops, &NbSubsetEvaluator::EvalBaseMinus, errors);
+  }
+
+  // The prefixes are nested, so one AddToBase per k scores them all —
+  // strictly less work than retraining every prefix.
+  Status ScorePrefixes(const std::vector<uint32_t>& ranked,
+                       std::vector<double>* errors) override {
+    errors->assign(ranked.size(), 0.0);
+    ev_->ResetBase({});
+    for (size_t k = 0; k < ranked.size(); ++k) {
+      obs::ScopedLatency latency(FsCandidateEvalHistogram());
+      ev_->AddToBase(ranked[k]);
+      (*errors)[k] = ev_->EvalBase();
+    }
+    Record(ranked.size());
+    return Status::OK();
+  }
+
+  // A DFS that shares partial score sums between subsets. The low
+  // `split_bits` bits of the mask are enumerated as independent subtrees
+  // (parallel work items); within a subtree, extending the subset by one
+  // feature is a single AccumulateFeature pass, so each of the 2^d leaves
+  // costs O(eval_rows × classes) instead of a full retrain. Features are
+  // accumulated in ascending bit order, the scan path's order.
+  Status ScoreLattice(const std::vector<uint32_t>& candidates,
+                      std::vector<double>* errors) override {
+    const uint32_t d = static_cast<uint32_t>(candidates.size());
+    const uint32_t split_bits = ChooseSplitBits(d, num_threads_);
+    errors->assign(size_t{1} << d, 0.0);
+    const NbSubsetEvaluator& ev = *ev_;
+    ParallelFor(1u << split_bits, num_threads_, [&](uint32_t prefix) {
+      // One score buffer per DFS level, reused across the whole subtree.
+      std::vector<std::vector<double>> levels(d - split_bits + 1);
+      ev.InitScores(&levels[0]);
+      for (uint32_t j = 0; j < split_bits; ++j) {
+        if (prefix & (1u << j)) {
+          ev.AccumulateFeature(candidates[j], levels[0], &levels[0]);
+        }
+      }
+      auto rec = [&](auto&& self, uint32_t level, uint32_t bit,
+                     uint32_t mask) -> void {
+        if (bit == d) {
+          obs::ScopedLatency latency(FsCandidateEvalHistogram());
+          (*errors)[mask] = ev.ErrorFromScores(levels[level]);
+          return;
+        }
+        self(self, level, bit + 1, mask);  // Exclude candidates[bit].
+        ev.AccumulateFeature(candidates[bit], levels[level],
+                             &levels[level + 1]);
+        self(self, level + 1, bit + 1, mask | (1u << bit));
+      };
+      rec(rec, 0, split_bits, prefix);
+    });
+    Record(errors->size());
+    return Status::OK();
+  }
+
+ private:
+  using DeltaEval = double (NbSubsetEvaluator::*)(uint32_t) const;
+
+  Status ScoreEach(const std::vector<uint32_t>& features, DeltaEval eval,
+                   std::vector<double>* errors) const {
+    const uint32_t m = static_cast<uint32_t>(features.size());
+    errors->assign(m, 0.0);
+    const NbSubsetEvaluator& ev = *ev_;
+    ParallelFor(m, num_threads_, [&](uint32_t i) {
+      obs::ScopedLatency latency(FsCandidateEvalHistogram());
+      (*errors)[i] = (ev.*eval)(features[i]);
+    });
+    Record(m);
+    return Status::OK();
+  }
+
+  static void Record(uint64_t count) {
+    FsModelsTrainedCounter().Add(count);
+    FsDeltaEvalsCounter().Add(count);
+  }
+
+  std::unique_ptr<NbSubsetEvaluator> ev_;
+  uint32_t num_threads_;
+};
+
+// kScan and kFactorizedScan: `retrain_` trains a fresh model on one
+// subset and returns its error, so every candidate is a full retrain.
+class RetrainScorer final : public CandidateScorer {
+ public:
+  using Retrain =
+      std::function<Result<double>(const std::vector<uint32_t>& features)>;
+
+  RetrainScorer(Retrain retrain, uint32_t num_threads)
+      : retrain_(std::move(retrain)), num_threads_(num_threads) {}
+
+  Result<double> ScoreBase(const std::vector<uint32_t>& base) override {
+    base_ = base;
+    return retrain_(base_);
+  }
+  void AddToBase(uint32_t feature) override { base_.push_back(feature); }
+  void RemoveFromBase(uint32_t feature) override {
+    base_.erase(std::find(base_.begin(), base_.end(), feature));
+  }
+
+  Status ScoreAdditions(const std::vector<uint32_t>& adds,
+                        std::vector<double>* errors) override {
+    return ScoreEach(
+        adds.size(),
+        [&](uint32_t i) {
+          std::vector<uint32_t> trial = base_;
+          trial.push_back(adds[i]);
+          return trial;
+        },
+        errors);
+  }
+
+  Status ScoreRemovals(const std::vector<uint32_t>& drops,
+                       std::vector<double>* errors) override {
+    return ScoreEach(
+        drops.size(),
+        [&](uint32_t i) {
+          std::vector<uint32_t> trial;
+          trial.reserve(base_.size());
+          for (uint32_t f : base_) {
+            if (f != drops[i]) trial.push_back(f);
+          }
+          return trial;
+        },
+        errors);
+  }
+
+  Status ScorePrefixes(const std::vector<uint32_t>& ranked,
+                       std::vector<double>* errors) override {
+    return ScoreEach(
+        ranked.size(),
+        [&](uint32_t i) {
+          return std::vector<uint32_t>(ranked.begin(), ranked.begin() + i + 1);
+        },
+        errors);
+  }
+
+  Status ScoreLattice(const std::vector<uint32_t>& candidates,
+                      std::vector<double>* errors) override {
+    const uint32_t d = static_cast<uint32_t>(candidates.size());
+    return ScoreEach(
+        size_t{1} << d,
+        [&](uint32_t mask) {
+          std::vector<uint32_t> subset;
+          for (uint32_t j = 0; j < d; ++j) {
+            if (mask & (1u << j)) subset.push_back(candidates[j]);
+          }
+          return subset;
+        },
+        errors);
+  }
+
+ private:
+  // Retrains `make_trial(i)`'s subset for every i in [0, count) in
+  // parallel, one slot per candidate, and returns the first failure in
+  // index order if any retrain failed.
+  template <typename MakeTrial>
+  Status ScoreEach(size_t count, const MakeTrial& make_trial,
+                   std::vector<double>* errors) const {
+    const uint32_t n = static_cast<uint32_t>(count);
+    errors->assign(n, 0.0);
+    std::vector<Status> statuses(n);
+    ParallelFor(n, num_threads_, [&](uint32_t i) {
+      obs::ScopedLatency latency(FsCandidateEvalHistogram());
+      Result<double> err = retrain_(make_trial(i));
+      if (err.ok()) {
+        (*errors)[i] = *err;
+      } else {
+        statuses[i] = err.status();
+      }
+    });
+    FsModelsTrainedCounter().Add(n);
+    for (const Status& st : statuses) {
+      HAMLET_RETURN_NOT_OK(st);
+    }
+    return Status::OK();
+  }
+
+  Retrain retrain_;
+  uint32_t num_threads_;
+  std::vector<uint32_t> base_;
+};
+
+// The kFactorizedScan retrain: a fresh FactorizedTrainable model over the
+// normalized (S, R) view. The classifiers guarantee models bit-identical
+// to training on the materialized join, so every error equals kScan's.
 Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,
                                        const FactorizedDataset& data,
                                        const std::vector<uint32_t>& train_rows,
@@ -68,17 +292,77 @@ Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,
                                        ErrorMetric metric) {
   std::unique_ptr<Classifier> model = factory();
   auto* factorized = dynamic_cast<FactorizedTrainable*>(model.get());
-  if (factorized == nullptr) {
-    return Status::InvalidArgument(
-        "TrainAndScoreFactorized requires a classifier implementing "
-        "FactorizedTrainable; got " +
-        model->name());
-  }
+  HAMLET_CHECK(factorized != nullptr, "%s is not FactorizedTrainable",
+               model->name().c_str());
   HAMLET_RETURN_NOT_OK(factorized->TrainFactorized(data, train_rows, features));
   std::vector<uint32_t> predicted;
   HAMLET_RETURN_NOT_OK(
       factorized->PredictFactorized(data, eval_rows, &predicted));
   return ComputeError(metric, eval_labels, predicted);
+}
+
+}  // namespace
+
+Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
+    const DataView& view, const std::vector<uint32_t>& train_rows,
+    const std::vector<uint32_t>& eval_rows, const ClassifierFactory& factory,
+    ErrorMetric metric, const std::vector<uint32_t>& candidates,
+    bool force_scan_eval, uint32_t num_threads) {
+  if (train_rows.empty()) {
+    return Status::InvalidArgument("cannot select features on zero rows");
+  }
+  // The factory is an opaque std::function; probe one instance to learn
+  // the concrete classifier (and Naive Bayes' smoothing constant).
+  std::unique_ptr<Classifier> probe = factory();
+  const EncodedDataset* mat = view.materialized();
+  const FactorizedDataset* fac = view.factorized();
+  HAMLET_ASSIGN_OR_RETURN(
+      ScoringBackend backend,
+      ChooseScoringBackend(*probe, fac != nullptr, force_scan_eval));
+  if (backend == ScoringBackend::kNbDelta) {
+    const double alpha = static_cast<const NaiveBayes&>(*probe).alpha();
+    std::shared_ptr<const SuffStats> stats =
+        mat != nullptr
+            ? SuffStatsCache::Global().GetOrBuild(*mat, train_rows,
+                                                  num_threads)
+            : GetOrBuildFactorizedSuffStats(*fac, train_rows, num_threads);
+    std::unique_ptr<NbSubsetEvaluator> ev =
+        mat != nullptr
+            ? std::make_unique<NbSubsetEvaluator>(*mat, std::move(stats),
+                                                  eval_rows, metric, alpha,
+                                                  candidates, num_threads)
+            : MakeFactorizedNbEvaluator(*fac, std::move(stats), eval_rows,
+                                        metric, alpha, candidates,
+                                        num_threads);
+    return std::unique_ptr<CandidateScorer>(
+        std::make_unique<NbDeltaScorer>(std::move(ev), num_threads));
+  }
+
+  // Labels are gathered once per scorer, not once per candidate.
+  std::vector<uint32_t> labels;
+  labels.reserve(eval_rows.size());
+  for (uint32_t r : eval_rows) labels.push_back(view.labels()[r]);
+  RetrainScorer::Retrain retrain;
+  if (backend == ScoringBackend::kScan) {
+    retrain = [&factory, mat, &train_rows, &eval_rows,
+               labels = std::move(labels),
+               metric](const std::vector<uint32_t>& features) {
+      return TrainAndScore(factory, *mat, train_rows, eval_rows, labels,
+                           features, metric);
+    };
+  } else {
+    // Warm the statistics cache once, so every retrain seeds its root
+    // histograms from the cached counts (ml/decision_tree.h).
+    GetOrBuildFactorizedSuffStats(*fac, train_rows, num_threads);
+    retrain = [&factory, fac, &train_rows, &eval_rows,
+               labels = std::move(labels),
+               metric](const std::vector<uint32_t>& features) {
+      return TrainAndScoreFactorized(factory, *fac, train_rows, eval_rows,
+                                     labels, features, metric);
+    };
+  }
+  return std::unique_ptr<CandidateScorer>(
+      std::make_unique<RetrainScorer>(std::move(retrain), num_threads));
 }
 
 }  // namespace hamlet

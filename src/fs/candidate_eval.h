@@ -2,31 +2,33 @@
 #define HAMLET_FS_CANDIDATE_EVAL_H_
 
 /// \file candidate_eval.h
-/// Shared candidate-evaluation plumbing for the wrapper searches. All
-/// three searches (forward, backward, exhaustive) route their candidate
-/// models through these helpers so that
+/// The candidate-scoring seam under every feature-selection search.
+/// Forward, backward, exhaustive and filter selection are each written
+/// once, against CandidateScorer; MakeCandidateScorer builds the scorer
+/// for a (factory, data view, force_scan_eval) triple. Three backends
+/// exist:
 ///
-///   - the `fs.models_trained` counter and `fs.candidate_eval_ns`
-///     histogram are recorded uniformly,
-///   - evaluation labels are gathered once per search instead of once per
-///     candidate, and
-///   - the sufficient-statistics fast path (NbSubsetEvaluator) is probed
-///     in one place: TryMakeNbEvaluator returns an evaluator when the
-///     factory produces Naive Bayes models and caching is not bypassed,
-///     nullptr when the caller must fall back to the scan path.
+///   - kNbDelta: Naive Bayes scored by NbSubsetEvaluator from sufficient
+///     statistics, on either view (the factorized statistics never
+///     materialize the join);
+///   - kScan: a fresh model per subset through ml/eval.h's TrainAndScore,
+///     on the materialized view;
+///   - kFactorizedScan: a fresh FactorizedTrainable model (decision_tree,
+///     gbt) per subset, trained and scored through the FK hops.
+///
+/// Every backend records `fs.models_trained` and `fs.candidate_eval_ns`
+/// the same way (kNbDelta adds `fs.delta_evals`), writes each candidate's
+/// error to its own slot, and leaves the reduction over the slots to the
+/// search, which runs it serially in index order. That is what keeps
+/// selections bit-for-bit identical across thread counts and views.
 
 #include <memory>
 #include <vector>
 
-#include "common/parallel_for.h"
 #include "common/result.h"
-#include "data/encoded_dataset.h"
-#include "data/splits.h"
+#include "fs/feature_selector.h"
 #include "ml/classifier.h"
-#include "ml/eval.h"
-#include "ml/suff_stats.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "stats/metrics.h"
 
 namespace hamlet {
@@ -41,114 +43,73 @@ obs::Histogram& FsCandidateEvalHistogram();
 /// full retrain.
 obs::Counter& FsDeltaEvalsCounter();
 
-/// Probes the fast path: if `factory` produces categorical Naive Bayes
-/// models and no ScopedSuffStatsBypass is active, fetches (or builds) the
-/// sufficient statistics of `split.train` from the global cache and wraps
-/// them in an NbSubsetEvaluator over `split.validation`. Returns nullptr
-/// when the caller must use the scan path (non-NB classifier, bypass
-/// active, or an empty train split).
-std::unique_ptr<NbSubsetEvaluator> TryMakeNbEvaluator(
-    const EncodedDataset& data, const HoldoutSplit& split, ErrorMetric metric,
-    const ClassifierFactory& factory, const std::vector<uint32_t>& candidates,
-    uint32_t num_threads);
+/// How a search's candidate subsets are scored.
+enum class ScoringBackend {
+  kNbDelta,         ///< NbSubsetEvaluator over sufficient statistics.
+  kScan,            ///< TrainAndScore per subset (materialized view).
+  kFactorizedScan,  ///< FactorizedTrainable retrain per subset.
+};
 
-class FactorizedDataset;
+/// The one backend decision. A Naive Bayes `model` takes kNbDelta unless
+/// `force_scan_eval` is set or a ScopedSuffStatsBypass is active. Beyond
+/// that, the materialized view retrains any classifier (kScan) and the
+/// factorized view retrains FactorizedTrainable ones (kFactorizedScan).
+/// Every other factorized combination — logistic regression, TAN, or
+/// Naive Bayes with the statistics path off — is InvalidArgument, since
+/// no scan exists without the materialized join.
+Result<ScoringBackend> ChooseScoringBackend(const Classifier& model,
+                                            bool factorized_view,
+                                            bool force_scan_eval);
 
-/// Factorized twin of TryMakeNbEvaluator: same probing rules, but the
-/// statistics come from BuildFactorizedSuffStats over the normalized
-/// (S, R) view — no materialized join anywhere — cached under the view's
-/// composite key, and the evaluator gathers its evaluation codes through
-/// the FK -> R hops. With the same underlying tables, every Eval result
-/// is bit-identical to the materialized evaluator's. nullptr exactly when
-/// TryMakeNbEvaluator would return nullptr (non-NB factory, bypass
-/// active, or an empty train split); factorized callers treat that as an
-/// error, since no scan fallback exists without the join.
-std::unique_ptr<NbSubsetEvaluator> TryMakeNbEvaluatorFactorized(
-    const FactorizedDataset& data, const HoldoutSplit& split,
-    ErrorMetric metric, const ClassifierFactory& factory,
-    const std::vector<uint32_t>& candidates, uint32_t num_threads);
+/// Scores feature subsets: models train on one row set and are scored on
+/// another. Batch calls run their candidates in parallel and write
+/// `errors[i]` for candidate i; the caller reduces serially. A scorer
+/// keeps a base subset that ScoreAdditions/ScoreRemovals are relative to.
+class CandidateScorer {
+ public:
+  virtual ~CandidateScorer() = default;
 
-/// Factorized twin of ml/eval.h's TrainAndScore for classifiers that
-/// implement FactorizedTrainable (trees, GBT): trains a fresh model over
-/// the normalized (S, R) view restricted to (`train_rows`, `features`)
-/// and returns its error on `eval_rows` against the pre-gathered
-/// `eval_labels`. InvalidArgument when the factory's product is not
-/// factorized-trainable — factorized tree searches treat that as fatal,
-/// since no scan fallback exists without the materialized join.
-Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,
-                                       const FactorizedDataset& data,
-                                       const std::vector<uint32_t>& train_rows,
-                                       const std::vector<uint32_t>& eval_rows,
-                                       const std::vector<uint32_t>& eval_labels,
-                                       const std::vector<uint32_t>& features,
-                                       ErrorMetric metric);
+  /// Makes `base` the current subset and returns its error (one model,
+  /// features in the given order). Records no `fs.*` counter; the caller
+  /// decides whether the model counts as a search candidate.
+  virtual Result<double> ScoreBase(const std::vector<uint32_t>& base) = 0;
 
-/// Scan-path workhorse: evaluates `make_trial(i)`'s subset for every
-/// candidate index in [0, count) in parallel — full retrain per candidate
-/// — writing each error to its own slot, and returns the first failure in
-/// index order if any evaluation failed. `eval_labels` are the
-/// pre-gathered labels of `split.validation`. The argmax/argmin over
-/// `errors` is the caller's job and must run serially in index order; that
-/// replay is what keeps parallel selections bit-for-bit identical to
-/// serial ones, including tie-breaks.
-template <typename MakeTrial>
-Status EvaluateSubsetsScan(const EncodedDataset& data,
-                           const HoldoutSplit& split,
-                           const std::vector<uint32_t>& eval_labels,
-                           const ClassifierFactory& factory,
-                           ErrorMetric metric, uint32_t count,
-                           uint32_t num_threads, const MakeTrial& make_trial,
-                           std::vector<double>* errors) {
-  errors->assign(count, 0.0);
-  std::vector<Status> statuses(count);
-  ParallelFor(count, num_threads, [&](uint32_t i) {
-    obs::ScopedLatency latency(FsCandidateEvalHistogram());
-    Result<double> err =
-        TrainAndScore(factory, data, split.train, split.validation,
-                      eval_labels, make_trial(i), metric);
-    if (err.ok()) {
-      (*errors)[i] = *err;
-    } else {
-      statuses[i] = err.status();
-    }
-  });
-  FsModelsTrainedCounter().Add(count);
-  for (const Status& st : statuses) {
-    HAMLET_RETURN_NOT_OK(st);
-  }
-  return Status::OK();
-}
+  /// Appends `feature` to / removes it from the base.
+  virtual void AddToBase(uint32_t feature) = 0;
+  virtual void RemoveFromBase(uint32_t feature) = 0;
 
-/// Factorized twin of EvaluateSubsetsScan for FactorizedTrainable
-/// classifiers: every candidate retrain reads its columns through the
-/// FK -> R hops instead of a materialized join. Same recording, error
-/// propagation, and serial-reduction contract as the materialized scan;
-/// with the same underlying tables every error is bit-identical to it.
-template <typename MakeTrial>
-Status EvaluateSubsetsScanFactorized(
-    const FactorizedDataset& data, const HoldoutSplit& split,
-    const std::vector<uint32_t>& eval_labels, const ClassifierFactory& factory,
-    ErrorMetric metric, uint32_t count, uint32_t num_threads,
-    const MakeTrial& make_trial, std::vector<double>* errors) {
-  errors->assign(count, 0.0);
-  std::vector<Status> statuses(count);
-  ParallelFor(count, num_threads, [&](uint32_t i) {
-    obs::ScopedLatency latency(FsCandidateEvalHistogram());
-    Result<double> err =
-        TrainAndScoreFactorized(factory, data, split.train, split.validation,
-                                eval_labels, make_trial(i), metric);
-    if (err.ok()) {
-      (*errors)[i] = *err;
-    } else {
-      statuses[i] = err.status();
-    }
-  });
-  FsModelsTrainedCounter().Add(count);
-  for (const Status& st : statuses) {
-    HAMLET_RETURN_NOT_OK(st);
-  }
-  return Status::OK();
-}
+  /// errors[i] = error of base ∪ {adds[i]}, adds[i] last.
+  virtual Status ScoreAdditions(const std::vector<uint32_t>& adds,
+                                std::vector<double>* errors) = 0;
+
+  /// errors[i] = error of base \ {drops[i]}, the rest in base order.
+  virtual Status ScoreRemovals(const std::vector<uint32_t>& drops,
+                               std::vector<double>* errors) = 0;
+
+  /// errors[k] = error of the prefix ranked[0..k]. Leaves the base
+  /// unspecified.
+  virtual Status ScorePrefixes(const std::vector<uint32_t>& ranked,
+                               std::vector<double>* errors) = 0;
+
+  /// errors[mask] = error of {candidates[j] : bit j of mask set}, features
+  /// in ascending bit order, for every mask in [0, 2^|candidates|).
+  virtual Status ScoreLattice(const std::vector<uint32_t>& candidates,
+                              std::vector<double>* errors) = 0;
+};
+
+/// Builds the scorer ChooseScoringBackend picks for `factory`'s product
+/// over `view`: models train on `train_rows` and are scored on
+/// `eval_rows` under `metric`. `candidates` lists every feature the
+/// scorer may be asked about. kNbDelta fetches (or builds) the statistics
+/// of `train_rows` through the global cache; kFactorizedScan warms the
+/// same cache so every retrain seeds its root histograms from it.
+/// InvalidArgument on an empty `train_rows` or when no backend serves
+/// the combination.
+Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
+    const DataView& view, const std::vector<uint32_t>& train_rows,
+    const std::vector<uint32_t>& eval_rows, const ClassifierFactory& factory,
+    ErrorMetric metric, const std::vector<uint32_t>& candidates,
+    bool force_scan_eval, uint32_t num_threads);
 
 }  // namespace hamlet
 

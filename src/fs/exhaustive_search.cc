@@ -1,70 +1,14 @@
 #include "fs/exhaustive_search.h"
 
+#include <memory>
 #include <vector>
 
-#include "common/parallel_for.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "fs/candidate_eval.h"
-#include "ml/eval.h"
-#include "obs/trace.h"
 
 namespace hamlet {
 
 namespace {
-
-// Fast path over the full lattice: a DFS that shares partial score sums
-// between subsets. The low `split_bits` bits of the mask are enumerated as
-// independent subtrees (parallel work items); within a subtree, extending
-// the subset by one feature is a single AccumulateFeature pass, so each of
-// the 2^d leaves costs O(eval_rows × classes) instead of a full retrain.
-// Features are always accumulated in ascending bit order — the same order
-// the scan path assembles each subset — so every leaf error is
-// bit-identical to its scan twin.
-void EvaluateLatticeFast(const NbSubsetEvaluator& ev,
-                         const std::vector<uint32_t>& candidates,
-                         uint32_t split_bits, uint32_t num_threads,
-                         std::vector<double>* errors) {
-  const uint32_t d = static_cast<uint32_t>(candidates.size());
-  ParallelFor(1u << split_bits, num_threads, [&](uint32_t prefix) {
-    // One score buffer per DFS level, reused across the whole subtree.
-    std::vector<std::vector<double>> levels(d - split_bits + 1);
-    ev.InitScores(&levels[0]);
-    for (uint32_t j = 0; j < split_bits; ++j) {
-      if (prefix & (1u << j)) {
-        ev.AccumulateFeature(candidates[j], levels[0], &levels[0]);
-      }
-    }
-    auto rec = [&](auto&& self, uint32_t level, uint32_t bit,
-                   uint32_t mask) -> void {
-      if (bit == d) {
-        obs::ScopedLatency latency(FsCandidateEvalHistogram());
-        (*errors)[mask] = ev.ErrorFromScores(levels[level]);
-        return;
-      }
-      self(self, level, bit + 1, mask);  // Exclude candidates[bit].
-      ev.AccumulateFeature(candidates[bit], levels[level], &levels[level + 1]);
-      self(self, level + 1, bit + 1, mask | (1u << bit));
-    };
-    rec(rec, 0, split_bits, prefix);
-  });
-}
-
-// Subtree count for the parallel lattice DFS: enough to keep every worker
-// busy (≥4× effective threads), but never more than the lattice has — or
-// than is worth the per-task setup.
-uint32_t ChooseSplitBits(uint32_t d, uint32_t num_threads) {
-  const uint32_t effective =
-      num_threads == 0
-          ? static_cast<uint32_t>(ThreadPool::Global().num_workers() + 1)
-          : num_threads;
-  uint32_t split_bits = 0;
-  while ((1u << split_bits) < 4 * effective && split_bits < d &&
-         split_bits < 12) {
-    ++split_bits;
-  }
-  return split_bits;
-}
 
 // The optimum (with the smaller-subset-then-lower-mask tie-break) is
 // found by a serial mask-ordered scan, identical at any thread count.
@@ -94,9 +38,9 @@ void ReduceLattice(const std::vector<double>& errors,
   result->validation_error = best_error;
 }
 
-// The cap checks shared by both entry points (the per-mask error table
-// below them caps the lattice at 2^30 entries; anything near that is
-// computationally absurd for 2^d model trainings anyway).
+// The candidate cap (the per-mask error table also caps the lattice at
+// 2^30 entries; anything near that is computationally absurd for 2^d
+// model trainings anyway).
 Status CheckCandidateCap(size_t count, uint32_t max_candidates) {
   if (count > max_candidates) {
     return Status::InvalidArgument(StringFormat(
@@ -114,76 +58,22 @@ Status CheckCandidateCap(size_t count, uint32_t max_candidates) {
 
 }  // namespace
 
-Result<SelectionResult> ExhaustiveSelection::Select(
-    const EncodedDataset& data, const HoldoutSplit& split,
+Result<SelectionResult> ExhaustiveSelection::Search(
+    const DataView& view, const HoldoutSplit& split,
     const ClassifierFactory& factory, ErrorMetric metric,
     const std::vector<uint32_t>& candidates) {
   HAMLET_RETURN_NOT_OK(CheckCandidateCap(candidates.size(), max_candidates_));
+  HAMLET_ASSIGN_OR_RETURN(
+      std::unique_ptr<CandidateScorer> scorer,
+      MakeCandidateScorer(view, split.train, split.validation, factory,
+                          metric, candidates, force_scan_eval_,
+                          num_threads_));
+  // Every subset is independent, so the scorer evaluates the lattice in
+  // parallel, one slot per mask.
+  std::vector<double> errors;
+  HAMLET_RETURN_NOT_OK(scorer->ScoreLattice(candidates, &errors));
   SelectionResult result;
-  const uint32_t d = static_cast<uint32_t>(candidates.size());
-  const uint32_t total = 1u << d;
-
-  std::unique_ptr<NbSubsetEvaluator> fast;
-  if (!force_scan_eval_) {
-    fast = TryMakeNbEvaluator(data, split, metric, factory, candidates,
-                              num_threads_);
-  }
-
-  std::vector<double> errors(total, 0.0);
-  if (fast != nullptr) {
-    EvaluateLatticeFast(*fast, candidates, ChooseSplitBits(d, num_threads_),
-                        num_threads_, &errors);
-    FsModelsTrainedCounter().Add(total);
-    FsDeltaEvalsCounter().Add(total);
-  } else {
-    // Every subset is an independent train/score, so the lattice is
-    // evaluated in parallel, one slot per mask, through the same
-    // instrumented helper the greedy searches use.
-    std::vector<uint32_t> eval_labels = GatherLabels(data, split.validation);
-    HAMLET_RETURN_NOT_OK(EvaluateSubsetsScan(
-        data, split, eval_labels, factory, metric, total, num_threads_,
-        [&](uint32_t mask) {
-          std::vector<uint32_t> subset;
-          for (uint32_t j = 0; j < d; ++j) {
-            if (mask & (1u << j)) subset.push_back(candidates[j]);
-          }
-          return subset;
-        },
-        &errors));
-  }
-  result.models_trained = total;
-
-  ReduceLattice(errors, candidates, &result);
-  return result;
-}
-
-Result<SelectionResult> ExhaustiveSelection::SelectFactorized(
-    const FactorizedDataset& data, const HoldoutSplit& split,
-    const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates) {
-  HAMLET_RETURN_NOT_OK(CheckCandidateCap(candidates.size(), max_candidates_));
-  if (force_scan_eval_) {
-    return Status::InvalidArgument(
-        "factorized exhaustive_selection requires the sufficient-statistics "
-        "fast path (no scan fallback exists without the materialized join)");
-  }
-  std::unique_ptr<NbSubsetEvaluator> fast = TryMakeNbEvaluatorFactorized(
-      data, split, metric, factory, candidates, num_threads_);
-  if (fast == nullptr) {
-    return Status::InvalidArgument(
-        "factorized exhaustive_selection requires a Naive Bayes factory and "
-        "an active sufficient-statistics cache");
-  }
-  SelectionResult result;
-  const uint32_t d = static_cast<uint32_t>(candidates.size());
-  const uint32_t total = 1u << d;
-  std::vector<double> errors(total, 0.0);
-  EvaluateLatticeFast(*fast, candidates, ChooseSplitBits(d, num_threads_),
-                      num_threads_, &errors);
-  FsModelsTrainedCounter().Add(total);
-  FsDeltaEvalsCounter().Add(total);
-  result.models_trained = total;
-
+  result.models_trained = errors.size();
   ReduceLattice(errors, candidates, &result);
   return result;
 }

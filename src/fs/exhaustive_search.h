@@ -19,22 +19,17 @@ namespace hamlet {
 /// Exhaustive (optimal) wrapper selection.
 class ExhaustiveSelection : public FeatureSelector {
  public:
-  /// `max_candidates` caps the candidate count (2^d growth); Select fails
-  /// with InvalidArgument beyond it.
+  /// `max_candidates` caps the candidate count (2^d growth); the search
+  /// fails with InvalidArgument beyond it, on either view.
   explicit ExhaustiveSelection(uint32_t max_candidates = 16)
       : max_candidates_(max_candidates) {}
 
-  Result<SelectionResult> Select(const EncodedDataset& data,
+  Result<SelectionResult> Search(const DataView& view,
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
                                  const std::vector<uint32_t>& candidates)
       override;
-
-  Result<SelectionResult> SelectFactorized(
-      const FactorizedDataset& data, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) override;
 
   std::string name() const override { return "exhaustive_selection"; }
 

@@ -1,15 +1,18 @@
 #include "fs/feature_selector.h"
 
-#include "common/string_util.h"
+#include "ml/factorized.h"
 
 namespace hamlet {
 
-Result<SelectionResult> FeatureSelector::SelectFactorized(
-    const FactorizedDataset& /*data*/, const HoldoutSplit& /*split*/,
-    const ClassifierFactory& /*factory*/, ErrorMetric /*metric*/,
-    const std::vector<uint32_t>& /*candidates*/) {
-  return Status::NotImplemented(StringFormat(
-      "%s does not support factorized selection", name().c_str()));
+const std::vector<uint32_t>& DataView::labels() const {
+  return materialized_ != nullptr ? materialized_->labels()
+                                  : factorized_->labels();
+}
+
+std::vector<std::string> DataView::FeatureNames(
+    const std::vector<uint32_t>& indices) const {
+  return materialized_ != nullptr ? materialized_->FeatureNames(indices)
+                                  : factorized_->FeatureNames(indices);
 }
 
 }  // namespace hamlet

@@ -20,6 +20,29 @@ namespace hamlet {
 
 class FactorizedDataset;
 
+/// The data a search reads: the materialized join (an EncodedDataset) or
+/// the factorized (S, R) view (ml/factorized.h), which answers the join
+/// without building it. Feature indices, labels and rows mean the same
+/// in both, since the factorized feature space equals FromTableAuto on
+/// the joined table.
+class DataView {
+ public:
+  explicit DataView(const EncodedDataset& data) : materialized_(&data) {}
+  explicit DataView(const FactorizedDataset& data) : factorized_(&data) {}
+
+  /// Exactly one of these is non-null.
+  const EncodedDataset* materialized() const { return materialized_; }
+  const FactorizedDataset* factorized() const { return factorized_; }
+
+  const std::vector<uint32_t>& labels() const;
+  std::vector<std::string> FeatureNames(
+      const std::vector<uint32_t>& indices) const;
+
+ private:
+  const EncodedDataset* materialized_ = nullptr;
+  const FactorizedDataset* factorized_ = nullptr;
+};
+
 /// Outcome of a feature selection run.
 struct SelectionResult {
   /// Chosen feature indices (into the EncodedDataset), in selection order
@@ -38,27 +61,37 @@ class FeatureSelector {
   virtual ~FeatureSelector() = default;
 
   /// Runs the search: models train on `split.train` and are compared on
-  /// `split.validation` under `metric`.
-  virtual Result<SelectionResult> Select(
-      const EncodedDataset& data, const HoldoutSplit& split,
+  /// `split.validation` under `metric`. Each selector writes this once;
+  /// it scores candidates through MakeCandidateScorer
+  /// (fs/candidate_eval.h), which picks the backend for the view and
+  /// factory and rejects the combinations no backend serves.
+  virtual Result<SelectionResult> Search(
+      const DataView& view, const HoldoutSplit& split,
       const ClassifierFactory& factory, ErrorMetric metric,
       const std::vector<uint32_t>& candidates) = 0;
 
-  /// Factorized variant: runs the same search over a normalized (S, R)
-  /// view (ml/factorized.h) without materializing the join. Only the
-  /// sufficient-statistics fast path exists here — the whole point is
-  /// that no joined table is available to scan — so this requires a
-  /// Naive Bayes factory and no active ScopedSuffStatsBypass, and fails
-  /// with InvalidArgument otherwise. Feature indices are interchangeable
-  /// with the materialized path's (the factorized feature space equals
-  /// FromTableAuto on the joined table), and selections, errors, and
-  /// tie-breaks are bit-for-bit identical to Select on the materialized
-  /// join at any thread count. The default implementation reports
-  /// NotImplemented; every bundled selector overrides it.
-  virtual Result<SelectionResult> SelectFactorized(
+  /// Search over the materialized join.
+  Result<SelectionResult> Select(const EncodedDataset& data,
+                                 const HoldoutSplit& split,
+                                 const ClassifierFactory& factory,
+                                 ErrorMetric metric,
+                                 const std::vector<uint32_t>& candidates) {
+    return Search(DataView(data), split, factory, metric, candidates);
+  }
+
+  /// Search over the factorized (S, R) view, without materializing the
+  /// join. Naive Bayes scores from the view's sufficient statistics;
+  /// FactorizedTrainable classifiers (decision_tree, gbt) retrain through
+  /// the FK hops. Any other factory, and Naive Bayes with the
+  /// sufficient-statistics path off, is InvalidArgument. Selections,
+  /// errors, and tie-breaks are bit-for-bit identical to Select on the
+  /// materialized join at any thread count.
+  Result<SelectionResult> SelectFactorized(
       const FactorizedDataset& data, const HoldoutSplit& split,
       const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates);
+      const std::vector<uint32_t>& candidates) {
+    return Search(DataView(data), split, factory, metric, candidates);
+  }
 
   /// Method name ("forward_selection", "mi_filter", ...).
   virtual std::string name() const = 0;

@@ -1,12 +1,11 @@
 #include "fs/filters.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "common/parallel_for.h"
-#include "common/string_util.h"
 #include "fs/candidate_eval.h"
-#include "ml/eval.h"
 #include "ml/factorized.h"
 #include "ml/suff_stats.h"
 #include "obs/trace.h"
@@ -27,31 +26,9 @@ std::vector<uint32_t> RankByScore(const std::vector<double>& scores) {
   return order;
 }
 
-// The fast k-tuning walk, shared verbatim by the materialized and
-// factorized paths: the prefixes are nested in rank order, so one
-// AddToBase per k scores them all — strictly less work than retraining
-// every prefix — and the summation order (features in rank order) matches
-// the scan path's, so the errors are bit-identical.
-std::vector<double> TuneFast(NbSubsetEvaluator& ev,
-                             const std::vector<uint32_t>& candidates,
-                             const std::vector<uint32_t>& order) {
-  const uint32_t num_k = static_cast<uint32_t>(order.size());
-  std::vector<double> errors(num_k, 0.0);
-  ev.ResetBase({});
-  for (uint32_t i = 0; i < num_k; ++i) {
-    obs::ScopedLatency latency(FsCandidateEvalHistogram());
-    ev.AddToBase(candidates[order[i]]);
-    errors[i] = ev.EvalBase();
-  }
-  FsModelsTrainedCounter().Add(num_k);
-  FsDeltaEvalsCounter().Add(num_k);
-  return errors;
-}
-
 // Serial argmin over k (strict `<` keeps the smallest k among ties).
 void PickBestPrefix(const std::vector<double>& errors,
-                    const std::vector<uint32_t>& candidates,
-                    const std::vector<uint32_t>& order,
+                    const std::vector<uint32_t>& ranked,
                     SelectionResult* result) {
   const uint32_t num_k = static_cast<uint32_t>(errors.size());
   double best_error = 0.0;
@@ -63,9 +40,7 @@ void PickBestPrefix(const std::vector<double>& errors,
       best_k = k;
     }
   }
-  for (size_t k = 0; k < best_k; ++k) {
-    result->selected.push_back(candidates[order[k]]);
-  }
+  result->selected.assign(ranked.begin(), ranked.begin() + best_k);
   result->validation_error = best_error;
 }
 
@@ -124,115 +99,58 @@ std::vector<double> ScoreFilter::ScoreFeatures(
   return scores;
 }
 
-Result<SelectionResult> ScoreFilter::Select(
-    const EncodedDataset& data, const HoldoutSplit& split,
+Result<SelectionResult> ScoreFilter::Search(
+    const DataView& view, const HoldoutSplit& split,
     const ClassifierFactory& factory, ErrorMetric metric,
     const std::vector<uint32_t>& candidates) {
+  // Built first: on the sufficient-statistics paths this puts the
+  // statistics of split.train in the cache, so the scoring below reads
+  // its contingency tables from the same one-pass counts.
+  HAMLET_ASSIGN_OR_RETURN(
+      std::unique_ptr<CandidateScorer> scorer,
+      MakeCandidateScorer(view, split.train, split.validation, factory,
+                          metric, candidates, force_scan_eval_,
+                          num_threads_));
   SelectionResult result;
   if (candidates.empty()) {
-    HAMLET_ASSIGN_OR_RETURN(
-        result.validation_error,
-        TrainAndScore(factory, data, split.train, split.validation, {},
-                      metric));
+    HAMLET_ASSIGN_OR_RETURN(result.validation_error, scorer->ScoreBase({}));
     ++result.models_trained;
     FsModelsTrainedCounter().Add(1);
     return result;
-  }
-
-  // Probe the sufficient-statistics fast path up front: GetOrBuild inside
-  // TryMakeNbEvaluator populates the cache, so the ScoreFeatures call
-  // below reads its contingency tables from the same one-pass statistics.
-  std::unique_ptr<NbSubsetEvaluator> fast;
-  if (!force_scan_eval_) {
-    fast = TryMakeNbEvaluator(data, split, metric, factory, candidates,
-                              num_threads_);
   }
 
   std::vector<double> scores;
   {
     obs::TraceSpan span("fs.filter_score");
     span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
-    scores = ScoreFeatures(data, split.train, candidates);
+    if (view.materialized() != nullptr) {
+      scores = ScoreFeatures(*view.materialized(), split.train, candidates);
+    } else {
+      // The factorized view has no columns to gather, so it scores from
+      // statistics: the cached ones, or — under ScopedSuffStatsBypass —
+      // ones built directly. Same integer counts either way.
+      std::shared_ptr<const SuffStats> stats = GetOrBuildFactorizedSuffStats(
+          *view.factorized(), split.train, num_threads_);
+      if (stats == nullptr) {
+        stats = std::make_shared<const SuffStats>(BuildFactorizedSuffStats(
+            *view.factorized(), split.train, num_threads_));
+      }
+      scores = ScoreFeaturesFromStats(*stats, candidates);
+    }
   }
 
-  std::vector<uint32_t> order = RankByScore(scores);
+  std::vector<uint32_t> ranked;
+  for (uint32_t i : RankByScore(scores)) ranked.push_back(candidates[i]);
 
   // Tune k on validation error; the argmin runs serially in k order.
-  const uint32_t num_k = static_cast<uint32_t>(order.size());
+  const uint32_t num_k = static_cast<uint32_t>(ranked.size());
   obs::TraceSpan tune_span("fs.filter_tune");
   tune_span.AddAttr("prefixes", num_k);
   std::vector<double> errors;
-  if (fast != nullptr) {
-    errors = TuneFast(*fast, candidates, order);
-  } else {
-    std::vector<uint32_t> eval_labels = GatherLabels(data, split.validation);
-    HAMLET_RETURN_NOT_OK(EvaluateSubsetsScan(
-        data, split, eval_labels, factory, metric, num_k, num_threads_,
-        [&](uint32_t i) {
-          std::vector<uint32_t> prefix;
-          prefix.reserve(i + 1);
-          for (uint32_t k = 0; k <= i; ++k) {
-            prefix.push_back(candidates[order[k]]);
-          }
-          return prefix;
-        },
-        &errors));
-  }
+  HAMLET_RETURN_NOT_OK(scorer->ScorePrefixes(ranked, &errors));
   result.models_trained += num_k;
 
-  PickBestPrefix(errors, candidates, order, &result);
-  return result;
-}
-
-Result<SelectionResult> ScoreFilter::SelectFactorized(
-    const FactorizedDataset& data, const HoldoutSplit& split,
-    const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates) {
-  if (force_scan_eval_) {
-    return Status::InvalidArgument(StringFormat(
-        "factorized %s requires the sufficient-statistics fast path (no "
-        "scan fallback exists without the materialized join)",
-        name().c_str()));
-  }
-  std::unique_ptr<NbSubsetEvaluator> fast = TryMakeNbEvaluatorFactorized(
-      data, split, metric, factory, candidates, num_threads_);
-  if (fast == nullptr) {
-    return Status::InvalidArgument(StringFormat(
-        "factorized %s requires a Naive Bayes factory and an active "
-        "sufficient-statistics cache",
-        name().c_str()));
-  }
-  SelectionResult result;
-  if (candidates.empty()) {
-    // The prior-only model, scored through the evaluator (equivalent to
-    // the materialized path's empty-subset retrain).
-    fast->ResetBase({});
-    result.validation_error = fast->EvalBase();
-    ++result.models_trained;
-    FsModelsTrainedCounter().Add(1);
-    return result;
-  }
-
-  // TryMakeNbEvaluatorFactorized built (and cached) the statistics of
-  // split.train; this re-fetch is a cache hit on the same shared entry.
-  std::shared_ptr<const SuffStats> stats =
-      GetOrBuildFactorizedSuffStats(data, split.train, num_threads_);
-  std::vector<double> scores;
-  {
-    obs::TraceSpan span("fs.filter_score");
-    span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
-    scores = ScoreFeaturesFromStats(*stats, candidates);
-  }
-
-  std::vector<uint32_t> order = RankByScore(scores);
-
-  const uint32_t num_k = static_cast<uint32_t>(order.size());
-  obs::TraceSpan tune_span("fs.filter_tune");
-  tune_span.AddAttr("prefixes", num_k);
-  std::vector<double> errors = TuneFast(*fast, candidates, order);
-  result.models_trained += num_k;
-
-  PickBestPrefix(errors, candidates, order, &result);
+  PickBestPrefix(errors, ranked, &result);
   return result;
 }
 

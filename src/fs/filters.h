@@ -29,17 +29,12 @@ class ScoreFilter : public FeatureSelector {
  public:
   explicit ScoreFilter(FilterScore score) : score_(score) {}
 
-  Result<SelectionResult> Select(const EncodedDataset& data,
+  Result<SelectionResult> Search(const DataView& view,
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
                                  const std::vector<uint32_t>& candidates)
       override;
-
-  Result<SelectionResult> SelectFactorized(
-      const FactorizedDataset& data, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) override;
 
   std::string name() const override {
     return score_ == FilterScore::kMutualInformation ? "mi_filter"
@@ -53,11 +48,10 @@ class ScoreFilter : public FeatureSelector {
       const std::vector<uint32_t>& candidates) const;
 
   /// Scores straight from prebuilt sufficient statistics — the counts are
-  /// the contingency tables, so no data scan happens at all. This is the
-  /// only scoring path the factorized selection uses (the statistics come
-  /// from BuildFactorizedSuffStats) and the one ScoreFeatures takes on a
-  /// cache hit; identical counts make the scores bit-identical across all
-  /// three routes. Output is parallel to `candidates`.
+  /// the contingency tables, so no data scan happens at all. The
+  /// factorized view always scores this way, and ScoreFeatures does on a
+  /// cache hit; identical counts make the scores bit-identical across
+  /// all three routes. Output is parallel to `candidates`.
   std::vector<double> ScoreFeaturesFromStats(
       const SuffStats& stats, const std::vector<uint32_t>& candidates) const;
 

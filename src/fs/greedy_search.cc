@@ -1,280 +1,33 @@
 #include "fs/greedy_search.h"
 
 #include <algorithm>
+#include <memory>
 
-#include "common/parallel_for.h"
-#include "common/string_util.h"
 #include "fs/candidate_eval.h"
 #include "ml/decision_tree.h"
-#include "ml/eval.h"
-#include "ml/factorized.h"
 #include "obs/trace.h"
 
 namespace hamlet {
 
-namespace {
-
-// The sufficient-statistics search loops, written against the evaluator
-// alone so the materialized and factorized paths share them verbatim —
-// one implementation, one set of counters, one tie-break. EvalBasePlus
-// sums the candidate's contribution last (the scan path's order for
-// S ∪ {f}), and the per-step winner is a serial index-ordered reduction,
-// so selections are bit-identical to the scan path at any thread count.
-SelectionResult RunForwardFast(NbSubsetEvaluator& ev,
-                               const std::vector<uint32_t>& candidates,
-                               double tolerance, uint32_t num_threads) {
-  SelectionResult result;
-  std::vector<uint32_t> remaining = candidates;
-
-  // Baseline: the prior-only (empty-subset) model.
-  ev.ResetBase({});
-  double best_error = ev.EvalBase();
-  ++result.models_trained;
-  FsModelsTrainedCounter().Add(1);
-
-  while (!remaining.empty()) {
-    const uint32_t m = static_cast<uint32_t>(remaining.size());
-    obs::TraceSpan step_span("fs.step");
-    step_span.AddAttr("candidates", m);
-    std::vector<double> errors(m, 0.0);
-    const NbSubsetEvaluator& cev = ev;
-    ParallelFor(m, num_threads, [&](uint32_t i) {
-      obs::ScopedLatency latency(FsCandidateEvalHistogram());
-      errors[i] = cev.EvalBasePlus(remaining[i]);
-    });
-    FsModelsTrainedCounter().Add(m);
-    FsDeltaEvalsCounter().Add(m);
-    result.models_trained += m;
-
-    // Serial index-ordered reduction: a candidate wins only by improving
-    // strictly beyond the running best minus tolerance, so exact ties keep
-    // the lower index at any thread count.
-    double round_best = best_error;
-    int32_t round_pick = -1;
-    for (uint32_t i = 0; i < m; ++i) {
-      if (errors[i] < round_best - tolerance) {
-        round_best = errors[i];
-        round_pick = static_cast<int32_t>(i);
-      }
-    }
-    if (round_pick < 0) break;
-    result.selected.push_back(remaining[round_pick]);
-    ev.AddToBase(remaining[round_pick]);
-    remaining.erase(remaining.begin() + round_pick);
-    best_error = round_best;
-  }
-  result.validation_error = best_error;
-  return result;
-}
-
-SelectionResult RunBackwardFast(NbSubsetEvaluator& ev,
-                                const std::vector<uint32_t>& candidates,
-                                double tolerance, uint32_t num_threads) {
-  SelectionResult result;
-  result.selected = candidates;
-
-  ev.ResetBase(result.selected);
-  double best_error = ev.EvalBase();
-  ++result.models_trained;
-  FsModelsTrainedCounter().Add(1);
-
-  while (result.selected.size() > 1) {
-    const uint32_t m = static_cast<uint32_t>(result.selected.size());
-    obs::TraceSpan step_span("fs.step");
-    step_span.AddAttr("candidates", m);
-    std::vector<double> errors(m, 0.0);
-    const NbSubsetEvaluator& cev = ev;
-    ParallelFor(m, num_threads, [&](uint32_t i) {
-      obs::ScopedLatency latency(FsCandidateEvalHistogram());
-      errors[i] = cev.EvalBaseMinus(result.selected[i]);
-    });
-    FsModelsTrainedCounter().Add(m);
-    FsDeltaEvalsCounter().Add(m);
-    result.models_trained += m;
-
-    // Serial reduction preserving the original semantics: `<=` keeps the
-    // last index among exact ties (prefer dropping later features).
-    double round_best = best_error + tolerance;
-    int32_t round_pick = -1;
-    for (uint32_t i = 0; i < m; ++i) {
-      if (errors[i] <= round_best) {
-        round_best = errors[i];
-        round_pick = static_cast<int32_t>(i);
-      }
-    }
-    if (round_pick < 0) break;
-    ev.RemoveFromBase(result.selected[round_pick]);
-    result.selected.erase(result.selected.begin() + round_pick);
-    best_error = std::min(best_error, round_best);
-  }
-  result.validation_error = best_error;
-  return result;
-}
-
-Status FactorizedUnavailable(const std::string& name) {
-  return Status::InvalidArgument(StringFormat(
-      "factorized %s requires a Naive Bayes factory (sufficient-statistics "
-      "fast path) or a factorized-trainable classifier such as decision_tree "
-      "or gbt (no scan fallback exists without the materialized join)",
-      name.c_str()));
-}
-
-// True when `factory` produces classifiers that can train directly over
-// the normalized view (trees, GBT) — the factorized scan path's gate.
-bool FactoryIsFactorizedTrainable(const ClassifierFactory& factory) {
-  std::unique_ptr<Classifier> probe = factory();
-  return dynamic_cast<FactorizedTrainable*>(probe.get()) != nullptr;
-}
-
-std::vector<uint32_t> GatherLabelsFactorized(
-    const FactorizedDataset& data, const std::vector<uint32_t>& rows) {
-  const std::vector<uint32_t>& labels = data.labels();
-  std::vector<uint32_t> out;
-  out.reserve(rows.size());
-  for (uint32_t r : rows) out.push_back(labels[r]);
-  return out;
-}
-
-// Factorized scan loops for FactorizedTrainable classifiers: the same
-// control flow, counters, and serial index-ordered tie-breaks as the
-// materialized scan loops in Select(), with every candidate retrain
-// reading its columns through the FK -> R hops. Because the classifiers
-// guarantee bit-identical models across the two views, these loops pick
-// the same subsets as a materialized scan with the same inputs.
-Result<SelectionResult> RunForwardFactorizedScan(
-    const FactorizedDataset& data, const HoldoutSplit& split,
-    const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates, double tolerance,
-    uint32_t num_threads) {
-  SelectionResult result;
-  std::vector<uint32_t> remaining = candidates;
-
-  std::vector<uint32_t> eval_labels =
-      GatherLabelsFactorized(data, split.validation);
-  double best_error = 0.0;
-  HAMLET_ASSIGN_OR_RETURN(
-      best_error,
-      TrainAndScoreFactorized(factory, data, split.train, split.validation,
-                              eval_labels, {}, metric));
-  ++result.models_trained;
-  FsModelsTrainedCounter().Add(1);
-
-  while (!remaining.empty()) {
-    const uint32_t m = static_cast<uint32_t>(remaining.size());
-    obs::TraceSpan step_span("fs.step");
-    step_span.AddAttr("candidates", m);
-    std::vector<double> errors;
-    HAMLET_RETURN_NOT_OK(EvaluateSubsetsScanFactorized(
-        data, split, eval_labels, factory, metric, m, num_threads,
-        [&](uint32_t i) {
-          std::vector<uint32_t> trial = result.selected;
-          trial.push_back(remaining[i]);
-          return trial;
-        },
-        &errors));
-    result.models_trained += m;
-
-    // Serial index-ordered reduction, identical to the materialized scan.
-    double round_best = best_error;
-    int32_t round_pick = -1;
-    for (uint32_t i = 0; i < m; ++i) {
-      if (errors[i] < round_best - tolerance) {
-        round_best = errors[i];
-        round_pick = static_cast<int32_t>(i);
-      }
-    }
-    if (round_pick < 0) break;
-    result.selected.push_back(remaining[round_pick]);
-    remaining.erase(remaining.begin() + round_pick);
-    best_error = round_best;
-  }
-  result.validation_error = best_error;
-  return result;
-}
-
-Result<SelectionResult> RunBackwardFactorizedScan(
-    const FactorizedDataset& data, const HoldoutSplit& split,
-    const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates, double tolerance,
-    uint32_t num_threads) {
-  SelectionResult result;
-  result.selected = candidates;
-
-  std::vector<uint32_t> eval_labels =
-      GatherLabelsFactorized(data, split.validation);
-  double best_error = 0.0;
-  HAMLET_ASSIGN_OR_RETURN(
-      best_error,
-      TrainAndScoreFactorized(factory, data, split.train, split.validation,
-                              eval_labels, result.selected, metric));
-  ++result.models_trained;
-  FsModelsTrainedCounter().Add(1);
-
-  while (result.selected.size() > 1) {
-    const uint32_t m = static_cast<uint32_t>(result.selected.size());
-    obs::TraceSpan step_span("fs.step");
-    step_span.AddAttr("candidates", m);
-    std::vector<double> errors;
-    HAMLET_RETURN_NOT_OK(EvaluateSubsetsScanFactorized(
-        data, split, eval_labels, factory, metric, m, num_threads,
-        [&](uint32_t i) {
-          std::vector<uint32_t> trial;
-          trial.reserve(result.selected.size() - 1);
-          for (uint32_t k = 0; k < m; ++k) {
-            if (k != i) trial.push_back(result.selected[k]);
-          }
-          return trial;
-        },
-        &errors));
-    result.models_trained += m;
-
-    // Serial reduction preserving the original semantics: `<=` keeps the
-    // last index among exact ties (prefer dropping later features).
-    double round_best = best_error + tolerance;
-    int32_t round_pick = -1;
-    for (uint32_t i = 0; i < m; ++i) {
-      if (errors[i] <= round_best) {
-        round_best = errors[i];
-        round_pick = static_cast<int32_t>(i);
-      }
-    }
-    if (round_pick < 0) break;
-    result.selected.erase(result.selected.begin() + round_pick);
-    best_error = std::min(best_error, round_best);
-  }
-  result.validation_error = best_error;
-  return result;
-}
-
-}  // namespace
-
-Result<SelectionResult> ForwardSelection::Select(
-    const EncodedDataset& data, const HoldoutSplit& split,
+Result<SelectionResult> ForwardSelection::Search(
+    const DataView& view, const HoldoutSplit& split,
     const ClassifierFactory& factory, ErrorMetric metric,
     const std::vector<uint32_t>& candidates) {
   // Candidate retrains of tree/GBT models run under the cheap refit
   // budget (ml/decision_tree.h); the runner's final fit gets the full
   // budget. A no-op for every other classifier.
   ScopedTreeRefitBudget refit_budget;
-  // Fast path: with Naive Bayes, derive every candidate score from shared
-  // sufficient statistics + the base log-scores of the current subset.
-  if (!force_scan_eval_) {
-    std::unique_ptr<NbSubsetEvaluator> fast = TryMakeNbEvaluator(
-        data, split, metric, factory, candidates, num_threads_);
-    if (fast != nullptr) {
-      return RunForwardFast(*fast, candidates, tolerance_, num_threads_);
-    }
-  }
-
+  HAMLET_ASSIGN_OR_RETURN(
+      std::unique_ptr<CandidateScorer> scorer,
+      MakeCandidateScorer(view, split.train, split.validation, factory,
+                          metric, candidates, force_scan_eval_,
+                          num_threads_));
   SelectionResult result;
   std::vector<uint32_t> remaining = candidates;
 
-  // Scan path: full retrain per candidate model.
-  std::vector<uint32_t> eval_labels = GatherLabels(data, split.validation);
+  // Baseline: the prior-only (empty-subset) model.
   double best_error = 0.0;
-  HAMLET_ASSIGN_OR_RETURN(
-      best_error, TrainAndScore(factory, data, split.train, split.validation,
-                                eval_labels, {}, metric));
+  HAMLET_ASSIGN_OR_RETURN(best_error, scorer->ScoreBase({}));
   ++result.models_trained;
   FsModelsTrainedCounter().Add(1);
 
@@ -283,14 +36,7 @@ Result<SelectionResult> ForwardSelection::Select(
     obs::TraceSpan step_span("fs.step");
     step_span.AddAttr("candidates", m);
     std::vector<double> errors;
-    HAMLET_RETURN_NOT_OK(EvaluateSubsetsScan(
-        data, split, eval_labels, factory, metric, m, num_threads_,
-        [&](uint32_t i) {
-          std::vector<uint32_t> trial = result.selected;
-          trial.push_back(remaining[i]);
-          return trial;
-        },
-        &errors));
+    HAMLET_RETURN_NOT_OK(scorer->ScoreAdditions(remaining, &errors));
     result.models_trained += m;
 
     // Serial index-ordered reduction: a candidate wins only by improving
@@ -306,6 +52,7 @@ Result<SelectionResult> ForwardSelection::Select(
     }
     if (round_pick < 0) break;
     result.selected.push_back(remaining[round_pick]);
+    scorer->AddToBase(remaining[round_pick]);
     remaining.erase(remaining.begin() + round_pick);
     best_error = round_best;
   }
@@ -313,54 +60,21 @@ Result<SelectionResult> ForwardSelection::Select(
   return result;
 }
 
-Result<SelectionResult> ForwardSelection::SelectFactorized(
-    const FactorizedDataset& data, const HoldoutSplit& split,
+Result<SelectionResult> BackwardSelection::Search(
+    const DataView& view, const HoldoutSplit& split,
     const ClassifierFactory& factory, ErrorMetric metric,
     const std::vector<uint32_t>& candidates) {
   ScopedTreeRefitBudget refit_budget;
-  if (!force_scan_eval_) {
-    std::unique_ptr<NbSubsetEvaluator> fast = TryMakeNbEvaluatorFactorized(
-        data, split, metric, factory, candidates, num_threads_);
-    if (fast != nullptr) {
-      return RunForwardFast(*fast, candidates, tolerance_, num_threads_);
-    }
-  }
-  if (!FactoryIsFactorizedTrainable(factory)) {
-    return FactorizedUnavailable(name());
-  }
-  // Warm the factorized statistics cache once so every candidate retrain
-  // seeds its root histograms from the cached counts (a no-op under
-  // ScopedSuffStatsBypass; training then re-counts from gathered codes).
-  GetOrBuildFactorizedSuffStats(data, split.train, num_threads_);
-  return RunForwardFactorizedScan(data, split, factory, metric, candidates,
-                                  tolerance_, num_threads_);
-}
-
-Result<SelectionResult> BackwardSelection::Select(
-    const EncodedDataset& data, const HoldoutSplit& split,
-    const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates) {
-  ScopedTreeRefitBudget refit_budget;
-  // Fast path: base log-scores of the current subset; dropping feature f
-  // subtracts its column. Subtraction re-associates the floating-point
-  // sum, so candidate scores match a scan retrain to ~1e-15 per score
-  // rather than bit-exactly (see docs/PERFORMANCE.md).
-  if (!force_scan_eval_) {
-    std::unique_ptr<NbSubsetEvaluator> fast = TryMakeNbEvaluator(
-        data, split, metric, factory, candidates, num_threads_);
-    if (fast != nullptr) {
-      return RunBackwardFast(*fast, candidates, tolerance_, num_threads_);
-    }
-  }
-
+  HAMLET_ASSIGN_OR_RETURN(
+      std::unique_ptr<CandidateScorer> scorer,
+      MakeCandidateScorer(view, split.train, split.validation, factory,
+                          metric, candidates, force_scan_eval_,
+                          num_threads_));
   SelectionResult result;
   result.selected = candidates;
 
-  std::vector<uint32_t> eval_labels = GatherLabels(data, split.validation);
   double best_error = 0.0;
-  HAMLET_ASSIGN_OR_RETURN(
-      best_error, TrainAndScore(factory, data, split.train, split.validation,
-                                eval_labels, result.selected, metric));
+  HAMLET_ASSIGN_OR_RETURN(best_error, scorer->ScoreBase(result.selected));
   ++result.models_trained;
   FsModelsTrainedCounter().Add(1);
 
@@ -369,17 +83,7 @@ Result<SelectionResult> BackwardSelection::Select(
     obs::TraceSpan step_span("fs.step");
     step_span.AddAttr("candidates", m);
     std::vector<double> errors;
-    HAMLET_RETURN_NOT_OK(EvaluateSubsetsScan(
-        data, split, eval_labels, factory, metric, m, num_threads_,
-        [&](uint32_t i) {
-          std::vector<uint32_t> trial;
-          trial.reserve(result.selected.size() - 1);
-          for (uint32_t k = 0; k < m; ++k) {
-            if (k != i) trial.push_back(result.selected[k]);
-          }
-          return trial;
-        },
-        &errors));
+    HAMLET_RETURN_NOT_OK(scorer->ScoreRemovals(result.selected, &errors));
     result.models_trained += m;
 
     // Serial reduction preserving the original semantics: `<=` keeps the
@@ -393,32 +97,12 @@ Result<SelectionResult> BackwardSelection::Select(
       }
     }
     if (round_pick < 0) break;
+    scorer->RemoveFromBase(result.selected[round_pick]);
     result.selected.erase(result.selected.begin() + round_pick);
     best_error = std::min(best_error, round_best);
   }
   result.validation_error = best_error;
   return result;
-}
-
-Result<SelectionResult> BackwardSelection::SelectFactorized(
-    const FactorizedDataset& data, const HoldoutSplit& split,
-    const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates) {
-  ScopedTreeRefitBudget refit_budget;
-  if (!force_scan_eval_) {
-    std::unique_ptr<NbSubsetEvaluator> fast = TryMakeNbEvaluatorFactorized(
-        data, split, metric, factory, candidates, num_threads_);
-    if (fast != nullptr) {
-      return RunBackwardFast(*fast, candidates, tolerance_, num_threads_);
-    }
-  }
-  if (!FactoryIsFactorizedTrainable(factory)) {
-    return FactorizedUnavailable(name());
-  }
-  // See ForwardSelection::SelectFactorized on the cache warm-up.
-  GetOrBuildFactorizedSuffStats(data, split.train, num_threads_);
-  return RunBackwardFactorizedScan(data, split, factory, metric, candidates,
-                                   tolerance_, num_threads_);
 }
 
 }  // namespace hamlet

@@ -24,17 +24,12 @@ class ForwardSelection : public FeatureSelector {
   explicit ForwardSelection(double tolerance = 0.0)
       : tolerance_(tolerance) {}
 
-  Result<SelectionResult> Select(const EncodedDataset& data,
+  Result<SelectionResult> Search(const DataView& view,
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
                                  const std::vector<uint32_t>& candidates)
       override;
-
-  Result<SelectionResult> SelectFactorized(
-      const FactorizedDataset& data, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) override;
 
   std::string name() const override { return "forward_selection"; }
 
@@ -50,17 +45,12 @@ class BackwardSelection : public FeatureSelector {
   explicit BackwardSelection(double tolerance = 0.0)
       : tolerance_(tolerance) {}
 
-  Result<SelectionResult> Select(const EncodedDataset& data,
+  Result<SelectionResult> Search(const DataView& view,
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
                                  const std::vector<uint32_t>& candidates)
       override;
-
-  Result<SelectionResult> SelectFactorized(
-      const FactorizedDataset& data, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) override;
 
   std::string name() const override { return "backward_selection"; }
 

@@ -60,17 +60,15 @@ Result<FsRunReport> RunFeatureSelection(
     const HoldoutSplit& split, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates);
 
-/// Factorized twin of RunFeatureSelection: the search runs through
-/// SelectFactorized over the normalized (S, R) view and the final model
-/// is trained straight from the factorized sufficient statistics — no
-/// joined table is ever materialized, not even for the holdout scoring,
-/// which goes through an evaluator that gathers test-row codes via the
-/// FK hops. Requires a Naive Bayes factory (NB trains from the view's
-/// statistics) or a FactorizedTrainable one (decision trees and GBT train
-/// and predict through the FK hops themselves); anything else is
-/// InvalidArgument. Reports, selections, errors, and timings carry the
-/// same fields and stage names as the materialized runner, and every
-/// number except the timings is bit-identical to it.
+/// RunFeatureSelection over the factorized (S, R) view: the search runs
+/// through SelectFactorized and the final model trains and scores through
+/// the same candidate scorer (fs/candidate_eval.h), so no joined table is
+/// materialized, not even for the holdout scoring. Naive Bayes trains
+/// from the view's statistics; decision trees and GBT train and predict
+/// through the FK hops; anything else is InvalidArgument. Both runners
+/// share one body, so reports carry the same fields and stage names, and
+/// every number except the timings is bit-identical to the materialized
+/// run.
 Result<FsRunReport> RunFeatureSelectionFactorized(
     FeatureSelector& selector, const FactorizedDataset& data,
     const HoldoutSplit& split, const ClassifierFactory& factory,

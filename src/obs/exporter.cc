@@ -1,7 +1,6 @@
 #include "obs/exporter.h"
 
 #include "common/json_writer.h"
-#include "common/string_util.h"
 
 namespace hamlet::obs {
 
@@ -135,35 +134,6 @@ void DumpPrometheusText(const MetricsSnapshot& snapshot, std::ostream& os) {
     os << name << "_sum " << h.sum_nanos << "\n";
     os << name << "_count " << h.count << "\n";
   }
-}
-
-Status JsonlExporter::Open(const std::string& path) {
-  // Re-opening (a new collection window, or a test reusing the
-  // exporter) starts a fresh log: close the old stream and clear any
-  // sticky error bits before opening the new target.
-  if (out_.is_open()) out_.close();
-  out_.clear();
-  out_.open(path, std::ios::out | std::ios::trunc);
-  if (!out_.is_open()) {
-    return Status::IOError(
-        StringFormat("cannot open metrics JSONL file: %s", path.c_str()));
-  }
-  path_ = path;
-  seq_ = 0;
-  return Status::OK();
-}
-
-Status JsonlExporter::Flush(const MetricsSnapshot& snapshot,
-                            const TraceSummary* summary) {
-  if (!out_.is_open()) return Status::OK();
-  WriteSnapshotJsonl(snapshot, summary, seq_, out_);
-  out_.flush();
-  if (!out_.good()) {
-    return Status::IOError(
-        StringFormat("write failed: %s", path_.c_str()));
-  }
-  ++seq_;
-  return Status::OK();
 }
 
 }  // namespace hamlet::obs

@@ -38,13 +38,6 @@ obs::MetricsSnapshot MakeSnapshot() {
   return snap;
 }
 
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 TEST(JsonlExportTest, LineIsValidJsonWithTheDocumentedShape) {
   std::ostringstream os;
   obs::WriteSnapshotJsonl(MakeSnapshot(), nullptr, 7, os);
@@ -108,53 +101,6 @@ TEST(JsonlExportTest, RenderingIsDeterministicForASnapshot) {
   obs::WriteSnapshotJsonl(MakeSnapshot(), nullptr, 3, a);
   obs::WriteSnapshotJsonl(MakeSnapshot(), nullptr, 3, b);
   EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(JsonlExportTest, ExporterAppendsSequencedDiffableLines) {
-  const std::string path =
-      ::testing::TempDir() + "/hamlet_exporter_test.jsonl";
-  obs::JsonlExporter exporter;
-  ASSERT_TRUE(exporter.Open(path).ok());
-
-  obs::MetricsSnapshot first = MakeSnapshot();
-  ASSERT_TRUE(exporter.Flush(first).ok());
-  // Counters are cumulative, so line N+1 minus line N is the window's
-  // activity — simulate more work and flush again.
-  obs::MetricsSnapshot second = MakeSnapshot();
-  second.counters[0].value += 8;  // fs.models_trained: 42 -> 50
-  ASSERT_TRUE(exporter.Flush(second).ok());
-  EXPECT_EQ(exporter.lines_written(), 2u);
-
-  std::ifstream in(path);
-  std::string line1, line2, extra;
-  ASSERT_TRUE(std::getline(in, line1));
-  ASSERT_TRUE(std::getline(in, line2));
-  EXPECT_FALSE(std::getline(in, extra));
-
-  JsonValue doc1, doc2;
-  ASSERT_TRUE(ParseJson(line1 + "\n", &doc1, nullptr));
-  ASSERT_TRUE(ParseJson(line2 + "\n", &doc2, nullptr));
-  EXPECT_EQ(doc1.Find("seq")->AsUInt(), 0u);
-  EXPECT_EQ(doc2.Find("seq")->AsUInt(), 1u);
-  const uint64_t c1 = doc1.Find("counters")->Find("fs.models_trained")->AsUInt();
-  const uint64_t c2 = doc2.Find("counters")->Find("fs.models_trained")->AsUInt();
-  EXPECT_EQ(c2 - c1, 8u);
-
-  // Re-opening truncates and restarts the sequence: one run, one log.
-  ASSERT_TRUE(exporter.Open(path).ok());
-  ASSERT_TRUE(exporter.Flush(first).ok());
-  std::ifstream again(path);
-  ASSERT_TRUE(std::getline(again, line1));
-  EXPECT_FALSE(std::getline(again, line2));
-  ASSERT_TRUE(ParseJson(line1 + "\n", &doc1, nullptr));
-  EXPECT_EQ(doc1.Find("seq")->AsUInt(), 0u);
-}
-
-TEST(JsonlExportTest, ClosedExporterFlushIsANoOp) {
-  obs::JsonlExporter exporter;
-  EXPECT_FALSE(exporter.is_open());
-  EXPECT_TRUE(exporter.Flush(MakeSnapshot()).ok());
-  EXPECT_EQ(exporter.lines_written(), 0u);
 }
 
 TEST(PrometheusExportTest, RendersTypedFamiliesWithMangledNames) {

@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analytics/pipeline.h"
@@ -20,12 +21,17 @@
 #include "data/encoded_dataset.h"
 #include "data/splits.h"
 #include "datasets/registry.h"
+#include "fs/exhaustive_search.h"
+#include "fs/filters.h"
 #include "fs/greedy_search.h"
 #include "fs/runner.h"
 #include "ml/decision_tree.h"
 #include "ml/factorized.h"
 #include "ml/gbt.h"
+#include "ml/logistic_regression.h"
+#include "ml/naive_bayes.h"
 #include "ml/suff_stats.h"
+#include "ml/tan.h"
 #include "relational/catalog.h"
 
 namespace hamlet {
@@ -220,15 +226,27 @@ TEST(FactorizedTreeTest, WarmSuffStatsCacheDoesNotChangeBits) {
 
 // --- Selections: the tree scan paths agree with the materialized scan. ----
 
-TEST(FactorizedTreeSelectionTest, ForwardAndBackwardMatchMaterialized) {
+TEST(FactorizedTreeSelectionTest, EverySelectorMatchesMaterialized) {
   TwinCase t = MakeTwinCase(kDatasetCases[0], 47);
-  const ClassifierFactory factory = MakeDecisionTreeFactory();
-  const std::vector<uint32_t> candidates = t.mat->AllFeatureIndices();
+  const std::vector<uint32_t> all = t.mat->AllFeatureIndices();
+  // The exhaustive lattice retrains 2^d models; four candidates keep it
+  // small while still mixing entity and foreign features.
+  ASSERT_GE(all.size(), 4u);
+  const std::vector<uint32_t> few = {all[0], all[1], all[all.size() - 2],
+                                     all.back()};
 
   std::vector<std::unique_ptr<FeatureSelector>> selectors;
   selectors.push_back(std::make_unique<ForwardSelection>());
   selectors.push_back(std::make_unique<BackwardSelection>());
+  selectors.push_back(
+      std::make_unique<ScoreFilter>(FilterScore::kMutualInformation));
+  selectors.push_back(
+      std::make_unique<ScoreFilter>(FilterScore::kInformationGainRatio));
+  selectors.push_back(std::make_unique<ExhaustiveSelection>());
+  const ClassifierFactory factory = MakeDecisionTreeFactory();
   for (auto& selector : selectors) {
+    const std::vector<uint32_t>& candidates =
+        selector->name() == "exhaustive_selection" ? few : all;
     for (uint32_t threads : {1u, 2u}) {
       SCOPED_TRACE(selector->name() + " threads " + std::to_string(threads));
       selector->set_num_threads(threads);
@@ -309,32 +327,54 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
 
 // --- The pipeline switch, for both tree classifiers. ----------------------
 
-TEST(FactorizedTreePipelineTest, DecisionTreeAvoidMaterializationMatches) {
-  NormalizedDataset dataset = *MakeDataset("Walmart", 0.02, 53);
-  PipelineConfig config;
-  config.method = FsMethod::kForwardSelection;
-  config.classifier = ClassifierKind::kDecisionTree;
-  config.metric = *MetricForDataset("Walmart");
-  config.seed = 53;
+// Every classifier the factorized view can serve × every pipeline method
+// × both scan modes: the avoid-materialization run succeeds wherever the
+// materialized one does and reports the same bits. Naive Bayes under
+// force_scan_eval has no factorized scorer, so the pipeline materializes
+// both runs.
+TEST(FactorizedPipelineMatrixTest, EveryClassifierMethodAndScanModeMatches) {
+  NormalizedDataset dataset = *MakeDataset("Walmart", 0.01, 53);
+  for (ClassifierKind kind :
+       {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
+        ClassifierKind::kGradientBoostedTrees}) {
+    for (FsMethod method : AllFsMethods()) {
+      for (bool force_scan : {false, true}) {
+        SCOPED_TRACE(std::string(ClassifierKindToString(kind)) + " " +
+                     FsMethodToString(method) +
+                     (force_scan ? " force_scan" : ""));
+        PipelineConfig config;
+        config.method = method;
+        config.classifier = kind;
+        config.metric = *MetricForDataset("Walmart");
+        config.seed = 53;
+        config.num_threads = 2;
+        config.force_scan_eval = force_scan;
 
-  SuffStatsCache::Global().Clear();
-  config.avoid_materialization = false;
-  auto mat = RunPipeline(dataset, config);
-  ASSERT_TRUE(mat.ok()) << mat.status();
-  SuffStatsCache::Global().Clear();
-  config.avoid_materialization = true;
-  auto fac = RunPipeline(dataset, config);
-  ASSERT_TRUE(fac.ok()) << fac.status();
+        SuffStatsCache::Global().Clear();
+        config.avoid_materialization = false;
+        auto mat = RunPipeline(dataset, config);
+        ASSERT_TRUE(mat.ok()) << mat.status();
+        SuffStatsCache::Global().Clear();
+        config.avoid_materialization = true;
+        auto fac = RunPipeline(dataset, config);
+        ASSERT_TRUE(fac.ok()) << fac.status();
 
-  EXPECT_TRUE(fac->factorized);
-  EXPECT_FALSE(mat->factorized);
-  EXPECT_EQ(fac->tables_joined, 0u);
-  EXPECT_EQ(fac->tables_factorized, mat->tables_joined);
-  EXPECT_EQ(fac->selection.selected_names, mat->selection.selected_names);
-  EXPECT_EQ(fac->selection.selection.validation_error,
-            mat->selection.selection.validation_error);
-  EXPECT_EQ(fac->selection.holdout_test_error,
-            mat->selection.holdout_test_error);
+        EXPECT_FALSE(mat->factorized);
+        EXPECT_EQ(fac->factorized,
+                  !(kind == ClassifierKind::kNaiveBayes && force_scan));
+        if (fac->factorized) {
+          EXPECT_EQ(fac->tables_joined, 0u);
+          EXPECT_EQ(fac->tables_factorized, mat->tables_joined);
+        }
+        EXPECT_EQ(fac->selection.selected_names,
+                  mat->selection.selected_names);
+        EXPECT_EQ(fac->selection.selection.validation_error,
+                  mat->selection.selection.validation_error);
+        EXPECT_EQ(fac->selection.holdout_test_error,
+                  mat->selection.holdout_test_error);
+      }
+    }
+  }
 }
 
 TEST(FactorizedGbtPipelineTest, GbtAvoidMaterializationMatches) {
@@ -376,6 +416,58 @@ TEST(FactorizedTreePipelineTest, ForceScanStillTrainsFactorized) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->factorized);
   EXPECT_EQ(report->tables_joined, 0u);
+}
+
+// --- The combinations no factorized scorer serves. -------------------------
+
+TEST(FactorizedRejectionTest, NonFactorizedClassifiersAreInvalidArgument) {
+  TwinCase t = MakeTwinCase(kDatasetCases[0], 59);
+  const std::vector<uint32_t> all = t.fac.AllFeatureIndices();
+  const std::vector<uint32_t> few(all.begin(), all.begin() + 3);
+  std::vector<std::unique_ptr<FeatureSelector>> selectors;
+  selectors.push_back(std::make_unique<ForwardSelection>());
+  selectors.push_back(std::make_unique<BackwardSelection>());
+  selectors.push_back(
+      std::make_unique<ScoreFilter>(FilterScore::kMutualInformation));
+  selectors.push_back(
+      std::make_unique<ScoreFilter>(FilterScore::kInformationGainRatio));
+  selectors.push_back(std::make_unique<ExhaustiveSelection>());
+  const std::pair<const char*, ClassifierFactory> factories[] = {
+      {"logreg", MakeLogisticRegressionFactory()}, {"tan", MakeTanFactory()}};
+  for (const auto& [factory_name, factory] : factories) {
+    for (auto& selector : selectors) {
+      SCOPED_TRACE(std::string(factory_name) + " " + selector->name());
+      auto selection =
+          selector->SelectFactorized(t.fac, t.split, factory, t.metric, few);
+      EXPECT_EQ(selection.status().code(), StatusCode::kInvalidArgument);
+      auto report = RunFeatureSelectionFactorized(*selector, t.fac, t.split,
+                                                  factory, t.metric, few);
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // Naive Bayes has no factorized scan: with the statistics path forced
+  // off, the factorized view is rejected too.
+  ForwardSelection forward;
+  forward.set_force_scan_eval(true);
+  EXPECT_EQ(forward
+                .SelectFactorized(t.fac, t.split, MakeNaiveBayesFactory(),
+                                  t.metric, few)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(FactorizedRejectionTest, ExhaustiveCapHoldsOnFactorizedView) {
+  TwinCase t = MakeTwinCase(kDatasetCases[0], 61);
+  const std::vector<uint32_t> all = t.fac.AllFeatureIndices();
+  ASSERT_GT(all.size(), 2u);
+  ExhaustiveSelection capped(/*max_candidates=*/2);
+  for (const ClassifierFactory& factory :
+       {MakeNaiveBayesFactory(), MakeDecisionTreeFactory()}) {
+    auto result =
+        capped.SelectFactorized(t.fac, t.split, factory, t.metric, all);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace
