@@ -27,12 +27,16 @@
 # A sixth pass rebuilds with AddressSanitizer in its own tree and runs
 # the byte parsers under it: serde (every model kind decodes through
 # DeserializeModel), the artifact store's read-through path, the
-# service's resolve + score path, and the CSV and JSON readers.
+# service's resolve + score path, and the CSV and JSON readers — the CSV
+# reader including its multi-chunk determinism sweeps and seeded
+# mutation fuzz, whose chunk dictionaries view the file buffer, and the
+# flat label index under Domain.
 # A seventh pass rebuilds with UndefinedBehaviorSanitizer in its own tree
 # (halting on the first report) and runs the join — the `joins` label
 # plus the JoinDeterminismTest bit-identity sweeps, whose code remaps and
 # FK -> row gathers are index-heavy — and the same byte parsers' serde,
-# CSV and JSON suites.
+# CSV (plus the CSV determinism and mutation suites) and JSON suites,
+# and the Domain label index.
 #
 # Usage: scripts/check_determinism.sh [extra ctest args...]
 # Env:   BUILD_DIR (default build-tsan), ASAN_BUILD_DIR (default
@@ -83,7 +87,7 @@ cmake -B "${ASAN_BUILD_DIR}" -S . \
   -DHAMLET_BUILD_EXAMPLES=OFF
 cmake --build "${ASAN_BUILD_DIR}" -j"${JOBS}"
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
-  -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|JsonReaderTest' \
+  -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest' \
   "$@"
 
 # The KFK join and the byte parsers under UndefinedBehaviorSanitizer
@@ -99,4 +103,5 @@ cmake --build "${UBSAN_BUILD_DIR}" -j"${JOBS}"
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure -L joins "$@"
 ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure \
-  -R 'JoinDeterminismTest|SerdeTest|CsvTest|JsonReaderTest' "$@"
+  -R 'JoinDeterminismTest|SerdeTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest' \
+  "$@"

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/parallel_for.h"
 #include "common/string_util.h"
@@ -198,9 +198,13 @@ struct ParseContext {
 /// into `labels[col]`, first-occurrence order); fixed-column codes are
 /// final. The merge translates local codes in chunk order, which
 /// reproduces the serial reader's first-occurrence global order exactly.
+/// Local labels are views: into the file buffer, which outlives the
+/// merge, or into `escaped` for the fields that needed unescaping. A
+/// deque never moves its elements, so those views stay valid.
 struct ChunkOutput {
   std::vector<std::vector<uint32_t>> codes;
-  std::vector<std::vector<std::string>> labels;
+  std::vector<std::vector<std::string_view>> labels;
+  std::deque<std::string> escaped;
   Status status = Status::OK();
   uint32_t rows = 0;
 };
@@ -364,17 +368,18 @@ class ChunkParser {
     for (uint32_t c = 0; c < n_cols; ++c) {
       if ((*ctx_.fixed)[c] != nullptr) continue;
       const std::string_view value = FieldView(extents_[c]);
-      auto& index = local_index_[c];
-      auto it = index.find(value);
-      if (it != index.end()) {
-        row_codes_[c] = it->second;
-      } else {
-        const uint32_t code =
-            static_cast<uint32_t>(out_->labels[c].size());
-        out_->labels[c].emplace_back(value);
-        index.emplace(std::string(value), code);
-        row_codes_[c] = code;
+      std::vector<std::string_view>& labels = out_->labels[c];
+      const uint32_t next = static_cast<uint32_t>(labels.size());
+      const uint32_t code = local_index_[c].FindOrInsert(
+          value, next, [&labels](uint32_t l) { return labels[l]; });
+      if (code == next) {
+        // `value` views the buffer, or the scratch an escaped field was
+        // unescaped into; only the latter needs a stable copy.
+        labels.push_back(extents_[c].escaped
+                             ? out_->escaped.emplace_back(value)
+                             : value);
       }
+      row_codes_[c] = code;
     }
     for (uint32_t c = 0; c < n_cols; ++c) {
       out_->codes[c].push_back(row_codes_[c]);
@@ -388,11 +393,9 @@ class ChunkParser {
   std::vector<FieldExtent> extents_;
   std::vector<uint32_t> row_codes_;
   std::string scratch_;
-  /// Per fresh column: label -> chunk-local code, probed heterogeneously
-  /// so in-buffer fields never materialize a temporary key.
-  std::vector<
-      std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>>
-      local_index_;
+  /// Per fresh column: label -> chunk-local code, reading labels back
+  /// through `out_->labels[col]`.
+  std::vector<FlatLabelIndex> local_index_;
 };
 
 }  // namespace
@@ -553,7 +556,7 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
         // first-occurrence order, so the translation is the identity;
         // fixed-column codes were final all along. Move, don't copy.
         if (fresh[c]) {
-          for (const std::string& label : outs[0].labels[c]) {
+          for (const std::string_view label : outs[0].labels[c]) {
             domains[c]->GetOrAdd(label);
           }
         }
@@ -566,7 +569,7 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
         const std::vector<uint32_t>& chunk_codes = outs[j].codes[c];
         uint64_t pos = row_offset[j];
         if (fresh[c]) {
-          const std::vector<std::string>& labels = outs[j].labels[c];
+          const std::vector<std::string_view>& labels = outs[j].labels[c];
           translate.resize(labels.size());
           for (uint32_t l = 0; l < labels.size(); ++l) {
             translate[l] = domains[c]->GetOrAdd(labels[l]);

@@ -10,13 +10,16 @@
 /// itself stays typeless. RFC-4180-style quoting ("" escapes a quote) is
 /// supported, including quoted fields that span line breaks.
 ///
-/// Ingestion is chunked and parallel (docs/PERFORMANCE.md "Ingest & join
-/// fast path"): the file is read into one buffer, a serial framing scan
-/// splits it into record-aligned byte ranges, each chunk is tokenized
-/// with std::string_view fields into per-chunk dictionaries, and the
-/// dictionaries merge deterministically in chunk order — so codes and
-/// domain label order are bit-identical to a serial read at any
-/// `num_threads`.
+/// Ingestion is chunked and parallel (docs/PERFORMANCE.md "Chunked
+/// parallel CSV ingest"): the file is read into one buffer, a serial
+/// framing scan splits it into record-aligned byte ranges, and each chunk
+/// is tokenized into per-chunk dictionaries. A chunk dictionary is a list
+/// of std::string_view labels into the buffer (only fields that needed
+/// unescaping are copied) behind a FlatLabelIndex (relational/domain.h),
+/// so the parse allocates nothing per label. The dictionaries merge
+/// deterministically in chunk order, materializing each distinct label
+/// once, in its Domain — so codes and domain label order are
+/// bit-identical to a serial read at any `num_threads`.
 
 #include <string>
 #include <vector>

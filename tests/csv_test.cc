@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -472,6 +474,96 @@ TEST_F(CsvTest, CustomDelimiter) {
   auto t = ReadCsv(path, "T", schema, options);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->column(1).label(0), "2");
+}
+
+// Seeded mutation fuzz of the chunked reader: every mutant either fails
+// with the same message at 1 and 8 threads or yields identical codes and
+// labels, and never crashes (the ASan/UBSan passes of
+// scripts/check_determinism.sh run this suite).
+class CsvMutationTest : public CsvTest {
+ protected:
+  /// A closed-domain FK column, a high-cardinality fresh column (some
+  /// labels quoted) and a small fresh column.
+  static std::string BaseCsv() {
+    std::string contents = "FK,Fresh,Small\n";
+    for (int i = 0; i < 60; ++i) {
+      contents += StringFormat(i % 5 == 0 ? "u%d,\"f%d,q\",s%d\n"
+                                          : "u%d,f%d,s%d\n",
+                               i % 6, i * 7, i % 3);
+    }
+    return contents;
+  }
+
+  /// Applies 1-3 seeded edits: a byte flip, an inserted '"', ',', '\n'
+  /// or '\r', or a truncation.
+  static std::string Mutate(std::string bytes, Rng& rng) {
+    static constexpr char kInserts[] = {'"', ',', '\n', '\r'};
+    const uint32_t edits = 1 + rng.Uniform(3);
+    for (uint32_t e = 0; e < edits && !bytes.empty(); ++e) {
+      const uint32_t pos =
+          rng.Uniform(static_cast<uint32_t>(bytes.size()));
+      switch (rng.Uniform(3)) {
+        case 0:
+          bytes[pos] = static_cast<char>(bytes[pos] ^ (1 + rng.Uniform(255)));
+          break;
+        case 1:
+          bytes.insert(bytes.begin() + pos, kInserts[rng.Uniform(4)]);
+          break;
+        default:
+          bytes.resize(pos);
+          break;
+      }
+    }
+    return bytes;
+  }
+};
+
+TEST_F(CsvMutationTest, MutantsReadIdenticallyAtOneAndEightThreads) {
+  Schema schema({ColumnSpec::Feature("FK"), ColumnSpec::Feature("Fresh"),
+                 ColumnSpec::Feature("Small")});
+  std::vector<std::string> users;
+  for (int u = 0; u < 6; ++u) users.push_back(StringFormat("u%d", u));
+  auto closed = std::make_shared<Domain>(users);
+  const std::string base = BaseCsv();
+  Rng rng(20161);
+  int parsed = 0;
+  int rejected = 0;
+  for (int m = 0; m < 400; ++m) {
+    const std::string path = WriteTemp(Mutate(base, rng));
+    const bool strict = m % 2 == 0;
+    std::vector<Result<Table>> reads;
+    for (uint32_t num_threads : {1u, 8u}) {
+      CsvOptions options;
+      options.num_threads = num_threads;
+      options.min_chunk_bytes = 64;
+      options.strict = strict;
+      reads.push_back(ReadCsvWithDomains(path, "T", schema,
+                                         {closed, nullptr, nullptr},
+                                         options));
+    }
+    std::remove(path.c_str());
+    const Result<Table>& serial = reads[0];
+    const Result<Table>& chunked = reads[1];
+    ASSERT_EQ(serial.ok(), chunked.ok()) << "mutant " << m;
+    if (!serial.ok()) {
+      ASSERT_EQ(serial.status().message(), chunked.status().message())
+          << "mutant " << m;
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    ASSERT_EQ(serial->num_rows(), chunked->num_rows()) << "mutant " << m;
+    for (uint32_t c = 0; c < schema.num_columns(); ++c) {
+      ASSERT_EQ(serial->column(c).codes(), chunked->column(c).codes())
+          << "mutant " << m << " column " << c;
+      ASSERT_EQ(serial->column(c).domain()->labels(),
+                chunked->column(c).domain()->labels())
+          << "mutant " << m << " column " << c;
+    }
+  }
+  // The edits must reach both outcomes, or the loop checks too little.
+  EXPECT_GT(parsed, 40);
+  EXPECT_GT(rejected, 40);
 }
 
 }  // namespace

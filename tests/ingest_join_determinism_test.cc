@@ -158,6 +158,88 @@ TEST_F(CsvDeterminismTest, LenientModeMatchesLegacyAcrossThreadCounts) {
   }
 }
 
+/// Row `i` of the escaped-label corpus: a small column K and a column L
+/// over ~2,000 distinct labels, each seen twice, in a scrambled order.
+/// Every fourth label needs unescaping: a quoted embedded delimiter, a
+/// quoted "" quote, an unquoted '\r' (dropped), or a quoted newline when
+/// `newlines` is set (a plain quoted label otherwise — the frozen getline
+/// reader cannot frame a newline).
+struct EscapedRow {
+  std::string raw;                  ///< The record as written, with '\n'.
+  std::vector<std::string> labels;  ///< Its unescaped fields.
+};
+
+EscapedRow MakeEscapedRow(int i, bool newlines) {
+  const int k = (i * 37) % 2000;
+  const std::string id = std::to_string(k);
+  EscapedRow row;
+  row.labels.push_back("k" + std::to_string(i % 5));
+  std::string field;
+  if (k % 4 != 0) {
+    field = "p" + id;
+    row.labels.push_back(field);
+  } else {
+    switch ((k / 4) % 4) {
+      case 0:
+        field = "\"d" + id + ",x\"";
+        row.labels.push_back("d" + id + ",x");
+        break;
+      case 1:
+        field = "\"q" + id + "\"\"y\"";
+        row.labels.push_back("q" + id + "\"y");
+        break;
+      case 2:
+        field = "c" + id + "\rz";
+        row.labels.push_back("c" + id + "z");
+        break;
+      default:
+        field = newlines ? "\"n" + id + "\nm\"" : "\"n" + id + "m\"";
+        row.labels.push_back(newlines ? "n" + id + "\nm" : "n" + id + "m");
+        break;
+    }
+  }
+  row.raw = row.labels[0] + "," + field + "\n";
+  return row;
+}
+
+TEST_F(CsvDeterminismTest, EscapedLabelsMatchLegacyAcrossChunks) {
+  // ~2,000 distinct fresh labels grow every chunk's label index many
+  // times, and a quarter of them go through the owned store for
+  // unescaped fields instead of viewing the file buffer.
+  constexpr int kRows = 4000;
+  Schema schema({ColumnSpec::Feature("K"), ColumnSpec::Feature("L")});
+  for (bool newlines : {false, true}) {
+    std::string contents = "K,L\n";
+    TableBuilder expected_builder("T", schema);
+    for (int i = 0; i < kRows; ++i) {
+      EscapedRow row = MakeEscapedRow(i, newlines);
+      contents += row.raw;
+      ASSERT_TRUE(expected_builder.AppendRowLabels(row.labels).ok());
+    }
+    std::string path = WriteTemp(contents);
+    // The getline reader frames newline-free files only; with quoted
+    // newlines the reference is its encoding step alone, fed the rows.
+    Table expected = expected_builder.Build();
+    if (!newlines) {
+      auto legacy = LegacyReadCsv(path, "T", schema, {}, CsvOptions{});
+      ASSERT_TRUE(legacy.ok()) << legacy.status();
+      ExpectTablesIdentical(*legacy, expected, "legacy");
+    }
+    ASSERT_EQ(expected.column(1).domain()->size(), 2000u);
+
+    for (uint32_t num_threads : {1u, 2u, 8u}) {
+      CsvOptions par;
+      par.num_threads = num_threads;
+      par.min_chunk_bytes = 64;
+      auto t = ReadCsv(path, "T", schema, par);
+      ASSERT_TRUE(t.ok()) << t.status();
+      ExpectTablesIdentical(*t, expected,
+                            "newlines=" + std::to_string(newlines) +
+                                " threads=" + std::to_string(num_threads));
+    }
+  }
+}
+
 TEST_F(CsvDeterminismTest, BundledDatasetRoundTripIsThreadInvariant) {
   // Export a bundled dataset's joined table and re-ingest it at several
   // thread counts: everything must come back identical.
