@@ -15,7 +15,6 @@
 #include <iostream>
 
 #include "common/table_printer.h"
-#include "common/timer.h"
 #include "core/advisor.h"
 #include "data/encoded_dataset.h"
 #include "data/splits.h"

@@ -30,7 +30,10 @@
 # service's resolve + score path, and the CSV and JSON readers — the CSV
 # reader including its multi-chunk determinism sweeps and seeded
 # mutation fuzz, whose chunk dictionaries view the file buffer, and the
-# flat label index under Domain.
+# flat label index under Domain. The same ASan tree then runs the obs
+# suite: a run's span tree (obs::RunTrace) is closed by its destructor
+# on every early error return, and an untraced run erases its events
+# from the Tracer's shards under their locks.
 # A seventh pass rebuilds with UndefinedBehaviorSanitizer in its own tree
 # (halting on the first report) and runs the join — the `joins` label
 # plus the JoinDeterminismTest bit-identity sweeps, whose code remaps and
@@ -89,6 +92,7 @@ cmake --build "${ASAN_BUILD_DIR}" -j"${JOBS}"
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
   -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest' \
   "$@"
+ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure -L obs "$@"
 
 # The KFK join and the byte parsers under UndefinedBehaviorSanitizer
 # (separate build tree). UBSan reports and carries on by default;

@@ -1,6 +1,5 @@
 #include "analytics/pipeline.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -8,7 +7,6 @@
 #include <sstream>
 
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "data/encoded_dataset.h"
 #include "fs/candidate_eval.h"
 #include "ml/decision_tree.h"
@@ -76,73 +74,13 @@ std::string PathFromConfigOrEnv(const std::string& config_path,
   return env != nullptr ? std::string(env) : std::string();
 }
 
-/// Coarse per-stage rollup for untraced runs: the same stage names the
-/// span tree would produce, built from the Timer readings RunPipeline
-/// takes anyway, so PipelineReport.trace_summary is never empty.
-obs::TraceSummary CoarseSummary(const PipelineReport& report,
-                                double advise_seconds,
-                                double encode_seconds,
-                                double split_seconds) {
-  obs::TraceSummary summary;
-  const double child_seconds = advise_seconds + report.join_seconds +
-                               report.factorize_seconds + encode_seconds +
-                               split_seconds +
-                               report.selection.total_seconds;
-  const double self_seconds =
-      std::max(0.0, report.total_seconds - child_seconds);
-  summary.stages = {
-      {"pipeline", 0, 1, report.total_seconds, self_seconds, {}},
-      {"pipeline.advise", 1, 1, advise_seconds, advise_seconds, {}}};
-  if (report.factorized) {
-    summary.stages.push_back(
-        {"pipeline.factorize",
-         1,
-         1,
-         report.factorize_seconds,
-         report.factorize_seconds,
-         {{"tables", static_cast<int64_t>(report.tables_factorized)},
-          {"features", static_cast<int64_t>(report.features_in)}}});
-  } else {
-    summary.stages.push_back(
-        {"pipeline.join",
-         1,
-         1,
-         report.join_seconds,
-         report.join_seconds,
-         {{"tables", static_cast<int64_t>(report.tables_joined)}}});
-    summary.stages.push_back(
-        {"pipeline.encode",
-         1,
-         1,
-         encode_seconds,
-         encode_seconds,
-         {{"features", static_cast<int64_t>(report.features_in)}}});
-  }
-  const std::vector<obs::StageStat> tail = {
-      {"pipeline.split", 1, 1, split_seconds, split_seconds, {}},
-      {"fs.search",
-       1,
-       1,
-       report.selection.runtime_seconds,
-       report.selection.runtime_seconds,
-       {{"models_trained",
-         static_cast<int64_t>(report.selection.selection.models_trained)}}},
-      {"fs.final_fit", 1, 1, report.selection.fit_seconds,
-       report.selection.fit_seconds, {}}};
-  summary.stages.insert(summary.stages.end(), tail.begin(), tail.end());
-  summary.counters = {
-      {"fs.models_trained", report.selection.selection.models_trained}};
-  summary.total_seconds = report.total_seconds;
-  return summary;
-}
-
 }  // namespace
 
 Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
                                    const PipelineConfig& config) {
-  // One collection window per run: tracing is on when the config (or the
-  // HAMLET_TRACE environment variable) asks for it, and the previous
-  // enabled state is restored on every exit path.
+  // One collection window per traced run: metrics are on when the config
+  // (or the HAMLET_TRACE environment variable) asks for it, and the
+  // previous enabled state is restored on every exit path.
   obs::ScopedCollection collection(config.trace || obs::EnvRequested());
 
   // While active, every sufficient-statistics lookup misses, so model
@@ -152,178 +90,133 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
   PipelineReport report;
   report.avoidance_applied = config.enable_join_avoidance;
 
-  Timer total_timer;
-  double advise_seconds = 0.0;
-  double encode_seconds = 0.0;
-  double split_seconds = 0.0;
+  // The stage tree is recorded on every run, traced or not; it is the
+  // run's only stopwatch.
+  obs::RunTrace run("pipeline");
+  run.root().AddAttr("mode", std::string(config.enable_join_avoidance
+                                             ? "JoinOpt"
+                                             : "JoinAll"));
+  run.root().AddAttr("method", std::string(FsMethodToString(config.method)));
+
+  // 1. Advise (always computed — even the JoinAll baseline reports what
+  //    the optimizer *would* have done).
   {
-    obs::TraceSpan pipeline_span("pipeline");
-    if (pipeline_span.active()) {
-      pipeline_span.AddAttr(
-          "mode", std::string(config.enable_join_avoidance ? "JoinOpt"
-                                                           : "JoinAll"));
-      pipeline_span.AddAttr("method",
-                            std::string(FsMethodToString(config.method)));
-    }
+    obs::TraceSpan span("pipeline.advise");
+    HAMLET_ASSIGN_OR_RETURN(report.plan, AdviseJoins(dataset, config.advisor));
+    span.AddAttr("fks_joined",
+                 static_cast<uint64_t>(report.plan.fks_to_join.size()));
+    span.AddAttr("fks_avoided",
+                 static_cast<uint64_t>(report.plan.fks_avoided.size()));
+  }
 
-    // 1. Advise (always computed — even the JoinAll baseline reports what
-    //    the optimizer *would* have done).
-    {
-      obs::TraceSpan span("pipeline.advise");
-      Timer timer;
-      HAMLET_ASSIGN_OR_RETURN(report.plan,
-                              AdviseJoins(dataset, config.advisor));
-      advise_seconds = timer.ElapsedSeconds();
-      if (span.active()) {
-        span.AddAttr("fks_joined",
-                     static_cast<uint64_t>(report.plan.fks_to_join.size()));
-        span.AddAttr("fks_avoided",
-                     static_cast<uint64_t>(report.plan.fks_avoided.size()));
-      }
-    }
-
-    // 2. The tables the plan keeps (or all of them). In factorized mode
-    //    these are *not* materialized — the factorized view answers the
-    //    join logically; otherwise JoinSubset builds the physical table.
-    std::vector<std::string> to_join;
-    if (config.enable_join_avoidance) {
-      to_join = report.plan.fks_to_join;
-    } else {
-      for (const auto& fk : dataset.foreign_keys()) {
-        to_join.push_back(fk.fk_column);
-      }
-    }
-    std::unique_ptr<FeatureSelector> selector = MakeSelector(
-        config.method, config.num_threads, config.force_scan_eval);
-    ClassifierFactory factory = MakeClassifierFactory(config.classifier);
-    // The factorized view answers the kept joins whenever a candidate
-    // scorer exists for it (fs/candidate_eval.h): Naive Bayes off the scan
-    // escape hatch, or a classifier that trains through the FK hops
-    // (decision trees, GBT). Everything else falls back to materializing.
-    const bool use_factorized =
-        config.avoid_materialization &&
-        ChooseScoringBackend(*factory(), /*factorized_view=*/true,
-                             config.force_scan_eval)
-            .ok();
-
-    if (use_factorized) {
-      report.factorized = true;
-      report.tables_factorized = static_cast<uint32_t>(to_join.size());
-      FactorizedDataset data;
-      {
-        obs::TraceSpan span("pipeline.factorize");
-        span.AddAttr("tables", static_cast<uint64_t>(to_join.size()));
-        Timer timer;
-        HAMLET_ASSIGN_OR_RETURN(data,
-                                FactorizedDataset::Make(dataset, to_join));
-        report.factorize_seconds = timer.ElapsedSeconds();
-        report.features_in = data.num_features();
-        if (span.active()) {
-          span.AddAttr("features", report.features_in);
-          span.AddAttr("rows", data.num_rows());
-        }
-      }
-      // Same row count and seed as the materialized path, so the split —
-      // and everything downstream — is identical.
-      HoldoutSplit split;
-      {
-        obs::TraceSpan span("pipeline.split");
-        Timer timer;
-        Rng rng(config.seed);
-        split = MakeHoldoutSplit(data.num_rows(), rng, config.split);
-        split_seconds = timer.ElapsedSeconds();
-        if (span.active()) {
-          span.AddAttr("train", static_cast<uint64_t>(split.train.size()));
-          span.AddAttr("validation",
-                       static_cast<uint64_t>(split.validation.size()));
-          span.AddAttr("test", static_cast<uint64_t>(split.test.size()));
-        }
-      }
-      HAMLET_ASSIGN_OR_RETURN(
-          report.selection,
-          RunFeatureSelectionFactorized(*selector, data, split, factory,
-                                        config.metric,
-                                        data.AllFeatureIndices()));
-    } else {
-      report.tables_joined = static_cast<uint32_t>(to_join.size());
-      Table table;
-      {
-        obs::TraceSpan span("pipeline.join");
-        span.AddAttr("tables", static_cast<uint64_t>(to_join.size()));
-        Timer join_timer;
-        JoinOptions join_options;
-        join_options.num_threads = config.num_threads;
-        HAMLET_ASSIGN_OR_RETURN(table,
-                                dataset.JoinSubset(to_join, join_options));
-        report.join_seconds = join_timer.ElapsedSeconds();
-      }
-
-      // 3. Encode usable features and split per the holdout protocol.
-      HoldoutSplit split;
-      std::unique_ptr<EncodedDataset> data;
-      {
-        obs::TraceSpan span("pipeline.encode");
-        Timer timer;
-        HAMLET_ASSIGN_OR_RETURN(EncodedDataset encoded,
-                                EncodedDataset::FromTableAuto(table));
-        data = std::make_unique<EncodedDataset>(std::move(encoded));
-        encode_seconds = timer.ElapsedSeconds();
-        report.features_in = data->num_features();
-        if (span.active()) {
-          span.AddAttr("features", report.features_in);
-          span.AddAttr("rows", data->num_rows());
-        }
-      }
-      {
-        obs::TraceSpan span("pipeline.split");
-        Timer timer;
-        Rng rng(config.seed);
-        split = MakeHoldoutSplit(data->num_rows(), rng, config.split);
-        split_seconds = timer.ElapsedSeconds();
-        if (span.active()) {
-          span.AddAttr("train", static_cast<uint64_t>(split.train.size()));
-          span.AddAttr("validation",
-                       static_cast<uint64_t>(split.validation.size()));
-          span.AddAttr("test", static_cast<uint64_t>(split.test.size()));
-        }
-      }
-
-      // 4. Feature selection + final holdout evaluation (spans fs.search /
-      //    fs.step / fs.final_fit open inside, nesting under `pipeline`).
-      HAMLET_ASSIGN_OR_RETURN(
-          report.selection,
-          RunFeatureSelection(*selector, *data, split, factory, config.metric,
-                              data->AllFeatureIndices()));
+  // 2. The tables the plan keeps (or all of them). In factorized mode
+  //    these are *not* materialized — the factorized view answers the
+  //    join logically; otherwise JoinSubset builds the physical table.
+  std::vector<std::string> to_join;
+  if (config.enable_join_avoidance) {
+    to_join = report.plan.fks_to_join;
+  } else {
+    for (const auto& fk : dataset.foreign_keys()) {
+      to_join.push_back(fk.fk_column);
     }
   }
-  report.total_seconds = total_timer.ElapsedSeconds();
+  std::unique_ptr<FeatureSelector> selector =
+      MakeSelector(config.method, config.num_threads, config.force_scan_eval);
+  ClassifierFactory factory = MakeClassifierFactory(config.classifier);
+  // The factorized view answers the kept joins whenever a candidate
+  // scorer exists for it (fs/candidate_eval.h): Naive Bayes off the scan
+  // escape hatch, or a classifier that trains through the FK hops
+  // (decision trees, GBT). Everything else falls back to materializing.
+  const bool use_factorized =
+      config.avoid_materialization &&
+      ChooseScoringBackend(*factory(), /*factorized_view=*/true,
+                           config.force_scan_eval)
+          .ok();
+  // Same row count and seed on both paths, so the split — and everything
+  // downstream — is identical.
+  auto make_split = [&](uint32_t num_rows) {
+    obs::TraceSpan span("pipeline.split");
+    Rng rng(config.seed);
+    HoldoutSplit split = MakeHoldoutSplit(num_rows, rng, config.split);
+    span.AddAttr("train", static_cast<uint64_t>(split.train.size()));
+    span.AddAttr("validation", static_cast<uint64_t>(split.validation.size()));
+    span.AddAttr("test", static_cast<uint64_t>(split.test.size()));
+    return split;
+  };
 
-  if (collection.enabled()) {
-    const obs::MetricsSnapshot snapshot =
-        obs::MetricsRegistry::Global().Snapshot();
-    report.trace = obs::Tracer::Global().Collect();
-    report.trace_summary = obs::SummarizeTrace(report.trace, snapshot);
-
-    // Structured export: each traced run appends one JSONL snapshot
-    // line. The run is its own collection window, so its line is seq 0.
-    // Export failures are reported, not fatal — a read-only artifacts/
-    // directory must not fail the analysis itself.
-    const std::string jsonl_path = PathFromConfigOrEnv(
-        config.metrics_jsonl_path, "HAMLET_METRICS_JSONL");
-    if (!jsonl_path.empty()) {
-      std::ofstream out(jsonl_path, std::ios::out | std::ios::app);
-      if (out.is_open()) {
-        obs::WriteSnapshotJsonl(snapshot, &report.trace_summary, 0, out);
-        out.flush();
-      }
-      if (!out.good()) {
-        std::cerr << "hamlet: metrics export failed: cannot append to "
-                  << jsonl_path << "\n";
-      }
+  // 3. Build the candidate features (factorize, or join and encode),
+  //    split per the holdout protocol, then run feature selection and the
+  //    final holdout fit (fs.run nests under `pipeline`).
+  if (use_factorized) {
+    report.factorized = true;
+    report.tables_factorized = static_cast<uint32_t>(to_join.size());
+    FactorizedDataset data;
+    {
+      obs::TraceSpan span("pipeline.factorize");
+      span.AddAttr("tables", static_cast<uint64_t>(to_join.size()));
+      HAMLET_ASSIGN_OR_RETURN(data, FactorizedDataset::Make(dataset, to_join));
+      report.features_in = data.num_features();
+      span.AddAttr("features", report.features_in);
+      span.AddAttr("rows", data.num_rows());
     }
+    const HoldoutSplit split = make_split(data.num_rows());
+    HAMLET_ASSIGN_OR_RETURN(
+        report.selection,
+        RunFeatureSelectionFactorized(*selector, data, split, factory,
+                                      config.metric,
+                                      data.AllFeatureIndices()));
   } else {
-    report.trace_summary =
-        CoarseSummary(report, advise_seconds, encode_seconds, split_seconds);
+    report.tables_joined = static_cast<uint32_t>(to_join.size());
+    Table table;
+    {
+      obs::TraceSpan span("pipeline.join");
+      span.AddAttr("tables", static_cast<uint64_t>(to_join.size()));
+      JoinOptions join_options;
+      join_options.num_threads = config.num_threads;
+      HAMLET_ASSIGN_OR_RETURN(table, dataset.JoinSubset(to_join, join_options));
+    }
+    std::unique_ptr<EncodedDataset> data;
+    {
+      obs::TraceSpan span("pipeline.encode");
+      HAMLET_ASSIGN_OR_RETURN(EncodedDataset encoded,
+                              EncodedDataset::FromTableAuto(table));
+      data = std::make_unique<EncodedDataset>(std::move(encoded));
+      report.features_in = data->num_features();
+      span.AddAttr("features", report.features_in);
+      span.AddAttr("rows", data->num_rows());
+    }
+    const HoldoutSplit split = make_split(data->num_rows());
+    HAMLET_ASSIGN_OR_RETURN(
+        report.selection,
+        RunFeatureSelection(*selector, *data, split, factory, config.metric,
+                            data->AllFeatureIndices()));
+  }
+  report.trace = run.Finish();
+
+  if (!collection.enabled()) {
+    report.trace_summary = obs::SummarizeTrace(report.trace);
+    return report;
+  }
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  report.trace_summary = obs::SummarizeTrace(report.trace, snapshot);
+
+  // Structured export: each traced run appends one JSONL snapshot line.
+  // The run is its own collection window, so its line is seq 0. Export
+  // failures are reported, not fatal — a read-only artifacts/ directory
+  // must not fail the analysis itself.
+  const std::string jsonl_path =
+      PathFromConfigOrEnv(config.metrics_jsonl_path, "HAMLET_METRICS_JSONL");
+  if (!jsonl_path.empty()) {
+    std::ofstream out(jsonl_path, std::ios::out | std::ios::app);
+    if (out.is_open()) {
+      obs::WriteSnapshotJsonl(snapshot, &report.trace_summary, 0, out);
+      out.flush();
+    }
+    if (!out.good()) {
+      std::cerr << "hamlet: metrics export failed: cannot append to "
+                << jsonl_path << "\n";
+    }
   }
   return report;
 }
@@ -349,7 +242,8 @@ std::string PipelineReport::Summary() const {
       "fit); %.3fs end to end",
       selection.holdout_test_error,
       static_cast<unsigned long long>(selection.selection.models_trained),
-      selection.runtime_seconds, selection.fit_seconds, total_seconds);
+      selection.runtime_seconds, selection.fit_seconds,
+      trace_summary.StageSeconds("pipeline"));
   return oss.str();
 }
 

@@ -64,9 +64,11 @@ struct PipelineConfig {
   /// Unread: JoinAlgorithm has one value (see join.h for why the field
   /// has not been deleted yet).
   JoinAlgorithm join_algorithm = JoinAlgorithm::kAuto;
-  /// Collect a span tree + metrics for this run (see docs/OBSERVABILITY.md).
-  /// The HAMLET_TRACE environment variable turns tracing on as well; when
-  /// both are off, instrumentation costs a single predictable branch.
+  /// Trace this run: collect counters and histograms as well, fold the
+  /// counters into PipelineReport::trace_summary, and write the JSONL
+  /// export (see docs/OBSERVABILITY.md). The stage tree is recorded
+  /// either way. The HAMLET_TRACE environment variable turns tracing on
+  /// as well.
   bool trace = false;
   /// Escape hatch: disable the sufficient-statistics cache and incremental
   /// candidate scoring for this run, forcing the original scan-based
@@ -108,21 +110,18 @@ struct PipelineReport {
   uint32_t tables_factorized = 0;  ///< Attribute tables factorized over.
   uint32_t features_in = 0;      ///< Candidate features offered to FS.
   FsRunReport selection;         ///< Chosen subset + errors + timings.
-  double join_seconds = 0.0;     ///< Time spent materializing joins.
-  double factorize_seconds = 0.0;  ///< Time building the factorized view.
-  double total_seconds = 0.0;    ///< Wall clock for the whole run.
 
-  /// Raw span events (empty unless the run was traced).
+  /// The run's span events, rooted at `pipeline`, traced or not. Every
+  /// duration in this report is read off them.
   obs::Trace trace;
-  /// Stage-level timing rollup. Always populated: from the span tree when
-  /// the run was traced, from coarse per-stage timers otherwise.
+  /// Stage-level rollup of `trace` (StageSeconds("pipeline") is the run's
+  /// wall clock). Counters are folded in only when the run was traced.
   obs::TraceSummary trace_summary;
 
   /// A one-paragraph analyst-facing summary.
   std::string Summary() const;
 
-  /// The explain-style stage tree (multi-line; empty string when the run
-  /// was not traced).
+  /// The explain-style stage tree (multi-line).
   std::string ExplainTree() const;
 };
 

@@ -1,10 +1,9 @@
 #include "fs/runner.h"
 
-#include "common/timer.h"
 #include "fs/candidate_eval.h"
 #include "fs/filters.h"
 #include "fs/greedy_search.h"
-#include "obs/trace.h"
+#include "obs/report.h"
 
 namespace hamlet {
 
@@ -66,16 +65,16 @@ Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
   FsRunReport report;
   report.method = selector.name();
 
-  Timer total_timer;
+  // The run's own span tree is its stopwatch: nested under `pipeline`
+  // when RunPipeline calls, its own root otherwise.
+  obs::RunTrace run("fs.run");
   {
     obs::TraceSpan span("fs.search");
     span.AddAttr("method", selector.name());
     span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
-    Timer timer;
     HAMLET_ASSIGN_OR_RETURN(
         report.selection,
         selector.Search(view, split, factory, metric, candidates));
-    report.runtime_seconds = timer.ElapsedSeconds();
     span.AddAttr("models_trained", report.selection.models_trained);
     span.AddAttr("selected",
                  static_cast<uint64_t>(report.selection.selected.size()));
@@ -86,7 +85,6 @@ Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
     obs::TraceSpan span("fs.final_fit");
     span.AddAttr("features",
                  static_cast<uint64_t>(report.selection.selected.size()));
-    Timer timer;
     // The final model trains on split.train and is scored on split.test
     // through the backend the search used, outside the search's refit
     // budget: Naive Bayes from the (cached) statistics, anything else by
@@ -100,9 +98,11 @@ Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
                             selector.num_threads()));
     HAMLET_ASSIGN_OR_RETURN(report.holdout_test_error,
                             fit->ScoreBase(selected));
-    report.fit_seconds = timer.ElapsedSeconds();
   }
-  report.total_seconds = total_timer.ElapsedSeconds();
+  const obs::TraceSummary stages = obs::SummarizeTrace(run.Finish());
+  report.runtime_seconds = stages.StageSeconds("fs.search");
+  report.fit_seconds = stages.StageSeconds("fs.final_fit");
+  report.total_seconds = stages.StageSeconds("fs.run");
   return report;
 }
 

@@ -5,7 +5,9 @@
 /// End-to-end feature selection runs: search on train/validation, then a
 /// final model on the chosen subset scored on the 25% holdout test split —
 /// the protocol every number in Figures 7–9 comes from. Also times the
-/// search, which is what JoinOpt's speedups are measured on.
+/// search, which is what JoinOpt's speedups are measured on: each run
+/// opens an obs::RunTrace "fs.run" (nested under `pipeline` when
+/// RunPipeline calls it) and reads its durations off that tree.
 
 #include <memory>
 #include <string>
@@ -39,18 +41,19 @@ std::unique_ptr<FeatureSelector> MakeSelector(FsMethod method,
 std::vector<FsMethod> AllFsMethods();
 
 /// Everything one feature selection run produces. The three runtime
-/// fields decompose the run's wall clock: `runtime_seconds` is the
-/// search (what Figure 7B's speedups are measured on), `fit_seconds` is
-/// the final fit + holdout scoring, and `total_seconds` is their wall
-/// clock sum — so the figure's runtimes decompose with no blind spot.
+/// fields are read off the run's own span tree (obs::RunTrace
+/// "fs.run"): `runtime_seconds` is the `fs.search` span (what Figure
+/// 7B's speedups are measured on), `fit_seconds` the `fs.final_fit` span
+/// (final fit + holdout scoring), and `total_seconds` the `fs.run` root
+/// that holds both — so runtime_seconds + fit_seconds <= total_seconds.
 struct FsRunReport {
   std::string method;
   SelectionResult selection;
   std::vector<std::string> selected_names;  ///< Human-readable subset.
   double holdout_test_error = 0.0;
-  double runtime_seconds = 0.0;  ///< Search time only.
-  double fit_seconds = 0.0;      ///< Final fit + holdout scoring.
-  double total_seconds = 0.0;    ///< Search + final fit wall clock.
+  double runtime_seconds = 0.0;  ///< The fs.search span.
+  double fit_seconds = 0.0;      ///< The fs.final_fit span.
+  double total_seconds = 0.0;    ///< The fs.run span.
 };
 
 /// Runs `selector` over `candidates`, then fits the chosen subset on

@@ -9,7 +9,13 @@
 namespace hamlet::obs {
 
 void SetEnabled(bool on) {
-  internal::g_collect.store(on, std::memory_order_relaxed);
+  if (on) {
+    internal::g_probe_state.fetch_or(internal::kCollectBit,
+                                     std::memory_order_relaxed);
+  } else {
+    internal::g_probe_state.fetch_and(~internal::kCollectBit,
+                                      std::memory_order_relaxed);
+  }
   // While collecting, also time the pool's task queue so scheduling cost
   // shows up in the snapshot; off again when collection stops.
   ThreadPool::Global().set_collect_queue_wait(on);

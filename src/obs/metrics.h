@@ -35,14 +35,21 @@
 namespace hamlet::obs {
 
 namespace internal {
-/// The process-wide collection switch (shared with tracing). Plain
-/// inline atomic so the hot-path load never pays a static-init guard.
-inline std::atomic<bool> g_collect{false};
+/// The process-wide probe word, shared with tracing: bit 0 is the
+/// collection switch, and every open obs::RunTrace adds kRunUnit. Zero
+/// means no probe has anything to record, so a disabled counter,
+/// histogram or span is one relaxed load of this word and a branch.
+/// Plain inline atomic so the hot-path load never pays a static-init
+/// guard.
+inline constexpr uint32_t kCollectBit = 1;
+inline constexpr uint32_t kRunUnit = 2;
+inline std::atomic<uint32_t> g_probe_state{0};
 }  // namespace internal
 
 /// True while collection is enabled (one relaxed load).
 inline bool Enabled() {
-  return internal::g_collect.load(std::memory_order_relaxed);
+  return (internal::g_probe_state.load(std::memory_order_relaxed) &
+          internal::kCollectBit) != 0;
 }
 
 /// Flips collection on/off. Also toggles the global thread pool's

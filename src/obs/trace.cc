@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_set>
 
 namespace hamlet::obs {
 
@@ -46,6 +47,30 @@ Trace Tracer::Collect() const {
   return trace;
 }
 
+Trace Tracer::Subtree(uint64_t root_id, bool remove) {
+  Trace trace = Collect();
+  // Sorted by start time, a span's parent precedes it, so one sweep
+  // finds every descendant.
+  std::unordered_set<uint64_t> ids = {root_id};
+  std::vector<TraceEvent> kept;
+  for (TraceEvent& event : trace.events) {
+    if (event.id == root_id || ids.count(event.parent_id) != 0) {
+      ids.insert(event.id);
+      kept.push_back(std::move(event));
+    }
+  }
+  trace.events = std::move(kept);
+  if (remove) {
+    for (Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      std::erase_if(shard.events, [&](const TraceEvent& event) {
+        return ids.count(event.id) != 0;
+      });
+    }
+  }
+  return trace;
+}
+
 void Tracer::Record(TraceEvent event) {
   Shard& shard =
       shards_[ThreadPool::CurrentWorkerId() & (kShards - 1)];
@@ -55,8 +80,11 @@ void Tracer::Record(TraceEvent event) {
 
 uint64_t CurrentSpanId() { return ThreadPool::CurrentTaskContext(); }
 
-TraceSpan::TraceSpan(const char* name) : name_(name) {
-  if (!Enabled()) return;
+void TraceSpan::OpenIfRecording() {
+  if (Enabled() || ThreadPool::CurrentTaskContext() != 0) Open();
+}
+
+void TraceSpan::Open() {
   active_ = true;
   id_ = Tracer::Global().NextSpanId();
   parent_id_ = ThreadPool::CurrentTaskContext();
@@ -64,8 +92,8 @@ TraceSpan::TraceSpan(const char* name) : name_(name) {
   start_ns_ = NowNanos();
 }
 
-TraceSpan::~TraceSpan() {
-  if (!active_) return;
+void TraceSpan::Close() {
+  active_ = false;
   TraceEvent event;
   event.id = id_;
   event.parent_id = parent_id_;
@@ -95,10 +123,6 @@ void TraceSpan::AddAttr(const char* key, const std::string& value) {
   attrs_.push_back(std::move(attr));
 }
 
-double TraceSpan::ElapsedSeconds() const {
-  return static_cast<double>(ElapsedNanos()) * 1e-9;
-}
-
 ScopedCollection::ScopedCollection(bool enable) : enabled_(enable) {
   if (!enabled_) return;
   prev_ = Enabled();
@@ -109,6 +133,27 @@ ScopedCollection::ScopedCollection(bool enable) : enabled_(enable) {
 
 ScopedCollection::~ScopedCollection() {
   if (enabled_) SetEnabled(prev_);
+}
+
+RunTrace::RunTrace(const char* name)
+    : root_(name, TraceSpan::AlwaysRecord{}) {
+  remove_ = root_.parent_id_ == 0 && !Enabled();
+  internal::g_probe_state.fetch_add(internal::kRunUnit,
+                                    std::memory_order_relaxed);
+}
+
+RunTrace::~RunTrace() {
+  if (root_.active_) {  // Unfinished: the run returned early.
+    root_.Close();
+    if (remove_) Tracer::Global().Subtree(root_.id_, true);
+  }
+  internal::g_probe_state.fetch_sub(internal::kRunUnit,
+                                    std::memory_order_relaxed);
+}
+
+Trace RunTrace::Finish() {
+  root_.Close();
+  return Tracer::Global().Subtree(root_.id_, remove_);
 }
 
 }  // namespace hamlet::obs

@@ -21,13 +21,19 @@
 /// into a Trace for the exporters in obs/report.h (explain tree, Chrome
 /// trace-event JSON).
 ///
-/// Cost contract: with collection disabled (the default) constructing and
-/// destroying a span costs one relaxed atomic load and a predictable
-/// branch each — bench/micro_benchmarks.cc's BM_TraceSpanDisabled pins
-/// it. Enabled spans pay a clock read at open and close plus one
-/// sharded-mutex push at close; attribute adds are amortized vector
-/// pushes. Span recording never perturbs the determinism contract: ids
-/// and timestamps are observational only.
+/// A span records when collection is on (ScopedCollection) or when it
+/// opens under a recording span. A RunTrace opens a root that always
+/// records, so every pipeline and feature-selection run carries its own
+/// stage tree, and every run duration is read off that tree; counters
+/// and histograms still record only while collection is on.
+///
+/// Cost contract: outside every run and with collection disabled (the
+/// default), constructing and destroying a span costs one relaxed atomic
+/// load and a predictable branch each — bench/micro_benchmarks.cc's
+/// BM_TraceSpanDisabled pins it. Recording spans pay a clock read at
+/// open and close plus one sharded-mutex push at close; attribute adds
+/// are amortized vector pushes. Span recording never perturbs the
+/// determinism contract: ids and timestamps are observational only.
 
 #include <array>
 #include <atomic>
@@ -93,6 +99,10 @@ class Tracer {
   /// Copies out everything recorded so far, sorted by (start_ns, id).
   Trace Collect() const;
 
+  /// The span `root_id` and every recorded descendant of it, sorted by
+  /// (start_ns, id). With `remove`, those events also leave the Tracer.
+  Trace Subtree(uint64_t root_id, bool remove);
+
   /// Next span id (1-based; 0 means "no span"). Used by TraceSpan.
   uint64_t NextSpanId() {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
@@ -115,13 +125,22 @@ class Tracer {
 };
 
 /// RAII span: opens at construction, records into the global Tracer at
-/// destruction. Inert (active() == false) when collection is disabled at
-/// construction time.
+/// destruction. Inert (active() == false) unless, at construction,
+/// collection is enabled or the span opens under a recording span (the
+/// thread's propagated task context is non-zero).
 class TraceSpan {
  public:
   /// `name` must outlive the span (string literals in practice).
-  explicit TraceSpan(const char* name);
-  ~TraceSpan();
+  explicit TraceSpan(const char* name) : name_(name) {
+    // The disabled probe: zero while collection is off and no run is
+    // open anywhere in the process.
+    if (internal::g_probe_state.load(std::memory_order_relaxed) != 0) {
+      OpenIfRecording();
+    }
+  }
+  ~TraceSpan() {
+    if (active_) Close();
+  }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -139,19 +158,54 @@ class TraceSpan {
   }
   void AddAttr(const char* key, const std::string& value);
 
-  /// Nanoseconds since the span opened (0 when inactive).
-  uint64_t ElapsedNanos() const { return active_ ? NowNanos() - start_ns_ : 0; }
-
-  /// Seconds since the span opened (0 when inactive).
-  double ElapsedSeconds() const;
-
  private:
+  friend class RunTrace;
+  struct AlwaysRecord {};
+  TraceSpan(const char* name, AlwaysRecord) : name_(name) { Open(); }
+
+  void OpenIfRecording();
+  void Open();
+  void Close();
+
   const char* name_;
   bool active_ = false;
   uint64_t id_ = 0;
   uint64_t parent_id_ = 0;
   uint64_t start_ns_ = 0;
   std::vector<TraceAttr> attrs_;
+};
+
+/// RAII run scope: the root span of one pipeline or feature-selection
+/// run. The root records whether or not collection is on, so every span
+/// opened under it records too — on the caller's thread or on a pool
+/// worker, through task-context propagation — and the run's durations
+/// come from one tree. Finish() closes the root and returns the run's
+/// events. A run that opens outside every span while collection is off
+/// (outermost and untraced) also takes its events out of the Tracer,
+/// on every exit path, so nothing accumulates between untraced runs and
+/// concurrent runs never see each other's spans. A run nested under a
+/// recording span leaves its events in the Tracer for the enclosing run
+/// or collection window.
+class RunTrace {
+ public:
+  /// `name` must outlive the run (string literals in practice).
+  explicit RunTrace(const char* name);
+  ~RunTrace();
+
+  RunTrace(const RunTrace&) = delete;
+  RunTrace& operator=(const RunTrace&) = delete;
+
+  /// The root span, for attributes.
+  TraceSpan& root() { return root_; }
+
+  /// Closes the root and returns the run's events, sorted by
+  /// (start_ns, id). Call at most once, after every span under the root
+  /// has closed.
+  Trace Finish();
+
+ private:
+  TraceSpan root_;
+  bool remove_ = false;
 };
 
 /// RAII collection window: when constructed with enable=true, clears the

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -117,25 +118,36 @@ TEST(PipelineTest, WorksWithEveryClassifierKind) {
   }
 }
 
-TEST(PipelineTest, UntracedRunStillCarriesATimingSummary) {
+TEST(PipelineTest, UntracedRunCarriesItsSpanTree) {
   auto ds = *MakeDataset("Walmart", 0.02, 3);
   PipelineConfig config = BaseConfig();
   auto report = *RunPipeline(ds, config);
   EXPECT_FALSE(config.trace);
-  EXPECT_TRUE(report.trace.empty());
-  EXPECT_EQ(report.ExplainTree(), "");
-  // The coarse rollup is always there, with the same stage names a
-  // traced run would produce.
-  EXPECT_GT(report.total_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(report.trace_summary.total_seconds,
-                   report.total_seconds);
-  EXPECT_DOUBLE_EQ(report.trace_summary.StageSeconds("pipeline.join"),
-                   report.join_seconds);
-  EXPECT_DOUBLE_EQ(report.trace_summary.StageSeconds("fs.search"),
-                   report.selection.runtime_seconds);
-  EXPECT_GT(report.selection.total_seconds,
-            report.selection.runtime_seconds);
-  EXPECT_GE(report.selection.fit_seconds, 0.0);
+  // The stage tree is recorded on every run, rooted at `pipeline`.
+  ASSERT_FALSE(report.trace.empty());
+  EXPECT_NE(report.ExplainTree(), "");
+  std::map<std::string, const obs::TraceEvent*> by_name;
+  for (const auto& e : report.trace.events) by_name.emplace(e.name, &e);
+  ASSERT_TRUE(by_name.count("pipeline"));
+  EXPECT_EQ(report.trace.events[0].name, "pipeline");
+  ASSERT_TRUE(by_name.count("fs.run"));
+  ASSERT_TRUE(by_name.count("fs.search"));
+  ASSERT_TRUE(by_name.count("fs.final_fit"));
+  EXPECT_EQ(by_name["fs.run"]->parent_id, by_name["pipeline"]->id);
+  EXPECT_EQ(by_name["fs.search"]->parent_id, by_name["fs.run"]->id);
+  EXPECT_EQ(by_name["fs.final_fit"]->parent_id, by_name["fs.run"]->id);
+
+  // Every duration is the tree's, bit for bit.
+  const obs::TraceSummary& summary = report.trace_summary;
+  EXPECT_EQ(report.selection.runtime_seconds,
+            summary.StageSeconds("fs.search"));
+  EXPECT_EQ(report.selection.fit_seconds,
+            summary.StageSeconds("fs.final_fit"));
+  EXPECT_EQ(report.selection.total_seconds, summary.StageSeconds("fs.run"));
+  EXPECT_GT(summary.StageSeconds("pipeline"), 0.0);
+  EXPECT_EQ(summary.total_seconds, summary.StageSeconds("pipeline"));
+  // Counters are collected only when the run is traced.
+  EXPECT_TRUE(summary.counters.empty());
 }
 
 TEST(PipelineTest, TracedRunProducesACoveringSpanTree) {

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "ml/naive_bayes.h"
+#include "obs/trace.h"
 
 namespace hamlet {
 namespace {
@@ -65,6 +66,27 @@ TEST(FsRunnerTest, ReportContainsEverything) {
   EXPECT_GE(report->runtime_seconds, 0.0);
   EXPECT_LT(report->holdout_test_error, 0.2);  // Bayes error 0.1.
   EXPECT_GE(report->selection.models_trained, 1u);
+}
+
+TEST(FsRunnerTest, UntracedRunTimesItsStagesFromItsOwnSpans) {
+  // A standalone run is its own `fs.run` root: its durations are its
+  // spans', and its events leave the Tracer when it finishes.
+  ASSERT_FALSE(obs::Enabled());
+  obs::Tracer::Global().Clear();
+  RunnerFixture f(1);
+  auto selector = MakeSelector(FsMethod::kForwardSelection);
+  auto report = RunFeatureSelection(*selector, f.data, f.split,
+                                    MakeNaiveBayesFactory(),
+                                    ErrorMetric::kZeroOne,
+                                    f.data.AllFeatureIndices());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_GT(report->runtime_seconds, 0.0);
+  EXPECT_GT(report->fit_seconds, 0.0);
+  EXPECT_GT(report->total_seconds, 0.0);
+  EXPECT_LE(report->runtime_seconds + report->fit_seconds,
+            report->total_seconds);
+  EXPECT_TRUE(obs::Tracer::Global().Collect().empty());
+  EXPECT_FALSE(obs::Enabled());
 }
 
 TEST(FsRunnerTest, AllMethodsProduceLowErrorOnEasyConcept) {

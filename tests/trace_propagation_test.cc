@@ -7,12 +7,17 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analytics/pipeline.h"
 #include "common/parallel_for.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
+#include "data/splits.h"
 #include "datasets/registry.h"
+#include "ml/factorized.h"
+#include "ml/logistic_regression.h"
 #include "obs/report.h"
 
 namespace hamlet {
@@ -170,6 +175,140 @@ TEST(TracePropagationTest, TracedPipelineRunHasNoOrphanedPoolSpans) {
           << " but is an orphaned root";
     }
   }
+}
+
+// --- RunTrace: every run carries its own stage tree. ----------------------
+
+PipelineConfig UntracedConfig(uint64_t seed) {
+  PipelineConfig config;
+  config.enable_join_avoidance = false;  // join.kfk spans as well.
+  config.method = FsMethod::kMiFilter;
+  config.metric = ErrorMetric::kRmse;
+  config.seed = seed;
+  config.num_threads = 2;
+  return config;
+}
+
+// Ids of `trace`'s events that descend from its `pipeline` root; events
+// are sorted by start time, so a parent always precedes its children.
+std::set<uint64_t> DescendantsOfPipelineRoot(const obs::Trace& trace) {
+  std::set<uint64_t> ids;
+  for (const auto& e : trace.events) {
+    if ((e.name == "pipeline" && e.parent_id == 0) ||
+        ids.count(e.parent_id) != 0) {
+      ids.insert(e.id);
+    }
+  }
+  return ids;
+}
+
+TEST(RunTraceTest, ConcurrentUntracedRunsKeepTheirOwnTrees) {
+  ASSERT_FALSE(obs::Enabled());
+  obs::Tracer::Global().Clear();
+  const NormalizedDataset ds = *MakeDataset("Walmart", 0.02, 3);
+  std::vector<PipelineReport> reports(2);
+  std::vector<Status> statuses(2);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < reports.size(); ++t) {
+    threads.emplace_back([&, t] {
+      auto report = RunPipeline(ds, UntracedConfig(7 + t));
+      statuses[t] = report.status();
+      if (report.ok()) reports[t] = std::move(*report);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::set<uint64_t> seen;
+  for (size_t t = 0; t < reports.size(); ++t) {
+    ASSERT_TRUE(statuses[t].ok()) << statuses[t];
+    const obs::Trace& trace = reports[t].trace;
+    ASSERT_FALSE(trace.empty());
+    EXPECT_EQ(trace.events[0].name, "pipeline");
+    EXPECT_EQ(trace.events[0].parent_id, 0u);
+    EXPECT_EQ(DescendantsOfPipelineRoot(trace).size(), trace.events.size())
+        << "run " << t << " holds a span outside its own tree";
+    EXPECT_FALSE(EventsNamed(trace, "join.kfk").empty());
+    for (const auto& e : trace.events) {
+      EXPECT_TRUE(seen.insert(e.id).second)
+          << e.name << " appears in both runs' trees";
+    }
+  }
+  EXPECT_TRUE(obs::Tracer::Global().Collect().empty());
+  EXPECT_FALSE(obs::Enabled());
+}
+
+TEST(RunTraceTest, FailingUntracedRunLeavesTheTracerEmpty) {
+  ASSERT_FALSE(obs::Enabled());
+  obs::Tracer::Global().Clear();
+  const NormalizedDataset ds = *MakeDataset("Walmart", 0.01, 3);
+  std::vector<std::string> fks;
+  for (const auto& fk : ds.foreign_keys()) fks.push_back(fk.fk_column);
+  const FactorizedDataset data = *FactorizedDataset::Make(ds, fks);
+  Rng rng(5);
+  const HoldoutSplit split = MakeHoldoutSplit(data.num_rows(), rng);
+  auto selector = MakeSelector(FsMethod::kForwardSelection);
+  // No factorized scorer serves logistic regression.
+  auto report = RunFeatureSelectionFactorized(
+      *selector, data, split, MakeLogisticRegressionFactory(),
+      ErrorMetric::kZeroOne, data.AllFeatureIndices());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(obs::Tracer::Global().Collect().empty());
+}
+
+TEST(RunTraceTest, UntracedRunLeavesCollectionOffAndTheCallersCounters) {
+  obs::Counter& caller =
+      obs::MetricsRegistry::Global().GetCounter("test.caller_window");
+  obs::Counter& models =
+      obs::MetricsRegistry::Global().GetCounter("fs.models_trained");
+  {
+    obs::ScopedCollection window(true);
+    caller.Add(7);
+  }
+  ASSERT_FALSE(obs::Enabled());
+  obs::Tracer::Global().Clear();
+  const uint64_t models_before = models.Total();
+
+  const NormalizedDataset ds = *MakeDataset("Walmart", 0.02, 3);
+  auto report = RunPipeline(ds, UntracedConfig(7));
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_GT(report->selection.selection.models_trained, 0u);
+  EXPECT_FALSE(obs::Enabled());
+  // The run opened no collection window: the caller's counter survives,
+  // and the run's own counters stayed off throughout.
+  EXPECT_EQ(caller.Total(), 7u);
+  EXPECT_EQ(models.Total(), models_before);
+  EXPECT_TRUE(report->trace_summary.counters.empty());
+  EXPECT_TRUE(obs::Tracer::Global().Collect().empty());
+}
+
+TEST(RunTraceTest, TracedRunNestsUnderTheCallersOpenSpan) {
+  obs::ScopedCollection window(true);
+  const NormalizedDataset ds = *MakeDataset("Walmart", 0.02, 3);
+  PipelineConfig config = UntracedConfig(7);
+  config.trace = true;
+  PipelineReport report;
+  uint64_t caller_id = 0;
+  {
+    obs::TraceSpan caller("test.caller");
+    caller_id = obs::CurrentSpanId();
+    auto result = RunPipeline(ds, config);
+    ASSERT_TRUE(result.ok()) << result.status();
+    report = std::move(*result);
+  }
+  EXPECT_TRUE(obs::Enabled());  // The caller's window is still open.
+  ASSERT_FALSE(report.trace.empty());
+  EXPECT_EQ(report.trace.events[0].name, "pipeline");
+  EXPECT_EQ(report.trace.events[0].parent_id, caller_id);
+
+  // The run's events stay in the caller's window, under the caller.
+  const obs::Trace trace = obs::Tracer::Global().Collect();
+  std::set<uint64_t> window_ids;
+  for (const auto& e : trace.events) window_ids.insert(e.id);
+  EXPECT_TRUE(window_ids.count(caller_id));
+  for (const auto& e : report.trace.events) {
+    EXPECT_TRUE(window_ids.count(e.id)) << e.name << " left the window";
+  }
+  EXPECT_EQ(EventsNamed(trace, "pipeline").size(), 1u);
 }
 
 }  // namespace

@@ -170,7 +170,6 @@ TEST(TraceSpanTest, DisabledSpansAreInert) {
     obs::TraceSpan span("test.disabled");
     span.AddAttr("k", static_cast<uint64_t>(1));
     EXPECT_FALSE(span.active());
-    EXPECT_EQ(span.ElapsedSeconds(), 0.0);
   }
   EXPECT_TRUE(obs::Tracer::Global().Collect().empty());
 }
