@@ -626,7 +626,9 @@ struct ServeBenchState {
   std::unique_ptr<serve::ArtifactStore> store;
   std::unique_ptr<serve::HamletService> batched;
   std::unique_ptr<serve::HamletService> unbatched;
+  std::unique_ptr<serve::HamletService> one_shard;
   std::vector<serve::ScoreRequest> requests;  // 16 blocks x 256 rows.
+  serve::ScoreRequest small;                  // 1 block x 16 rows.
 
   static ServeBenchState& Get() {
     static ServeBenchState* state = [] {
@@ -656,6 +658,10 @@ struct ServeBenchState {
       off.batch_scoring = false;
       s->unbatched =
           std::make_unique<serve::HamletService>(s->store.get(), off);
+      serve::ServiceOptions single;
+      single.num_shards = 1;
+      s->one_shard =
+          std::make_unique<serve::HamletService>(s->store.get(), single);
       Rng block_rng(12);
       for (int b = 0; b < 16; ++b) {
         std::vector<uint32_t> sample(256);
@@ -666,6 +672,11 @@ struct ServeBenchState {
             s->draw.data.GatherRows(sample));
         s->requests.push_back(std::move(req));
       }
+      std::vector<uint32_t> sample(16);
+      for (auto& r : sample) r = block_rng.Uniform(s->draw.data.num_rows());
+      s->small.model = "m";
+      s->small.rows = std::make_shared<const EncodedDataset>(
+          s->draw.data.GatherRows(sample));
       return s;
     }();
     return *state;
@@ -743,6 +754,24 @@ void BM_ServeScoreUnbatched(benchmark::State& state) {
   state.SetLabel("1 req/pass");
 }
 BENCHMARK(BM_ServeScoreUnbatched)->Unit(benchmark::kMicrosecond);
+
+// The whole served path the two benchmarks above skip: one Score() call
+// for a 16-row block on an idle 1-shard service — admission, the pass,
+// and the response back to the caller. An idle shard scores on the
+// caller's thread; a busy one queues for its dispatcher.
+void BM_ServeScoreRoundTrip(benchmark::State& state) {
+  auto& s = ServeBenchState::Get();
+  uint64_t rows = 0;
+  for (auto _ : state) {
+    auto response = s.one_shard->Score(s.small);
+    if (!response.ok()) std::abort();
+    rows += response->predictions.size();
+    benchmark::DoNotOptimize(response->predictions.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+  state.SetLabel("16 rows, 1 shard");
+}
+BENCHMARK(BM_ServeScoreRoundTrip)->Unit(benchmark::kMicrosecond);
 
 // --- Factorized learning vs the materialized join (ml/factorized.h).
 // The headline claim docs/PERFORMANCE.md "Factorized training" reports:

@@ -18,16 +18,19 @@
 ///     instead of piling onto a queue that is already beyond its SLO.
 ///
 /// The consumer side supports exactly the dispatcher's drain pattern:
-/// PopHead blocks for the next item, ExtractMatching then lifts every
-/// queued item a predicate selects (up to a cap) out of arrival order
-/// for micro-batch fusion, leaving the rest in place. Stop() wakes
-/// everyone; after it, pushes fail with kStopped and PopHead drains the
-/// backlog before returning false, so no accepted request is ever
-/// silently dropped.
+/// WaitNonEmpty blocks until an item is queued without taking it (so
+/// the dispatcher can acquire its shard's run lock while the item still
+/// shows in size()), PopHead takes the next item, and ExtractMatching
+/// then lifts every queued item a predicate selects (up to a cap) out of
+/// arrival order for micro-batch fusion, leaving the rest in place.
+/// Stop() wakes everyone; after it, pushes fail with kStopped and the
+/// consumer drains the backlog before WaitNonEmpty/PopHead return false,
+/// so no accepted request is ever silently dropped.
 ///
 /// The implementation is a mutex + two condvars around a deque, not a
-/// lock-free ring: the queue hand-off is microseconds against scoring
-/// passes that run 10s–100s of microseconds, and the fusion scan needs
+/// lock-free ring. Only a busy shard queues at all — an idle one scores
+/// on the caller's thread (serve/service.h) — so every hand-off through
+/// here waits behind a pass already running, and the fusion scan needs
 /// mid-queue extraction that ring buffers cannot offer. The win of the
 /// sharded plane comes from having N independent instances of this
 /// queue (one lock per shard instead of one global), not from shaving
@@ -86,6 +89,14 @@ class BoundedMpscQueue {
     }
     nonempty_cv_.notify_one();
     return MpscPushResult::kOk;
+  }
+
+  /// Consumer: blocks until an item is queued and leaves it there.
+  /// Returns false only when the queue is stopped AND fully drained.
+  bool WaitNonEmpty() {
+    std::unique_lock<std::mutex> lock(mu_);
+    nonempty_cv_.wait(lock, [&] { return stopped_ || !items_.empty(); });
+    return !items_.empty();
   }
 
   /// Consumer: blocks for the next item. Returns false only when the

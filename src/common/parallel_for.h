@@ -10,7 +10,8 @@
 ///
 /// Calls dispatch onto the process-wide persistent ThreadPool
 /// (common/thread_pool.h) instead of spawning threads per call, so
-/// repeated short regions pay no spawn/join cost. Nested calls degrade to
+/// repeated short regions pay no spawn/join cost, and a loop shorter than
+/// two grains never leaves the calling thread. Nested calls degrade to
 /// serial loops (see the pool's nesting contract), and an exception
 /// thrown by a work item is captured and rethrown on the calling thread —
 /// the lowest-indexed shard's exception wins, deterministically.
@@ -23,12 +24,16 @@
 namespace hamlet {
 
 /// Runs fn(i) for i in [0, n) across up to `num_threads` shards of the
-/// shared pool (0 = one shard per hardware thread). fn must be safe to
-/// call concurrently for distinct indices. Blocks until every item
-/// completes; rethrows the first (lowest-shard) work-item exception.
+/// shared pool (0 = one shard per hardware thread), each at least
+/// `grain` items long; a region under two grains runs inline on the
+/// caller. fn must be safe to call concurrently for distinct indices.
+/// Blocks until every item completes; rethrows the first (lowest-shard)
+/// work-item exception.
 template <typename Fn>
-void ParallelFor(uint32_t n, uint32_t num_threads, Fn&& fn) {
-  ThreadPool::Global().ParallelFor(n, num_threads, std::forward<Fn>(fn));
+void ParallelFor(uint32_t n, uint32_t num_threads, Fn&& fn,
+                 uint32_t grain = 1) {
+  ThreadPool::Global().ParallelFor(n, num_threads, std::forward<Fn>(fn),
+                                   grain);
 }
 
 }  // namespace hamlet

@@ -21,6 +21,14 @@
 /// counter, so the item → thread assignment is a pure function of (n,
 /// shards) — never of timing.
 ///
+/// Grain: a region gets at most n / grain shards, so every shard owns at
+/// least `grain` items, and a region too small for two shards runs
+/// inline on the caller without touching the pool (no region counted, no
+/// worker woken). The default grain of 1 shards by the width alone. A
+/// caller whose items cost less than a handoff passes the item count
+/// that amortizes one; the grain changes where items run, never what
+/// they compute.
+///
 /// Nesting: a ParallelFor issued from inside a running parallel region
 /// (worker thread or the caller's inline shard) degrades to a serial loop
 /// instead of re-submitting to the pool. Composed parallelism — e.g. the
@@ -110,14 +118,17 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for every i in [0, n), splitting the range into up to
-  /// `num_threads` contiguous shards (0 = DefaultShards()). Blocks until
-  /// every item finishes. fn must be safe to call concurrently for
-  /// distinct indices. Called from inside a parallel region, runs serial.
+  /// `num_threads` contiguous shards (0 = DefaultShards()) of at least
+  /// `grain` items each (0 reads as 1); a region with one shard runs
+  /// inline. Blocks until every item finishes. fn must be safe to call
+  /// concurrently for distinct indices. Called from inside a parallel
+  /// region, runs serial.
   template <typename Fn>
-  void ParallelFor(uint32_t n, uint32_t num_threads, Fn&& fn) {
+  void ParallelFor(uint32_t n, uint32_t num_threads, Fn&& fn,
+                   uint32_t grain = 1) {
     if (n == 0) return;
     uint32_t shards = num_threads == 0 ? DefaultShards() : num_threads;
-    shards = std::min(shards, n);
+    shards = std::min(shards, n / std::max(grain, 1u));
     if (shards <= 1) {
       for (uint32_t i = 0; i < n; ++i) fn(i);
       return;

@@ -43,14 +43,10 @@ Column Column::Gather(const std::vector<uint32_t>& rows,
                       uint32_t num_threads) const {
   const uint32_t n = static_cast<uint32_t>(rows.size());
   std::vector<uint32_t> out(n);
-  if (num_threads == 1) {
-    for (uint32_t i = 0; i < n; ++i) out[i] = code(rows[i]);
-  } else {
-    // Each index writes only its own slot, so the result is identical at
-    // any thread count (the pool's determinism contract).
-    ParallelFor(n, num_threads,
-                [&](uint32_t i) { out[i] = code(rows[i]); });
-  }
+  // Each index writes only its own slot, so the result is identical at
+  // any thread count (the pool's determinism contract); a 1-wide region
+  // runs inline.
+  ParallelFor(n, num_threads, [&](uint32_t i) { out[i] = code(rows[i]); });
   return Column(std::move(out), domain_);
 }
 

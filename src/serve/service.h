@@ -16,15 +16,25 @@
 ///                     dataset, persisting the winning model.
 ///
 /// Concurrency model — the sharded scoring data plane: requests hash by
-/// (model, version) onto one of N dispatcher shards, each a bounded
-/// MPSC queue (common/mpsc_queue.h) drained by its own dispatcher
-/// thread. Same-(model, version) Score requests always land on the
-/// same shard, so micro-batch fusion needs no cross-shard coordination:
-/// each dispatcher coalesces up to max_batch queued requests for its
-/// head's (model, version) into ONE scoring pass — a single parallel
-/// region calling the model's Classifier::PredictOne row by row — and N
-/// such passes run concurrently across shards. Requests without a model
-/// key (Advise, SelectFeatures) round-robin across shards.
+/// (model, version) onto one of N shards. Each shard has a bounded MPSC
+/// queue (common/mpsc_queue.h) drained by its own dispatcher thread, and
+/// one run lock that every pass on the shard holds. A pass has two
+/// entries and one body:
+///
+///   - inline: a Score whose shard is idle — queue empty, run lock free
+///     (try_lock) — runs its pass on the caller's thread, with no
+///     dispatcher wakeup and no promise/future handoff;
+///   - queued: otherwise the request queues, and the dispatcher, holding
+///     the run lock, coalesces up to max_batch queued requests for its
+///     head's (model, version) into ONE scoring pass. Same-(model,
+///     version) Score requests always land on the same shard, so fusion
+///     needs no cross-shard coordination.
+///
+/// A pass calls the model's Classifier::PredictOne row by row in one
+/// parallel region whose shards hold at least a fixed row grain, so a
+/// pass too small to share never leaves its thread; N passes run
+/// concurrently across shards. Requests without a model key (Advise,
+/// SelectFeatures) round-robin across shards and always queue.
 ///
 /// Determinism contract (extended from the single-queue service): a
 /// request's response payload — the predictions — is a pure function of
@@ -36,7 +46,8 @@
 /// outside the contract, exactly as before.)
 ///
 /// Admission control: each shard queue is bounded (queue_capacity per
-/// shard). Under OverloadPolicy::kBlock, enqueue blocks while the shard
+/// shard). An inline pass needs an empty queue, so it never bypasses a
+/// backlog. Under OverloadPolicy::kBlock, enqueue blocks while the shard
 /// is full — backpressure toward the caller, the original behavior.
 /// Under OverloadPolicy::kShed, a request arriving while the shard
 /// already holds shed_high_water items is rejected immediately with a
@@ -45,11 +56,13 @@
 /// also carry an absolute deadline (`deadline_ns`, obs::NowNanos
 /// clock); deadlines are checked at dequeue — a request whose deadline
 /// passed while it queued is answered `kDeadlineExceeded` (counted in
-/// `serve.deadline_expired`) without touching the model.
+/// `serve.deadline_expired`) without touching the model. An inline Score
+/// passes the same gate before its pass.
 ///
-/// Warm model cache: each dispatcher keeps a shard-local (model,
-/// version) → resolved-model map, read without any lock (the dispatcher
-/// thread owns it). Concrete versions are immutable, so entries for
+/// Warm model cache: each shard keeps a (model, version) →
+/// resolved-model map guarded by its run lock, so whichever thread runs
+/// the pass — the dispatcher or an inline client — reads it with no
+/// further lock. Concrete versions are immutable, so entries for
 /// them never expire; kLatest entries revalidate against the artifact
 /// store's publish `generation()` with one atomic load, so a hot model
 /// batch skips both the store mutex and the directory scan, while a
@@ -61,9 +74,10 @@
 /// Observability: every endpoint records `serve.*` counters and latency
 /// histograms (see docs/SERVING.md and docs/OBSERVABILITY.md) when obs
 /// collection is enabled; queue depth/wait, batch sizes, sheds, expired
-/// deadlines and warm-cache hits are measured too, and each scoring
-/// pass opens a `serve.score` span carrying its shard, fused batch size
-/// and row count.
+/// deadlines, warm-cache hits, model resolve time and inline vs queued
+/// passes are measured too, and each scoring pass opens a `serve.score`
+/// span carrying its shard, fused batch size, row count and whether it
+/// ran inline.
 
 #include <memory>
 #include <string>
@@ -93,7 +107,9 @@ struct ServiceOptions {
   /// BM_ServeScoreUnbatched baseline).
   bool batch_scoring = true;
   /// ParallelFor shards for scoring passes and FS runs (0 = one per
-  /// hardware thread, 1 = serial). Results are identical either way.
+  /// hardware thread, 1 = serial). A scoring pass with fewer than two
+  /// row grains (2 x 64 rows) runs serially on its own thread at any
+  /// setting. Results are identical either way.
   uint32_t num_threads = 0;
   /// Dispatcher shards. 0 = auto: min(hardware concurrency, 4), at
   /// least 1. Results are identical at any shard count.
@@ -180,15 +196,16 @@ class HamletService {
   Result<SelectFeaturesResponse> SelectFeatures(SelectFeaturesRequest request);
 
   /// Finishes every queued request, rejects new ones
-  /// (FailedPrecondition), and joins all dispatchers. Idempotent.
+  /// (FailedPrecondition), joins all dispatchers, and returns only once
+  /// no inline pass is running either. Idempotent.
   void Stop();
 
-  /// The exact scoring pass the dispatcher's micro-batcher runs, minus
-  /// the queue: resolves each distinct (model, version) once (through
-  /// the artifact store — the warm cache is dispatcher-local) and
-  /// scores all blocks in one parallel region per model group. Exposed
-  /// so the determinism tests and benchmarks can drive the batched
-  /// path directly.
+  /// The exact scoring pass Score runs, minus the queue and the run
+  /// lock: resolves each distinct (model, version) once (through the
+  /// artifact store — the warm cache belongs to the shard's run lock)
+  /// and scores all blocks in one parallel region per model group.
+  /// Exposed so the determinism tests and benchmarks can drive the
+  /// batched path directly.
   Result<std::vector<ScoreResponse>> ScoreBatchDirect(
       const std::vector<ScoreRequest>& batch);
 

@@ -2,9 +2,11 @@
 /// shard-count determinism contract, typed admission-control rejections
 /// (kOverloaded / kDeadlineExceeded with exact accounting and never a
 /// partial result), the generation-validated warm model cache under
-/// hot-swap, and the probe parity of the direct (unbatched) path. This
-/// suite is part of the TSAN sweep scripts/check_determinism.sh runs —
-/// every test here doubles as a data-race target.
+/// hot-swap, the inline pass an idle shard runs on the caller's thread,
+/// Stop() racing clients, and the probe parity of the direct
+/// (unbatched) path. This suite is part of the TSAN sweep
+/// scripts/check_determinism.sh runs — every test here doubles as a
+/// data-race target.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/load_gen.h"
@@ -317,6 +320,109 @@ TEST_F(ShardedServiceTest, WarmCacheServesHotSwapExactly) {
   obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(snap.CounterValue("serve.warm_cache_misses"), 2u);
   EXPECT_EQ(snap.CounterValue("serve.warm_cache_hits"), 2u);
+}
+
+// An idle shard scores on the caller's thread: a 16-row Score wakes no
+// dispatcher and runs no pool task (16 rows are under the scoring
+// grain), and answers exactly like serial Predict with a batch of 1.
+TEST_F(ShardedServiceTest, IdleShardScoresOnTheCallersThread) {
+  EncodedDataset data = MakeData(80);
+  NaiveBayes model = TrainNb(data);
+  ASSERT_TRUE(store_->PutNaiveBayes("m", model).ok());
+  auto block = std::make_shared<const EncodedDataset>(MakeData(81, 16));
+  const std::vector<uint32_t> expected =
+      model.Predict(*block, AllRows(*block));
+
+  obs::ScopedCollection collection(true);
+  HamletService service(store_.get());
+  const ThreadPoolStats before = ThreadPool::Global().GetStats();
+  ScoreRequest request;
+  request.model = "m";
+  request.rows = block;
+  Result<ScoreResponse> response = service.Score(std::move(request));
+  const ThreadPoolStats after = ThreadPool::Global().GetStats();
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->predictions, expected);
+  EXPECT_EQ(response->batch_requests, 1u);
+  EXPECT_EQ(after.regions, before.regions);
+  EXPECT_EQ(after.tasks_run, before.tasks_run);
+
+  obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snap.CounterValue("serve.inline_passes"), 1u);
+  EXPECT_EQ(snap.CounterValue("serve.queued_passes"), 0u);
+  uint64_t queue_waits = 0, resolves = 0;
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    if (h.name == "serve.queue_wait_ns") queue_waits = h.count;
+    if (h.name == "serve.resolve_ns") resolves = h.count;
+  }
+  EXPECT_EQ(queue_waits, 1u);  // A zero wait, like ScoreBatchDirect.
+  EXPECT_EQ(resolves, 1u);
+  bool inline_span = false;
+  for (const obs::TraceEvent& event : obs::Tracer::Global().Collect().events) {
+    if (event.name != "serve.score") continue;
+    for (const obs::TraceAttr& attr : event.attrs) {
+      inline_span |= attr.key == "inline" && attr.number == 1;
+    }
+  }
+  EXPECT_TRUE(inline_span);
+}
+
+// Stop() racing live clients: every call answers OK (with full results)
+// or kFailedPrecondition, nothing hangs, and once Stop() has returned no
+// scoring pass runs — inline or queued.
+TEST_F(ShardedServiceTest, StopRacingClientsNeverScoresAfterStop) {
+  EncodedDataset data = MakeData(90);
+  NaiveBayes model = TrainNb(data);
+  ASSERT_TRUE(store_->PutNaiveBayes("m", model).ok());
+  auto block = std::make_shared<const EncodedDataset>(MakeData(91, 16));
+  const std::vector<uint32_t> expected =
+      model.Predict(*block, AllRows(*block));
+
+  obs::ScopedCollection collection(true);
+  for (int round = 0; round < 4; ++round) {
+    ServiceOptions options;
+    options.num_shards = 1;  // Every client contends for one run lock.
+    HamletService service(store_.get(), options);
+    std::atomic<bool> stop_returned{false};
+    std::atomic<int> unexpected{0};
+    std::atomic<int> served{0};
+    const auto score = [&]() -> StatusCode {
+      ScoreRequest request;
+      request.model = "m";
+      request.rows = block;
+      Result<ScoreResponse> response = service.Score(std::move(request));
+      if (response.ok()) {
+        if (response->predictions != expected) ++unexpected;
+        ++served;
+        return StatusCode::kOk;
+      }
+      if (response.status().code() != StatusCode::kFailedPrecondition) {
+        ++unexpected;
+      }
+      return response.status().code();
+    };
+
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+      clients.emplace_back([&] {
+        while (!stop_returned.load()) score();
+        // After Stop() returned, every call is rejected.
+        if (score() != StatusCode::kFailedPrecondition) ++unexpected;
+      });
+    }
+    while (served.load() < 20) std::this_thread::yield();
+    service.Stop();
+    const uint64_t batches_at_stop = obs::MetricsRegistry::Global()
+                                         .Snapshot()
+                                         .CounterValue("serve.score_batches");
+    stop_returned.store(true);
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(unexpected.load(), 0) << "round " << round;
+    EXPECT_EQ(obs::MetricsRegistry::Global().Snapshot().CounterValue(
+                  "serve.score_batches"),
+              batches_at_stop)
+        << "round " << round;
+  }
 }
 
 // Satellite of ISSUE 10: the direct (unbatched) path records the same

@@ -220,18 +220,60 @@ TEST(ThreadPoolTest, WorkerIdsAreStableAndNonZeroOnWorkers) {
 }
 
 TEST(ThreadPoolTest, SlotWritesAreDeterministic) {
+  // Every width, and every grain on either side of the inline boundary
+  // (n < 2 x grain), writes the same slots as a serial loop.
   ThreadPool pool(4);
-  auto run = [&](uint32_t shards) {
-    std::vector<uint64_t> out(1000);
-    pool.ParallelFor(1000, shards, [&](uint32_t i) {
-      out[i] = static_cast<uint64_t>(i) * 2654435761u + 7;
-    });
+  auto run = [&](uint32_t n, uint32_t shards, uint32_t grain) {
+    std::vector<uint64_t> out(n);
+    pool.ParallelFor(
+        n, shards,
+        [&](uint32_t i) {
+          out[i] = static_cast<uint64_t>(i) * 2654435761u + 7;
+        },
+        grain);
     return out;
   };
-  const auto reference = run(1);
-  for (uint32_t shards : {2u, 7u, 0u}) {
-    EXPECT_EQ(run(shards), reference) << "shards " << shards;
+  for (uint32_t n : {127u, 128u, 129u, 1000u}) {
+    const auto reference = run(n, 1, 1);
+    for (uint32_t grain : {0u, 1u, 64u, 65u, 512u}) {
+      for (uint32_t shards : {2u, 7u, 0u}) {
+        EXPECT_EQ(run(n, shards, grain), reference)
+            << "n " << n << " grain " << grain << " shards " << shards;
+      }
+    }
   }
+}
+
+TEST(ThreadPoolTest, RegionUnderTwoGrainsRunsOnTheCaller) {
+  // n < 2 x grain leaves room for one shard only: the region runs
+  // inline, wakes no worker, and counts neither a region nor a task.
+  ThreadPool pool(3);
+  const ThreadPoolStats before = pool.GetStats();
+  const std::thread::id me = std::this_thread::get_id();
+  for (uint32_t n : {1u, 63u, 127u}) {
+    std::vector<std::thread::id> ran_on(n);
+    pool.ParallelFor(
+        n, 4, [&](uint32_t i) { ran_on[i] = std::this_thread::get_id(); },
+        /*grain=*/64);
+    for (const auto& id : ran_on) EXPECT_EQ(id, me) << "n " << n;
+  }
+  const ThreadPoolStats after = pool.GetStats();
+  EXPECT_EQ(after.regions, before.regions);
+  EXPECT_EQ(after.tasks_run, before.tasks_run);
+}
+
+TEST(ThreadPoolTest, RegionAboveTheGrainStillFansOut) {
+  ThreadPool pool(3);
+  // 128 items at grain 64: two shards, one of them a pool task.
+  pool.ParallelFor(128, 4, [](uint32_t) {}, /*grain=*/64);
+  ThreadPoolStats stats = pool.GetStats();
+  EXPECT_EQ(stats.regions, 1u);
+  EXPECT_EQ(stats.tasks_run, 1u);
+  // 1024 items at grain 64 allow 16 shards; the width caps them at 4.
+  pool.ParallelFor(1024, 4, [](uint32_t) {}, /*grain=*/64);
+  stats = pool.GetStats();
+  EXPECT_EQ(stats.regions, 2u);
+  EXPECT_EQ(stats.tasks_run, 4u);
 }
 
 }  // namespace
