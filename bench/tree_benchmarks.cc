@@ -70,7 +70,8 @@ void BM_TreeTrainFactorized(benchmark::State& state) {
   DecisionTree tree(TreeOptions());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        tree.TrainFactorized(data, c.rows, data.AllFeatureIndices()).ok());
+        tree.TrainFactorized(data, c.rows, data.AllFeatureIndices(), nullptr)
+            .ok());
   }
   state.SetItemsProcessed(state.iterations() * c.rows.size());
   state.counters["nodes"] = tree.num_nodes();
@@ -110,7 +111,8 @@ void BM_GbtTrainFactorized(benchmark::State& state) {
   Gbt gbt(options);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        gbt.TrainFactorized(data, c.rows, data.AllFeatureIndices()).ok());
+        gbt.TrainFactorized(data, c.rows, data.AllFeatureIndices(), nullptr)
+            .ok());
   }
   state.SetItemsProcessed(state.iterations() * c.rows.size() *
                           options.num_rounds);

@@ -83,10 +83,6 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
   // previous enabled state is restored on every exit path.
   obs::ScopedCollection collection(config.trace || obs::EnvRequested());
 
-  // While active, every sufficient-statistics lookup misses, so model
-  // training and candidate scoring take the original scan paths.
-  ScopedSuffStatsBypass scan_only(config.force_scan_eval);
-
   PipelineReport report;
   report.avoidance_applied = config.enable_join_avoidance;
 

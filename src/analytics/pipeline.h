@@ -70,8 +70,8 @@ struct PipelineConfig {
   /// either way. The HAMLET_TRACE environment variable turns tracing on
   /// as well.
   bool trace = false;
-  /// Escape hatch: disable the sufficient-statistics cache and incremental
-  /// candidate scoring for this run, forcing the original scan-based
+  /// Escape hatch: disable the sufficient statistics and incremental
+  /// candidate scoring for this run only, forcing the original scan-based
   /// evaluation (full retrain per candidate model). Selections and errors
   /// are unchanged — the fast path is equivalence-tested — so this exists
   /// for debugging and for measuring the fast path's speedup (see

@@ -1,16 +1,9 @@
 #include "data/encoded_dataset.h"
 
-#include <atomic>
-
 #include "common/check.h"
 #include "common/string_util.h"
 
 namespace hamlet {
-
-uint64_t EncodedDataset::NextCacheId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 EncodedDataset::EncodedDataset(std::vector<std::vector<uint32_t>> features,
                                std::vector<FeatureMeta> meta,

@@ -84,19 +84,11 @@ class EncodedDataset {
   /// the simulation drivers; the FS/ML layer prefers index-based access.
   EncodedDataset GatherRows(const std::vector<uint32_t>& rows) const;
 
-  /// Process-unique identity used to key the sufficient-statistics cache.
-  /// Assigned at construction; copies share the id, which is safe because
-  /// the contents are immutable (equal ids imply equal data).
-  uint64_t cache_id() const { return cache_id_; }
-
  private:
-  static uint64_t NextCacheId();
-
   std::vector<std::vector<uint32_t>> features_;  // Column-major codes.
   std::vector<FeatureMeta> meta_;
   std::vector<uint32_t> labels_;
   uint32_t num_classes_ = 0;
-  uint64_t cache_id_ = NextCacheId();
 };
 
 }  // namespace hamlet

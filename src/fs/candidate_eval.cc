@@ -7,8 +7,10 @@
 #include "common/parallel_for.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "ml/decision_tree.h"
 #include "ml/eval.h"
 #include "ml/factorized.h"
+#include "ml/gbt.h"
 #include "ml/naive_bayes.h"
 #include "ml/suff_stats.h"
 #include "obs/trace.h"
@@ -33,11 +35,23 @@ obs::Counter& FsDeltaEvalsCounter() {
   return counter;
 }
 
+const char* ScoringBackendName(ScoringBackend backend) {
+  switch (backend) {
+    case ScoringBackend::kNbDelta:
+      return "nb_delta";
+    case ScoringBackend::kScan:
+      return "scan";
+    case ScoringBackend::kFactorizedScan:
+      return "factorized_scan";
+  }
+  return "unknown";
+}
+
 Result<ScoringBackend> ChooseScoringBackend(const Classifier& model,
                                             bool factorized_view,
                                             bool force_scan_eval) {
   if (dynamic_cast<const NaiveBayes*>(&model) != nullptr &&
-      !force_scan_eval && !SuffStatsCache::Bypassed()) {
+      !force_scan_eval) {
     return ScoringBackend::kNbDelta;
   }
   if (!factorized_view) return ScoringBackend::kScan;
@@ -50,6 +64,59 @@ Result<ScoringBackend> ChooseScoringBackend(const Classifier& model,
       "classifier such as decision_tree or gbt (no scan exists without the "
       "materialized join)",
       model.name().c_str()));
+}
+
+std::shared_ptr<const SuffStats> BuildViewStats(
+    const DataView& view, const std::vector<uint32_t>& rows,
+    uint32_t num_threads) {
+  obs::TraceSpan span("fs.stats_build");
+  span.AddAttr("rows", static_cast<uint64_t>(rows.size()));
+  std::shared_ptr<const SuffStats> stats =
+      view.materialized() != nullptr
+          ? std::make_shared<const SuffStats>(
+                BuildSuffStats(*view.materialized(), rows, num_threads))
+          : std::make_shared<const SuffStats>(BuildFactorizedSuffStats(
+                *view.factorized(), rows, num_threads));
+  span.AddAttr("features",
+               static_cast<uint64_t>(stats->feature_counts.size()));
+  return stats;
+}
+
+std::shared_ptr<const SuffStats> StatsForScorer(
+    const DataView& view, const std::vector<uint32_t>& train_rows,
+    const ClassifierFactory& factory, bool force_scan_eval,
+    uint32_t num_threads) {
+  std::unique_ptr<Classifier> probe = factory();
+  const Result<ScoringBackend> backend = ChooseScoringBackend(
+      *probe, view.factorized() != nullptr, force_scan_eval);
+  const bool reads_stats =
+      backend.ok() &&
+      (*backend == ScoringBackend::kNbDelta ||
+       (*backend == ScoringBackend::kFactorizedScan && !force_scan_eval &&
+        dynamic_cast<const DecisionTree*>(probe.get()) != nullptr));
+  return reads_stats ? BuildViewStats(view, train_rows, num_threads)
+                     : nullptr;
+}
+
+ClassifierFactory WithRefitBudget(ClassifierFactory factory) {
+  return [factory = std::move(factory)]() -> std::unique_ptr<Classifier> {
+    std::unique_ptr<Classifier> model = factory();
+    if (const auto* tree = dynamic_cast<const DecisionTree*>(model.get())) {
+      DecisionTreeOptions options = tree->options();
+      options.max_depth =
+          std::min(options.max_depth, options.candidate_max_depth);
+      return std::make_unique<DecisionTree>(options);
+    }
+    if (const auto* gbt = dynamic_cast<const Gbt*>(model.get())) {
+      GbtOptions options = gbt->options();
+      options.num_rounds =
+          std::min(options.num_rounds, options.candidate_rounds);
+      options.max_depth =
+          std::min(options.max_depth, options.candidate_max_depth);
+      return std::make_unique<Gbt>(options);
+    }
+    return model;
+  };
 }
 
 namespace {
@@ -286,6 +353,7 @@ class RetrainScorer final : public CandidateScorer {
 Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,
                                        const FactorizedDataset& data,
                                        const std::vector<uint32_t>& train_rows,
+                                       const SuffStats* train_stats,
                                        const std::vector<uint32_t>& eval_rows,
                                        const std::vector<uint32_t>& eval_labels,
                                        const std::vector<uint32_t>& features,
@@ -294,7 +362,8 @@ Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,
   auto* factorized = dynamic_cast<FactorizedTrainable*>(model.get());
   HAMLET_CHECK(factorized != nullptr, "%s is not FactorizedTrainable",
                model->name().c_str());
-  HAMLET_RETURN_NOT_OK(factorized->TrainFactorized(data, train_rows, features));
+  HAMLET_RETURN_NOT_OK(
+      factorized->TrainFactorized(data, train_rows, features, train_stats));
   std::vector<uint32_t> predicted;
   HAMLET_RETURN_NOT_OK(
       factorized->PredictFactorized(data, eval_rows, &predicted));
@@ -307,7 +376,8 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     const DataView& view, const std::vector<uint32_t>& train_rows,
     const std::vector<uint32_t>& eval_rows, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates,
-    bool force_scan_eval, uint32_t num_threads) {
+    std::shared_ptr<const SuffStats> stats, bool force_scan_eval,
+    uint32_t num_threads) {
   if (train_rows.empty()) {
     return Status::InvalidArgument("cannot select features on zero rows");
   }
@@ -321,11 +391,7 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
       ChooseScoringBackend(*probe, fac != nullptr, force_scan_eval));
   if (backend == ScoringBackend::kNbDelta) {
     const double alpha = static_cast<const NaiveBayes&>(*probe).alpha();
-    std::shared_ptr<const SuffStats> stats =
-        mat != nullptr
-            ? SuffStatsCache::Global().GetOrBuild(*mat, train_rows,
-                                                  num_threads)
-            : GetOrBuildFactorizedSuffStats(*fac, train_rows, num_threads);
+    if (stats == nullptr) stats = BuildViewStats(view, train_rows, num_threads);
     std::unique_ptr<NbSubsetEvaluator> ev =
         mat != nullptr
             ? std::make_unique<NbSubsetEvaluator>(*mat, std::move(stats),
@@ -351,14 +417,11 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
                            features, metric);
     };
   } else {
-    // Warm the statistics cache once, so every retrain seeds its root
-    // histograms from the cached counts (ml/decision_tree.h).
-    GetOrBuildFactorizedSuffStats(*fac, train_rows, num_threads);
-    retrain = [&factory, fac, &train_rows, &eval_rows,
-               labels = std::move(labels),
+    retrain = [&factory, fac, &train_rows, stats = std::move(stats),
+               &eval_rows, labels = std::move(labels),
                metric](const std::vector<uint32_t>& features) {
-      return TrainAndScoreFactorized(factory, *fac, train_rows, eval_rows,
-                                     labels, features, metric);
+      return TrainAndScoreFactorized(factory, *fac, train_rows, stats.get(),
+                                     eval_rows, labels, features, metric);
     };
   }
   return std::unique_ptr<CandidateScorer>(

@@ -21,6 +21,11 @@
 /// error to its own slot, and leaves the reduction over the slots to the
 /// search, which runs it serially in index order. That is what keeps
 /// selections bit-for-bit identical across thread counts and views.
+///
+/// The sufficient statistics of a run's train split are a value the run
+/// passes: StatsForScorer builds them once, only when the scorer reads
+/// them, and the runner hands the same pointer to the search and to the
+/// final fit.
 
 #include <memory>
 #include <vector>
@@ -32,6 +37,8 @@
 #include "stats/metrics.h"
 
 namespace hamlet {
+
+struct SuffStats;
 
 /// Candidate models trained (or delta-evaluated) by the searches.
 obs::Counter& FsModelsTrainedCounter();
@@ -50,10 +57,14 @@ enum class ScoringBackend {
   kFactorizedScan,  ///< FactorizedTrainable retrain per subset.
 };
 
+/// Span-attribute form of a backend: "nb_delta", "scan" or
+/// "factorized_scan".
+const char* ScoringBackendName(ScoringBackend backend);
+
 /// The one backend decision. A Naive Bayes `model` takes kNbDelta unless
-/// `force_scan_eval` is set or a ScopedSuffStatsBypass is active. Beyond
-/// that, the materialized view retrains any classifier (kScan) and the
-/// factorized view retrains FactorizedTrainable ones (kFactorizedScan).
+/// `force_scan_eval` is set. Beyond that, the materialized view retrains
+/// any classifier (kScan) and the factorized view retrains
+/// FactorizedTrainable ones (kFactorizedScan).
 /// Every other factorized combination — logistic regression, TAN, or
 /// Naive Bayes with the statistics path off — is InvalidArgument, since
 /// no scan exists without the materialized join.
@@ -97,19 +108,46 @@ class CandidateScorer {
                               std::vector<double>* errors) = 0;
 };
 
+/// The one statistics build: BuildSuffStats over the materialized join
+/// or BuildFactorizedSuffStats over the factorized view, of `rows`,
+/// recorded as one `fs.stats_build` span.
+std::shared_ptr<const SuffStats> BuildViewStats(
+    const DataView& view, const std::vector<uint32_t>& rows,
+    uint32_t num_threads);
+
+/// The statistics of `train_rows` that a scorer for `factory`'s product
+/// over `view` reads, built once by BuildViewStats, or nullptr when it
+/// reads none. kNbDelta reads them, and so does a decision tree on
+/// kFactorizedScan (its root histograms) unless `force_scan_eval`. GBT,
+/// every scan, and a combination ChooseScoringBackend rejects read none.
+std::shared_ptr<const SuffStats> StatsForScorer(
+    const DataView& view, const std::vector<uint32_t>& train_rows,
+    const ClassifierFactory& factory, bool force_scan_eval,
+    uint32_t num_threads);
+
+/// `factory` with the cheap per-candidate refit budget: its decision
+/// trees grow at most `candidate_max_depth` deep, and its GBT ensembles
+/// at most `candidate_rounds` rounds of `candidate_max_depth`. Every
+/// other classifier is unchanged. The forward and backward searches
+/// score candidates through it, so the O(d^2) wrapper retrains stay
+/// cheap; the budget belongs to those models alone, and the final fit,
+/// or any other training in the process, keeps the full options.
+ClassifierFactory WithRefitBudget(ClassifierFactory factory);
+
 /// Builds the scorer ChooseScoringBackend picks for `factory`'s product
 /// over `view`: models train on `train_rows` and are scored on
 /// `eval_rows` under `metric`. `candidates` lists every feature the
-/// scorer may be asked about. kNbDelta fetches (or builds) the statistics
-/// of `train_rows` through the global cache; kFactorizedScan warms the
-/// same cache so every retrain seeds its root histograms from it.
-/// InvalidArgument on an empty `train_rows` or when no backend serves
-/// the combination.
+/// scorer may be asked about. `stats` are StatsForScorer's statistics of
+/// `train_rows`: kNbDelta scores from them (and builds them when given
+/// nullptr), and kFactorizedScan hands them to every retrain so a
+/// decision tree seeds its root histograms from them. InvalidArgument on
+/// an empty `train_rows` or when no backend serves the combination.
 Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     const DataView& view, const std::vector<uint32_t>& train_rows,
     const std::vector<uint32_t>& eval_rows, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates,
-    bool force_scan_eval, uint32_t num_threads);
+    std::shared_ptr<const SuffStats> stats, bool force_scan_eval,
+    uint32_t num_threads);
 
 }  // namespace hamlet
 

@@ -61,13 +61,14 @@ Status CheckCandidateCap(size_t count, uint32_t max_candidates) {
 Result<SelectionResult> ExhaustiveSelection::Search(
     const DataView& view, const HoldoutSplit& split,
     const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates) {
+    const std::vector<uint32_t>& candidates,
+    std::shared_ptr<const SuffStats> stats) {
   HAMLET_RETURN_NOT_OK(CheckCandidateCap(candidates.size(), max_candidates_));
   HAMLET_ASSIGN_OR_RETURN(
       std::unique_ptr<CandidateScorer> scorer,
       MakeCandidateScorer(view, split.train, split.validation, factory,
-                          metric, candidates, force_scan_eval_,
-                          num_threads_));
+                          metric, candidates, std::move(stats),
+                          force_scan_eval_, num_threads_));
   // Every subset is independent, so the scorer evaluates the lattice in
   // parallel, one slot per mask.
   std::vector<double> errors;

@@ -28,7 +28,8 @@ class ExhaustiveSelection : public FeatureSelector {
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
-                                 const std::vector<uint32_t>& candidates)
+                                 const std::vector<uint32_t>& candidates,
+                                 std::shared_ptr<const SuffStats> stats)
       override;
 
   std::string name() const override { return "exhaustive_selection"; }

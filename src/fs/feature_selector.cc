@@ -1,5 +1,6 @@
 #include "fs/feature_selector.h"
 
+#include "fs/candidate_eval.h"
 #include "ml/factorized.h"
 
 namespace hamlet {
@@ -13,6 +14,15 @@ std::vector<std::string> DataView::FeatureNames(
     const std::vector<uint32_t>& indices) const {
   return materialized_ != nullptr ? materialized_->FeatureNames(indices)
                                   : factorized_->FeatureNames(indices);
+}
+
+Result<SelectionResult> FeatureSelector::SearchWithStats(
+    const DataView& view, const HoldoutSplit& split,
+    const ClassifierFactory& factory, ErrorMetric metric,
+    const std::vector<uint32_t>& candidates) {
+  return Search(view, split, factory, metric, candidates,
+                StatsForScorer(view, split.train, factory, force_scan_eval_,
+                               num_threads_));
 }
 
 }  // namespace hamlet

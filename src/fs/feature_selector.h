@@ -7,6 +7,7 @@
 /// this interface; embedded methods live inside LogisticRegression.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 namespace hamlet {
 
 class FactorizedDataset;
+struct SuffStats;
 
 /// The data a search reads: the materialized join (an EncodedDataset) or
 /// the factorized (S, R) view (ml/factorized.h), which answers the join
@@ -64,19 +66,25 @@ class FeatureSelector {
   /// `split.validation` under `metric`. Each selector writes this once;
   /// it scores candidates through MakeCandidateScorer
   /// (fs/candidate_eval.h), which picks the backend for the view and
-  /// factory and rejects the combinations no backend serves.
+  /// factory and rejects the combinations no backend serves. `stats` are
+  /// the sufficient statistics of `split.train` that StatsForScorer
+  /// built for this run (nullptr when its scorer reads none); the search
+  /// reads them and never builds a second copy its scorer could share.
   virtual Result<SelectionResult> Search(
       const DataView& view, const HoldoutSplit& split,
       const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) = 0;
+      const std::vector<uint32_t>& candidates,
+      std::shared_ptr<const SuffStats> stats) = 0;
 
-  /// Search over the materialized join.
+  /// Search over the materialized join, with the statistics its scorer
+  /// reads built first.
   Result<SelectionResult> Select(const EncodedDataset& data,
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
                                  const std::vector<uint32_t>& candidates) {
-    return Search(DataView(data), split, factory, metric, candidates);
+    return SearchWithStats(DataView(data), split, factory, metric,
+                           candidates);
   }
 
   /// Search over the factorized (S, R) view, without materializing the
@@ -90,7 +98,8 @@ class FeatureSelector {
       const FactorizedDataset& data, const HoldoutSplit& split,
       const ClassifierFactory& factory, ErrorMetric metric,
       const std::vector<uint32_t>& candidates) {
-    return Search(DataView(data), split, factory, metric, candidates);
+    return SearchWithStats(DataView(data), split, factory, metric,
+                           candidates);
   }
 
   /// Method name ("forward_selection", "mi_filter", ...).
@@ -107,14 +116,22 @@ class FeatureSelector {
 
   /// Forces the original scan-based evaluation (full model retrain per
   /// candidate) even when a sufficient-statistics fast path is available.
-  /// Escape hatch surfaced as PipelineConfig::force_scan_eval; the fast
-  /// path selects identical subsets, so this only trades speed.
+  /// Escape hatch surfaced as PipelineConfig::force_scan_eval; it moves
+  /// this selector's runs only. The fast path selects identical subsets,
+  /// so this only trades speed.
   void set_force_scan_eval(bool force) { force_scan_eval_ = force; }
   bool force_scan_eval() const { return force_scan_eval_; }
 
  protected:
   uint32_t num_threads_ = 0;
   bool force_scan_eval_ = false;
+
+ private:
+  // Search with StatsForScorer's statistics of split.train.
+  Result<SelectionResult> SearchWithStats(
+      const DataView& view, const HoldoutSplit& split,
+      const ClassifierFactory& factory, ErrorMetric metric,
+      const std::vector<uint32_t>& candidates);
 };
 
 }  // namespace hamlet

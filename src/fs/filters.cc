@@ -6,7 +6,6 @@
 
 #include "common/parallel_for.h"
 #include "fs/candidate_eval.h"
-#include "ml/factorized.h"
 #include "ml/suff_stats.h"
 #include "obs/trace.h"
 #include "stats/contingency.h"
@@ -65,15 +64,6 @@ std::vector<double> ScoreFilter::ScoreFeaturesFromStats(
 std::vector<double> ScoreFilter::ScoreFeatures(
     const EncodedDataset& data, const std::vector<uint32_t>& rows,
     const std::vector<uint32_t>& candidates) const {
-  // If sufficient statistics for (data, rows) are cached, every
-  // contingency table is already sitting in them — same integer counts,
-  // so the scores are bit-identical to the gathering path below.
-  std::shared_ptr<const SuffStats> stats =
-      SuffStatsCache::Global().Peek(data, rows);
-  if (stats != nullptr) {
-    return ScoreFeaturesFromStats(*stats, candidates);
-  }
-
   // Gather labels once; shared read-only across the scoring items.
   std::vector<uint32_t> y;
   y.reserve(rows.size());
@@ -102,14 +92,12 @@ std::vector<double> ScoreFilter::ScoreFeatures(
 Result<SelectionResult> ScoreFilter::Search(
     const DataView& view, const HoldoutSplit& split,
     const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates) {
-  // Built first: on the sufficient-statistics paths this puts the
-  // statistics of split.train in the cache, so the scoring below reads
-  // its contingency tables from the same one-pass counts.
+    const std::vector<uint32_t>& candidates,
+    std::shared_ptr<const SuffStats> stats) {
   HAMLET_ASSIGN_OR_RETURN(
       std::unique_ptr<CandidateScorer> scorer,
       MakeCandidateScorer(view, split.train, split.validation, factory,
-                          metric, candidates, force_scan_eval_,
+                          metric, candidates, stats, force_scan_eval_,
                           num_threads_));
   SelectionResult result;
   if (candidates.empty()) {
@@ -123,17 +111,15 @@ Result<SelectionResult> ScoreFilter::Search(
   {
     obs::TraceSpan span("fs.filter_score");
     span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
-    if (view.materialized() != nullptr) {
+    // The run's statistics hold every contingency table already. Without
+    // them the materialized view gathers its columns, and the factorized
+    // view, which has no columns to gather, builds the statistics here.
+    // Same integer counts on every route, so the same scores.
+    if (stats == nullptr && view.materialized() != nullptr) {
       scores = ScoreFeatures(*view.materialized(), split.train, candidates);
     } else {
-      // The factorized view has no columns to gather, so it scores from
-      // statistics: the cached ones, or — under ScopedSuffStatsBypass —
-      // ones built directly. Same integer counts either way.
-      std::shared_ptr<const SuffStats> stats = GetOrBuildFactorizedSuffStats(
-          *view.factorized(), split.train, num_threads_);
       if (stats == nullptr) {
-        stats = std::make_shared<const SuffStats>(BuildFactorizedSuffStats(
-            *view.factorized(), split.train, num_threads_));
+        stats = BuildViewStats(view, split.train, num_threads_);
       }
       scores = ScoreFeaturesFromStats(*stats, candidates);
     }

@@ -33,7 +33,8 @@ class ScoreFilter : public FeatureSelector {
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
-                                 const std::vector<uint32_t>& candidates)
+                                 const std::vector<uint32_t>& candidates,
+                                 std::shared_ptr<const SuffStats> stats)
       override;
 
   std::string name() const override {
@@ -48,10 +49,10 @@ class ScoreFilter : public FeatureSelector {
       const std::vector<uint32_t>& candidates) const;
 
   /// Scores straight from prebuilt sufficient statistics — the counts are
-  /// the contingency tables, so no data scan happens at all. The
-  /// factorized view always scores this way, and ScoreFeatures does on a
-  /// cache hit; identical counts make the scores bit-identical across
-  /// all three routes. Output is parallel to `candidates`.
+  /// the contingency tables, so no data scan happens at all. Search
+  /// scores this way whenever the run holds statistics, and the
+  /// factorized view always does; identical counts make the scores
+  /// bit-identical to ScoreFeatures. Output is parallel to `candidates`.
   std::vector<double> ScoreFeaturesFromStats(
       const SuffStats& stats, const std::vector<uint32_t>& candidates) const;
 

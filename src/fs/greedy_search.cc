@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "fs/candidate_eval.h"
-#include "ml/decision_tree.h"
 #include "obs/trace.h"
 
 namespace hamlet {
@@ -12,16 +11,17 @@ namespace hamlet {
 Result<SelectionResult> ForwardSelection::Search(
     const DataView& view, const HoldoutSplit& split,
     const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates) {
-  // Candidate retrains of tree/GBT models run under the cheap refit
-  // budget (ml/decision_tree.h); the runner's final fit gets the full
-  // budget. A no-op for every other classifier.
-  ScopedTreeRefitBudget refit_budget;
+    const std::vector<uint32_t>& candidates,
+    std::shared_ptr<const SuffStats> stats) {
+  // Candidate retrains of tree/GBT models train under the cheap refit
+  // budget; the runner's final fit gets the full budget. A no-op for
+  // every other classifier.
+  const ClassifierFactory candidate_factory = WithRefitBudget(factory);
   HAMLET_ASSIGN_OR_RETURN(
       std::unique_ptr<CandidateScorer> scorer,
-      MakeCandidateScorer(view, split.train, split.validation, factory,
-                          metric, candidates, force_scan_eval_,
-                          num_threads_));
+      MakeCandidateScorer(view, split.train, split.validation,
+                          candidate_factory, metric, candidates,
+                          std::move(stats), force_scan_eval_, num_threads_));
   SelectionResult result;
   std::vector<uint32_t> remaining = candidates;
 
@@ -63,13 +63,14 @@ Result<SelectionResult> ForwardSelection::Search(
 Result<SelectionResult> BackwardSelection::Search(
     const DataView& view, const HoldoutSplit& split,
     const ClassifierFactory& factory, ErrorMetric metric,
-    const std::vector<uint32_t>& candidates) {
-  ScopedTreeRefitBudget refit_budget;
+    const std::vector<uint32_t>& candidates,
+    std::shared_ptr<const SuffStats> stats) {
+  const ClassifierFactory candidate_factory = WithRefitBudget(factory);
   HAMLET_ASSIGN_OR_RETURN(
       std::unique_ptr<CandidateScorer> scorer,
-      MakeCandidateScorer(view, split.train, split.validation, factory,
-                          metric, candidates, force_scan_eval_,
-                          num_threads_));
+      MakeCandidateScorer(view, split.train, split.validation,
+                          candidate_factory, metric, candidates,
+                          std::move(stats), force_scan_eval_, num_threads_));
   SelectionResult result;
   result.selected = candidates;
 

@@ -28,7 +28,8 @@ class ForwardSelection : public FeatureSelector {
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
-                                 const std::vector<uint32_t>& candidates)
+                                 const std::vector<uint32_t>& candidates,
+                                 std::shared_ptr<const SuffStats> stats)
       override;
 
   std::string name() const override { return "forward_selection"; }
@@ -49,7 +50,8 @@ class BackwardSelection : public FeatureSelector {
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
-                                 const std::vector<uint32_t>& candidates)
+                                 const std::vector<uint32_t>& candidates,
+                                 std::shared_ptr<const SuffStats> stats)
       override;
 
   std::string name() const override { return "backward_selection"; }

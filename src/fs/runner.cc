@@ -68,13 +68,26 @@ Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
   // The run's own span tree is its stopwatch: nested under `pipeline`
   // when RunPipeline calls, its own root otherwise.
   obs::RunTrace run("fs.run");
+  // The backend the search and the final fit both score through; a
+  // combination no backend serves fails inside the search.
+  const Result<ScoringBackend> backend =
+      ChooseScoringBackend(*factory(), view.factorized() != nullptr,
+                           selector.force_scan_eval());
+  const std::string backend_name =
+      backend.ok() ? ScoringBackendName(*backend) : "none";
+  // The statistics of split.train, built once for the whole run (under
+  // `fs.run`, as `fs.stats_build`) when the scorer reads them.
+  const std::shared_ptr<const SuffStats> stats =
+      StatsForScorer(view, split.train, factory, selector.force_scan_eval(),
+                     selector.num_threads());
   {
     obs::TraceSpan span("fs.search");
     span.AddAttr("method", selector.name());
+    span.AddAttr("backend", backend_name);
     span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
     HAMLET_ASSIGN_OR_RETURN(
         report.selection,
-        selector.Search(view, split, factory, metric, candidates));
+        selector.Search(view, split, factory, metric, candidates, stats));
     span.AddAttr("models_trained", report.selection.models_trained);
     span.AddAttr("selected",
                  static_cast<uint64_t>(report.selection.selected.size()));
@@ -83,18 +96,19 @@ Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
   report.selected_names = view.FeatureNames(report.selection.selected);
   {
     obs::TraceSpan span("fs.final_fit");
+    span.AddAttr("backend", backend_name);
     span.AddAttr("features",
                  static_cast<uint64_t>(report.selection.selected.size()));
     // The final model trains on split.train and is scored on split.test
-    // through the backend the search used, outside the search's refit
-    // budget: Naive Bayes from the (cached) statistics, anything else by
-    // a full retrain — through the FK hops on the factorized view, which
-    // never materializes the join. Every backend gives the same doubles.
+    // through the backend the search used, with the full training budget:
+    // Naive Bayes from the run's statistics, anything else by a full
+    // retrain — through the FK hops on the factorized view, which never
+    // materializes the join. Every backend gives the same doubles.
     const std::vector<uint32_t>& selected = report.selection.selected;
     HAMLET_ASSIGN_OR_RETURN(
         std::unique_ptr<CandidateScorer> fit,
         MakeCandidateScorer(view, split.train, split.test, factory, metric,
-                            selected, selector.force_scan_eval(),
+                            selected, stats, selector.force_scan_eval(),
                             selector.num_threads()));
     HAMLET_ASSIGN_OR_RETURN(report.holdout_test_error,
                             fit->ScoreBase(selected));

@@ -56,6 +56,7 @@ class Classifier {
 using ClassifierFactory = std::function<std::unique_ptr<Classifier>()>;
 
 class FactorizedDataset;
+struct SuffStats;
 
 /// Optional capability: classifiers that can also train and predict over
 /// the normalized (S, R) view (ml/factorized.h) without materializing the
@@ -70,9 +71,14 @@ class FactorizedTrainable {
   virtual ~FactorizedTrainable() = default;
 
   /// Factorized twin of Classifier::Train over the normalized view.
+  /// `stats` is nullptr or the sufficient statistics of (data, rows)
+  /// (ml/suff_stats.h), which a model may read in place of a data pass
+  /// (DecisionTree's root histograms); the model is bit-identical either
+  /// way.
   virtual Status TrainFactorized(const FactorizedDataset& data,
                                  const std::vector<uint32_t>& rows,
-                                 const std::vector<uint32_t>& features) = 0;
+                                 const std::vector<uint32_t>& features,
+                                 const SuffStats* stats) = 0;
 
   /// Predictions at `rows` of the factorized view; equal to Predict on
   /// the materialized join at the same rows.

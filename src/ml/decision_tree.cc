@@ -1,7 +1,6 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -17,8 +16,6 @@
 namespace hamlet {
 
 namespace {
-
-std::atomic<int> g_refit_budget_depth{0};
 
 obs::Histogram& TreeTrainHistogram() {
   static obs::Histogram& histogram =
@@ -203,13 +200,17 @@ struct TreeBuilder {
   }
 };
 
-/// True when cached statistics can seed the root histograms: same class
-/// count and at least as many feature tables as the dataset, each trained
-/// slot's table covering its training-time cardinality.
-bool RootStatsUsable(const SuffStats* stats, uint32_t num_classes,
+/// True when the statistics can seed the root histograms: same row and
+/// class counts, and a table for each trained slot covering its
+/// training-time cardinality.
+bool RootStatsUsable(const SuffStats* stats, uint64_t num_rows,
+                     uint32_t num_classes,
                      const std::vector<uint32_t>& features,
                      const std::vector<uint32_t>& cards) {
-  if (stats == nullptr || stats->num_classes != num_classes) return false;
+  if (stats == nullptr || stats->num_rows != num_rows ||
+      stats->num_classes != num_classes) {
+    return false;
+  }
   for (size_t jj = 0; jj < features.size(); ++jj) {
     if (features[jj] >= stats->feature_counts.size()) return false;
     if (stats->cardinalities[features[jj]] != cards[jj]) return false;
@@ -218,18 +219,6 @@ bool RootStatsUsable(const SuffStats* stats, uint32_t num_classes,
 }
 
 }  // namespace
-
-ScopedTreeRefitBudget::ScopedTreeRefitBudget(bool enable) : enabled_(enable) {
-  if (enabled_) g_refit_budget_depth.fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedTreeRefitBudget::~ScopedTreeRefitBudget() {
-  if (enabled_) g_refit_budget_depth.fetch_sub(1, std::memory_order_relaxed);
-}
-
-bool ScopedTreeRefitBudget::Active() {
-  return g_refit_budget_depth.load(std::memory_order_relaxed) > 0;
-}
 
 DecisionTree::DecisionTree(DecisionTreeOptions options)
     : options_(options) {
@@ -275,19 +264,13 @@ Status DecisionTree::Train(const EncodedDataset& data,
     codes[jj].resize(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) codes[jj][i] = col[rows[i]];
   });
-
-  std::shared_ptr<const SuffStats> stats =
-      SuffStatsCache::Global().Peek(data, rows);
-  const SuffStats* root =
-      RootStatsUsable(stats.get(), num_classes_, features_, cardinalities_)
-          ? stats.get()
-          : nullptr;
-  return TrainImpl(num_classes_, labels, codes, root);
+  return TrainImpl(num_classes_, labels, codes, nullptr);
 }
 
 Status DecisionTree::TrainFactorized(const FactorizedDataset& data,
                                      const std::vector<uint32_t>& rows,
-                                     const std::vector<uint32_t>& features) {
+                                     const std::vector<uint32_t>& features,
+                                     const SuffStats* stats) {
   obs::ScopedLatency latency(TreeTrainHistogram());
   if (data.num_classes() == 0) {
     return Status::InvalidArgument("dataset has zero classes");
@@ -325,11 +308,10 @@ Status DecisionTree::TrainFactorized(const FactorizedDataset& data,
     data.GatherCodes(features_[jj], rows, &codes[jj]);
   });
 
-  std::shared_ptr<const SuffStats> stats =
-      SuffStatsCache::Global().PeekKeyed(data.cache_key(), rows);
   const SuffStats* root =
-      RootStatsUsable(stats.get(), num_classes_, features_, cardinalities_)
-          ? stats.get()
+      RootStatsUsable(stats, rows.size(), num_classes_, features_,
+                      cardinalities_)
+          ? stats
           : nullptr;
   return TrainImpl(num_classes_, labels, codes, root);
 }
@@ -344,14 +326,10 @@ Status DecisionTree::TrainImpl(uint32_t num_classes,
   right_.clear();
   scores_.clear();
 
-  uint32_t max_depth = options_.max_depth;
-  if (ScopedTreeRefitBudget::Active()) {
-    max_depth = std::min(max_depth, options_.candidate_max_depth);
-  }
-
-  TreeBuilder builder{options_,      num_classes, labels,      codes,
-                      cardinalities_, max_depth,   &split_slot_, &split_code_,
-                      &left_,         &right_,     &scores_};
+  TreeBuilder builder{options_,     num_classes,    labels,
+                      codes,        cardinalities_, options_.max_depth,
+                      &split_slot_, &split_code_,   &left_,
+                      &right_,      &scores_};
 
   NodeWork root;
   root.items.resize(labels.size());

@@ -14,11 +14,10 @@
 /// rows (one feature per work item, the BuildSuffStats sharding
 /// contract); a node's sibling gets its histogram by subtracting the
 /// built child from the parent (the classic "subtraction trick"), which
-/// is exact because the counts are integers. The root reuses cached
-/// SuffStats when present (materialized or factorized — the counts are
+/// is exact because the counts are integers. TrainFactorized can take the
+/// root histograms from the train split's SuffStats (the counts are
 /// bit-identical, see ml/factorized.h), so feature-selection searches
-/// that retrain hundreds of trees on one train split pay for the root
-/// histograms once.
+/// that retrain hundreds of trees on one split pay for them once.
 ///
 /// Determinism contract (mirrors the rest of the library): histograms are
 /// integer counts built one-feature-per-work-item, the best split is
@@ -43,17 +42,16 @@ struct SuffStats;
 
 /// Training knobs. `alpha` smooths the leaf class probabilities exactly
 /// like the Naive Bayes prior (footnote 2's handling of values absent
-/// from a sample). `candidate_max_depth` is the cheap-refit budget: while
-/// a ScopedTreeRefitBudget is active — the fs searches activate one
-/// around candidate evaluation — training caps depth there, so the
-/// O(d^2) wrapper retrains grow stumps while the final fit (outside the
-/// scope) grows the full tree.
+/// from a sample). `candidate_max_depth` is the cheap-refit budget: the
+/// forward and backward searches train each candidate with max_depth
+/// capped there (fs/candidate_eval.h's WithRefitBudget), so the O(d^2)
+/// wrapper retrains grow stumps while the final fit grows the full tree.
 struct DecisionTreeOptions {
   double alpha = 1.0;             ///< Laplace pseudo-count for leaf probs.
   uint32_t max_depth = 6;         ///< Root is depth 0.
   uint64_t min_rows_split = 8;    ///< Nodes smaller than this become leaves.
   double min_gain = 1e-12;        ///< Minimum Gini decrease to split.
-  uint32_t candidate_max_depth = 2;  ///< Depth cap under the refit budget.
+  uint32_t candidate_max_depth = 2;  ///< Depth cap of candidate retrains.
   uint32_t num_threads = 0;       ///< ParallelFor width (0 = hardware).
 };
 
@@ -84,22 +82,20 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
  public:
   explicit DecisionTree(DecisionTreeOptions options = {});
 
-  /// Trains on (rows, features) of the materialized dataset. If the
-  /// global SuffStatsCache already holds statistics for (data, rows) —
-  /// and no ScopedSuffStatsBypass is active — the root histograms are
-  /// taken from the cached counts without a data pass; the result is
-  /// bit-identical either way (integer counts).
+  /// Trains on (rows, features) of the materialized dataset.
   Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
                const std::vector<uint32_t>& features) override;
 
   /// Trains over the normalized (S, R) view: candidate columns are read
-  /// through the FK -> R hops (FactorizedDataset::GatherCodes) and the
-  /// root histograms reuse cached factorized SuffStats — whose counts
-  /// come from the group-by-FK-code aggregation, never a materialized
-  /// join. Bit-identical to Train on the joined twin.
+  /// through the FK -> R hops (FactorizedDataset::GatherCodes). When
+  /// `stats` (the factorized SuffStats of rows, whose counts come from
+  /// the group-by-FK-code aggregation, never a materialized join) fit the
+  /// trained features, the root histograms are copied from them instead
+  /// of built by a pass. Bit-identical to Train on the joined twin.
   Status TrainFactorized(const FactorizedDataset& data,
                          const std::vector<uint32_t>& rows,
-                         const std::vector<uint32_t>& features) override;
+                         const std::vector<uint32_t>& features,
+                         const SuffStats* stats) override;
 
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
@@ -173,28 +169,6 @@ Status ValidateTreeStructure(const std::vector<int32_t>& split_slot,
                              size_t num_slots,
                              const std::vector<uint32_t>& cardinalities,
                              const char* context);
-
-/// RAII refit-budget switch, modeled on ScopedSuffStatsBypass:
-/// process-wide and nestable. While one is alive, DecisionTree caps its
-/// depth at candidate_max_depth and Gbt caps rounds/depth at its
-/// candidate budget — the cheap per-candidate refit the fs searches use
-/// so that an O(d^2) wrapper doesn't pay d^2 full ensemble fits. The
-/// final fit after the search runs outside any scope and gets the full
-/// budget.
-class ScopedTreeRefitBudget {
- public:
-  explicit ScopedTreeRefitBudget(bool enable = true);
-  ~ScopedTreeRefitBudget();
-
-  ScopedTreeRefitBudget(const ScopedTreeRefitBudget&) = delete;
-  ScopedTreeRefitBudget& operator=(const ScopedTreeRefitBudget&) = delete;
-
-  /// True while any instance is alive anywhere in the process.
-  static bool Active();
-
- private:
-  bool enabled_;
-};
 
 }  // namespace hamlet
 

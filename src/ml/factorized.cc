@@ -31,25 +31,6 @@ obs::Histogram& FactorizedScatterHistogram() {
   return histogram;
 }
 
-// FNV-1a over a byte-sized stream of 64-bit words.
-uint64_t FnvMix(uint64_t h, uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (value >> shift) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-uint64_t FnvMixString(uint64_t h, const std::string& s) {
-  for (unsigned char ch : s) {
-    h ^= ch;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
-
 }  // namespace
 
 Result<FactorizedDataset> FactorizedDataset::Make(
@@ -68,8 +49,6 @@ Result<FactorizedDataset> FactorizedDataset::Make(
   std::unordered_set<std::string> taken;
   for (const ColumnSpec& spec : s.schema().columns()) taken.insert(spec.name);
 
-  uint64_t secondary = kFnvBasis;
-  uint64_t fingerprint = kFnvBasis;
   for (const std::string& fk_name : fks_to_factorize) {
     HAMLET_ASSIGN_OR_RETURN(uint32_t fk_idx, s.schema().IndexOf(fk_name));
     const ColumnSpec& fk_spec = s.schema().column(fk_idx);
@@ -135,25 +114,9 @@ Result<FactorizedDataset> FactorizedDataset::Make(
           relation_index, static_cast<uint32_t>(rel.columns.size() - 1)});
     }
 
-    secondary = FnvMixString(secondary, rel.table_name);
-    secondary = FnvMix(secondary, r->num_rows());
-    secondary = FnvMix(secondary, rel.columns.size());
-    fingerprint = FnvMixString(fingerprint, fk_name);
-    for (uint32_t v : rel.fk_to_rrow) fingerprint = FnvMix(fingerprint, v);
-    for (const FeatureMeta& m : rel.metas) {
-      fingerprint = FnvMix(fingerprint, m.cardinality);
-    }
     out.relations_.push_back(std::move(rel));
   }
 
-  out.key_.primary = out.entity_.cache_id();
-  if (!out.relations_.empty()) {
-    // Nonzero by construction so factorized keys and statistics can never
-    // be mistaken for materialized ones; zero relations degenerate to the
-    // entity's own key on purpose (the statistics coincide).
-    out.key_.secondary = secondary == 0 ? 1 : secondary;
-    out.key_.fingerprint = fingerprint == 0 ? 1 : fingerprint;
-  }
   return out;
 }
 
@@ -217,10 +180,8 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
                                    uint32_t num_threads) {
   FactorizedBuildsCounter().Add(1);
   SuffStats stats;
-  stats.dataset_id = data.cache_key().primary;
-  stats.fingerprint = data.cache_key().fingerprint;
   stats.num_classes = data.num_classes();
-  stats.rows = rows;
+  stats.num_rows = rows.size();
 
   const std::vector<uint32_t>& y = data.labels();
   stats.class_counts.assign(stats.num_classes, 0);
@@ -305,16 +266,6 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
   return stats;
 }
 
-std::shared_ptr<const SuffStats> GetOrBuildFactorizedSuffStats(
-    const FactorizedDataset& data, const std::vector<uint32_t>& rows,
-    uint32_t num_threads) {
-  return SuffStatsCache::Global().GetOrBuildKeyed(
-      data.cache_key(), rows, [&] {
-        return std::make_shared<const SuffStats>(
-            BuildFactorizedSuffStats(data, rows, num_threads));
-      });
-}
-
 std::unique_ptr<NbSubsetEvaluator> MakeFactorizedNbEvaluator(
     const FactorizedDataset& data, std::shared_ptr<const SuffStats> stats,
     const std::vector<uint32_t>& eval_rows, ErrorMetric metric, double alpha,
@@ -323,7 +274,9 @@ std::unique_ptr<NbSubsetEvaluator> MakeFactorizedNbEvaluator(
   eval_labels.reserve(eval_rows.size());
   for (uint32_t r : eval_rows) eval_labels.push_back(data.labels()[r]);
   return std::make_unique<NbSubsetEvaluator>(
-      std::move(stats), std::move(eval_labels), metric, alpha, candidates,
+      CheckStatsFit(std::move(stats), data.num_classes(), data.metas(),
+                    candidates),
+      std::move(eval_labels), metric, alpha, candidates,
       [&data, &eval_rows](uint32_t j, std::vector<uint32_t>* out) {
         data.GatherCodes(j, eval_rows, out);
       },

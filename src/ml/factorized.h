@@ -128,12 +128,6 @@ class FactorizedDataset {
   /// S's FK codes for relation k (entity feature column or stored copy).
   const std::vector<uint32_t>& fk_codes(size_t k) const;
 
-  /// Composite cache identity: {entity cache id, attribute-side hash,
-  /// remap fingerprint}. With zero factorized relations this degenerates
-  /// to the entity's materialized key — correctly, since the statistics
-  /// coincide.
-  const SuffStatsKey& cache_key() const { return key_; }
-
  private:
   /// Where feature j's codes live: relation < 0 -> entity_.feature(j);
   /// otherwise relations_[relation].columns[column].
@@ -146,7 +140,6 @@ class FactorizedDataset {
   std::vector<FactorizedRelation> relations_;
   std::vector<FeatureRef> refs_;   // Parallel to metas_.
   std::vector<FeatureMeta> metas_;
-  SuffStatsKey key_;
 };
 
 /// Sufficient statistics of (data, rows) computed without materializing
@@ -162,15 +155,9 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
                                    const std::vector<uint32_t>& rows,
                                    uint32_t num_threads = 0);
 
-/// Cached variant through SuffStatsCache::GetOrBuildKeyed under
-/// data.cache_key(); nullptr while a ScopedSuffStatsBypass is active.
-std::shared_ptr<const SuffStats> GetOrBuildFactorizedSuffStats(
-    const FactorizedDataset& data, const std::vector<uint32_t>& rows,
-    uint32_t num_threads = 0);
-
 /// An NbSubsetEvaluator whose evaluation codes are gathered through the
 /// FK hops — identical inputs to the materialized evaluator, so every
-/// Eval result is bit-identical.
+/// Eval result is bit-identical. `stats` must fit `data` (CheckStatsFit).
 std::unique_ptr<NbSubsetEvaluator> MakeFactorizedNbEvaluator(
     const FactorizedDataset& data, std::shared_ptr<const SuffStats> stats,
     const std::vector<uint32_t>& eval_rows, ErrorMetric metric, double alpha,

@@ -248,7 +248,8 @@ Status Gbt::Train(const EncodedDataset& data,
 
 Status Gbt::TrainFactorized(const FactorizedDataset& data,
                             const std::vector<uint32_t>& rows,
-                            const std::vector<uint32_t>& features) {
+                            const std::vector<uint32_t>& features,
+                            const SuffStats* /*stats*/) {
   obs::ScopedLatency latency(GbtTrainHistogram());
   if (data.num_classes() == 0) {
     return Status::InvalidArgument("dataset has zero classes");
@@ -296,13 +297,6 @@ Status Gbt::TrainImpl(uint32_t num_classes,
   const uint32_t n = static_cast<uint32_t>(labels.size());
   const uint32_t K = num_classes;
 
-  uint32_t rounds = options_.num_rounds;
-  uint32_t max_depth = options_.max_depth;
-  if (ScopedTreeRefitBudget::Active()) {
-    rounds = std::min(rounds, options_.candidate_rounds);
-    max_depth = std::min(max_depth, options_.candidate_max_depth);
-  }
-
   // Base scores: smoothed log priors (pseudo-count 1), the same kind of
   // expression the tree leaves and the NB prior use.
   std::vector<uint64_t> cls(K, 0);
@@ -324,8 +318,8 @@ Status Gbt::TrainImpl(uint32_t num_classes,
 
   std::vector<double> g(static_cast<size_t>(n) * K);
   std::vector<double> h(static_cast<size_t>(n) * K);
-  trees_.reserve(static_cast<size_t>(rounds) * K);
-  for (uint32_t m = 0; m < rounds; ++m) {
+  trees_.reserve(static_cast<size_t>(options_.num_rounds) * K);
+  for (uint32_t m = 0; m < options_.num_rounds; ++m) {
     // Softmax gradients/hessians. Rows are independent (each work item
     // writes only its own K slots), and within a row every sum runs in
     // ascending class order — deterministic at any thread count.
@@ -347,8 +341,10 @@ Status Gbt::TrainImpl(uint32_t num_classes,
 
     for (uint32_t k = 0; k < K; ++k) {
       GbtTree tree;
-      RegTreeBuilder builder{options_, codes, cardinalities_, g,     h,
-                             k,        K,     max_depth,      &scores, &tree};
+      RegTreeBuilder builder{options_, codes,  cardinalities_,
+                             g,        h,      k,
+                             K,        options_.max_depth,
+                             &scores,  &tree};
       RegNodeWork root;
       root.items.resize(n);
       std::iota(root.items.begin(), root.items.end(), 0u);

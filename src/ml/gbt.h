@@ -38,9 +38,9 @@
 namespace hamlet {
 
 /// Training knobs. `candidate_rounds`/`candidate_max_depth` are the
-/// cheap-refit budget used while a ScopedTreeRefitBudget is active (see
-/// ml/decision_tree.h): the fs searches train truncated ensembles per
-/// candidate and leave the full budget to the final fit.
+/// cheap-refit budget: the forward and backward searches train each
+/// candidate with rounds and depth capped there (fs/candidate_eval.h's
+/// WithRefitBudget) and leave the full budget to the final fit.
 struct GbtOptions {
   uint32_t num_rounds = 20;      ///< Boosting rounds (num_classes trees each).
   double learning_rate = 0.3;    ///< η, folded into stored leaf values.
@@ -48,8 +48,8 @@ struct GbtOptions {
   uint32_t max_depth = 3;        ///< Per-tree depth cap (root is depth 0).
   uint64_t min_rows_split = 16;  ///< Nodes smaller than this become leaves.
   double min_gain = 1e-12;       ///< Minimum gain to accept a split.
-  uint32_t candidate_rounds = 4;     ///< Round cap under the refit budget.
-  uint32_t candidate_max_depth = 2;  ///< Depth cap under the refit budget.
+  uint32_t candidate_rounds = 4;     ///< Round cap of candidate retrains.
+  uint32_t candidate_max_depth = 2;  ///< Depth cap of candidate retrains.
   uint32_t num_threads = 0;      ///< ParallelFor width (0 = hardware).
 };
 
@@ -89,9 +89,12 @@ class Gbt : public Classifier, public FactorizedTrainable {
 
   /// Trains over the normalized (S, R) view (candidate columns gathered
   /// through the FK hops); bit-identical to Train on the joined twin.
+  /// Gradient histograms are not contingency counts, so `stats` is
+  /// unused.
   Status TrainFactorized(const FactorizedDataset& data,
                          const std::vector<uint32_t>& rows,
-                         const std::vector<uint32_t>& features) override;
+                         const std::vector<uint32_t>& features,
+                         const SuffStats* stats) override;
 
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 

@@ -15,67 +15,40 @@ NaiveBayes::NaiveBayes(double alpha) : alpha_(alpha) {
 Status NaiveBayes::Train(const EncodedDataset& data,
                          const std::vector<uint32_t>& rows,
                          const std::vector<uint32_t>& features) {
-  if (rows.empty()) {
-    return Status::InvalidArgument("cannot train Naive Bayes on zero rows");
-  }
-  // If sufficient statistics for this (dataset, row subset) are already
-  // cached, derive the model from the counts instead of rescanning; the
-  // doubles are identical (same counts, same expressions).
-  if (std::shared_ptr<const SuffStats> stats =
-          SuffStatsCache::Global().Peek(data, rows)) {
-    return TrainFromStats(*stats, features);
-  }
-  num_classes_ = data.num_classes();
-  features_ = features;
+  // One scan counts the classes and the trained features' tables, and
+  // the model is derived from those counts by TrainFromStats: one set of
+  // expressions for both entry points, so their models are bit-identical.
+  SuffStats stats;
+  stats.num_classes = data.num_classes();
+  stats.num_rows = rows.size();
+  stats.class_counts.assign(stats.num_classes, 0);
+  stats.cardinalities.assign(data.num_features(), 0);
+  stats.feature_counts.resize(data.num_features());
   const std::vector<uint32_t>& y = data.labels();
-
-  // Priors.
-  std::vector<uint64_t> class_counts(num_classes_, 0);
-  for (uint32_t r : rows) ++class_counts[y[r]];
-  log_priors_.resize(num_classes_);
-  const double n = static_cast<double>(rows.size());
-  for (uint32_t c = 0; c < num_classes_; ++c) {
-    log_priors_[c] = std::log(
-        (static_cast<double>(class_counts[c]) + alpha_) /
-        (n + alpha_ * num_classes_));
-  }
-
-  // Per-feature conditional likelihood tables.
-  log_likelihoods_.assign(features_.size(), {});
-  for (size_t jj = 0; jj < features_.size(); ++jj) {
-    uint32_t j = features_[jj];
+  for (uint32_t r : rows) ++stats.class_counts[y[r]];
+  for (uint32_t j : features) {
     const std::vector<uint32_t>& f = data.feature(j);
-    const uint32_t card = data.meta(j).cardinality;
-    std::vector<uint64_t> counts(static_cast<size_t>(card) * num_classes_, 0);
+    stats.cardinalities[j] = data.meta(j).cardinality;
+    std::vector<uint64_t>& counts = stats.feature_counts[j];
+    counts.assign(
+        static_cast<size_t>(stats.cardinalities[j]) * stats.num_classes, 0);
     for (uint32_t r : rows) {
-      ++counts[static_cast<size_t>(f[r]) * num_classes_ + y[r]];
-    }
-    std::vector<double>& ll = log_likelihoods_[jj];
-    ll.resize(counts.size());
-    for (uint32_t c = 0; c < num_classes_; ++c) {
-      const double denom = static_cast<double>(class_counts[c]) +
-                           alpha_ * static_cast<double>(card);
-      const double log_denom = std::log(denom);
-      for (uint32_t v = 0; v < card; ++v) {
-        size_t idx = static_cast<size_t>(v) * num_classes_ + c;
-        ll[idx] = std::log(static_cast<double>(counts[idx]) + alpha_) -
-                  log_denom;
-      }
+      ++counts[static_cast<size_t>(f[r]) * stats.num_classes + y[r]];
     }
   }
-  return Status::OK();
+  return TrainFromStats(stats, features);
 }
 
 Status NaiveBayes::TrainFromStats(const SuffStats& stats,
                                   const std::vector<uint32_t>& features) {
-  if (stats.num_rows() == 0) {
+  if (stats.num_rows == 0) {
     return Status::InvalidArgument("cannot train Naive Bayes on zero rows");
   }
   num_classes_ = stats.num_classes;
   features_ = features;
 
   log_priors_.resize(num_classes_);
-  const double n = static_cast<double>(stats.num_rows());
+  const double n = static_cast<double>(stats.num_rows);
   for (uint32_t c = 0; c < num_classes_; ++c) {
     log_priors_[c] = std::log(
         (static_cast<double>(stats.class_counts[c]) + alpha_) /

@@ -35,10 +35,10 @@ class NaiveBayes : public Classifier {
   /// `alpha` is the Laplace smoothing pseudo-count (> 0).
   explicit NaiveBayes(double alpha = 1.0);
 
-  /// Trains on (rows, features). If the global SuffStatsCache already
-  /// holds statistics for (data, rows) — and no ScopedSuffStatsBypass is
-  /// active — the model is derived from the cached counts without
-  /// rescanning the data; the result is bit-identical either way.
+  /// Trains on (rows, features) with one scan of the rows, which counts
+  /// the trained features' tables and hands them to TrainFromStats. A
+  /// caller that already holds the statistics of (data, rows) calls
+  /// TrainFromStats directly; the result is bit-identical either way.
   Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
                const std::vector<uint32_t>& features) override;
 

@@ -1,50 +1,14 @@
 #include "ml/suff_stats.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/check.h"
 #include "common/parallel_for.h"
-#include "obs/trace.h"
 
 namespace hamlet {
 
 namespace {
-
-obs::Counter& CacheHitsCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("fs.cache_hits");
-  return counter;
-}
-
-obs::Counter& CacheMissesCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("fs.cache_misses");
-  return counter;
-}
-
-obs::Histogram& StatsBuildHistogram() {
-  static obs::Histogram& histogram =
-      obs::MetricsRegistry::Global().GetHistogram("fs.stats_build_ns");
-  return histogram;
-}
-
-// FNV-1a over the row indices; the cache verifies candidates with an
-// exact vector comparison, so the hash only needs to be a good filter.
-uint64_t HashRows(const std::vector<uint32_t>& rows) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (uint32_t r : rows) {
-    h ^= r;
-    h *= 0x100000001B3ULL;
-  }
-  h ^= rows.size();
-  h *= 0x100000001B3ULL;
-  return h;
-}
-
-// Depth of active ScopedSuffStatsBypass guards (process-wide).
-std::atomic<int> g_bypass_depth{0};
 
 // Per-thread scratch for the Eval* hot paths: reused across calls so a
 // candidate evaluation allocates nothing after warm-up. Pool workers are
@@ -58,9 +22,8 @@ SuffStats BuildSuffStats(const EncodedDataset& data,
                          const std::vector<uint32_t>& rows,
                          uint32_t num_threads) {
   SuffStats stats;
-  stats.dataset_id = data.cache_id();
   stats.num_classes = data.num_classes();
-  stats.rows = rows;
+  stats.num_rows = rows.size();
 
   const std::vector<uint32_t>& y = data.labels();
   stats.class_counts.assign(stats.num_classes, 0);
@@ -88,115 +51,25 @@ SuffStats BuildSuffStats(const EncodedDataset& data,
   return stats;
 }
 
-SuffStatsCache& SuffStatsCache::Global() {
-  static SuffStatsCache* cache = new SuffStatsCache();
-  return *cache;
-}
-
-bool SuffStatsCache::Bypassed() {
-  return g_bypass_depth.load(std::memory_order_relaxed) > 0;
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::FindLocked(
-    const SuffStatsKey& key, uint64_t rows_hash,
-    const std::vector<uint32_t>& rows) const {
-  for (Entry& entry : entries_) {
-    if (entry.key == key && entry.rows_hash == rows_hash &&
-        entry.stats->rows == rows) {
-      entry.last_used = ++tick_;
-      return entry.stats;
-    }
+std::shared_ptr<const SuffStats> CheckStatsFit(
+    std::shared_ptr<const SuffStats> stats, uint32_t num_classes,
+    const std::vector<FeatureMeta>& metas,
+    const std::vector<uint32_t>& candidates) {
+  HAMLET_CHECK(stats != nullptr, "NbSubsetEvaluator needs statistics");
+  HAMLET_CHECK(stats->num_classes == num_classes,
+               "statistics for a different dataset: %u classes, want %u",
+               stats->num_classes, num_classes);
+  HAMLET_CHECK(stats->feature_counts.size() == metas.size(),
+               "statistics for a different dataset: %zu features, want %zu",
+               stats->feature_counts.size(), metas.size());
+  for (uint32_t j : candidates) {
+    HAMLET_CHECK(j < metas.size() &&
+                     stats->cardinalities[j] == metas[j].cardinality,
+                 "statistics for a different dataset: feature %u's "
+                 "cardinality differs",
+                 j);
   }
-  return nullptr;
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::Peek(
-    const EncodedDataset& data, const std::vector<uint32_t>& rows) const {
-  return PeekKeyed(SuffStatsKey{data.cache_id(), 0, 0}, rows);
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::PeekKeyed(
-    const SuffStatsKey& key, const std::vector<uint32_t>& rows) const {
-  if (Bypassed()) return nullptr;
-  const uint64_t hash = HashRows(rows);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<const SuffStats> found = FindLocked(key, hash, rows);
-  if (found != nullptr) CacheHitsCounter().Add(1);
-  return found;
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::GetOrBuild(
-    const EncodedDataset& data, const std::vector<uint32_t>& rows,
-    uint32_t num_threads) {
-  return GetOrBuildKeyed(SuffStatsKey{data.cache_id(), 0, 0}, rows, [&] {
-    return std::make_shared<const SuffStats>(
-        BuildSuffStats(data, rows, num_threads));
-  });
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::GetOrBuildKeyed(
-    const SuffStatsKey& key, const std::vector<uint32_t>& rows,
-    const std::function<std::shared_ptr<const SuffStats>()>& build) {
-  if (Bypassed()) return nullptr;
-  const uint64_t hash = HashRows(rows);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::shared_ptr<const SuffStats> found = FindLocked(key, hash, rows);
-    if (found != nullptr) {
-      CacheHitsCounter().Add(1);
-      return found;
-    }
-  }
-
-  // Build outside the lock — a concurrent builder of a different key must
-  // not serialize behind this pass.
-  CacheMissesCounter().Add(1);
-  std::shared_ptr<const SuffStats> built;
-  {
-    obs::ScopedLatency latency(StatsBuildHistogram());
-    built = build();
-  }
-  if (built == nullptr) return nullptr;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  // Another thread may have inserted the same key while we built.
-  std::shared_ptr<const SuffStats> raced = FindLocked(key, hash, rows);
-  if (raced != nullptr) return raced;
-  if (entries_.size() >= capacity_ && !entries_.empty()) {
-    size_t lru = 0;
-    for (size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i].last_used < entries_[lru].last_used) lru = i;
-    }
-    entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(lru));
-  }
-  entries_.push_back(Entry{key, hash, ++tick_, built});
-  return built;
-}
-
-void SuffStatsCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
-void SuffStatsCache::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = std::max<size_t>(1, capacity);
-  while (entries_.size() > capacity_) {
-    size_t lru = 0;
-    for (size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i].last_used < entries_[lru].last_used) lru = i;
-    }
-    entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(lru));
-  }
-}
-
-ScopedSuffStatsBypass::ScopedSuffStatsBypass(bool enable)
-    : enabled_(enable) {
-  if (enabled_) g_bypass_depth.fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedSuffStatsBypass::~ScopedSuffStatsBypass() {
-  if (enabled_) g_bypass_depth.fetch_sub(1, std::memory_order_relaxed);
+  return stats;
 }
 
 namespace {
@@ -218,7 +91,9 @@ NbSubsetEvaluator::NbSubsetEvaluator(const EncodedDataset& data,
                                      const std::vector<uint32_t>& candidates,
                                      uint32_t num_threads)
     : NbSubsetEvaluator(
-          stats, GatherEvalLabels(data, eval_rows), metric, alpha, candidates,
+          CheckStatsFit(std::move(stats), data.num_classes(), data.metas(),
+                        candidates),
+          GatherEvalLabels(data, eval_rows), metric, alpha, candidates,
           [&data, &eval_rows](uint32_t j, std::vector<uint32_t>* out) {
             const uint32_t* col = data.feature(j).data();
             out->resize(eval_rows.size());
@@ -226,10 +101,7 @@ NbSubsetEvaluator::NbSubsetEvaluator(const EncodedDataset& data,
               (*out)[i] = col[eval_rows[i]];
             }
           },
-          num_threads) {
-  HAMLET_CHECK(stats->dataset_id == data.cache_id() && stats->fingerprint == 0,
-               "statistics built for a different dataset");
-}
+          num_threads) {}
 
 NbSubsetEvaluator::NbSubsetEvaluator(std::shared_ptr<const SuffStats> stats,
                                      std::vector<uint32_t> eval_labels,
@@ -242,13 +114,13 @@ NbSubsetEvaluator::NbSubsetEvaluator(std::shared_ptr<const SuffStats> stats,
       metric_(metric) {
   HAMLET_CHECK(stats_ != nullptr, "NbSubsetEvaluator needs statistics");
   num_classes_ = stats_->num_classes;
-  HAMLET_CHECK(stats_->num_rows() > 0,
+  HAMLET_CHECK(stats_->num_rows > 0,
                "cannot evaluate models over zero training rows");
   HAMLET_CHECK(alpha > 0.0, "Laplace alpha must be > 0, got %f", alpha);
 
   // Smoothed log priors — the exact expression NaiveBayes::Train uses, on
   // the exact same integer counts, so the doubles are identical.
-  const double n = static_cast<double>(stats_->num_rows());
+  const double n = static_cast<double>(stats_->num_rows);
   log_priors_.resize(num_classes_);
   for (uint32_t c = 0; c < num_classes_; ++c) {
     log_priors_[c] = std::log(

@@ -15,8 +15,14 @@
 /// Determinism contract: counts are integers, so the parallel build is
 /// bit-for-bit identical at any thread count, and every model or score
 /// derived from the statistics equals its scan-path twin exactly (same
-/// counts, same floating-point expressions). The cache can therefore
+/// counts, same floating-point expressions). Building them can therefore
 /// never change a result — only how fast it is computed.
+///
+/// The statistics are a value: a feature-selection run builds them once
+/// for its train split, only when a consumer reads them
+/// (fs/candidate_eval.h's StatsForScorer), and hands the pointer to each
+/// consumer — the Naive Bayes scorer and final fit, the MI/IGR filter
+/// scores, and the factorized decision tree's root histograms.
 ///
 /// NbSubsetEvaluator adds the second half of the fast path: it keeps
 /// per-row, per-class base log-scores of the current subset on an
@@ -27,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "data/encoded_dataset.h"
@@ -40,37 +45,12 @@ namespace hamlet {
 /// [code * num_classes + y], the same layout NaiveBayes and
 /// ContingencyTable use.
 struct SuffStats {
-  uint64_t dataset_id = 0;   ///< EncodedDataset::cache_id() of the source.
-  /// 0 when the statistics were built over one materialized
-  /// EncodedDataset; the FactorizedDataset remap fingerprint otherwise
-  /// (ml/factorized.h), so factorized statistics can never be mistaken
-  /// for entity-only ones that share dataset_id.
-  uint64_t fingerprint = 0;
   uint32_t num_classes = 0;
-  std::vector<uint32_t> rows;               ///< The row subset, as given.
-  std::vector<uint64_t> class_counts;       ///< [y], |rows| total.
+  uint64_t num_rows = 0;                    ///< |rows| the counts cover.
+  std::vector<uint64_t> class_counts;       ///< [y], num_rows total.
   std::vector<uint32_t> cardinalities;      ///< Per feature |D_F|.
   /// Per feature: flat [code * num_classes + y] joint counts.
   std::vector<std::vector<uint64_t>> feature_counts;
-
-  uint64_t num_rows() const { return rows.size(); }
-};
-
-/// Composite cache identity of one statistics source. Materialized
-/// datasets use {cache_id, 0, 0}. The factorized path sets all three
-/// components — entity-side cache id, a hash of the attribute-table
-/// identities, and the remap fingerprint — so a cached materialized entry
-/// can never alias a normalized (S, R) pair even though both key on the
-/// same entity dataset.
-struct SuffStatsKey {
-  uint64_t primary = 0;      ///< Entity-side EncodedDataset::cache_id().
-  uint64_t secondary = 0;    ///< Attribute-side identity hash (0 = none).
-  uint64_t fingerprint = 0;  ///< FK remap fingerprint (0 = materialized).
-
-  bool operator==(const SuffStatsKey& other) const {
-    return primary == other.primary && secondary == other.secondary &&
-           fingerprint == other.fingerprint;
-  }
 };
 
 /// One pass over `rows` of `data`: class counts serially (O(rows)), then
@@ -80,89 +60,16 @@ SuffStats BuildSuffStats(const EncodedDataset& data,
                          const std::vector<uint32_t>& rows,
                          uint32_t num_threads = 0);
 
-/// Process-wide LRU cache of sufficient statistics keyed by
-/// (dataset cache_id, row-subset hash), with exact row-vector verification
-/// on hit. GetOrBuild is what the feature selection searches and the
-/// Monte Carlo inner loop call once per (dataset, train split); Peek is
-/// the zero-build lookup NaiveBayes::Train uses so that *any* later
-/// training on the same split becomes lookups.
-///
-/// Observability: builds record the `fs.stats_build_ns` histogram and the
-/// `fs.cache_misses` counter; hits (GetOrBuild and Peek alike) bump
-/// `fs.cache_hits`.
-class SuffStatsCache {
- public:
-  static SuffStatsCache& Global();
-
-  /// Returns the cached statistics for (data, rows), building and
-  /// inserting them on miss. Returns nullptr while a ScopedSuffStatsBypass
-  /// is active (the escape hatch that forces every scan path).
-  std::shared_ptr<const SuffStats> GetOrBuild(
-      const EncodedDataset& data, const std::vector<uint32_t>& rows,
-      uint32_t num_threads = 0);
-
-  /// Returns the cached statistics or nullptr; never builds. nullptr while
-  /// bypassed. Matches only materialized entries (secondary and
-  /// fingerprint both 0), so a factorized build over the same entity
-  /// dataset is never returned here.
-  std::shared_ptr<const SuffStats> Peek(
-      const EncodedDataset& data, const std::vector<uint32_t>& rows) const;
-
-  /// Keyed variants for sources that are not a single EncodedDataset
-  /// (ml/factorized.h). GetOrBuildKeyed calls `build` on miss — outside
-  /// the lock — and records the same hit/miss/build-latency probes as
-  /// GetOrBuild. Both return nullptr while bypassed.
-  std::shared_ptr<const SuffStats> GetOrBuildKeyed(
-      const SuffStatsKey& key, const std::vector<uint32_t>& rows,
-      const std::function<std::shared_ptr<const SuffStats>()>& build);
-  std::shared_ptr<const SuffStats> PeekKeyed(
-      const SuffStatsKey& key, const std::vector<uint32_t>& rows) const;
-
-  /// Drops every entry (tests; also frees memory between workloads).
-  void Clear();
-
-  /// Maximum retained entries (least-recently-used eviction). Default 16.
-  void set_capacity(size_t capacity);
-
-  /// True while a ScopedSuffStatsBypass is alive anywhere in the process.
-  static bool Bypassed();
-
- private:
-  SuffStatsCache() = default;
-
-  struct Entry {
-    SuffStatsKey key;
-    uint64_t rows_hash = 0;
-    uint64_t last_used = 0;
-    std::shared_ptr<const SuffStats> stats;
-  };
-
-  std::shared_ptr<const SuffStats> FindLocked(
-      const SuffStatsKey& key, uint64_t rows_hash,
-      const std::vector<uint32_t>& rows) const;
-
-  mutable std::mutex mu_;
-  mutable uint64_t tick_ = 0;
-  size_t capacity_ = 16;
-  mutable std::vector<Entry> entries_;
-};
-
-/// RAII escape hatch: while alive (and constructed with enable=true),
-/// every SuffStatsCache lookup misses and nothing is cached, so all
-/// training and scoring takes the original scan paths. Process-wide and
-/// nestable; used by PipelineConfig::force_scan_eval and the
-/// cached-vs-scan equivalence tests.
-class ScopedSuffStatsBypass {
- public:
-  explicit ScopedSuffStatsBypass(bool enable = true);
-  ~ScopedSuffStatsBypass();
-
-  ScopedSuffStatsBypass(const ScopedSuffStatsBypass&) = delete;
-  ScopedSuffStatsBypass& operator=(const ScopedSuffStatsBypass&) = delete;
-
- private:
-  bool enabled_;
-};
+/// Returns `stats` after aborting unless they fit a dataset with
+/// `num_classes` classes and the features `metas`: the class count and
+/// the feature count match, and every one of `candidates` has the
+/// dataset's cardinality. The NbSubsetEvaluator entry points that take a
+/// dataset check this before reading a table, so statistics built for a
+/// different dataset can never index past one.
+std::shared_ptr<const SuffStats> CheckStatsFit(
+    std::shared_ptr<const SuffStats> stats, uint32_t num_classes,
+    const std::vector<FeatureMeta>& metas,
+    const std::vector<uint32_t>& candidates);
 
 /// Incremental Naive Bayes subset scorer over a fixed evaluation split.
 ///
@@ -192,7 +99,8 @@ class NbSubsetEvaluator {
 
   /// `candidates` limits which features get log-likelihood tables (and
   /// thus may appear in Eval calls). `alpha` is the NB Laplace smoothing
-  /// pseudo-count and must match the factory's.
+  /// pseudo-count and must match the factory's. `stats` must fit `data`
+  /// (CheckStatsFit).
   NbSubsetEvaluator(const EncodedDataset& data,
                     std::shared_ptr<const SuffStats> stats,
                     std::vector<uint32_t> eval_rows, ErrorMetric metric,

@@ -13,9 +13,9 @@
 /// grow; version 0 (kLatest) means "the highest version present".
 ///
 /// Deserialized datasets and models are held in a small in-memory LRU
-/// keyed by (name, resolved version) — the same eviction pattern as
-/// ml/suff_stats.h's SuffStatsCache — so a scoring service resolving the
-/// same model per request pays the disk + decode cost once. Cache hits
+/// keyed by (name, resolved version), evicting the least recently used
+/// entry, so a scoring service resolving the same model per request pays
+/// the disk + decode cost once. Cache hits
 /// and misses surface as the `serve.model_cache_hits` /
 /// `serve.model_cache_misses` counters when obs collection is enabled.
 ///

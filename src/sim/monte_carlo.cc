@@ -97,9 +97,7 @@ Status RunOneRepeat(const SimConfig& config,
 
   // Probe the opaque factory once: the statistics reuse below only pays
   // off for classifiers that can train from counts.
-  const bool nb_variants =
-      !SuffStatsCache::Bypassed() &&
-      dynamic_cast<NaiveBayes*>(make().get()) != nullptr;
+  const bool nb_variants = dynamic_cast<NaiveBayes*>(make().get()) != nullptr;
 
   // Inner training-set loop, parallelized in blocks. Each block's draws
   // are taken serially in t order (preserving the exact RNG stream of a
@@ -130,18 +128,20 @@ Status RunOneRepeat(const SimConfig& config,
       std::iota(train_rows.begin(), train_rows.end(), 0u);
 
       // With Naive Bayes, one sufficient-statistics pass over the draw
-      // serves all three variant trainings (Train peeks the cache and
-      // derives the model from the counts — bit-identical either way).
-      if (nb_variants) {
-        SuffStatsCache::Global().GetOrBuild(train.data, train_rows, 1);
-      }
+      // serves all three variant trainings (TrainFromStats derives each
+      // model from the counts — bit-identical to a scan Train).
+      const SuffStats stats =
+          nb_variants ? BuildSuffStats(train.data, train_rows, 1) : SuffStats{};
 
       // The test set shares the feature layout, so models trained on the
       // training draw can predict it directly.
       auto run_variant = [&](const std::vector<uint32_t>& feats,
                              std::vector<uint32_t>* out) -> Status {
         std::unique_ptr<Classifier> model = make();
-        HAMLET_RETURN_NOT_OK(model->Train(train.data, train_rows, feats));
+        HAMLET_RETURN_NOT_OK(
+            nb_variants
+                ? static_cast<NaiveBayes&>(*model).TrainFromStats(stats, feats)
+                : model->Train(train.data, train_rows, feats));
         SimModelsTrainedCounter().Add(1);
         *out = model->Predict(test.data, test_rows);
         return Status::OK();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fs/candidate_eval.h"
 #include "ml/naive_bayes.h"
 #include "stats/metrics.h"
 
@@ -119,23 +120,14 @@ TEST(DecisionTreeTest, RefitBudgetCapsDepthWhileActive) {
   ASSERT_TRUE(full.Train(d, rows, {0, 1}).ok());
   ASSERT_GT(full.num_nodes(), 1u);
 
-  EXPECT_FALSE(ScopedTreeRefitBudget::Active());
-  {
-    ScopedTreeRefitBudget budget;
-    EXPECT_TRUE(ScopedTreeRefitBudget::Active());
-    DecisionTree capped(options);
-    ASSERT_TRUE(capped.Train(d, rows, {0, 1}).ok());
-    EXPECT_EQ(capped.num_nodes(), 1u);
-    {
-      // Nestable, and a disabled scope does not release the budget.
-      ScopedTreeRefitBudget inner;
-      ScopedTreeRefitBudget disabled(false);
-    }
-    EXPECT_TRUE(ScopedTreeRefitBudget::Active());
-  }
-  EXPECT_FALSE(ScopedTreeRefitBudget::Active());
+  // The budget lives in the models the searches' candidate factory
+  // makes...
+  std::unique_ptr<Classifier> capped =
+      WithRefitBudget(MakeDecisionTreeFactory(options))();
+  ASSERT_TRUE(capped->Train(d, rows, {0, 1}).ok());
+  EXPECT_EQ(static_cast<const DecisionTree&>(*capped).num_nodes(), 1u);
 
-  // Outside the scope the same options grow the full tree again.
+  // ...and nowhere else: the same options still grow the full tree.
   DecisionTree after(options);
   ASSERT_TRUE(after.Train(d, rows, {0, 1}).ok());
   EXPECT_EQ(after.num_nodes(), full.num_nodes());

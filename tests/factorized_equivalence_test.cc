@@ -5,10 +5,9 @@
 /// over the normalized (S, R) view must produce the exact same sufficient
 /// statistics, selected subsets, model parameters, validation errors, and
 /// holdout errors as the materialized join, because the factorized build
-/// reorders only integer additions. Also locks the cache-key separation
-/// (a factorized entry can never alias a materialized one) and the
-/// property that random KFK schemas — FK skew, unreferenced attribute
-/// rows, missing classes — agree cell-for-cell.
+/// reorders only integer additions. Also locks the property that random
+/// KFK schemas — FK skew, unreferenced attribute rows, missing classes —
+/// agree cell-for-cell.
 
 #include <gtest/gtest.h>
 
@@ -145,44 +144,17 @@ TEST(FactorizedSuffStatsTest, BitIdenticalToMaterializedBuild) {
   }
 }
 
-TEST(FactorizedSuffStatsTest, KeyIsMarkedFactorized) {
+// Entity-only statistics share the entity's rows but not the factorized
+// feature space; the evaluator refuses them before reading a table.
+TEST(FactorizedSuffStatsTest, EvaluatorRejectsEntityOnlyStats) {
   TwinCase t = MakeTwinCase(kDatasetCases[0], 14);
   ASSERT_FALSE(t.fac.relations().empty());
-  EXPECT_NE(t.fac.cache_key().secondary, 0u);
-  EXPECT_NE(t.fac.cache_key().fingerprint, 0u);
-  const SuffStats fac = BuildFactorizedSuffStats(t.fac, t.split.train, 1);
-  EXPECT_EQ(fac.fingerprint, t.fac.cache_key().fingerprint);
-  const SuffStats mat = BuildSuffStats(*t.mat, t.split.train, 1);
-  EXPECT_EQ(mat.fingerprint, 0u);
-}
-
-// --- Cache-key separation regression. -------------------------------------
-// SuffStatsCache used to key on EncodedDataset::cache_id() + row hash
-// alone; the factorized entry shares the entity's cache id, so without
-// the composite key a cached factorized build could be served to an
-// entity-only consumer (and vice versa) with a different feature space.
-
-TEST(FactorizedCacheTest, FactorizedEntryNeverAliasesMaterialized) {
-  SuffStatsCache::Global().Clear();
-  TwinCase t = MakeTwinCase(kDatasetCases[0], 15);
-  auto fac = GetOrBuildFactorizedSuffStats(t.fac, t.split.train, 1);
-  ASSERT_NE(fac, nullptr);
-  // The factorized statistics cover entity + foreign features...
-  EXPECT_EQ(fac->feature_counts.size(), t.fac.num_features());
-  // ...but a Peek on the *entity* dataset alone must miss: its key is
-  // {cache_id, 0, 0}, not the composite factorized key.
-  EXPECT_EQ(SuffStatsCache::Global().Peek(t.fac.entity(), t.split.train),
-            nullptr);
-  // An entity-only build coexists under its own key; both stay live.
-  auto entity_stats =
-      SuffStatsCache::Global().GetOrBuild(t.fac.entity(), t.split.train, 1);
-  ASSERT_NE(entity_stats, nullptr);
-  EXPECT_NE(entity_stats.get(), fac.get());
-  EXPECT_EQ(entity_stats->feature_counts.size(),
-            t.fac.entity().num_features());
-  // And the factorized entry is still served for the factorized key.
-  auto again = GetOrBuildFactorizedSuffStats(t.fac, t.split.train, 1);
-  EXPECT_EQ(again.get(), fac.get());
+  auto entity_only = std::make_shared<const SuffStats>(
+      BuildSuffStats(t.fac.entity(), t.split.train, 1));
+  EXPECT_DEATH(MakeFactorizedNbEvaluator(t.fac, entity_only,
+                                         t.split.validation, t.metric, 1.0,
+                                         t.fac.AllFeatureIndices(), 1),
+               "different dataset");
 }
 
 // --- Selections: every method, bit-identical, any thread count. -----------
@@ -214,10 +186,8 @@ TEST(FactorizedSelectionTest, AllMethodsBitIdenticalAcrossThreadCounts) {
         SCOPED_TRACE(t.name + " " + selector->name() + " threads " +
                      std::to_string(threads));
         selector->set_num_threads(threads);
-        SuffStatsCache::Global().Clear();
         auto mat = selector->Select(*t.mat, t.split, factory, t.metric, cands);
         ASSERT_TRUE(mat.ok()) << mat.status();
-        SuffStatsCache::Global().Clear();
         auto fac = selector->SelectFactorized(t.fac, t.split, factory,
                                               t.metric, cands);
         ASSERT_TRUE(fac.ok()) << fac.status();
@@ -238,11 +208,9 @@ TEST(FactorizedSelectionTest, ModelParametersAndHoldoutBitIdentical) {
     forward.set_num_threads(2);
     SCOPED_TRACE(t.name);
 
-    SuffStatsCache::Global().Clear();
     auto mat = RunFeatureSelection(forward, *t.mat, t.split, factory,
                                    t.metric, candidates);
     ASSERT_TRUE(mat.ok()) << mat.status();
-    SuffStatsCache::Global().Clear();
     auto fac = RunFeatureSelectionFactorized(forward, t.fac, t.split, factory,
                                              t.metric, candidates);
     ASSERT_TRUE(fac.ok()) << fac.status();
@@ -311,10 +279,8 @@ TEST(FactorizedEdgeCaseTest, FkSkewedDatasetBitIdentical) {
   }
   ForwardSelection forward;
   ClassifierFactory factory = MakeNaiveBayesFactory();
-  SuffStatsCache::Global().Clear();
   auto mr = forward.Select(mat, split, factory, ErrorMetric::kZeroOne,
                            mat.AllFeatureIndices());
-  SuffStatsCache::Global().Clear();
   auto fr = forward.SelectFactorized(fac, split, factory,
                                      ErrorMetric::kZeroOne,
                                      fac.AllFeatureIndices());
@@ -450,11 +416,9 @@ TEST(FactorizedPipelineTest, AvoidMaterializationMatchesMaterializedRun) {
   config.metric = *MetricForDataset("Walmart");
   config.seed = 31;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = false;
   auto mat = RunPipeline(dataset, config);
   ASSERT_TRUE(mat.ok()) << mat.status();
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = true;
   auto fac = RunPipeline(dataset, config);
   ASSERT_TRUE(fac.ok()) << fac.status();

@@ -123,7 +123,6 @@ TEST(FactorizedTreeTest, TrainBitIdenticalAcrossViewsAndThreads) {
     DecisionTreeOptions ref_options;
     ref_options.num_threads = 1;
     DecisionTree ref(ref_options);
-    SuffStatsCache::Global().Clear();
     ASSERT_TRUE(ref.Train(*t.mat, t.split.train, features).ok());
     const DecisionTreeParams ref_params = ref.ExportParams();
     ASSERT_GT(ref.num_nodes(), 1u) << t.name << ": degenerate stump";
@@ -135,15 +134,14 @@ TEST(FactorizedTreeTest, TrainBitIdenticalAcrossViewsAndThreads) {
       options.num_threads = threads;
 
       DecisionTree mat_tree(options);
-      SuffStatsCache::Global().Clear();
       ASSERT_TRUE(mat_tree.Train(*t.mat, t.split.train, features).ok());
       ExpectTreeParamsBitIdentical(mat_tree.ExportParams(), ref_params,
                                    "materialized");
 
       DecisionTree fac_tree(options);
-      SuffStatsCache::Global().Clear();
       ASSERT_TRUE(
-          fac_tree.TrainFactorized(t.fac, t.split.train, features).ok());
+          fac_tree.TrainFactorized(t.fac, t.split.train, features, nullptr)
+              .ok());
       ExpectTreeParamsBitIdentical(fac_tree.ExportParams(), ref_params,
                                    "factorized");
 
@@ -181,7 +179,8 @@ TEST(FactorizedGbtTest, TrainBitIdenticalAcrossViewsAndThreads) {
 
       Gbt fac_gbt(options);
       ASSERT_TRUE(
-          fac_gbt.TrainFactorized(t.fac, t.split.train, features).ok());
+          fac_gbt.TrainFactorized(t.fac, t.split.train, features, nullptr)
+              .ok());
       ExpectGbtParamsBitIdentical(fac_gbt.ExportParams(), ref_params,
                                   "factorized");
 
@@ -193,35 +192,41 @@ TEST(FactorizedGbtTest, TrainBitIdenticalAcrossViewsAndThreads) {
   }
 }
 
-// --- The cached-SuffStats root seed changes nothing but the cost. ---------
+// --- Explicit root statistics change nothing but the cost. --------------
 
-TEST(FactorizedTreeTest, WarmSuffStatsCacheDoesNotChangeBits) {
+TEST(FactorizedTreeTest, ExplicitRootStatsDoNotChangeBits) {
   TwinCase t = MakeTwinCase(kDatasetCases[0], 45);
   const std::vector<uint32_t> features = t.mat->AllFeatureIndices();
   DecisionTreeOptions options;
   options.num_threads = 2;
 
-  // Cold: Train counts the root histograms from the gathered codes.
-  SuffStatsCache::Global().Clear();
-  DecisionTree cold(options);
-  ASSERT_TRUE(cold.Train(*t.mat, t.split.train, features).ok());
+  // None: the root histograms are counted from the gathered codes.
+  DecisionTree none(options);
+  ASSERT_TRUE(
+      none.TrainFactorized(t.fac, t.split.train, features, nullptr).ok());
+  DecisionTree mat(options);
+  ASSERT_TRUE(mat.Train(*t.mat, t.split.train, features).ok());
+  ExpectTreeParamsBitIdentical(none.ExportParams(), mat.ExportParams(),
+                               "no root statistics");
 
-  // Warm: the root histograms come from the cached (materialized or
-  // factorized) statistics via Peek — integer counts, so bit-identical.
-  SuffStatsCache::Global().Clear();
-  ASSERT_NE(SuffStatsCache::Global().GetOrBuild(*t.mat, t.split.train, 1),
-            nullptr);
-  DecisionTree warm_mat(options);
-  ASSERT_TRUE(warm_mat.Train(*t.mat, t.split.train, features).ok());
-  ExpectTreeParamsBitIdentical(warm_mat.ExportParams(), cold.ExportParams(),
-                               "warm materialized cache");
+  // Explicit: the root histograms are copied from the train split's
+  // factorized statistics — integer counts, so bit-identical.
+  const SuffStats stats = BuildFactorizedSuffStats(t.fac, t.split.train, 1);
+  DecisionTree seeded(options);
+  ASSERT_TRUE(
+      seeded.TrainFactorized(t.fac, t.split.train, features, &stats).ok());
+  ExpectTreeParamsBitIdentical(seeded.ExportParams(), none.ExportParams(),
+                               "explicit root statistics");
 
-  SuffStatsCache::Global().Clear();
-  ASSERT_NE(GetOrBuildFactorizedSuffStats(t.fac, t.split.train, 1), nullptr);
-  DecisionTree warm_fac(options);
-  ASSERT_TRUE(warm_fac.TrainFactorized(t.fac, t.split.train, features).ok());
-  ExpectTreeParamsBitIdentical(warm_fac.ExportParams(), cold.ExportParams(),
-                               "warm factorized cache");
+  // The argument is really read: altered root counts move the root's
+  // stored class scores.
+  SuffStats altered = stats;
+  altered.class_counts[0] += 1000;
+  DecisionTree from_altered(options);
+  ASSERT_TRUE(from_altered
+                  .TrainFactorized(t.fac, t.split.train, features, &altered)
+                  .ok());
+  EXPECT_NE(from_altered.ExportParams().scores, none.ExportParams().scores);
 }
 
 // --- Selections: the tree scan paths agree with the materialized scan. ----
@@ -250,11 +255,9 @@ TEST(FactorizedTreeSelectionTest, EverySelectorMatchesMaterialized) {
     for (uint32_t threads : {1u, 2u}) {
       SCOPED_TRACE(selector->name() + " threads " + std::to_string(threads));
       selector->set_num_threads(threads);
-      SuffStatsCache::Global().Clear();
       auto mat =
           selector->Select(*t.mat, t.split, factory, t.metric, candidates);
       ASSERT_TRUE(mat.ok()) << mat.status();
-      SuffStatsCache::Global().Clear();
       auto fac = selector->SelectFactorized(t.fac, t.split, factory, t.metric,
                                             candidates);
       ASSERT_TRUE(fac.ok()) << fac.status();
@@ -273,10 +276,8 @@ TEST(FactorizedGbtSelectionTest, ForwardSelectionMatchesMaterialized) {
   for (uint32_t threads : {1u, 2u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     forward.set_num_threads(threads);
-    SuffStatsCache::Global().Clear();
     auto mat = forward.Select(*t.mat, t.split, factory, t.metric, candidates);
     ASSERT_TRUE(mat.ok()) << mat.status();
-    SuffStatsCache::Global().Clear();
     auto fac =
         forward.SelectFactorized(t.fac, t.split, factory, t.metric, candidates);
     ASSERT_TRUE(fac.ok()) << fac.status();
@@ -295,11 +296,9 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
   ForwardSelection forward;
   forward.set_num_threads(2);
 
-  SuffStatsCache::Global().Clear();
   auto mat = RunFeatureSelection(forward, *t.mat, t.split, factory, t.metric,
                                  candidates);
   ASSERT_TRUE(mat.ok()) << mat.status();
-  SuffStatsCache::Global().Clear();
   auto fac = RunFeatureSelectionFactorized(forward, t.fac, t.split, factory,
                                            t.metric, candidates);
   ASSERT_TRUE(fac.ok()) << fac.status();
@@ -315,11 +314,12 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
   DecisionTreeOptions options;
   options.num_threads = 2;
   DecisionTree from_mat(options), from_fac(options);
-  SuffStatsCache::Global().Clear();
   ASSERT_TRUE(
       from_mat.Train(*t.mat, t.split.train, mat->selection.selected).ok());
   ASSERT_TRUE(
-      from_fac.TrainFactorized(t.fac, t.split.train, fac->selection.selected)
+      from_fac
+          .TrainFactorized(t.fac, t.split.train, fac->selection.selected,
+                           nullptr)
           .ok());
   ExpectTreeParamsBitIdentical(from_fac.ExportParams(), from_mat.ExportParams(),
                                "final fit");
@@ -350,11 +350,9 @@ TEST(FactorizedPipelineMatrixTest, EveryClassifierMethodAndScanModeMatches) {
         config.num_threads = 2;
         config.force_scan_eval = force_scan;
 
-        SuffStatsCache::Global().Clear();
         config.avoid_materialization = false;
         auto mat = RunPipeline(dataset, config);
         ASSERT_TRUE(mat.ok()) << mat.status();
-        SuffStatsCache::Global().Clear();
         config.avoid_materialization = true;
         auto fac = RunPipeline(dataset, config);
         ASSERT_TRUE(fac.ok()) << fac.status();
@@ -385,11 +383,9 @@ TEST(FactorizedGbtPipelineTest, GbtAvoidMaterializationMatches) {
   config.metric = *MetricForDataset("Walmart");
   config.seed = 55;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = false;
   auto mat = RunPipeline(dataset, config);
   ASSERT_TRUE(mat.ok()) << mat.status();
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = true;
   auto fac = RunPipeline(dataset, config);
   ASSERT_TRUE(fac.ok()) << fac.status();

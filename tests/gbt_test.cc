@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fs/candidate_eval.h"
 #include "ml/decision_tree.h"
 #include "ml/naive_bayes.h"
 #include "stats/metrics.h"
@@ -116,12 +117,10 @@ TEST(GbtTest, RefitBudgetCapsRoundsWhileActive) {
   ASSERT_TRUE(full.Train(d, rows, {0, 1}).ok());
   EXPECT_EQ(full.num_trees(), 10u * 3u);
 
-  {
-    ScopedTreeRefitBudget budget;
-    Gbt capped(options);
-    ASSERT_TRUE(capped.Train(d, rows, {0, 1}).ok());
-    EXPECT_EQ(capped.num_trees(), 2u * 3u);
-  }
+  std::unique_ptr<Classifier> capped =
+      WithRefitBudget(MakeGbtFactory(options))();
+  ASSERT_TRUE(capped->Train(d, rows, {0, 1}).ok());
+  EXPECT_EQ(static_cast<const Gbt&>(*capped).num_trees(), 2u * 3u);
 
   Gbt after(options);
   ASSERT_TRUE(after.Train(d, rows, {0, 1}).ok());

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "common/rng.h"
 #include "ml/eval.h"
+#include "ml/gbt.h"
 #include "ml/naive_bayes.h"
 
 namespace hamlet {
@@ -87,6 +90,38 @@ TEST(ForwardSelectionTest, CountsTrainedModels) {
                            f.data.AllFeatureIndices());
   // At least: 1 baseline + one full pass over 5 candidates.
   EXPECT_GE(result.models_trained, 6u);
+}
+
+// The cheap refit budget belongs to a search's candidate retrains alone:
+// a full-budget GBT trained on another thread while forward selection
+// runs keeps every round.
+TEST(ForwardSelectionTest, RefitBudgetNeverReachesConcurrentTraining) {
+  FsFixture f(31, 600, 2);
+  GbtOptions options;
+  options.num_rounds = 6;
+  options.candidate_rounds = 2;
+  options.num_threads = 1;
+  std::atomic<bool> searching{false};
+  std::atomic<bool> stop{false};
+  std::thread searcher([&] {
+    while (!stop.load()) {
+      ForwardSelection fs;
+      fs.set_num_threads(1);
+      searching.store(true);
+      EXPECT_TRUE(fs.Select(f.data, f.split, MakeGbtFactory(options),
+                            ErrorMetric::kZeroOne,
+                            f.data.AllFeatureIndices())
+                      .ok());
+    }
+  });
+  while (!searching.load()) std::this_thread::yield();
+  for (int i = 0; i < 20; ++i) {
+    Gbt full(options);
+    EXPECT_TRUE(full.Train(f.data, f.split.train, {0, 1}).ok());
+    EXPECT_EQ(full.num_trees(), options.num_rounds * 4u) << "train " << i;
+  }
+  stop.store(true);
+  searcher.join();
 }
 
 TEST(BackwardSelectionTest, RetainsSignalDropsSomeNoise) {

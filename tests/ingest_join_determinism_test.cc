@@ -18,7 +18,6 @@
 #include "analytics/pipeline.h"
 #include "datasets/registry.h"
 #include "legacy_hash_join.h"
-#include "ml/suff_stats.h"
 #include "relational/catalog.h"
 #include "relational/column.h"
 #include "relational/csv.h"
@@ -419,7 +418,6 @@ TEST_F(FactorizedDeterminismTest, PipelineEndToEndIsThreadInvariant) {
   config.enable_join_avoidance = false;  // Factorize every table.
   config.seed = 19;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = false;
   config.num_threads = 1;
   auto mat = RunPipeline(*ds, config);
@@ -427,7 +425,6 @@ TEST_F(FactorizedDeterminismTest, PipelineEndToEndIsThreadInvariant) {
 
   config.avoid_materialization = true;
   for (uint32_t num_threads : {1u, 2u, 8u, 0u}) {
-    SuffStatsCache::Global().Clear();
     config.num_threads = num_threads;
     auto fac = RunPipeline(*ds, config);
     ASSERT_TRUE(fac.ok()) << fac.status();
@@ -460,7 +457,6 @@ TEST_F(FactorizedDeterminismTest, AvoidModePeaksBelowMaterializedRun) {
   config.enable_join_avoidance = false;  // The join is the cost measured.
   config.seed = 21;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = false;
   ColumnMemory::ResetPeak();
   const int64_t mat_base = ColumnMemory::LiveBytes();
@@ -468,7 +464,6 @@ TEST_F(FactorizedDeterminismTest, AvoidModePeaksBelowMaterializedRun) {
   ASSERT_TRUE(mat.ok()) << mat.status();
   const int64_t mat_peak = ColumnMemory::PeakBytes() - mat_base;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = true;
   ColumnMemory::ResetPeak();
   const int64_t fac_base = ColumnMemory::LiveBytes();

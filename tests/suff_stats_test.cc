@@ -1,11 +1,11 @@
-/// Cached-vs-scan equivalence suite for the sufficient-statistics fast
-/// path (docs/PERFORMANCE.md). The contract under test: with the cache
-/// active, every search selects the *identical* subset, reports an error
-/// within 1e-12 of the scan path (bit-equal for forward/exhaustive/
-/// filters, whose summation order matches the scan path exactly), and
-/// trains the same number of candidate models — across bundled datasets
-/// and thread counts {1, 2, 8}. The scan reference runs under
-/// ScopedSuffStatsBypass + set_force_scan_eval, which is also how
+/// Stats-vs-scan equivalence suite for the sufficient-statistics fast
+/// path (docs/PERFORMANCE.md). The contract under test: scoring from the
+/// run's statistics, every search selects the *identical* subset,
+/// reports an error within 1e-12 of the scan path (bit-equal for
+/// forward/exhaustive/filters, whose summation order matches the scan
+/// path exactly), and trains the same number of candidate models —
+/// across bundled datasets and thread counts {1, 2, 8}. The scan
+/// reference runs with set_force_scan_eval, which is also how
 /// PipelineConfig::force_scan_eval is exercised.
 
 #include <gtest/gtest.h>
@@ -75,10 +75,7 @@ TEST(SuffStatsTest, TrainFromStatsMatchesScanTrainBitExactly) {
   const std::vector<uint32_t> features = c.data->AllFeatureIndices();
 
   NaiveBayes scan(1.0);
-  {
-    ScopedSuffStatsBypass bypass;  // Guarantee the scan path.
-    ASSERT_TRUE(scan.Train(*c.data, c.split.train, features).ok());
-  }
+  ASSERT_TRUE(scan.Train(*c.data, c.split.train, features).ok());
   NaiveBayes from_stats(1.0);
   ASSERT_TRUE(from_stats.TrainFromStats(stats, features).ok());
 
@@ -105,71 +102,11 @@ TEST(SuffStatsTest, BuildIsIdenticalAtAnyThreadCount) {
   }
 }
 
-// --- Cache behavior: hit, bypass, eviction. -------------------------------
-
-TEST(SuffStatsCacheTest, GetOrBuildHitsAndPeeks) {
-  SuffStatsCache::Global().Clear();
-  EncodedCase c = MakeEncodedCase(kDatasetCases[0], 9);
-  auto a = SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1);
-  ASSERT_NE(a, nullptr);
-  auto b = SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1);
-  EXPECT_EQ(a.get(), b.get());  // Same entry, no rebuild.
-  auto p = SuffStatsCache::Global().Peek(*c.data, c.split.train);
-  EXPECT_EQ(a.get(), p.get());
-  // A different row subset is a different key.
-  EXPECT_EQ(SuffStatsCache::Global().Peek(*c.data, c.split.validation),
-            nullptr);
-  SuffStatsCache::Global().Clear();
-  EXPECT_EQ(SuffStatsCache::Global().Peek(*c.data, c.split.train), nullptr);
-}
-
-TEST(SuffStatsCacheTest, BypassForcesMisses) {
-  SuffStatsCache::Global().Clear();
-  EncodedCase c = MakeEncodedCase(kDatasetCases[0], 10);
-  auto a = SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1);
-  ASSERT_NE(a, nullptr);
-  {
-    ScopedSuffStatsBypass bypass;
-    EXPECT_TRUE(SuffStatsCache::Bypassed());
-    EXPECT_EQ(SuffStatsCache::Global().Peek(*c.data, c.split.train), nullptr);
-    EXPECT_EQ(SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1),
-              nullptr);
-    {
-      ScopedSuffStatsBypass nested;  // Nestable.
-      EXPECT_TRUE(SuffStatsCache::Bypassed());
-    }
-    EXPECT_TRUE(SuffStatsCache::Bypassed());
-  }
-  EXPECT_FALSE(SuffStatsCache::Bypassed());
-  EXPECT_NE(SuffStatsCache::Global().Peek(*c.data, c.split.train), nullptr);
-  SuffStatsCache::Global().Clear();
-}
-
-TEST(SuffStatsCacheTest, EvictsLeastRecentlyUsed) {
-  SuffStatsCache::Global().Clear();
-  SuffStatsCache::Global().set_capacity(2);
-  EncodedCase c = MakeEncodedCase(kDatasetCases[0], 11);
-  std::vector<uint32_t> rows_a = {0, 1, 2, 3};
-  std::vector<uint32_t> rows_b = {4, 5, 6, 7};
-  std::vector<uint32_t> rows_c = {8, 9, 10, 11};
-  SuffStatsCache::Global().GetOrBuild(*c.data, rows_a, 1);
-  SuffStatsCache::Global().GetOrBuild(*c.data, rows_b, 1);
-  // Touch A so B is the LRU entry, then insert C.
-  ASSERT_NE(SuffStatsCache::Global().Peek(*c.data, rows_a), nullptr);
-  SuffStatsCache::Global().GetOrBuild(*c.data, rows_c, 1);
-  EXPECT_NE(SuffStatsCache::Global().Peek(*c.data, rows_a), nullptr);
-  EXPECT_EQ(SuffStatsCache::Global().Peek(*c.data, rows_b), nullptr);
-  EXPECT_NE(SuffStatsCache::Global().Peek(*c.data, rows_c), nullptr);
-  SuffStatsCache::Global().set_capacity(16);
-  SuffStatsCache::Global().Clear();
-}
-
 // --- Fast path vs scan path: full search equivalence. ---------------------
 
 SelectionResult RunScanReference(FeatureSelector& selector,
                                  const EncodedCase& c,
                                  const std::vector<uint32_t>& candidates) {
-  ScopedSuffStatsBypass bypass;
   selector.set_force_scan_eval(true);
   selector.set_num_threads(1);
   return *selector.Select(*c.data, c.split, MakeNaiveBayesFactory(),
@@ -191,7 +128,6 @@ TEST(FastPathEquivalenceTest, ForwardSelectionMatchesScanOnBundledDatasets) {
     ForwardSelection scan_fs;
     const SelectionResult scan = RunScanReference(scan_fs, c, candidates);
     for (uint32_t threads : kThreadCounts) {
-      SuffStatsCache::Global().Clear();
       ForwardSelection fs;
       fs.set_num_threads(threads);
       const SelectionResult fast = *fs.Select(
@@ -211,7 +147,6 @@ TEST(FastPathEquivalenceTest, BackwardSelectionMatchesScanOnBundledDatasets) {
     BackwardSelection scan_bs;
     const SelectionResult scan = RunScanReference(scan_bs, c, candidates);
     for (uint32_t threads : kThreadCounts) {
-      SuffStatsCache::Global().Clear();
       BackwardSelection bs;
       bs.set_num_threads(threads);
       const SelectionResult fast = *bs.Select(
@@ -231,7 +166,6 @@ TEST(FastPathEquivalenceTest, ExhaustiveSelectionMatchesScanOnBundledDatasets) {
     ExhaustiveSelection scan_ex;
     const SelectionResult scan = RunScanReference(scan_ex, c, candidates);
     for (uint32_t threads : kThreadCounts) {
-      SuffStatsCache::Global().Clear();
       ExhaustiveSelection ex;
       ex.set_num_threads(threads);
       const SelectionResult fast = *ex.Select(
@@ -255,7 +189,6 @@ TEST(FastPathEquivalenceTest, FiltersMatchScanOnBundledDatasets) {
       const SelectionResult scan = RunScanReference(scan_filter, c,
                                                     candidates);
       for (uint32_t threads : kThreadCounts) {
-        SuffStatsCache::Global().Clear();
         ScoreFilter filter(score);
         filter.set_num_threads(threads);
         const SelectionResult fast = *filter.Select(
@@ -268,27 +201,22 @@ TEST(FastPathEquivalenceTest, FiltersMatchScanOnBundledDatasets) {
   }
 }
 
-TEST(FastPathEquivalenceTest, FilterScoresMatchCachedContingencyTables) {
+TEST(FastPathEquivalenceTest, FilterScoresFromStatsMatchScan) {
   EncodedCase c = MakeEncodedCase(kDatasetCases[0], 25);
   const std::vector<uint32_t> candidates = c.data->AllFeatureIndices();
+  const SuffStats stats = BuildSuffStats(*c.data, c.split.train, 1);
   for (FilterScore score : {FilterScore::kMutualInformation,
                             FilterScore::kInformationGainRatio}) {
     ScoreFilter filter(score);
     filter.set_num_threads(1);
-    std::vector<double> scan_scores;
-    {
-      ScopedSuffStatsBypass bypass;
-      scan_scores = filter.ScoreFeatures(*c.data, c.split.train, candidates);
-    }
-    SuffStatsCache::Global().Clear();
-    SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1);
-    const std::vector<double> cached_scores =
+    const std::vector<double> scan_scores =
         filter.ScoreFeatures(*c.data, c.split.train, candidates);
-    ASSERT_EQ(cached_scores.size(), scan_scores.size());
+    const std::vector<double> stats_scores =
+        filter.ScoreFeaturesFromStats(stats, candidates);
+    ASSERT_EQ(stats_scores.size(), scan_scores.size());
     for (size_t i = 0; i < scan_scores.size(); ++i) {
-      EXPECT_EQ(cached_scores[i], scan_scores[i]) << "feature " << i;
+      EXPECT_EQ(stats_scores[i], scan_scores[i]) << "feature " << i;
     }
-    SuffStatsCache::Global().Clear();
   }
 }
 
@@ -324,10 +252,39 @@ TEST(NbSubsetEvaluatorTest, EvalPathsAgreeWithEachOther) {
   EXPECT_LE(std::fabs(ev.EvalBase() - ev.EvalSubset(subset)), 1e-12);
 }
 
+// Statistics of another dataset can never index past a table: the
+// evaluator checks their layout against the dataset before reading one.
+TEST(NbSubsetEvaluatorTest, StatsOfAnotherDatasetAbort) {
+  EncodedCase walmart = MakeEncodedCase(kDatasetCases[0], 28);
+  EncodedCase expedia = MakeEncodedCase(kDatasetCases[1], 28);
+  auto foreign = std::make_shared<const SuffStats>(
+      BuildSuffStats(*expedia.data, expedia.split.train, 1));
+  EXPECT_DEATH(NbSubsetEvaluator(*walmart.data, foreign,
+                                 walmart.split.validation, walmart.metric,
+                                 1.0, walmart.data->AllFeatureIndices(), 1),
+               "different dataset");
+
+  // Same class and feature counts, one cardinality apart.
+  const std::vector<uint32_t> y = {0, 1, 0, 1};
+  EncodedDataset narrow({{0, 1, 0, 1}, {0, 1, 2, 0}}, {{"F", 2}, {"G", 3}},
+                        y, 2);
+  EncodedDataset wide({{0, 1, 0, 1}, {0, 1, 2, 3}}, {{"F", 2}, {"G", 4}}, y,
+                      2);
+  const std::vector<uint32_t> rows = {0, 1, 2, 3};
+  auto wide_stats =
+      std::make_shared<const SuffStats>(BuildSuffStats(wide, rows, 1));
+  EXPECT_DEATH(NbSubsetEvaluator(narrow, wide_stats, rows,
+                                 ErrorMetric::kZeroOne, 1.0, {0, 1}, 1),
+               "feature 1's cardinality");
+  // The check covers candidates only: F alone fits.
+  NbSubsetEvaluator only_f(narrow, wide_stats, rows, ErrorMetric::kZeroOne,
+                           1.0, {0}, 1);
+  EXPECT_EQ(only_f.num_eval_rows(), 4u);
+}
+
 // --- Observability: the fs.* probes record under collection. --------------
 
 TEST(SuffStatsObservabilityTest, ProbesRecordUnderCollection) {
-  SuffStatsCache::Global().Clear();
   EncodedCase c = MakeEncodedCase(kDatasetCases[0], 27);
   obs::ScopedCollection collection(true);
   ForwardSelection fs;
@@ -335,25 +292,24 @@ TEST(SuffStatsObservabilityTest, ProbesRecordUnderCollection) {
   ASSERT_TRUE(fs.Select(*c.data, c.split, MakeNaiveBayesFactory(), c.metric,
                         c.data->AllFeatureIndices())
                   .ok());
-  // A Peek hit on the same split must also count.
-  ASSERT_NE(SuffStatsCache::Global().Peek(*c.data, c.split.train), nullptr);
+
+  // One statistics build serves the whole search, as one span.
+  uint64_t builds = 0;
+  for (const obs::TraceEvent& event : obs::Tracer::Global().Collect().events) {
+    if (event.name == std::string("fs.stats_build")) ++builds;
+  }
+  EXPECT_EQ(builds, 1u);
 
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().Snapshot();
-  uint64_t hits = 0, misses = 0, deltas = 0, builds = 0;
+  uint64_t deltas = 0, models = 0;
   for (const auto& counter : snapshot.counters) {
-    if (counter.name == "fs.cache_hits") hits = counter.value;
-    if (counter.name == "fs.cache_misses") misses = counter.value;
     if (counter.name == "fs.delta_evals") deltas = counter.value;
+    if (counter.name == "fs.models_trained") models = counter.value;
   }
-  for (const auto& histogram : snapshot.histograms) {
-    if (histogram.name == "fs.stats_build_ns") builds = histogram.count;
-  }
-  EXPECT_GE(misses, 1u);  // The search's GetOrBuild built once...
-  EXPECT_EQ(builds, misses);
-  EXPECT_GE(hits, 1u);    // ...and the later Peek hit.
   EXPECT_GE(deltas, c.data->num_features());
-  SuffStatsCache::Global().Clear();
+  // Every candidate is a delta pass; only the baseline is not.
+  EXPECT_EQ(deltas + 1, models);
 }
 
 }  // namespace
