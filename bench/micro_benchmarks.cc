@@ -191,7 +191,7 @@ void BM_NBTrainFromStats(benchmark::State& state) {
   std::vector<uint32_t> rows(draw.data.num_rows());
   for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = i;
   auto features = gen.UseAllFeatures();
-  const SuffStats stats = BuildSuffStats(draw.data, rows, 1);
+  const SuffStats stats = BuildSuffStats(draw.data, rows);
   for (auto _ : state) {
     NaiveBayes nb;
     benchmark::DoNotOptimize(nb.TrainFromStats(stats, features).ok());
@@ -403,9 +403,9 @@ BENCHMARK(BM_ParallelRegionSpawn)->Arg(16)->Arg(256)
 void BM_ParallelRegionPool(benchmark::State& state) {
   const uint32_t items = static_cast<uint32_t>(state.range(0));
   std::vector<uint64_t> out(items);
-  ParallelFor(1, 0, [](uint32_t) {});  // Warm the shared pool up front.
+  ParallelFor(1, [](uint32_t) {});  // Warm the shared pool up front.
   for (auto _ : state) {
-    ParallelFor(items, 0, [&](uint32_t i) { out[i] = SmallWorkItem(i); });
+    ParallelFor(items, [&](uint32_t i) { out[i] = SmallWorkItem(i); });
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * items);
@@ -415,9 +415,9 @@ BENCHMARK(BM_ParallelRegionPool)->Arg(16)->Arg(256)
 
 // --- Serial vs parallel greedy search on a MovieLens-scale synthetic
 // config (the Figure 7 workload shape: ~10^4 rows, X_S + FK + X_R
-// candidates). Arg is the per-step thread count (1 = serial, 0 = all
-// hardware threads); selections are bit-identical across args, only the
-// wall clock moves. ---
+// candidates). Arg is the run's width (1 = serial, 0 = all hardware
+// threads), opened as a scope around the timed searches; selections are
+// bit-identical across args, only the wall clock moves. ---
 void BM_ForwardSelectionThreads(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   SimConfig config;
@@ -430,9 +430,9 @@ void BM_ForwardSelectionThreads(benchmark::State& state) {
   SimDraw draw = gen.Draw(config.n_s, rng);
   Rng split_rng(4);
   HoldoutSplit split = MakeHoldoutSplit(draw.data.num_rows(), split_rng);
+  const ScopedWidth width(threads);
   for (auto _ : state) {
     ForwardSelection fs;
-    fs.set_num_threads(threads);
     auto result = fs.Select(draw.data, split, MakeNaiveBayesFactory(),
                             ErrorMetric::kZeroOne,
                             draw.data.AllFeatureIndices());
@@ -458,8 +458,8 @@ void BM_MiFilterScoringThreads(benchmark::State& state) {
   std::vector<uint32_t> rows(draw.data.num_rows());
   for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = i;
   ScoreFilter filter(FilterScore::kMutualInformation);
-  filter.set_num_threads(threads);
   auto candidates = draw.data.AllFeatureIndices();
+  const ScopedWidth width(threads);
   for (auto _ : state) {
     auto scores = filter.ScoreFeatures(draw.data, rows, candidates);
     benchmark::DoNotOptimize(scores.data());
@@ -574,9 +574,10 @@ BENCHMARK(BM_HistogramRecord);
 void BM_TraceSpanPropagated(benchmark::State& state) {
   ScopedObsEnabled on(true);
   constexpr uint32_t kSpansPerRegion = 64;
+  const hamlet::ScopedWidth width(2);
   while (state.KeepRunningBatch(kSpansPerRegion)) {
     hamlet::obs::TraceSpan parent("bench.region");
-    hamlet::ParallelFor(kSpansPerRegion, 2, [](uint32_t i) {
+    hamlet::ParallelFor(kSpansPerRegion, [](uint32_t i) {
       hamlet::obs::TraceSpan span("bench.shard");
       benchmark::DoNotOptimize(span.active());
       (void)i;
@@ -813,6 +814,20 @@ int64_t FactorizedResidentBytes(const FactorizedDataset& d) {
   return words * static_cast<int64_t>(sizeof(uint32_t));
 }
 
+// The statistics builds below are timed single-threaded (a width-1 scope
+// around each build) so their numbers compare across hosts.
+SuffStats SerialSuffStats(const EncodedDataset& data,
+                          const std::vector<uint32_t>& rows) {
+  const ScopedWidth serial(1);
+  return BuildSuffStats(data, rows);
+}
+
+SuffStats SerialFactorizedSuffStats(const FactorizedDataset& data,
+                                    const std::vector<uint32_t>& rows) {
+  const ScopedWidth serial(1);
+  return BuildFactorizedSuffStats(data, rows);
+}
+
 void BM_FactorizedVsMaterialized(benchmark::State& state) {
   if (state.range(0) >= 10000 &&
       std::getenv("HAMLET_BENCH_LARGE") == nullptr) {
@@ -829,7 +844,7 @@ void BM_FactorizedVsMaterialized(benchmark::State& state) {
       const int64_t base = ColumnMemory::LiveBytes();
       Table joined = *c.dataset.JoinSubset(c.fks);
       EncodedDataset data = *EncodedDataset::FromTableAuto(joined);
-      const SuffStats stats = BuildSuffStats(data, c.rows, 1);
+      const SuffStats stats = SerialSuffStats(data, c.rows);
       benchmark::DoNotOptimize(stats.class_counts.data());
       // Transient join Columns (tracked) + the resident encode.
       mat_bytes = ColumnMemory::PeakBytes() - base +
@@ -840,7 +855,7 @@ void BM_FactorizedVsMaterialized(benchmark::State& state) {
       ColumnMemory::ResetPeak();
       const int64_t base = ColumnMemory::LiveBytes();
       FactorizedDataset data = *FactorizedDataset::Make(c.dataset, c.fks);
-      const SuffStats stats = BuildFactorizedSuffStats(data, c.rows, 1);
+      const SuffStats stats = SerialFactorizedSuffStats(data, c.rows);
       benchmark::DoNotOptimize(stats.class_counts.data());
       fac_bytes = ColumnMemory::PeakBytes() - base +
                   FactorizedResidentBytes(data);
@@ -863,7 +878,7 @@ void BM_FactorizedStatsBuild(benchmark::State& state) {
       FactorizedBenchCase::Make(state.range(0) / 1000.0);
   FactorizedDataset data = *FactorizedDataset::Make(c.dataset, c.fks);
   for (auto _ : state) {
-    const SuffStats stats = BuildFactorizedSuffStats(data, c.rows, 1);
+    const SuffStats stats = SerialFactorizedSuffStats(data, c.rows);
     benchmark::DoNotOptimize(stats.class_counts.data());
   }
   state.SetItemsProcessed(state.iterations() * c.rows.size() *
@@ -878,7 +893,7 @@ void BM_MaterializedStatsBuild(benchmark::State& state) {
   Table joined = *c.dataset.JoinSubset(c.fks);
   EncodedDataset data = *EncodedDataset::FromTableAuto(joined);
   for (auto _ : state) {
-    const SuffStats stats = BuildSuffStats(data, c.rows, 1);
+    const SuffStats stats = SerialSuffStats(data, c.rows);
     benchmark::DoNotOptimize(stats.class_counts.data());
   }
   state.SetItemsProcessed(state.iterations() * c.rows.size() *

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "data/encoded_dataset.h"
 #include "datasets/registry.h"
 #include "ml/decision_tree.h"
@@ -41,19 +42,16 @@ struct TreeBenchCase {
   }
 };
 
-// Single-thread training keeps the numbers comparable across hosts; the
-// determinism contract makes the thread count a pure-latency knob anyway.
-DecisionTreeOptions TreeOptions() {
-  DecisionTreeOptions options;
-  options.num_threads = 1;
-  return options;
-}
+// Every timed training runs under a width-1 scope: single-thread
+// training keeps the numbers comparable across hosts, and the determinism
+// contract makes the width a pure-latency knob anyway.
 
 void BM_TreeTrainMaterialized(benchmark::State& state) {
   TreeBenchCase c = TreeBenchCase::Make(state.range(0) / 1000.0);
   Table joined = *c.dataset.JoinSubset(c.fks);
   EncodedDataset data = *EncodedDataset::FromTableAuto(joined);
-  DecisionTree tree(TreeOptions());
+  DecisionTree tree;
+  const ScopedWidth serial(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         tree.Train(data, c.rows, data.AllFeatureIndices()).ok());
@@ -67,7 +65,8 @@ BENCHMARK(BM_TreeTrainMaterialized)->Arg(100)->Arg(1000)
 void BM_TreeTrainFactorized(benchmark::State& state) {
   TreeBenchCase c = TreeBenchCase::Make(state.range(0) / 1000.0);
   FactorizedDataset data = *FactorizedDataset::Make(c.dataset, c.fks);
-  DecisionTree tree(TreeOptions());
+  DecisionTree tree;
+  const ScopedWidth serial(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         tree.TrainFactorized(data, c.rows, data.AllFeatureIndices(), nullptr)
@@ -90,8 +89,8 @@ void BM_GbtTrain(benchmark::State& state) {
   EncodedDataset data = *EncodedDataset::FromTableAuto(joined);
   GbtOptions options;
   options.num_rounds = 10;
-  options.num_threads = 1;
   Gbt gbt(options);
+  const ScopedWidth serial(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         gbt.Train(data, c.rows, data.AllFeatureIndices()).ok());
@@ -107,8 +106,8 @@ void BM_GbtTrainFactorized(benchmark::State& state) {
   FactorizedDataset data = *FactorizedDataset::Make(c.dataset, c.fks);
   GbtOptions options;
   options.num_rounds = 10;
-  options.num_threads = 1;
   Gbt gbt(options);
+  const ScopedWidth serial(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         gbt.TrainFactorized(data, c.rows, data.AllFeatureIndices(), nullptr)

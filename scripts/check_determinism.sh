@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer (HAMLET_SANITIZE=thread) and runs
-# the threading + determinism suites: the thread pool contract, the
-# ParallelFor exception/no-op/coverage tests, the bit-for-bit determinism
-# regressions for search/filters/Monte Carlo, the greedy tie-break, and
-# the factorized-vs-materialized equivalence sweep (every Factorized*
-# suite, including the avoid-materialization pipeline end to end).
+# the threading + determinism suites: the thread pool contract (width
+# scopes included), the ParallelFor exception/no-op/coverage tests, the
+# bit-for-bit determinism regressions for search/filters/Monte Carlo, the
+# greedy tie-break, the factorized-vs-materialized equivalence sweep
+# (every Factorized* suite, including the avoid-materialization pipeline
+# end to end), and the run-width suite (RunWidthTest: a width-1 pipeline
+# touches no pool worker, and widths 1, 2 and 8 give the same bits for
+# every classifier on both views).
 # A second pass runs the obs-labeled suite under TSAN: the telemetry
 # pipeline's lock-free sharded histograms, cross-thread span
 # propagation, and concurrent registry snapshots (the writer-storm test)
@@ -60,7 +63,7 @@ cmake --build "${BUILD_DIR}" -j"${JOBS}"
 
 # Everything whose name binds it to the threading/determinism contract.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R 'ThreadPool|ParallelFor|Determinism|TieBreak|ThreadInvariant|ParallelSearch|Factorized' \
+  -R 'ThreadPool|ParallelFor|Determinism|TieBreak|ThreadInvariant|ParallelSearch|Factorized|RunWidth' \
   "$@"
 
 # The observability suite (metrics/trace/propagation/exporter tests,

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "data/encoded_dataset.h"
 #include "fs/candidate_eval.h"
 #include "ml/decision_tree.h"
@@ -82,6 +83,9 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
   // (or the HAMLET_TRACE environment variable) asks for it, and the
   // previous enabled state is restored on every exit path.
   obs::ScopedCollection collection(config.trace || obs::EnvRequested());
+  // The run's width: every stage below (the join, the statistics, the
+  // search, each model's training) reads it.
+  const ScopedWidth width(config.num_threads);
 
   PipelineReport report;
   report.avoidance_applied = config.enable_join_avoidance;
@@ -116,8 +120,8 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
       to_join.push_back(fk.fk_column);
     }
   }
-  std::unique_ptr<FeatureSelector> selector =
-      MakeSelector(config.method, config.num_threads, config.force_scan_eval);
+  std::unique_ptr<FeatureSelector> selector = MakeSelector(
+      config.method, /*num_threads=*/0, config.force_scan_eval);
   ClassifierFactory factory = MakeClassifierFactory(config.classifier);
   // The factorized view answers the kept joins whenever a candidate
   // scorer exists for it (fs/candidate_eval.h): Naive Bayes off the scan
@@ -167,9 +171,7 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
     {
       obs::TraceSpan span("pipeline.join");
       span.AddAttr("tables", static_cast<uint64_t>(to_join.size()));
-      JoinOptions join_options;
-      join_options.num_threads = config.num_threads;
-      HAMLET_ASSIGN_OR_RETURN(table, dataset.JoinSubset(to_join, join_options));
+      HAMLET_ASSIGN_OR_RETURN(table, dataset.JoinSubset(to_join));
     }
     std::unique_ptr<EncodedDataset> data;
     {

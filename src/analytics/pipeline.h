@@ -57,9 +57,12 @@ struct PipelineConfig {
   ErrorMetric metric = ErrorMetric::kZeroOne;
   SplitFractions split;
   uint64_t seed = 42;
-  /// Threads for the feature selection search (0 = one shard per hardware
-  /// thread, 1 = serial). Selections are bit-for-bit identical at any
-  /// setting; only the runtime changes.
+  /// The run's parallel width (common/thread_pool.h): every loop of the
+  /// run — join, statistics, search, each candidate model's training and
+  /// the final fit — shards at most this many ways (1 = serial). 0
+  /// inherits the caller's width, or every hardware thread at top level.
+  /// Selections are bit-for-bit identical at any setting; only the
+  /// runtime changes.
   uint32_t num_threads = 0;
   /// Unread: JoinAlgorithm has one value (see join.h for why the field
   /// has not been deleted yet).

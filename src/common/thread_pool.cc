@@ -25,6 +25,10 @@ std::atomic<uint32_t> g_next_worker_id{1};
 // queued task so cross-thread work keeps its logical parent.
 thread_local uint64_t tls_task_context = 0;
 
+// The innermost ScopedWidth's width on this thread (0 = none set). Not
+// propagated into pool tasks: a region nested in a running one is serial.
+thread_local uint32_t tls_width = 0;
+
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -189,5 +193,13 @@ uint64_t ThreadPool::CurrentTaskContext() { return tls_task_context; }
 void ThreadPool::SetCurrentTaskContext(uint64_t context) {
   tls_task_context = context;
 }
+
+uint32_t ThreadPool::CurrentWidth() { return tls_width; }
+
+ScopedWidth::ScopedWidth(uint32_t num_threads) : prev_(tls_width) {
+  if (num_threads != 0) tls_width = num_threads;
+}
+
+ScopedWidth::~ScopedWidth() { tls_width = prev_; }
 
 }  // namespace hamlet

@@ -3,16 +3,29 @@
 
 /// \file thread_pool.h
 /// A shared pool of persistent worker threads with deterministic, chunked
-/// static scheduling. The pool exists so that the hot loops of feature
+/// static scheduling, and the one parallelism rule every loop in the
+/// library follows. The pool exists so that the hot loops of feature
 /// selection search and Monte Carlo simulation — which issue thousands of
 /// short parallel regions — stop paying a thread spawn/join per call.
+///
+/// The width rule: a run's parallel width is a property of the run, not
+/// of the objects it touches. An entry point (RunPipeline, a feature
+/// selector's search, KfkJoin/JoinSubset, the CSV reader, Monte Carlo,
+/// the scoring service) opens one ScopedWidth from its `num_threads`
+/// option, and every loop below it on that thread reads the width from
+/// the scope: 1 runs the whole run serially, k shards each region k
+/// ways. A width of 0 inherits the enclosing scope, so a nested entry
+/// point forwards nothing; with no scope open, 0 means DefaultShards().
+/// The width is a thread-local of the caller's thread and is not carried
+/// into pool tasks: a region nested inside a running region runs
+/// serially anyway (see Nesting).
 ///
 /// Determinism contract (the invariant every user of this pool inherits):
 /// work items are indexed, each item writes only its own output slot, any
 /// randomness an item needs is derived from its index, and reductions over
 /// item outputs happen on the calling thread in index order. Under that
-/// discipline results are bit-for-bit identical at any thread count,
-/// which the determinism suites in tests/ lock down.
+/// discipline results are bit-for-bit identical at any width, which the
+/// determinism suites in tests/ lock down.
 ///
 /// Scheduling is chunked and static: index range [0, n) is split into
 /// `shards` contiguous chunks balanced within one item, shard 0 runs
@@ -21,20 +34,23 @@
 /// counter, so the item → thread assignment is a pure function of (n,
 /// shards) — never of timing.
 ///
-/// Grain: a region gets at most n / grain shards, so every shard owns at
-/// least `grain` items, and a region too small for two shards runs
-/// inline on the caller without touching the pool (no region counted, no
-/// worker woken). The default grain of 1 shards by the width alone. A
-/// caller whose items cost less than a handoff passes the item count
-/// that amortizes one; the grain changes where items run, never what
-/// they compute.
+/// Grain: a region gets at most n / grain shards (ShardsFor), so every
+/// shard owns at least `grain` items, and a region too small for two
+/// shards runs inline on the caller without touching the pool (no region
+/// counted, no worker woken). The default grain of 1 shards by the width
+/// alone. A caller whose items cost less than a handoff passes the item
+/// count that amortizes one; the grain changes where items run, never
+/// what they compute. A site that sizes per-shard state itself asks
+/// ShardsFor for its shard count, so it plans exactly the width the pool
+/// will run.
 ///
 /// Nesting: a ParallelFor issued from inside a running parallel region
 /// (worker thread or the caller's inline shard) degrades to a serial loop
-/// instead of re-submitting to the pool. Composed parallelism — e.g. the
-/// Monte Carlo outer repeat loop over a parallel inner training loop —
-/// therefore cannot deadlock or oversubscribe: whichever region starts
-/// first owns the workers.
+/// instead of re-submitting to the pool, and ShardsFor returns 1 there,
+/// so a site that sizes per-shard state inside a region plans serial
+/// work too. Composed parallelism — e.g. the Monte Carlo outer repeat
+/// loop over a parallel inner training loop — therefore cannot deadlock
+/// or oversubscribe: whichever region starts first owns the workers.
 ///
 /// Exceptions: an exception thrown by a work item aborts that shard's
 /// remaining items, every other shard still runs to completion, and the
@@ -104,31 +120,36 @@ class ThreadPool {
     return static_cast<uint32_t>(workers_.size());
   }
 
-  /// Shards a default-width (num_threads == 0) region uses: the workers
-  /// plus the inline caller, capped at the hardware concurrency. The pool
+  /// Shards a region uses when no scope sets a width: the workers plus
+  /// the inline caller, capped at the hardware concurrency. The pool
   /// always spawns at least one worker (so the scheduling machinery is
   /// exercised everywhere), but on a single-core host time-slicing two
   /// shards on one core only adds handoff latency — default regions run
-  /// serial there instead. Explicit `num_threads` requests are honored
-  /// uncapped.
+  /// serial there instead. An explicit width is honored uncapped.
   uint32_t DefaultShards() const {
     static const uint32_t hardware =
         std::max(1u, std::thread::hardware_concurrency());
     return std::min(num_workers() + 1, hardware);
   }
 
-  /// Runs fn(i) for every i in [0, n), splitting the range into up to
-  /// `num_threads` contiguous shards (0 = DefaultShards()) of at least
-  /// `grain` items each (0 reads as 1); a region with one shard runs
-  /// inline. Blocks until every item finishes. fn must be safe to call
-  /// concurrently for distinct indices. Called from inside a parallel
-  /// region, runs serial.
+  /// The shard count of a region of `n` items, each shard at least
+  /// `grain` items (0 reads as 1), under the current thread's width
+  /// (CurrentWidth(), or DefaultShards() when no scope sets one): at
+  /// least 1, at most the width, and 1 inside a running region (where
+  /// ParallelFor runs serial). ParallelFor shards by it, and a site that
+  /// sizes per-shard state asks it for the same count.
+  uint32_t ShardsFor(uint32_t n, uint32_t grain = 1) const {
+    return InParallelRegion() ? 1 : WidthShards(n, grain);
+  }
+
+  /// Runs fn(i) for every i in [0, n) on ShardsFor(n, grain) contiguous
+  /// shards; a region with one shard runs inline. Blocks until every
+  /// item finishes. fn must be safe to call concurrently for distinct
+  /// indices. Called from inside a parallel region, runs serial.
   template <typename Fn>
-  void ParallelFor(uint32_t n, uint32_t num_threads, Fn&& fn,
-                   uint32_t grain = 1) {
+  void ParallelFor(uint32_t n, Fn&& fn, uint32_t grain = 1) {
     if (n == 0) return;
-    uint32_t shards = num_threads == 0 ? DefaultShards() : num_threads;
-    shards = std::min(shards, n / std::max(grain, 1u));
+    const uint32_t shards = WidthShards(n, grain);
     if (shards <= 1) {
       for (uint32_t i = 0; i < n; ++i) fn(i);
       return;
@@ -173,6 +194,10 @@ class ThreadPool {
   /// (obs::TraceSpan) restore the previous value when their scope ends.
   static void SetCurrentTaskContext(uint64_t context);
 
+  /// The current thread's parallel width: the innermost ScopedWidth's
+  /// nonzero value, or 0 when no scope sets one.
+  static uint32_t CurrentWidth();
+
   /// Snapshot of the lifetime scheduling stats (see ThreadPoolStats).
   ThreadPoolStats GetStats() const;
 
@@ -200,6 +225,14 @@ class ThreadPool {
 
   void RecordQueueWait(uint64_t wait_ns);
 
+  // ShardsFor before the nesting rule: what the region would get at top
+  // level.
+  uint32_t WidthShards(uint32_t n, uint32_t grain) const {
+    uint32_t width = CurrentWidth();
+    if (width == 0) width = DefaultShards();
+    return std::max(1u, std::min(width, n / std::max(grain, 1u)));
+  }
+
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_cv_;
@@ -215,6 +248,22 @@ class ThreadPool {
   std::atomic<uint64_t> queue_wait_count_{0};
   std::atomic<uint64_t> queue_wait_total_ns_{0};
   std::array<std::atomic<uint64_t>, kQueueWaitBuckets> queue_wait_buckets_{};
+};
+
+/// Sets the current thread's parallel width for its lifetime (see the
+/// width rule in the \file block). An entry point opens one from its
+/// `num_threads` option; 0 leaves the enclosing width in place. The
+/// previous width is restored on destruction.
+class ScopedWidth {
+ public:
+  explicit ScopedWidth(uint32_t num_threads);
+  ~ScopedWidth();
+
+  ScopedWidth(const ScopedWidth&) = delete;
+  ScopedWidth& operator=(const ScopedWidth&) = delete;
+
+ private:
+  uint32_t prev_;
 };
 
 }  // namespace hamlet

@@ -67,16 +67,15 @@ Result<ScoringBackend> ChooseScoringBackend(const Classifier& model,
 }
 
 std::shared_ptr<const SuffStats> BuildViewStats(
-    const DataView& view, const std::vector<uint32_t>& rows,
-    uint32_t num_threads) {
+    const DataView& view, const std::vector<uint32_t>& rows) {
   obs::TraceSpan span("fs.stats_build");
   span.AddAttr("rows", static_cast<uint64_t>(rows.size()));
   std::shared_ptr<const SuffStats> stats =
       view.materialized() != nullptr
           ? std::make_shared<const SuffStats>(
-                BuildSuffStats(*view.materialized(), rows, num_threads))
-          : std::make_shared<const SuffStats>(BuildFactorizedSuffStats(
-                *view.factorized(), rows, num_threads));
+                BuildSuffStats(*view.materialized(), rows))
+          : std::make_shared<const SuffStats>(
+                BuildFactorizedSuffStats(*view.factorized(), rows));
   span.AddAttr("features",
                static_cast<uint64_t>(stats->feature_counts.size()));
   return stats;
@@ -84,8 +83,7 @@ std::shared_ptr<const SuffStats> BuildViewStats(
 
 std::shared_ptr<const SuffStats> StatsForScorer(
     const DataView& view, const std::vector<uint32_t>& train_rows,
-    const ClassifierFactory& factory, bool force_scan_eval,
-    uint32_t num_threads) {
+    const ClassifierFactory& factory, bool force_scan_eval) {
   std::unique_ptr<Classifier> probe = factory();
   const Result<ScoringBackend> backend = ChooseScoringBackend(
       *probe, view.factorized() != nullptr, force_scan_eval);
@@ -94,8 +92,7 @@ std::shared_ptr<const SuffStats> StatsForScorer(
       (*backend == ScoringBackend::kNbDelta ||
        (*backend == ScoringBackend::kFactorizedScan && !force_scan_eval &&
         dynamic_cast<const DecisionTree*>(probe.get()) != nullptr));
-  return reads_stats ? BuildViewStats(view, train_rows, num_threads)
-                     : nullptr;
+  return reads_stats ? BuildViewStats(view, train_rows) : nullptr;
 }
 
 ClassifierFactory WithRefitBudget(ClassifierFactory factory) {
@@ -121,16 +118,14 @@ ClassifierFactory WithRefitBudget(ClassifierFactory factory) {
 
 namespace {
 
-// Subtree count for the parallel lattice DFS: enough to keep every worker
-// busy (≥4× effective threads), but never more than the lattice has — or
-// than is worth the per-task setup.
-uint32_t ChooseSplitBits(uint32_t d, uint32_t num_threads) {
-  const uint32_t effective =
-      num_threads == 0
-          ? static_cast<uint32_t>(ThreadPool::Global().num_workers() + 1)
-          : num_threads;
+// Subtree count for the parallel lattice DFS: enough to keep every shard
+// busy (≥4× the shards the 2^d-leaf lattice gets), but never more than the
+// lattice has — or than is worth the per-task setup.
+uint32_t ChooseSplitBits(uint32_t d) {
+  const uint32_t shards =
+      ThreadPool::Global().ShardsFor(1u << std::min(d, 31u));
   uint32_t split_bits = 0;
-  while ((1u << split_bits) < 4 * effective && split_bits < d &&
+  while ((1u << split_bits) < 4 * shards && split_bits < d &&
          split_bits < 12) {
     ++split_bits;
   }
@@ -144,8 +139,8 @@ uint32_t ChooseSplitBits(uint32_t d, uint32_t num_threads) {
 // which re-associates the sum (~1e-15 per score, docs/PERFORMANCE.md).
 class NbDeltaScorer final : public CandidateScorer {
  public:
-  NbDeltaScorer(std::unique_ptr<NbSubsetEvaluator> ev, uint32_t num_threads)
-      : ev_(std::move(ev)), num_threads_(num_threads) {}
+  explicit NbDeltaScorer(std::unique_ptr<NbSubsetEvaluator> ev)
+      : ev_(std::move(ev)) {}
 
   Result<double> ScoreBase(const std::vector<uint32_t>& base) override {
     ev_->ResetBase(base);
@@ -190,10 +185,10 @@ class NbDeltaScorer final : public CandidateScorer {
   Status ScoreLattice(const std::vector<uint32_t>& candidates,
                       std::vector<double>* errors) override {
     const uint32_t d = static_cast<uint32_t>(candidates.size());
-    const uint32_t split_bits = ChooseSplitBits(d, num_threads_);
+    const uint32_t split_bits = ChooseSplitBits(d);
     errors->assign(size_t{1} << d, 0.0);
     const NbSubsetEvaluator& ev = *ev_;
-    ParallelFor(1u << split_bits, num_threads_, [&](uint32_t prefix) {
+    ParallelFor(1u << split_bits, [&](uint32_t prefix) {
       // One score buffer per DFS level, reused across the whole subtree.
       std::vector<std::vector<double>> levels(d - split_bits + 1);
       ev.InitScores(&levels[0]);
@@ -228,7 +223,7 @@ class NbDeltaScorer final : public CandidateScorer {
     const uint32_t m = static_cast<uint32_t>(features.size());
     errors->assign(m, 0.0);
     const NbSubsetEvaluator& ev = *ev_;
-    ParallelFor(m, num_threads_, [&](uint32_t i) {
+    ParallelFor(m, [&](uint32_t i) {
       obs::ScopedLatency latency(FsCandidateEvalHistogram());
       (*errors)[i] = (ev.*eval)(features[i]);
     });
@@ -242,7 +237,6 @@ class NbDeltaScorer final : public CandidateScorer {
   }
 
   std::unique_ptr<NbSubsetEvaluator> ev_;
-  uint32_t num_threads_;
 };
 
 // kScan and kFactorizedScan: `retrain_` trains a fresh model on one
@@ -252,8 +246,7 @@ class RetrainScorer final : public CandidateScorer {
   using Retrain =
       std::function<Result<double>(const std::vector<uint32_t>& features)>;
 
-  RetrainScorer(Retrain retrain, uint32_t num_threads)
-      : retrain_(std::move(retrain)), num_threads_(num_threads) {}
+  explicit RetrainScorer(Retrain retrain) : retrain_(std::move(retrain)) {}
 
   Result<double> ScoreBase(const std::vector<uint32_t>& base) override {
     base_ = base;
@@ -326,7 +319,7 @@ class RetrainScorer final : public CandidateScorer {
     const uint32_t n = static_cast<uint32_t>(count);
     errors->assign(n, 0.0);
     std::vector<Status> statuses(n);
-    ParallelFor(n, num_threads_, [&](uint32_t i) {
+    ParallelFor(n, [&](uint32_t i) {
       obs::ScopedLatency latency(FsCandidateEvalHistogram());
       Result<double> err = retrain_(make_trial(i));
       if (err.ok()) {
@@ -343,7 +336,6 @@ class RetrainScorer final : public CandidateScorer {
   }
 
   Retrain retrain_;
-  uint32_t num_threads_;
   std::vector<uint32_t> base_;
 };
 
@@ -376,8 +368,7 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     const DataView& view, const std::vector<uint32_t>& train_rows,
     const std::vector<uint32_t>& eval_rows, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates,
-    std::shared_ptr<const SuffStats> stats, bool force_scan_eval,
-    uint32_t num_threads) {
+    std::shared_ptr<const SuffStats> stats, bool force_scan_eval) {
   if (train_rows.empty()) {
     return Status::InvalidArgument("cannot select features on zero rows");
   }
@@ -391,17 +382,16 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
       ChooseScoringBackend(*probe, fac != nullptr, force_scan_eval));
   if (backend == ScoringBackend::kNbDelta) {
     const double alpha = static_cast<const NaiveBayes&>(*probe).alpha();
-    if (stats == nullptr) stats = BuildViewStats(view, train_rows, num_threads);
+    if (stats == nullptr) stats = BuildViewStats(view, train_rows);
     std::unique_ptr<NbSubsetEvaluator> ev =
         mat != nullptr
             ? std::make_unique<NbSubsetEvaluator>(*mat, std::move(stats),
                                                   eval_rows, metric, alpha,
-                                                  candidates, num_threads)
+                                                  candidates)
             : MakeFactorizedNbEvaluator(*fac, std::move(stats), eval_rows,
-                                        metric, alpha, candidates,
-                                        num_threads);
+                                        metric, alpha, candidates);
     return std::unique_ptr<CandidateScorer>(
-        std::make_unique<NbDeltaScorer>(std::move(ev), num_threads));
+        std::make_unique<NbDeltaScorer>(std::move(ev)));
   }
 
   // Labels are gathered once per scorer, not once per candidate.
@@ -425,7 +415,7 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     };
   }
   return std::unique_ptr<CandidateScorer>(
-      std::make_unique<RetrainScorer>(std::move(retrain), num_threads));
+      std::make_unique<RetrainScorer>(std::move(retrain)));
 }
 
 }  // namespace hamlet

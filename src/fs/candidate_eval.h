@@ -73,8 +73,9 @@ Result<ScoringBackend> ChooseScoringBackend(const Classifier& model,
                                             bool force_scan_eval);
 
 /// Scores feature subsets: models train on one row set and are scored on
-/// another. Batch calls run their candidates in parallel and write
-/// `errors[i]` for candidate i; the caller reduces serially. A scorer
+/// another. Batch calls run their candidates in parallel, at the width
+/// of the enclosing run (common/thread_pool.h), and write `errors[i]`
+/// for candidate i; the caller reduces serially. A scorer
 /// keeps a base subset that ScoreAdditions/ScoreRemovals are relative to.
 class CandidateScorer {
  public:
@@ -112,8 +113,7 @@ class CandidateScorer {
 /// or BuildFactorizedSuffStats over the factorized view, of `rows`,
 /// recorded as one `fs.stats_build` span.
 std::shared_ptr<const SuffStats> BuildViewStats(
-    const DataView& view, const std::vector<uint32_t>& rows,
-    uint32_t num_threads);
+    const DataView& view, const std::vector<uint32_t>& rows);
 
 /// The statistics of `train_rows` that a scorer for `factory`'s product
 /// over `view` reads, built once by BuildViewStats, or nullptr when it
@@ -122,8 +122,7 @@ std::shared_ptr<const SuffStats> BuildViewStats(
 /// every scan, and a combination ChooseScoringBackend rejects read none.
 std::shared_ptr<const SuffStats> StatsForScorer(
     const DataView& view, const std::vector<uint32_t>& train_rows,
-    const ClassifierFactory& factory, bool force_scan_eval,
-    uint32_t num_threads);
+    const ClassifierFactory& factory, bool force_scan_eval);
 
 /// `factory` with the cheap per-candidate refit budget: its decision
 /// trees grow at most `candidate_max_depth` deep, and its GBT ensembles
@@ -146,8 +145,7 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     const DataView& view, const std::vector<uint32_t>& train_rows,
     const std::vector<uint32_t>& eval_rows, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates,
-    std::shared_ptr<const SuffStats> stats, bool force_scan_eval,
-    uint32_t num_threads);
+    std::shared_ptr<const SuffStats> stats, bool force_scan_eval);
 
 }  // namespace hamlet
 

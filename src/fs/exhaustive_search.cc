@@ -68,7 +68,7 @@ Result<SelectionResult> ExhaustiveSelection::Search(
       std::unique_ptr<CandidateScorer> scorer,
       MakeCandidateScorer(view, split.train, split.validation, factory,
                           metric, candidates, std::move(stats),
-                          force_scan_eval_, num_threads_));
+                          force_scan_eval_));
   // Every subset is independent, so the scorer evaluates the lattice in
   // parallel, one slot per mask.
   std::vector<double> errors;

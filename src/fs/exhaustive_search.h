@@ -8,9 +8,9 @@
 /// paper's Section 5.1 attributes several JoinAll anomalies to greedy
 /// wrappers getting stuck in local optima, and this selector lets tests
 /// and ablations measure that gap exactly. Subset evaluations are
-/// independent and run in parallel on the shared pool (set_num_threads);
-/// the optimum is picked by a serial mask-ordered scan, so the result is
-/// identical at any thread count.
+/// independent and run in parallel on the shared pool, at the run's width
+/// (set_num_threads); the optimum is picked by a serial mask-ordered
+/// scan, so the result is identical at any width.
 
 #include "fs/feature_selector.h"
 

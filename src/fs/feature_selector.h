@@ -105,12 +105,15 @@ class FeatureSelector {
   /// Method name ("forward_selection", "mi_filter", ...).
   virtual std::string name() const = 0;
 
-  /// Threads used to evaluate the independent candidate models within one
-  /// search step (0 = one shard per hardware thread, 1 = serial). Every
-  /// setting yields bit-for-bit identical selections: candidate scores are
-  /// written to per-index slots and the per-step winner is chosen by a
-  /// serial index-ordered reduction, so ties break by index — never by
-  /// completion order.
+  /// The parallel width of this selector's runs (common/thread_pool.h):
+  /// Select, SelectFactorized and the runner's search and final fit open
+  /// it, so every loop they reach — candidate scoring, statistics builds,
+  /// each model's own training — shards this many ways (1 = serial). 0
+  /// inherits the caller's width, or every hardware thread at top level.
+  /// Every setting yields bit-for-bit identical selections: candidate
+  /// scores are written to per-index slots and the per-step winner is
+  /// chosen by a serial index-ordered reduction, so ties break by index —
+  /// never by completion order.
   void set_num_threads(uint32_t num_threads) { num_threads_ = num_threads; }
   uint32_t num_threads() const { return num_threads_; }
 
@@ -123,10 +126,11 @@ class FeatureSelector {
   bool force_scan_eval() const { return force_scan_eval_; }
 
  protected:
-  uint32_t num_threads_ = 0;
   bool force_scan_eval_ = false;
 
  private:
+  uint32_t num_threads_ = 0;
+
   // Search with StatsForScorer's statistics of split.train.
   Result<SelectionResult> SearchWithStats(
       const DataView& view, const HoldoutSplit& split,

@@ -48,16 +48,14 @@ void PickBestPrefix(const std::vector<double>& errors,
 std::vector<double> ScoreFilter::ScoreFeaturesFromStats(
     const SuffStats& stats, const std::vector<uint32_t>& candidates) const {
   std::vector<double> scores(candidates.size(), 0.0);
-  ParallelFor(
-      static_cast<uint32_t>(candidates.size()), num_threads_,
-      [&](uint32_t idx) {
-        const uint32_t j = candidates[idx];
-        ContingencyTable table(stats.feature_counts[j], stats.cardinalities[j],
-                               stats.num_classes);
-        scores[idx] = score_ == FilterScore::kMutualInformation
-                          ? MutualInformation(table)
-                          : InformationGainRatio(table);
-      });
+  ParallelFor(static_cast<uint32_t>(candidates.size()), [&](uint32_t idx) {
+    const uint32_t j = candidates[idx];
+    ContingencyTable table(stats.feature_counts[j], stats.cardinalities[j],
+                           stats.num_classes);
+    scores[idx] = score_ == FilterScore::kMutualInformation
+                      ? MutualInformation(table)
+                      : InformationGainRatio(table);
+  });
   return scores;
 }
 
@@ -72,20 +70,18 @@ std::vector<double> ScoreFilter::ScoreFeatures(
   // Each feature's score is independent of the others, so the scan is
   // data-parallel: one slot per candidate, no cross-item state.
   std::vector<double> scores(candidates.size(), 0.0);
-  ParallelFor(
-      static_cast<uint32_t>(candidates.size()), num_threads_,
-      [&](uint32_t idx) {
-        const uint32_t j = candidates[idx];
-        const std::vector<uint32_t>& col = data.feature(j);
-        std::vector<uint32_t> f;
-        f.reserve(rows.size());
-        for (uint32_t r : rows) f.push_back(col[r]);
-        ContingencyTable table(f, y, data.meta(j).cardinality,
-                               data.num_classes());
-        scores[idx] = score_ == FilterScore::kMutualInformation
-                          ? MutualInformation(table)
-                          : InformationGainRatio(table);
-      });
+  ParallelFor(static_cast<uint32_t>(candidates.size()), [&](uint32_t idx) {
+    const uint32_t j = candidates[idx];
+    const std::vector<uint32_t>& col = data.feature(j);
+    std::vector<uint32_t> f;
+    f.reserve(rows.size());
+    for (uint32_t r : rows) f.push_back(col[r]);
+    ContingencyTable table(f, y, data.meta(j).cardinality,
+                           data.num_classes());
+    scores[idx] = score_ == FilterScore::kMutualInformation
+                      ? MutualInformation(table)
+                      : InformationGainRatio(table);
+  });
   return scores;
 }
 
@@ -97,8 +93,7 @@ Result<SelectionResult> ScoreFilter::Search(
   HAMLET_ASSIGN_OR_RETURN(
       std::unique_ptr<CandidateScorer> scorer,
       MakeCandidateScorer(view, split.train, split.validation, factory,
-                          metric, candidates, stats, force_scan_eval_,
-                          num_threads_));
+                          metric, candidates, stats, force_scan_eval_));
   SelectionResult result;
   if (candidates.empty()) {
     HAMLET_ASSIGN_OR_RETURN(result.validation_error, scorer->ScoreBase({}));
@@ -118,9 +113,7 @@ Result<SelectionResult> ScoreFilter::Search(
     if (stats == nullptr && view.materialized() != nullptr) {
       scores = ScoreFeatures(*view.materialized(), split.train, candidates);
     } else {
-      if (stats == nullptr) {
-        stats = BuildViewStats(view, split.train, num_threads_);
-      }
+      if (stats == nullptr) stats = BuildViewStats(view, split.train);
       scores = ScoreFeaturesFromStats(*stats, candidates);
     }
   }

@@ -7,10 +7,11 @@
 /// ranked, and the cut-off k is tuned with the validation error of the
 /// given classifier ("as a wrapper", per Section 5).
 ///
-/// Both phases are data-parallel on the shared pool (set_num_threads on
-/// the base class): per-feature scores and per-k prefix models each write
-/// their own slot, and the rank/argmin reductions run serially in index
-/// order, so results are bit-for-bit identical at any thread count.
+/// Both phases are data-parallel on the shared pool, at the run's width
+/// (set_num_threads on the base class): per-feature scores and per-k
+/// prefix models each write their own slot, and the rank/argmin
+/// reductions run serially in index order, so results are bit-for-bit
+/// identical at any width.
 
 #include "fs/feature_selector.h"
 

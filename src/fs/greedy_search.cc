@@ -21,7 +21,7 @@ Result<SelectionResult> ForwardSelection::Search(
       std::unique_ptr<CandidateScorer> scorer,
       MakeCandidateScorer(view, split.train, split.validation,
                           candidate_factory, metric, candidates,
-                          std::move(stats), force_scan_eval_, num_threads_));
+                          std::move(stats), force_scan_eval_));
   SelectionResult result;
   std::vector<uint32_t> remaining = candidates;
 
@@ -70,7 +70,7 @@ Result<SelectionResult> BackwardSelection::Search(
       std::unique_ptr<CandidateScorer> scorer,
       MakeCandidateScorer(view, split.train, split.validation,
                           candidate_factory, metric, candidates,
-                          std::move(stats), force_scan_eval_, num_threads_));
+                          std::move(stats), force_scan_eval_));
   SelectionResult result;
   result.selected = candidates;
 

@@ -8,10 +8,10 @@
 /// improves it.
 ///
 /// Each step's candidate models are independent, so they are trained and
-/// scored in parallel on the shared pool (set_num_threads on the base
-/// class) with a barrier per step; the winner is then picked by a serial
-/// index-ordered reduction, keeping selections bit-for-bit identical to a
-/// serial run at any thread count.
+/// scored in parallel on the shared pool, at the run's width
+/// (set_num_threads on the base class), with a barrier per step; the
+/// winner is then picked by a serial index-ordered reduction, keeping
+/// selections bit-for-bit identical to a serial run at any width.
 
 #include "fs/feature_selector.h"
 

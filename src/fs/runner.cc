@@ -1,5 +1,6 @@
 #include "fs/runner.h"
 
+#include "common/thread_pool.h"
 #include "fs/candidate_eval.h"
 #include "fs/filters.h"
 #include "fs/greedy_search.h"
@@ -64,6 +65,7 @@ Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
                                     const std::vector<uint32_t>& candidates) {
   FsRunReport report;
   report.method = selector.name();
+  const ScopedWidth width(selector.num_threads());
 
   // The run's own span tree is its stopwatch: nested under `pipeline`
   // when RunPipeline calls, its own root otherwise.
@@ -78,8 +80,7 @@ Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
   // The statistics of split.train, built once for the whole run (under
   // `fs.run`, as `fs.stats_build`) when the scorer reads them.
   const std::shared_ptr<const SuffStats> stats =
-      StatsForScorer(view, split.train, factory, selector.force_scan_eval(),
-                     selector.num_threads());
+      StatsForScorer(view, split.train, factory, selector.force_scan_eval());
   {
     obs::TraceSpan span("fs.search");
     span.AddAttr("method", selector.name());
@@ -108,8 +109,7 @@ Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
     HAMLET_ASSIGN_OR_RETURN(
         std::unique_ptr<CandidateScorer> fit,
         MakeCandidateScorer(view, split.train, split.test, factory, metric,
-                            selected, stats, selector.force_scan_eval(),
-                            selector.num_threads()));
+                            selected, stats, selector.force_scan_eval()));
     HAMLET_ASSIGN_OR_RETURN(report.holdout_test_error,
                             fit->ScoreBase(selected));
   }

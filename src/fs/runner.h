@@ -27,10 +27,10 @@ enum class FsMethod {
 /// Display name ("Forward Selection", ...).
 const char* FsMethodToString(FsMethod method);
 
-/// Constructs the selector for a method. `num_threads` shards each search
-/// step's independent candidate evaluations onto the shared pool (0 = one
-/// shard per hardware thread, 1 = serial); every setting produces
-/// bit-for-bit identical selections. `force_scan_eval` disables the
+/// Constructs the selector for a method. `num_threads` is the width of
+/// its runs (FeatureSelector::set_num_threads; 0 inherits the caller's);
+/// every setting produces bit-for-bit identical selections.
+/// `force_scan_eval` disables the
 /// sufficient-statistics fast path (full retrain per candidate) — the
 /// escape hatch behind PipelineConfig::force_scan_eval.
 std::unique_ptr<FeatureSelector> MakeSelector(FsMethod method,

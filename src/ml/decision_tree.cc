@@ -81,7 +81,7 @@ struct TreeBuilder {
                        std::vector<std::vector<uint64_t>>* hist) const {
     const uint32_t d = static_cast<uint32_t>(codes.size());
     hist->resize(d);
-    ParallelFor(d, options.num_threads, [&](uint32_t jj) {
+    ParallelFor(d, [&](uint32_t jj) {
       std::vector<uint64_t>& h = (*hist)[jj];
       h.assign(static_cast<size_t>(cards[jj]) * num_classes, 0);
       const std::vector<uint32_t>& col = codes[jj];
@@ -126,7 +126,7 @@ struct TreeBuilder {
     std::vector<SlotBest> best(d);
     const double parent_gini = GiniOf(w.cls.data(), num_classes, n_node);
     const double n_d = static_cast<double>(n_node);
-    ParallelFor(d, options.num_threads, [&](uint32_t jj) {
+    ParallelFor(d, [&](uint32_t jj) {
       const std::vector<uint64_t>& h = w.hist[jj];
       std::vector<uint64_t> l(num_classes), r(num_classes);
       SlotBest b;
@@ -184,7 +184,7 @@ struct TreeBuilder {
     NodeWork* big = small == &lw ? &rw : &lw;
     BuildHistograms(small->items, &small->hist);
     big->hist = std::move(w.hist);
-    ParallelFor(d, options.num_threads, [&](uint32_t jj) {
+    ParallelFor(d, [&](uint32_t jj) {
       std::vector<uint64_t>& bh = big->hist[jj];
       const std::vector<uint64_t>& sh = small->hist[jj];
       for (size_t x = 0; x < bh.size(); ++x) bh[x] -= sh[x];
@@ -259,7 +259,7 @@ Status DecisionTree::Train(const EncodedDataset& data,
 
   const uint32_t d = static_cast<uint32_t>(features_.size());
   std::vector<std::vector<uint32_t>> codes(d);
-  ParallelFor(d, options_.num_threads, [&](uint32_t jj) {
+  ParallelFor(d, [&](uint32_t jj) {
     const std::vector<uint32_t>& col = data.feature(features_[jj]);
     codes[jj].resize(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) codes[jj][i] = col[rows[i]];
@@ -304,7 +304,7 @@ Status DecisionTree::TrainFactorized(const FactorizedDataset& data,
   // every histogram below is bit-identical to the materialized path's.
   const uint32_t d = static_cast<uint32_t>(features_.size());
   std::vector<std::vector<uint32_t>> codes(d);
-  ParallelFor(d, options_.num_threads, [&](uint32_t jj) {
+  ParallelFor(d, [&](uint32_t jj) {
     data.GatherCodes(features_[jj], rows, &codes[jj]);
   });
 
@@ -379,7 +379,7 @@ uint32_t DecisionTree::PredictOne(const EncodedDataset& data,
 std::vector<uint32_t> DecisionTree::Predict(
     const EncodedDataset& data, const std::vector<uint32_t>& rows) const {
   std::vector<uint32_t> out(rows.size());
-  ParallelFor(static_cast<uint32_t>(rows.size()), options_.num_threads,
+  ParallelFor(static_cast<uint32_t>(rows.size()),
               [&](uint32_t i) { out[i] = PredictOne(data, rows[i]); });
   return out;
 }
@@ -400,11 +400,11 @@ Status DecisionTree::PredictFactorized(const FactorizedDataset& data,
   }
   const uint32_t d = static_cast<uint32_t>(features_.size());
   std::vector<std::vector<uint32_t>> cols(d);
-  ParallelFor(d, options_.num_threads, [&](uint32_t jj) {
+  ParallelFor(d, [&](uint32_t jj) {
     data.GatherCodes(features_[jj], rows, &cols[jj]);
   });
   out->resize(rows.size());
-  ParallelFor(static_cast<uint32_t>(rows.size()), options_.num_threads,
+  ParallelFor(static_cast<uint32_t>(rows.size()),
               [&](uint32_t i) {
                 int32_t node = 0;
                 while (split_slot_[node] >= 0) {

@@ -52,7 +52,6 @@ struct DecisionTreeOptions {
   uint64_t min_rows_split = 8;    ///< Nodes smaller than this become leaves.
   double min_gain = 1e-12;        ///< Minimum Gini decrease to split.
   uint32_t candidate_max_depth = 2;  ///< Depth cap of candidate retrains.
-  uint32_t num_threads = 0;       ///< ParallelFor width (0 = hardware).
 };
 
 /// The complete trained state of a DecisionTree, as plain data — the

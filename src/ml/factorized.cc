@@ -176,8 +176,7 @@ void FactorizedDataset::GatherCodes(uint32_t j,
 }
 
 SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
-                                   const std::vector<uint32_t>& rows,
-                                   uint32_t num_threads) {
+                                   const std::vector<uint32_t>& rows) {
   FactorizedBuildsCounter().Add(1);
   SuffStats stats;
   stats.num_classes = data.num_classes();
@@ -202,7 +201,7 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
       group[k] = GroupCountByCode(
           data.fk_codes(k),
           static_cast<uint32_t>(relations[k].fk_to_rrow.size()), y,
-          stats.num_classes, rows, num_threads);
+          stats.num_classes, rows);
     }
   }
 
@@ -221,9 +220,9 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
   // every count either scans S (entity features) or scatters a relation's
   // group table through the FK -> R hop in ascending code order (foreign
   // features). All reordering relative to the materialized build is over
-  // integer additions: bit-identical at any thread count.
+  // integer additions: bit-identical at any width.
   obs::ScopedLatency latency(FactorizedScatterHistogram());
-  ParallelFor(num_features, num_threads, [&](uint32_t j) {
+  ParallelFor(num_features, [&](uint32_t j) {
     const uint32_t card = data.meta(j).cardinality;
     stats.cardinalities[j] = card;
     std::vector<uint64_t>& counts = stats.feature_counts[j];
@@ -269,7 +268,7 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
 std::unique_ptr<NbSubsetEvaluator> MakeFactorizedNbEvaluator(
     const FactorizedDataset& data, std::shared_ptr<const SuffStats> stats,
     const std::vector<uint32_t>& eval_rows, ErrorMetric metric, double alpha,
-    const std::vector<uint32_t>& candidates, uint32_t num_threads) {
+    const std::vector<uint32_t>& candidates) {
   std::vector<uint32_t> eval_labels;
   eval_labels.reserve(eval_rows.size());
   for (uint32_t r : eval_rows) eval_labels.push_back(data.labels()[r]);
@@ -279,8 +278,7 @@ std::unique_ptr<NbSubsetEvaluator> MakeFactorizedNbEvaluator(
       std::move(eval_labels), metric, alpha, candidates,
       [&data, &eval_rows](uint32_t j, std::vector<uint32_t>* out) {
         data.GatherCodes(j, eval_rows, out);
-      },
-      num_threads);
+      });
 }
 
 }  // namespace hamlet

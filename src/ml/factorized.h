@@ -148,12 +148,11 @@ class FactorizedDataset {
 /// item — the BuildSuffStats sharding contract). Foreign features scatter
 /// the group counts through fk_to_rrow in ascending-FK-code order; all
 /// reordering is over integer additions, so the result is bit-identical
-/// to BuildSuffStats(FromTableAuto(JoinSubset(...)), rows) at any thread
-/// count. Records the fs.factorized_builds counter and the
+/// to BuildSuffStats(FromTableAuto(JoinSubset(...)), rows) at any width.
+/// Records the fs.factorized_builds counter and the
 /// fs.factorized_group_ns / fs.factorized_scatter_ns histograms.
 SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
-                                   const std::vector<uint32_t>& rows,
-                                   uint32_t num_threads = 0);
+                                   const std::vector<uint32_t>& rows);
 
 /// An NbSubsetEvaluator whose evaluation codes are gathered through the
 /// FK hops — identical inputs to the materialized evaluator, so every
@@ -161,7 +160,7 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
 std::unique_ptr<NbSubsetEvaluator> MakeFactorizedNbEvaluator(
     const FactorizedDataset& data, std::shared_ptr<const SuffStats> stats,
     const std::vector<uint32_t>& eval_rows, ErrorMetric metric, double alpha,
-    const std::vector<uint32_t>& candidates, uint32_t num_threads = 0);
+    const std::vector<uint32_t>& candidates);
 
 }  // namespace hamlet
 

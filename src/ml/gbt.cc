@@ -68,7 +68,7 @@ struct RegTreeBuilder {
     const uint32_t d = static_cast<uint32_t>(codes.size());
     gh->resize(d);
     cnt->resize(d);
-    ParallelFor(d, options.num_threads, [&](uint32_t jj) {
+    ParallelFor(d, [&](uint32_t jj) {
       std::vector<double>& gj = (*gh)[jj];
       std::vector<uint64_t>& cj = (*cnt)[jj];
       gj.assign(static_cast<size_t>(cards[jj]) * 2, 0.0);
@@ -107,7 +107,7 @@ struct RegTreeBuilder {
       std::vector<SlotBest> best(d);
       const double parent_obj =
           (w.g_total * w.g_total) / (w.h_total + options.lambda);
-      ParallelFor(d, options.num_threads, [&](uint32_t jj) {
+      ParallelFor(d, [&](uint32_t jj) {
         const std::vector<double>& gj = w.gh[jj];
         const std::vector<uint64_t>& cj = w.cnt[jj];
         SlotBest b;
@@ -165,7 +165,7 @@ struct RegTreeBuilder {
     big->gh = std::move(w.gh);
     big->cnt = std::move(w.cnt);
     const uint32_t d = static_cast<uint32_t>(codes.size());
-    ParallelFor(d, options.num_threads, [&](uint32_t jj) {
+    ParallelFor(d, [&](uint32_t jj) {
       std::vector<double>& bg = big->gh[jj];
       std::vector<uint64_t>& bc = big->cnt[jj];
       const std::vector<double>& sg = small->gh[jj];
@@ -238,7 +238,7 @@ Status Gbt::Train(const EncodedDataset& data,
 
   const uint32_t d = static_cast<uint32_t>(features_.size());
   std::vector<std::vector<uint32_t>> codes(d);
-  ParallelFor(d, options_.num_threads, [&](uint32_t jj) {
+  ParallelFor(d, [&](uint32_t jj) {
     const std::vector<uint32_t>& col = data.feature(features_[jj]);
     codes[jj].resize(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) codes[jj][i] = col[rows[i]];
@@ -284,7 +284,7 @@ Status Gbt::TrainFactorized(const FactorizedDataset& data,
   // bit-identical ensemble.
   const uint32_t d = static_cast<uint32_t>(features_.size());
   std::vector<std::vector<uint32_t>> codes(d);
-  ParallelFor(d, options_.num_threads, [&](uint32_t jj) {
+  ParallelFor(d, [&](uint32_t jj) {
     data.GatherCodes(features_[jj], rows, &codes[jj]);
   });
   return TrainImpl(num_classes_, labels, codes);
@@ -323,7 +323,7 @@ Status Gbt::TrainImpl(uint32_t num_classes,
     // Softmax gradients/hessians. Rows are independent (each work item
     // writes only its own K slots), and within a row every sum runs in
     // ascending class order — deterministic at any thread count.
-    ParallelFor(n, options_.num_threads, [&](uint32_t i) {
+    ParallelFor(n, [&](uint32_t i) {
       const double* s = &scores[static_cast<size_t>(i) * K];
       double max_s = s[0];
       for (uint32_t y = 1; y < K; ++y) {
@@ -389,7 +389,7 @@ uint32_t Gbt::PredictOne(const EncodedDataset& data, uint32_t row) const {
 std::vector<uint32_t> Gbt::Predict(const EncodedDataset& data,
                                    const std::vector<uint32_t>& rows) const {
   std::vector<uint32_t> out(rows.size());
-  ParallelFor(static_cast<uint32_t>(rows.size()), options_.num_threads,
+  ParallelFor(static_cast<uint32_t>(rows.size()),
               [&](uint32_t i) { out[i] = PredictOne(data, rows[i]); });
   return out;
 }
@@ -409,12 +409,12 @@ Status Gbt::PredictFactorized(const FactorizedDataset& data,
   }
   const uint32_t d = static_cast<uint32_t>(features_.size());
   std::vector<std::vector<uint32_t>> cols(d);
-  ParallelFor(d, options_.num_threads, [&](uint32_t jj) {
+  ParallelFor(d, [&](uint32_t jj) {
     data.GatherCodes(features_[jj], rows, &cols[jj]);
   });
   out->resize(rows.size());
   ParallelFor(
-      static_cast<uint32_t>(rows.size()), options_.num_threads,
+      static_cast<uint32_t>(rows.size()),
       [&](uint32_t i) {
         thread_local std::vector<double> scores;
         scores.assign(base_scores_.begin(), base_scores_.end());

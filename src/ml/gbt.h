@@ -50,7 +50,6 @@ struct GbtOptions {
   double min_gain = 1e-12;       ///< Minimum gain to accept a split.
   uint32_t candidate_rounds = 4;     ///< Round cap of candidate retrains.
   uint32_t candidate_max_depth = 2;  ///< Depth cap of candidate retrains.
-  uint32_t num_threads = 0;      ///< ParallelFor width (0 = hardware).
 };
 
 /// One flat pre-order regression tree of the ensemble (same layout as

@@ -19,8 +19,7 @@ thread_local std::vector<double> t_scores;
 }  // namespace
 
 SuffStats BuildSuffStats(const EncodedDataset& data,
-                         const std::vector<uint32_t>& rows,
-                         uint32_t num_threads) {
+                         const std::vector<uint32_t>& rows) {
   SuffStats stats;
   stats.num_classes = data.num_classes();
   stats.num_rows = rows.size();
@@ -37,8 +36,8 @@ SuffStats BuildSuffStats(const EncodedDataset& data,
   stats.cardinalities.resize(num_features);
   stats.feature_counts.resize(num_features);
   // Integer counts per feature, one work item per feature: bit-identical
-  // at any thread count.
-  ParallelFor(num_features, num_threads, [&](uint32_t j) {
+  // at any width.
+  ParallelFor(num_features, [&](uint32_t j) {
     const uint32_t card = data.meta(j).cardinality;
     stats.cardinalities[j] = card;
     const std::vector<uint32_t>& f = data.feature(j);
@@ -88,8 +87,7 @@ NbSubsetEvaluator::NbSubsetEvaluator(const EncodedDataset& data,
                                      std::shared_ptr<const SuffStats> stats,
                                      std::vector<uint32_t> eval_rows,
                                      ErrorMetric metric, double alpha,
-                                     const std::vector<uint32_t>& candidates,
-                                     uint32_t num_threads)
+                                     const std::vector<uint32_t>& candidates)
     : NbSubsetEvaluator(
           CheckStatsFit(std::move(stats), data.num_classes(), data.metas(),
                         candidates),
@@ -100,15 +98,13 @@ NbSubsetEvaluator::NbSubsetEvaluator(const EncodedDataset& data,
             for (size_t i = 0; i < eval_rows.size(); ++i) {
               (*out)[i] = col[eval_rows[i]];
             }
-          },
-          num_threads) {}
+          }) {}
 
 NbSubsetEvaluator::NbSubsetEvaluator(std::shared_ptr<const SuffStats> stats,
                                      std::vector<uint32_t> eval_labels,
                                      ErrorMetric metric, double alpha,
                                      const std::vector<uint32_t>& candidates,
-                                     const CodeGather& gather_codes,
-                                     uint32_t num_threads)
+                                     const CodeGather& gather_codes)
     : stats_(std::move(stats)),
       eval_labels_(std::move(eval_labels)),
       metric_(metric) {
@@ -138,7 +134,7 @@ NbSubsetEvaluator::NbSubsetEvaluator(std::shared_ptr<const SuffStats> stats,
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
   ParallelFor(
-      static_cast<uint32_t>(unique.size()), num_threads, [&](uint32_t idx) {
+      static_cast<uint32_t>(unique.size()), [&](uint32_t idx) {
         const uint32_t j = unique[idx];
         const uint32_t card = stats_->cardinalities[j];
         const std::vector<uint64_t>& counts = stats_->feature_counts[j];

@@ -55,10 +55,9 @@ struct SuffStats {
 
 /// One pass over `rows` of `data`: class counts serially (O(rows)), then
 /// per-feature count tables in parallel (one feature per work item), so
-/// the result is identical at any thread count.
+/// the result is identical at any width.
 SuffStats BuildSuffStats(const EncodedDataset& data,
-                         const std::vector<uint32_t>& rows,
-                         uint32_t num_threads = 0);
+                         const std::vector<uint32_t>& rows);
 
 /// Returns `stats` after aborting unless they fit a dataset with
 /// `num_classes` classes and the features `metas`: the class count and
@@ -104,8 +103,7 @@ class NbSubsetEvaluator {
   NbSubsetEvaluator(const EncodedDataset& data,
                     std::shared_ptr<const SuffStats> stats,
                     std::vector<uint32_t> eval_rows, ErrorMetric metric,
-                    double alpha, const std::vector<uint32_t>& candidates,
-                    uint32_t num_threads = 0);
+                    double alpha, const std::vector<uint32_t>& candidates);
 
   /// Core constructor from pre-gathered parts; no dataset needed.
   /// `eval_labels[i]` is the truth label of evaluation row i and
@@ -116,7 +114,7 @@ class NbSubsetEvaluator {
   NbSubsetEvaluator(std::shared_ptr<const SuffStats> stats,
                     std::vector<uint32_t> eval_labels, ErrorMetric metric,
                     double alpha, const std::vector<uint32_t>& candidates,
-                    const CodeGather& gather_codes, uint32_t num_threads = 0);
+                    const CodeGather& gather_codes);
 
   /// Error of an arbitrary subset (features summed in the given order).
   double EvalSubset(const std::vector<uint32_t>& features) const;

@@ -39,14 +39,13 @@ void ColumnMemory::Add(int64_t bytes) {
   }
 }
 
-Column Column::Gather(const std::vector<uint32_t>& rows,
-                      uint32_t num_threads) const {
+Column Column::Gather(const std::vector<uint32_t>& rows) const {
   const uint32_t n = static_cast<uint32_t>(rows.size());
   std::vector<uint32_t> out(n);
   // Each index writes only its own slot, so the result is identical at
-  // any thread count (the pool's determinism contract); a 1-wide region
-  // runs inline.
-  ParallelFor(n, num_threads, [&](uint32_t i) { out[i] = code(rows[i]); });
+  // any width (the pool's determinism contract).
+  ParallelFor(
+      n, [&](uint32_t i) { out[i] = code(rows[i]); }, kGatherRowGrain);
   return Column(std::move(out), domain_);
 }
 

@@ -409,6 +409,7 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
                                  std::string table_name, Schema schema,
                                  std::vector<std::shared_ptr<Domain>> domains,
                                  const CsvOptions& options) {
+  const ScopedWidth width(options.num_threads);
   obs::TraceSpan span("ingest.csv");
   std::string buffer;
   {
@@ -496,31 +497,26 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
   ctx.delimiter = options.delimiter;
   ctx.strict = options.strict;
 
-  // Shard the body into record-aligned chunks: one per thread, floored
-  // so tiny inputs stay single-chunk.
-  uint32_t n_chunks = options.num_threads == 0
-                          ? ThreadPool::Global().DefaultShards()
-                          : options.num_threads;
+  // Shard the body into record-aligned chunks: one per shard of the
+  // width, floored so tiny inputs stay single-chunk.
   const size_t min_chunk = std::max<size_t>(options.min_chunk_bytes, 1);
   const size_t max_chunks = body.size() / min_chunk + 1;
-  n_chunks = static_cast<uint32_t>(
-      std::min<size_t>(std::max<uint32_t>(n_chunks, 1), max_chunks));
+  const uint32_t n_chunks = ThreadPool::Global().ShardsFor(
+      static_cast<uint32_t>(std::min<size_t>(max_chunks, UINT32_MAX)));
   const std::vector<ChunkStart> starts =
       PlanChunks(body, body_line, n_chunks, options.delimiter);
 
   std::vector<ChunkOutput> outs(starts.size());
   {
     obs::ScopedLatency latency(ParseLatency);
-    ParallelFor(static_cast<uint32_t>(starts.size()),
-                static_cast<uint32_t>(starts.size()), [&](uint32_t j) {
-                  const size_t lo = starts[j].offset;
-                  const size_t hi = j + 1 < starts.size()
-                                        ? starts[j + 1].offset
-                                        : body.size();
-                  ChunkParser parser(ctx, &outs[j]);
-                  parser.Parse(body.data() + lo, body.data() + hi,
-                               starts[j].line);
-                });
+    // At most n_chunks chunks, so one shard each.
+    ParallelFor(static_cast<uint32_t>(starts.size()), [&](uint32_t j) {
+      const size_t lo = starts[j].offset;
+      const size_t hi =
+          j + 1 < starts.size() ? starts[j + 1].offset : body.size();
+      ChunkParser parser(ctx, &outs[j]);
+      parser.Parse(body.data() + lo, body.data() + hi, starts[j].line);
+    });
   }
   // The lowest-indexed chunk's error is the first error in row order —
   // identical to what a serial read would have reported.
@@ -548,7 +544,7 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
     obs::ScopedLatency latency(MergeLatency);
     // Columns are independent (distinct fresh Domain objects; fixed
     // domains are read-only), so the merge shards per column.
-    ParallelFor(num_columns, options.num_threads, [&](uint32_t c) {
+    ParallelFor(num_columns, [&](uint32_t c) {
       std::vector<uint32_t>& out = final_codes[c];
       if (outs.size() == 1) {
         // Single chunk: the local codes are already the global codes. A

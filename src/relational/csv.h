@@ -19,7 +19,7 @@
 /// so the parse allocates nothing per label. The dictionaries merge
 /// deterministically in chunk order, materializing each distinct label
 /// once, in its Domain — so codes and domain label order are
-/// bit-identical to a serial read at any `num_threads`.
+/// bit-identical to a serial read at any width.
 
 #include <string>
 #include <vector>
@@ -37,7 +37,9 @@ struct CsvOptions {
   /// header is a line-numbered error in BOTH modes — such rows signal
   /// broken framing, and dropping them would silently bias the data.
   bool strict = true;
-  /// Parse shards (0 = all hardware threads, 1 = serial). Every value
+  /// The read's parallel width (common/thread_pool.h): parse chunks and
+  /// merge shards, at most this many (1 = serial). 0 inherits the
+  /// caller's width, or every hardware thread at top level. Every value
   /// produces the same table: same codes, same domain label order.
   uint32_t num_threads = 0;
   /// Floor on bytes per parse chunk, so tiny files stay single-chunk

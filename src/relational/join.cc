@@ -91,23 +91,19 @@ std::vector<uint64_t> GroupCountByCode(const std::vector<uint32_t>& key_codes,
                                        uint32_t num_codes,
                                        const std::vector<uint32_t>& groups,
                                        uint32_t num_groups,
-                                       const std::vector<uint32_t>& rows,
-                                       uint32_t num_threads) {
+                                       const std::vector<uint32_t>& rows) {
   const size_t cells = static_cast<size_t>(num_codes) * num_groups;
   std::vector<uint64_t> counts(cells, 0);
 
   // Sharding only pays when the row subset dwarfs the table each shard
-  // must allocate and merge; small inputs count serially.
-  const uint32_t effective =
-      num_threads == 0
-          ? static_cast<uint32_t>(ThreadPool::Global().num_workers() + 1)
-          : num_threads;
-  const uint32_t max_shards =
-      cells == 0 ? 1
-                 : static_cast<uint32_t>(std::min<size_t>(
-                       effective, std::max<size_t>(1, rows.size() / cells)));
+  // must allocate and merge: under 2^14 rows counting is serial, and a
+  // shard gets at least `cells` rows.
   const uint32_t num_shards =
-      rows.size() < (1u << 14) ? 1 : std::max(1u, max_shards);
+      rows.size() < (1u << 14) || cells == 0
+          ? 1
+          : ThreadPool::Global().ShardsFor(
+                static_cast<uint32_t>(rows.size()),
+                static_cast<uint32_t>(std::min<size_t>(cells, UINT32_MAX)));
   if (num_shards <= 1) {
     for (uint32_t r : rows) {
       ++counts[static_cast<size_t>(key_codes[r]) * num_groups + groups[r]];
@@ -117,7 +113,7 @@ std::vector<uint64_t> GroupCountByCode(const std::vector<uint32_t>& key_codes,
 
   const size_t chunk = (rows.size() + num_shards - 1) / num_shards;
   std::vector<std::vector<uint64_t>> partial(num_shards);
-  ParallelFor(num_shards, num_threads, [&](uint32_t shard) {
+  ParallelFor(num_shards, [&](uint32_t shard) {
     const size_t begin = static_cast<size_t>(shard) * chunk;
     const size_t end = std::min(rows.size(), begin + chunk);
     std::vector<uint64_t>& local = partial[shard];
@@ -138,6 +134,7 @@ std::vector<uint64_t> GroupCountByCode(const std::vector<uint32_t>& key_codes,
 Result<Table> KfkJoin(const Table& s, const Table& r,
                       const std::string& fk_column,
                       const JoinOptions& options) {
+  const ScopedWidth width(options.num_threads);
   obs::TraceSpan span("join.kfk");
   if (span.active()) {
     span.AddAttr("entity", s.name());
@@ -173,7 +170,7 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   FirstFailure failure;
   {
     obs::ScopedLatency latency(ProbeLatency);
-    ParallelFor(s.num_rows(), options.num_threads, [&](uint32_t row) {
+    ParallelFor(s.num_rows(), [&](uint32_t row) {
       const uint32_t m = rid_to_row[fk.code(row)];
       if (m == kNoFkRow) failure.Report(row);
       matched[row] = m;
@@ -206,7 +203,7 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
     for (uint32_t c = 0; c < r.num_columns(); ++c) {
       if (c == rid_idx) continue;
       out_specs.push_back(r.schema().column(c));
-      out_cols.push_back(r.column(c).Gather(matched, options.num_threads));
+      out_cols.push_back(r.column(c).Gather(matched));
     }
   }
   return Table(s.name() + "_join_" + r.name(), Schema(std::move(out_specs)),

@@ -46,16 +46,15 @@ Result<std::vector<uint32_t>> BuildFkRowIndex(const Column& fk,
 /// is flat [code * num_groups + g], counting the rows r of `rows` with
 /// key_codes[r] == code and groups[r] == g. This is the one entity-side
 /// pass factorized training makes per FK — the table is then scattered
-/// through the BuildFkRowIndex hop instead of joining. `rows` is sharded
-/// across threads with per-shard local tables merged serially in shard
-/// order; counts are integers, so the result is bit-identical at any
-/// thread count (0 = all hardware threads, 1 = serial).
+/// through the BuildFkRowIndex hop instead of joining. A subset of 2^14
+/// rows or more is sharded at the run's width, at least `cells` rows per
+/// shard, with per-shard local tables merged serially in shard order;
+/// counts are integers, so the result is bit-identical at any width.
 std::vector<uint64_t> GroupCountByCode(const std::vector<uint32_t>& key_codes,
                                        uint32_t num_codes,
                                        const std::vector<uint32_t>& groups,
                                        uint32_t num_groups,
-                                       const std::vector<uint32_t>& rows,
-                                       uint32_t num_threads = 0);
+                                       const std::vector<uint32_t>& rows);
 
 /// A join's physical algorithm. KfkJoin has one path, so the enum has one
 /// value and nothing reads it. It stays only because
@@ -68,8 +67,10 @@ enum class JoinAlgorithm : uint8_t {
 
 /// Join knobs.
 struct JoinOptions {
-  /// Shards for probe and output materialization (0 = all hardware
-  /// threads, 1 = serial). Any value yields the same table.
+  /// The join's parallel width (common/thread_pool.h): its probe and
+  /// output gathers, and everything else the join runs, shard this many
+  /// ways (1 = serial). 0 inherits the caller's width, or every hardware
+  /// thread at top level. Any value yields the same table.
   uint32_t num_threads = 0;
   /// Unread; see JoinAlgorithm.
   JoinAlgorithm algorithm = JoinAlgorithm::kAuto;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/mpsc_queue.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -404,6 +405,7 @@ struct HamletService::Impl {
     span.AddAttr("inline", static_cast<uint64_t>(entry == PassEntry::kInline));
     const uint64_t start_ns = obs::Enabled() ? obs::NowNanos() : 0;
     if (start_ns != 0) m.batch_size.RecordAlways(static_cast<uint64_t>(n));
+    const ScopedWidth width(options.num_threads);
 
     const ScoreRequest& lead = *requests.front();
     Result<std::shared_ptr<const Classifier>> model =
@@ -448,8 +450,8 @@ struct HamletService::Impl {
     span.AddAttr("rows", total_rows);
     m.score_rows.Add(total_rows);
 
-    ThreadPool::Global().ParallelFor(
-        static_cast<uint32_t>(total_rows), options.num_threads,
+    ParallelFor(
+        static_cast<uint32_t>(total_rows),
         [&](uint32_t fused) {
           // Fused index → (block, row). Blocks are few; linear scan over
           // the offset table stays cheap and branch-predictable.
@@ -481,6 +483,7 @@ struct HamletService::Impl {
   }
 
   Result<SelectFeaturesResponse> RunSelect(SelectFeaturesRequest request) {
+    const ScopedWidth width(options.num_threads);
     if (request.model_name.empty()) {
       return Status::InvalidArgument(
           "SelectFeaturesRequest.model_name must be set");
@@ -490,8 +493,7 @@ struct HamletService::Impl {
         store->GetDataset(request.dataset, request.dataset_version));
     Rng rng(request.seed);
     HoldoutSplit split = MakeHoldoutSplit(data->num_rows(), rng);
-    std::unique_ptr<FeatureSelector> selector =
-        MakeSelector(request.method, options.num_threads);
+    std::unique_ptr<FeatureSelector> selector = MakeSelector(request.method);
     ClassifierFactory factory = MakeNaiveBayesFactory(request.nb_alpha);
     std::vector<uint32_t> candidates(data->num_features());
     std::iota(candidates.begin(), candidates.end(), 0u);

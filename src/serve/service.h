@@ -106,10 +106,12 @@ struct ServiceOptions {
   /// Micro-batching switch; off = one scoring pass per request (the
   /// BM_ServeScoreUnbatched baseline).
   bool batch_scoring = true;
-  /// ParallelFor shards for scoring passes and FS runs (0 = one per
-  /// hardware thread, 1 = serial). A scoring pass with fewer than two
-  /// row grains (2 x 64 rows) runs serially on its own thread at any
-  /// setting. Results are identical either way.
+  /// The parallel width (common/thread_pool.h) of every scoring pass and
+  /// feature-selection run, the selection's model trainings included
+  /// (1 = serial). 0 inherits the width of the thread that runs the
+  /// pass, or every hardware thread at top level. A scoring pass with
+  /// fewer than two row grains (2 x 64 rows) runs serially on its own
+  /// thread at any setting. Results are identical either way.
   uint32_t num_threads = 0;
   /// Dispatcher shards. 0 = auto: min(hardware concurrency, 4), at
   /// least 1. Results are identical at any shard count.

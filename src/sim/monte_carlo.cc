@@ -110,7 +110,7 @@ Status RunOneRepeat(const SimConfig& config,
   // oversubscription).
   const uint32_t num_sets = options.num_training_sets;
   const uint32_t block_size =
-      std::max(4 * (ThreadPool::Global().num_workers() + 1), 16u);
+      std::max(4 * ThreadPool::Global().ShardsFor(num_sets), 16u);
   std::vector<SimDraw> draws;
   for (uint32_t start = 0; start < num_sets; start += block_size) {
     const uint32_t count = std::min(block_size, num_sets - start);
@@ -122,7 +122,7 @@ Status RunOneRepeat(const SimConfig& config,
 
     std::vector<std::array<std::vector<uint32_t>, 3>> predictions(count);
     std::vector<Status> statuses(count);
-    ParallelFor(count, options.num_threads, [&](uint32_t b) {
+    ParallelFor(count, [&](uint32_t b) {
       const SimDraw& train = draws[b];
       std::vector<uint32_t> train_rows(train.data.num_rows());
       std::iota(train_rows.begin(), train_rows.end(), 0u);
@@ -131,7 +131,7 @@ Status RunOneRepeat(const SimConfig& config,
       // serves all three variant trainings (TrainFromStats derives each
       // model from the counts — bit-identical to a scan Train).
       const SuffStats stats =
-          nb_variants ? BuildSuffStats(train.data, train_rows, 1) : SuffStats{};
+          nb_variants ? BuildSuffStats(train.data, train_rows) : SuffStats{};
 
       // The test set shares the feature layout, so models trained on the
       // training draw can predict it directly.
@@ -175,6 +175,7 @@ Result<MonteCarloResult> RunMonteCarlo(const SimConfig& config,
   ClassifierFactory nb = MakeNaiveBayesFactory();
   const ClassifierFactory& make = factory != nullptr ? *factory : nb;
 
+  const ScopedWidth width(options.num_threads);
   obs::TraceSpan span("sim.monte_carlo");
   if (span.active()) {
     span.AddAttr("repeats", options.num_repeats);
@@ -186,7 +187,7 @@ Result<MonteCarloResult> RunMonteCarlo(const SimConfig& config,
   // at any thread count.
   std::vector<MonteCarloResult> per_repeat(options.num_repeats);
   std::vector<Status> statuses(options.num_repeats);
-  ParallelFor(options.num_repeats, options.num_threads, [&](uint32_t rep) {
+  ParallelFor(options.num_repeats, [&](uint32_t rep) {
     statuses[rep] =
         RunOneRepeat(config, options, make, rep, &per_repeat[rep]);
   });

@@ -36,16 +36,18 @@ struct MonteCarloOptions {
   uint32_t num_training_sets = 100;  ///< |S| of the decomposition.
   uint32_t num_repeats = 10;         ///< Outer seed repeats.
   uint64_t seed = 42;
-  /// Threads for the protocol's parallel loops (0 = hardware
-  /// concurrency), all dispatched onto the shared persistent pool. The
-  /// outer repeat loop parallelizes first (each repeat forks its RNG from
-  /// its index and writes only its own slot); within a repeat the
-  /// training-set loop parallelizes the model trainings (draws stay
-  /// serial to preserve the RNG stream, predictions land in per-index
-  /// slots, accumulation replays serially in index order). Nested regions
-  /// degrade to serial on the shared pool, so the two levels compose
-  /// without oversubscription — and results are bit-for-bit identical at
-  /// any thread count.
+  /// The run's parallel width (common/thread_pool.h; 1 = serial, 0
+  /// inherits the caller's width, or every hardware thread at top level).
+  /// Every loop of the protocol, model trainings included, runs on the
+  /// shared persistent pool at this width. The outer repeat loop
+  /// parallelizes first (each repeat forks its RNG from its index and
+  /// writes only its own slot); within a repeat the training-set loop
+  /// parallelizes the model trainings (draws stay serial to preserve the
+  /// RNG stream, predictions land in per-index slots, accumulation
+  /// replays serially in index order). Nested regions degrade to serial
+  /// on the shared pool, so the two levels compose without
+  /// oversubscription — and results are bit-for-bit identical at any
+  /// width.
   uint32_t num_threads = 0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+
 namespace hamlet {
 namespace {
 
@@ -54,17 +56,31 @@ TEST(ColumnTest, GatherIsIdenticalAtAnyThreadCount) {
   auto domain = std::make_shared<Domain>(
       std::vector<std::string>{"a", "b", "c", "d"});
   std::vector<uint32_t> codes(5000);
-  std::vector<uint32_t> rows(12345);
+  std::vector<uint32_t> rows(40000);
   for (uint32_t i = 0; i < codes.size(); ++i) codes[i] = (i * 7) % 4;
   for (uint32_t i = 0; i < rows.size(); ++i) {
     rows[i] = (i * 31) % static_cast<uint32_t>(codes.size());
   }
   Column c(codes, domain);
-  Column serial = c.Gather(rows, 1);
-  for (uint32_t num_threads : {0u, 2u, 8u}) {
-    Column parallel = c.Gather(rows, num_threads);
-    EXPECT_EQ(parallel.codes(), serial.codes()) << num_threads;
-    EXPECT_EQ(parallel.domain(), c.domain());
+  auto gather_at = [&](const std::vector<uint32_t>& picked, uint32_t width) {
+    const ScopedWidth scope(width);
+    return c.Gather(picked);
+  };
+  // A long gather that shards, and a 3-row one under two row grains,
+  // which must stay on the calling thread at every width.
+  for (const std::vector<uint32_t>& picked :
+       {rows, std::vector<uint32_t>{4, 4, 0}}) {
+    const Column serial = gather_at(picked, 1);
+    for (uint32_t num_threads : {0u, 2u, 8u}) {
+      const uint64_t regions = ThreadPool::Global().GetStats().regions;
+      const Column parallel = gather_at(picked, num_threads);
+      EXPECT_EQ(parallel.codes(), serial.codes()) << num_threads;
+      EXPECT_EQ(parallel.domain(), c.domain());
+      if (picked.size() < 2 * kGatherRowGrain) {
+        EXPECT_EQ(ThreadPool::Global().GetStats().regions, regions)
+            << num_threads;
+      }
+    }
   }
 }
 

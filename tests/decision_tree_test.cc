@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "fs/candidate_eval.h"
 #include "ml/naive_bayes.h"
 #include "stats/metrics.h"
@@ -71,15 +72,15 @@ TEST(DecisionTreeTest, CapturesXorThatNaiveBayesCannot) {
 TEST(DecisionTreeTest, BitIdenticalAcrossThreadCounts) {
   EncodedDataset d = NoisyCopyDataset(3, 900);
   const std::vector<uint32_t> rows = AllRows(d);
-  DecisionTreeOptions ref_options;
-  ref_options.num_threads = 1;
-  DecisionTree ref(ref_options);
-  ASSERT_TRUE(ref.Train(d, rows, {0, 1}).ok());
+  DecisionTree ref;
+  {
+    const ScopedWidth serial(1);
+    ASSERT_TRUE(ref.Train(d, rows, {0, 1}).ok());
+  }
   const DecisionTreeParams ref_params = ref.ExportParams();
   for (uint32_t threads : {2u, 8u, 0u}) {
-    DecisionTreeOptions options;
-    options.num_threads = threads;
-    DecisionTree tree(options);
+    const ScopedWidth width(threads);
+    DecisionTree tree;
     ASSERT_TRUE(tree.Train(d, rows, {0, 1}).ok());
     const DecisionTreeParams p = tree.ExportParams();
     EXPECT_EQ(p.split_slot, ref_params.split_slot) << threads;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "fs/exhaustive_search.h"
 #include "fs/filters.h"
 #include "fs/greedy_search.h"
@@ -116,13 +117,13 @@ TEST(DeterminismTest, FilterScoresIdenticalAtAnyThreadCount) {
   std::vector<uint32_t> rows = f.split.train;
   for (FilterScore score : {FilterScore::kMutualInformation,
                             FilterScore::kInformationGainRatio}) {
-    ScoreFilter serial(score);
-    serial.set_num_threads(1);
-    const std::vector<double> ref = serial.ScoreFeatures(
-        f.data, rows, f.data.AllFeatureIndices());
+    ScoreFilter filter(score);
+    const std::vector<double> ref = [&] {
+      const ScopedWidth serial(1);
+      return filter.ScoreFeatures(f.data, rows, f.data.AllFeatureIndices());
+    }();
     for (uint32_t threads : kThreadCounts) {
-      ScoreFilter filter(score);
-      filter.set_num_threads(threads);
+      const ScopedWidth width(threads);
       const std::vector<double> got = filter.ScoreFeatures(
           f.data, rows, f.data.AllFeatureIndices());
       ASSERT_EQ(got.size(), ref.size());

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/encoded_dataset.h"
 #include "data/splits.h"
 #include "datasets/registry.h"
@@ -35,6 +36,15 @@ namespace hamlet {
 namespace {
 
 const uint32_t kThreadCounts[] = {1u, 2u, 8u};
+
+// BuildFactorizedSuffStats at `width`, under the scope an entry point
+// would open.
+SuffStats FactorizedStatsAt(const FactorizedDataset& fac,
+                            const std::vector<uint32_t>& rows,
+                            uint32_t width) {
+  const ScopedWidth scope(width);
+  return BuildFactorizedSuffStats(fac, rows);
+}
 
 struct DatasetCase {
   const char* name;
@@ -134,10 +144,9 @@ TEST(FactorizedViewTest, ValidationMatchesKfkJoinErrors) {
 TEST(FactorizedSuffStatsTest, BitIdenticalToMaterializedBuild) {
   for (const DatasetCase& c : kDatasetCases) {
     TwinCase t = MakeTwinCase(c, 13);
-    const SuffStats ref = BuildSuffStats(*t.mat, t.split.train, 1);
+    const SuffStats ref = BuildSuffStats(*t.mat, t.split.train);
     for (uint32_t threads : {1u, 2u, 8u, 0u}) {
-      const SuffStats fac =
-          BuildFactorizedSuffStats(t.fac, t.split.train, threads);
+      const SuffStats fac = FactorizedStatsAt(t.fac, t.split.train, threads);
       ExpectStatsBitIdentical(
           ref, fac, t.name + " threads " + std::to_string(threads));
     }
@@ -150,10 +159,10 @@ TEST(FactorizedSuffStatsTest, EvaluatorRejectsEntityOnlyStats) {
   TwinCase t = MakeTwinCase(kDatasetCases[0], 14);
   ASSERT_FALSE(t.fac.relations().empty());
   auto entity_only = std::make_shared<const SuffStats>(
-      BuildSuffStats(t.fac.entity(), t.split.train, 1));
+      BuildSuffStats(t.fac.entity(), t.split.train));
   EXPECT_DEATH(MakeFactorizedNbEvaluator(t.fac, entity_only,
                                          t.split.validation, t.metric, 1.0,
-                                         t.fac.AllFeatureIndices(), 1),
+                                         t.fac.AllFeatureIndices()),
                "different dataset");
 }
 
@@ -222,8 +231,8 @@ TEST(FactorizedSelectionTest, ModelParametersAndHoldoutBitIdentical) {
 
     // The final models themselves: trained from the two statistics
     // builds, every exported double must agree bit-for-bit.
-    const SuffStats mat_stats = BuildSuffStats(*t.mat, t.split.train, 1);
-    const SuffStats fac_stats = BuildFactorizedSuffStats(t.fac, t.split.train, 1);
+    const SuffStats mat_stats = BuildSuffStats(*t.mat, t.split.train);
+    const SuffStats fac_stats = BuildFactorizedSuffStats(t.fac, t.split.train);
     NaiveBayes nb_mat(1.0), nb_fac(1.0);
     ASSERT_TRUE(nb_mat.TrainFromStats(mat_stats, mat->selection.selected).ok());
     ASSERT_TRUE(nb_fac.TrainFromStats(fac_stats, fac->selection.selected).ok());
@@ -272,9 +281,9 @@ TEST(FactorizedEdgeCaseTest, FkSkewedDatasetBitIdentical) {
   FactorizedDataset fac = *FactorizedDataset::Make(dataset, fks);
   Rng rng(24);
   HoldoutSplit split = MakeHoldoutSplit(mat.num_rows(), rng);
-  const SuffStats a = BuildSuffStats(mat, split.train, 1);
+  const SuffStats a = BuildSuffStats(mat, split.train);
   for (uint32_t threads : kThreadCounts) {
-    const SuffStats b = BuildFactorizedSuffStats(fac, split.train, threads);
+    const SuffStats b = FactorizedStatsAt(fac, split.train, threads);
     ExpectStatsBitIdentical(a, b, "skew threads " + std::to_string(threads));
   }
   ForwardSelection forward;
@@ -321,8 +330,8 @@ TEST(FactorizedEdgeCaseTest, ClassMissingFromTrainRows) {
   FactorizedDataset fac = *FactorizedDataset::Make(dataset, {"StoreID"});
   // Train rows {0, 1, 3, 4} never contain the "high" class.
   const std::vector<uint32_t> train = {0, 1, 3, 4};
-  const SuffStats a = BuildSuffStats(mat, train, 1);
-  const SuffStats b = BuildFactorizedSuffStats(fac, train, 1);
+  const SuffStats a = BuildSuffStats(mat, train);
+  const SuffStats b = BuildFactorizedSuffStats(fac, train);
   ExpectStatsBitIdentical(a, b, "missing class");
   // Target labels encode in first-seen order (low=0, mid=1, high=2) and
   // "high" only occurs on excluded row 2 — both builds must carry the
@@ -398,9 +407,9 @@ TEST(FactorizedPropertyTest, RandomKfkSchemasAgreeCellForCell) {
     for (uint32_t i = 0; i < num_s; ++i) {
       if (rng.Uniform(4) != 0) rows.push_back(i);
     }
-    const SuffStats a = BuildSuffStats(mat, rows, 1);
+    const SuffStats a = BuildSuffStats(mat, rows);
     for (uint32_t threads : kThreadCounts) {
-      const SuffStats b = BuildFactorizedSuffStats(fac, rows, threads);
+      const SuffStats b = FactorizedStatsAt(fac, rows, threads);
       ExpectStatsBitIdentical(a, b, "threads " + std::to_string(threads));
     }
   }

@@ -18,6 +18,7 @@
 
 #include "analytics/pipeline.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/encoded_dataset.h"
 #include "data/splits.h"
 #include "datasets/registry.h"
@@ -120,25 +121,25 @@ TEST(FactorizedTreeTest, TrainBitIdenticalAcrossViewsAndThreads) {
     TwinCase t = MakeTwinCase(c, 41);
     const std::vector<uint32_t> features = t.mat->AllFeatureIndices();
 
-    DecisionTreeOptions ref_options;
-    ref_options.num_threads = 1;
-    DecisionTree ref(ref_options);
-    ASSERT_TRUE(ref.Train(*t.mat, t.split.train, features).ok());
+    DecisionTree ref;
+    {
+      const ScopedWidth serial(1);
+      ASSERT_TRUE(ref.Train(*t.mat, t.split.train, features).ok());
+    }
     const DecisionTreeParams ref_params = ref.ExportParams();
     ASSERT_GT(ref.num_nodes(), 1u) << t.name << ": degenerate stump";
     const std::vector<uint32_t> ref_pred = ref.Predict(*t.mat, t.split.test);
 
     for (uint32_t threads : kThreadCounts) {
       SCOPED_TRACE(t.name + " threads " + std::to_string(threads));
-      DecisionTreeOptions options;
-      options.num_threads = threads;
+      const ScopedWidth width(threads);
 
-      DecisionTree mat_tree(options);
+      DecisionTree mat_tree;
       ASSERT_TRUE(mat_tree.Train(*t.mat, t.split.train, features).ok());
       ExpectTreeParamsBitIdentical(mat_tree.ExportParams(), ref_params,
                                    "materialized");
 
-      DecisionTree fac_tree(options);
+      DecisionTree fac_tree;
       ASSERT_TRUE(
           fac_tree.TrainFactorized(t.fac, t.split.train, features, nullptr)
               .ok());
@@ -160,24 +161,25 @@ TEST(FactorizedGbtTest, TrainBitIdenticalAcrossViewsAndThreads) {
 
     GbtOptions ref_options;
     ref_options.num_rounds = 5;  // Enough rounds to exercise boosting.
-    ref_options.num_threads = 1;
     Gbt ref(ref_options);
-    ASSERT_TRUE(ref.Train(*t.mat, t.split.train, features).ok());
+    {
+      const ScopedWidth serial(1);
+      ASSERT_TRUE(ref.Train(*t.mat, t.split.train, features).ok());
+    }
     const GbtParams ref_params = ref.ExportParams();
     ASSERT_EQ(ref.num_trees(), 5u * ref.num_classes());
     const std::vector<uint32_t> ref_pred = ref.Predict(*t.mat, t.split.test);
 
     for (uint32_t threads : kThreadCounts) {
       SCOPED_TRACE(t.name + " threads " + std::to_string(threads));
-      GbtOptions options = ref_options;
-      options.num_threads = threads;
+      const ScopedWidth width(threads);
 
-      Gbt mat_gbt(options);
+      Gbt mat_gbt(ref_options);
       ASSERT_TRUE(mat_gbt.Train(*t.mat, t.split.train, features).ok());
       ExpectGbtParamsBitIdentical(mat_gbt.ExportParams(), ref_params,
                                   "materialized");
 
-      Gbt fac_gbt(options);
+      Gbt fac_gbt(ref_options);
       ASSERT_TRUE(
           fac_gbt.TrainFactorized(t.fac, t.split.train, features, nullptr)
               .ok());
@@ -198,7 +200,7 @@ TEST(FactorizedTreeTest, ExplicitRootStatsDoNotChangeBits) {
   TwinCase t = MakeTwinCase(kDatasetCases[0], 45);
   const std::vector<uint32_t> features = t.mat->AllFeatureIndices();
   DecisionTreeOptions options;
-  options.num_threads = 2;
+  const ScopedWidth width(2);
 
   // None: the root histograms are counted from the gathered codes.
   DecisionTree none(options);
@@ -211,7 +213,7 @@ TEST(FactorizedTreeTest, ExplicitRootStatsDoNotChangeBits) {
 
   // Explicit: the root histograms are copied from the train split's
   // factorized statistics — integer counts, so bit-identical.
-  const SuffStats stats = BuildFactorizedSuffStats(t.fac, t.split.train, 1);
+  const SuffStats stats = BuildFactorizedSuffStats(t.fac, t.split.train);
   DecisionTree seeded(options);
   ASSERT_TRUE(
       seeded.TrainFactorized(t.fac, t.split.train, features, &stats).ok());
@@ -311,9 +313,8 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
   // The final fits themselves: retrain both views on the selected subset
   // and require bit identity (the runner's fits ran outside the refit
   // budget, so these full-depth twins are what it reported on).
-  DecisionTreeOptions options;
-  options.num_threads = 2;
-  DecisionTree from_mat(options), from_fac(options);
+  const ScopedWidth width(2);
+  DecisionTree from_mat, from_fac;
   ASSERT_TRUE(
       from_mat.Train(*t.mat, t.split.train, mat->selection.selected).ok());
   ASSERT_TRUE(

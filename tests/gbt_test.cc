@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "fs/candidate_eval.h"
 #include "ml/decision_tree.h"
 #include "ml/naive_bayes.h"
@@ -84,14 +85,15 @@ TEST(GbtTest, BitIdenticalAcrossThreadCounts) {
   const std::vector<uint32_t> rows = AllRows(d);
   GbtOptions ref_options;
   ref_options.num_rounds = 6;
-  ref_options.num_threads = 1;
   Gbt ref(ref_options);
-  ASSERT_TRUE(ref.Train(d, rows, {0, 1}).ok());
+  {
+    const ScopedWidth serial(1);
+    ASSERT_TRUE(ref.Train(d, rows, {0, 1}).ok());
+  }
   const GbtParams ref_params = ref.ExportParams();
   for (uint32_t threads : {2u, 8u, 0u}) {
-    GbtOptions options = ref_options;
-    options.num_threads = threads;
-    Gbt gbt(options);
+    const ScopedWidth width(threads);
+    Gbt gbt(ref_options);
     ASSERT_TRUE(gbt.Train(d, rows, {0, 1}).ok());
     const GbtParams p = gbt.ExportParams();
     EXPECT_EQ(p.base_scores, ref_params.base_scores) << threads;

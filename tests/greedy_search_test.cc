@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ml/eval.h"
 #include "ml/gbt.h"
 #include "ml/naive_bayes.h"
@@ -100,7 +101,6 @@ TEST(ForwardSelectionTest, RefitBudgetNeverReachesConcurrentTraining) {
   GbtOptions options;
   options.num_rounds = 6;
   options.candidate_rounds = 2;
-  options.num_threads = 1;
   std::atomic<bool> searching{false};
   std::atomic<bool> stop{false};
   std::thread searcher([&] {
@@ -115,6 +115,7 @@ TEST(ForwardSelectionTest, RefitBudgetNeverReachesConcurrentTraining) {
     }
   });
   while (!searching.load()) std::this_thread::yield();
+  const ScopedWidth serial(1);
   for (int i = 0; i < 20; ++i) {
     Gbt full(options);
     EXPECT_TRUE(full.Train(f.data, f.split.train, {0, 1}).ok());

@@ -44,7 +44,7 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsFromPoolWorkersAreLossless) {
       obs::MetricsRegistry::Global().GetCounter("test.concurrent_counter");
   constexpr uint32_t kItems = 10000;
   ThreadPool pool(4);
-  pool.ParallelFor(kItems, 0, [&](uint32_t) { counter.Add(); });
+  pool.ParallelFor(kItems, [&](uint32_t) { counter.Add(); });
   EXPECT_EQ(counter.Total(), kItems);
 }
 
@@ -232,7 +232,7 @@ TEST(MetricsRegistryTest, WriterStormSnapshotsSeeMonotonicCounts) {
       last_hist = h.count;
     }
   });
-  pool.ParallelFor(kItems, 0, [&](uint32_t i) {
+  pool.ParallelFor(kItems, [&](uint32_t i) {
     counter.Add();
     histogram.Record(i);
   });
@@ -259,9 +259,12 @@ TEST(HistogramTest, DisabledRecordIsANoOp) {
 TEST(MetricsRegistryTest, SnapshotIncludesThreadPoolLifetimeStats) {
   obs::ScopedCollection collection(true);
   // Force at least one global-pool region so the counters are nonzero.
-  // The explicit shard count matters: a default-width (0) region runs
-  // serial on a single-core host and would never reach the pool.
-  ParallelFor(64, 2, [](uint32_t) {});
+  // The explicit width matters: a default-width region runs serial on a
+  // single-core host and would never reach the pool.
+  {
+    const ScopedWidth width(2);
+    ParallelFor(64, [](uint32_t) {});
+  }
   obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
   EXPECT_GE(snap.CounterValue("threadpool.regions"), 1u);
   EXPECT_GE(snap.CounterValue("threadpool.tasks_run"),

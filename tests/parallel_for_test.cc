@@ -6,17 +6,26 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/monte_carlo.h"
 
 namespace hamlet {
 namespace {
 
+// ParallelFor at `width`: the loop runs under a ScopedWidth, the way an
+// entry point opens one.
+template <typename Fn>
+void ParallelForAt(uint32_t n, uint32_t width, Fn&& fn) {
+  const ScopedWidth scope(width);
+  ParallelFor(n, std::forward<Fn>(fn));
+}
+
 TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
   for (uint32_t threads : {1u, 2u, 4u, 0u}) {
     std::vector<std::atomic<int>> visits(257);
     for (auto& v : visits) v = 0;
-    ParallelFor(257, threads, [&](uint32_t i) { ++visits[i]; });
+    ParallelForAt(257, threads, [&](uint32_t i) { ++visits[i]; });
     for (size_t i = 0; i < visits.size(); ++i) {
       EXPECT_EQ(visits[i].load(), 1) << "index " << i << " threads "
                                      << threads;
@@ -26,14 +35,14 @@ TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
 
 TEST(ParallelForTest, ZeroItemsIsNoop) {
   bool called = false;
-  ParallelFor(0, 4, [&](uint32_t) { called = true; });
+  ParallelForAt(0, 4, [&](uint32_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelForTest, SlotWritesAreDeterministic) {
   auto run = [](uint32_t threads) {
     std::vector<uint64_t> out(100);
-    ParallelFor(100, threads, [&](uint32_t i) {
+    ParallelForAt(100, threads, [&](uint32_t i) {
       out[i] = static_cast<uint64_t>(i) * i + 7;
     });
     return out;
@@ -44,7 +53,7 @@ TEST(ParallelForTest, SlotWritesAreDeterministic) {
 
 TEST(ParallelForTest, MoreThreadsThanItems) {
   std::vector<int> out(3, 0);
-  ParallelFor(3, 16, [&](uint32_t i) { out[i] = static_cast<int>(i) + 1; });
+  ParallelForAt(3, 16, [&](uint32_t i) { out[i] = static_cast<int>(i) + 1; });
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
 }
 
@@ -74,7 +83,7 @@ TEST(ParallelForTest, MonteCarloIdenticalAtAnyThreadCount) {
 TEST(ParallelForTest, WorkerExceptionRethrownOnCaller) {
   // An exception thrown by fn(i) on a worker thread must reach the
   // caller instead of std::terminate-ing the process.
-  EXPECT_THROW(ParallelFor(100, 4,
+  EXPECT_THROW(ParallelForAt(100, 4,
                            [](uint32_t i) {
                              if (i == 57) {
                                throw std::runtime_error("item 57 failed");
@@ -87,7 +96,7 @@ TEST(ParallelForTest, FirstShardExceptionWins) {
   // With every item throwing, the deterministic choice is the lowest
   // shard's exception — shard 0 starts at index 0.
   try {
-    ParallelFor(64, 8, [](uint32_t i) {
+    ParallelForAt(64, 8, [](uint32_t i) {
       throw std::runtime_error(std::to_string(i));
     });
     FAIL() << "expected an exception";
@@ -97,7 +106,7 @@ TEST(ParallelForTest, FirstShardExceptionWins) {
 }
 
 TEST(ParallelForTest, SerialFallbackAlsoPropagates) {
-  EXPECT_THROW(ParallelFor(10, 1,
+  EXPECT_THROW(ParallelForAt(10, 1,
                            [](uint32_t i) {
                              if (i == 3) throw std::runtime_error("serial");
                            }),
@@ -107,9 +116,9 @@ TEST(ParallelForTest, SerialFallbackAlsoPropagates) {
 TEST(ParallelForTest, NestedCallsCompleteWithoutDeadlock) {
   // ParallelFor inside ParallelFor degrades to serial on the shared pool.
   std::vector<uint64_t> out(16, 0);
-  ParallelFor(16, 4, [&](uint32_t i) {
+  ParallelForAt(16, 4, [&](uint32_t i) {
     uint64_t sum = 0;
-    ParallelFor(100, 4, [&](uint32_t j) { sum += j; });  // Serial inside.
+    ParallelForAt(100, 4, [&](uint32_t j) { sum += j; });  // Serial inside.
     out[i] = sum;
   });
   for (uint64_t v : out) EXPECT_EQ(v, 4950u);

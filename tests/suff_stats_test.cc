@@ -15,6 +15,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/splits.h"
 #include "datasets/registry.h"
 #include "fs/candidate_eval.h"
@@ -71,7 +72,7 @@ EncodedCase MakeEncodedCase(const DatasetCase& c, uint64_t seed) {
 
 TEST(SuffStatsTest, TrainFromStatsMatchesScanTrainBitExactly) {
   EncodedCase c = MakeEncodedCase(kDatasetCases[0], 7);
-  const SuffStats stats = BuildSuffStats(*c.data, c.split.train, 1);
+  const SuffStats stats = BuildSuffStats(*c.data, c.split.train);
   const std::vector<uint32_t> features = c.data->AllFeatureIndices();
 
   NaiveBayes scan(1.0);
@@ -93,9 +94,13 @@ TEST(SuffStatsTest, TrainFromStatsMatchesScanTrainBitExactly) {
 
 TEST(SuffStatsTest, BuildIsIdenticalAtAnyThreadCount) {
   EncodedCase c = MakeEncodedCase(kDatasetCases[0], 8);
-  const SuffStats ref = BuildSuffStats(*c.data, c.split.train, 1);
+  const SuffStats ref = [&] {
+    const ScopedWidth serial(1);
+    return BuildSuffStats(*c.data, c.split.train);
+  }();
   for (uint32_t threads : {2u, 8u, 0u}) {
-    const SuffStats got = BuildSuffStats(*c.data, c.split.train, threads);
+    const ScopedWidth width(threads);
+    const SuffStats got = BuildSuffStats(*c.data, c.split.train);
     EXPECT_EQ(got.class_counts, ref.class_counts) << "threads " << threads;
     EXPECT_EQ(got.cardinalities, ref.cardinalities) << "threads " << threads;
     EXPECT_EQ(got.feature_counts, ref.feature_counts) << "threads " << threads;
@@ -204,11 +209,11 @@ TEST(FastPathEquivalenceTest, FiltersMatchScanOnBundledDatasets) {
 TEST(FastPathEquivalenceTest, FilterScoresFromStatsMatchScan) {
   EncodedCase c = MakeEncodedCase(kDatasetCases[0], 25);
   const std::vector<uint32_t> candidates = c.data->AllFeatureIndices();
-  const SuffStats stats = BuildSuffStats(*c.data, c.split.train, 1);
+  const SuffStats stats = BuildSuffStats(*c.data, c.split.train);
   for (FilterScore score : {FilterScore::kMutualInformation,
                             FilterScore::kInformationGainRatio}) {
     ScoreFilter filter(score);
-    filter.set_num_threads(1);
+    const ScopedWidth serial(1);
     const std::vector<double> scan_scores =
         filter.ScoreFeatures(*c.data, c.split.train, candidates);
     const std::vector<double> stats_scores =
@@ -226,9 +231,9 @@ TEST(NbSubsetEvaluatorTest, EvalPathsAgreeWithEachOther) {
   EncodedCase c = MakeEncodedCase(kDatasetCases[0], 26);
   const std::vector<uint32_t> candidates = c.data->AllFeatureIndices();
   auto stats = std::make_shared<const SuffStats>(
-      BuildSuffStats(*c.data, c.split.train, 1));
+      BuildSuffStats(*c.data, c.split.train));
   NbSubsetEvaluator ev(*c.data, stats, c.split.validation, c.metric, 1.0,
-                       candidates, 1);
+                       candidates);
 
   std::vector<uint32_t> subset;
   ev.ResetBase(subset);
@@ -258,10 +263,10 @@ TEST(NbSubsetEvaluatorTest, StatsOfAnotherDatasetAbort) {
   EncodedCase walmart = MakeEncodedCase(kDatasetCases[0], 28);
   EncodedCase expedia = MakeEncodedCase(kDatasetCases[1], 28);
   auto foreign = std::make_shared<const SuffStats>(
-      BuildSuffStats(*expedia.data, expedia.split.train, 1));
+      BuildSuffStats(*expedia.data, expedia.split.train));
   EXPECT_DEATH(NbSubsetEvaluator(*walmart.data, foreign,
                                  walmart.split.validation, walmart.metric,
-                                 1.0, walmart.data->AllFeatureIndices(), 1),
+                                 1.0, walmart.data->AllFeatureIndices()),
                "different dataset");
 
   // Same class and feature counts, one cardinality apart.
@@ -272,13 +277,13 @@ TEST(NbSubsetEvaluatorTest, StatsOfAnotherDatasetAbort) {
                       2);
   const std::vector<uint32_t> rows = {0, 1, 2, 3};
   auto wide_stats =
-      std::make_shared<const SuffStats>(BuildSuffStats(wide, rows, 1));
+      std::make_shared<const SuffStats>(BuildSuffStats(wide, rows));
   EXPECT_DEATH(NbSubsetEvaluator(narrow, wide_stats, rows,
-                                 ErrorMetric::kZeroOne, 1.0, {0, 1}, 1),
+                                 ErrorMetric::kZeroOne, 1.0, {0, 1}),
                "feature 1's cardinality");
   // The check covers candidates only: F alone fits.
   NbSubsetEvaluator only_f(narrow, wide_stats, rows, ErrorMetric::kZeroOne,
-                           1.0, {0}, 1);
+                           1.0, {0});
   EXPECT_EQ(only_f.num_eval_rows(), 4u);
 }
 

@@ -6,10 +6,20 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace hamlet {
 namespace {
+
+// pool.ParallelFor at `width`: the region runs under a ScopedWidth, the
+// way an entry point opens one.
+template <typename Fn>
+void ParallelForAt(ThreadPool& pool, uint32_t n, uint32_t width, Fn&& fn,
+                   uint32_t grain = 1) {
+  const ScopedWidth scope(width);
+  pool.ParallelFor(n, std::forward<Fn>(fn), grain);
+}
 
 TEST(ThreadPoolTest, ConstructionAndTeardown) {
   // Pools of various sizes construct, idle, and join cleanly — including
@@ -28,7 +38,7 @@ TEST(ThreadPoolTest, TeardownAfterWork) {
   std::atomic<uint32_t> count{0};
   {
     ThreadPool pool(3);
-    pool.ParallelFor(100, 0, [&](uint32_t) { ++count; });
+    ParallelForAt(pool, 100, 0, [&](uint32_t) { ++count; });
   }  // Destructor joins workers with an empty queue.
   EXPECT_EQ(count.load(), 100u);
 }
@@ -38,7 +48,7 @@ TEST(ThreadPoolTest, ChunkedSchedulingCoversAllIndicesExactlyOnce) {
   for (uint32_t shards : {1u, 2u, 3u, 7u, 16u, 0u}) {
     std::vector<std::atomic<int>> visits(257);
     for (auto& v : visits) v = 0;
-    pool.ParallelFor(257, shards, [&](uint32_t i) { ++visits[i]; });
+    ParallelForAt(pool, 257, shards, [&](uint32_t i) { ++visits[i]; });
     for (size_t i = 0; i < visits.size(); ++i) {
       EXPECT_EQ(visits[i].load(), 1)
           << "index " << i << " shards " << shards;
@@ -51,20 +61,20 @@ TEST(ThreadPoolTest, MoreShardsThanWorkersStillCompletes) {
   ThreadPool pool(1);
   std::vector<std::atomic<int>> visits(100);
   for (auto& v : visits) v = 0;
-  pool.ParallelFor(100, 32, [&](uint32_t i) { ++visits[i]; });
+  ParallelForAt(pool, 100, 32, [&](uint32_t i) { ++visits[i]; });
   for (auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
 TEST(ThreadPoolTest, ZeroItemsIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  pool.ParallelFor(0, 4, [&](uint32_t) { called = true; });
+  ParallelForAt(pool, 0, 4, [&](uint32_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPoolTest, WorkerExceptionPropagatesToCaller) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(100, 8,
+  EXPECT_THROW(ParallelForAt(pool, 100, 8,
                                 [](uint32_t i) {
                                   if (i == 57) {
                                     throw std::runtime_error("bad item");
@@ -73,7 +83,7 @@ TEST(ThreadPoolTest, WorkerExceptionPropagatesToCaller) {
                std::runtime_error);
   // The pool survives a throwing region and remains usable.
   std::atomic<uint32_t> count{0};
-  pool.ParallelFor(64, 8, [&](uint32_t) { ++count; });
+  ParallelForAt(pool, 64, 8, [&](uint32_t) { ++count; });
   EXPECT_EQ(count.load(), 64u);
 }
 
@@ -85,7 +95,7 @@ TEST(ThreadPoolTest, LowestShardExceptionWinsDeterministically) {
   ThreadPool pool(4);
   for (int round = 0; round < 10; ++round) {
     try {
-      pool.ParallelFor(64, 8, [](uint32_t i) {
+      ParallelForAt(pool, 64, 8, [](uint32_t i) {
         throw std::runtime_error(std::to_string(i));
       });
       FAIL() << "expected an exception";
@@ -98,7 +108,7 @@ TEST(ThreadPoolTest, LowestShardExceptionWinsDeterministically) {
 TEST(ThreadPoolTest, SoleThrowingItemIsTheOneRethrown) {
   ThreadPool pool(2);
   try {
-    pool.ParallelFor(40, 4, [](uint32_t i) {
+    ParallelForAt(pool, 40, 4, [](uint32_t i) {
       if (i == 23) throw std::runtime_error(std::to_string(i));
     });
     FAIL() << "expected an exception";
@@ -110,14 +120,14 @@ TEST(ThreadPoolTest, SoleThrowingItemIsTheOneRethrown) {
 TEST(ThreadPoolTest, NestedSubmissionDegradesToSerial) {
   ThreadPool pool(2);
   std::atomic<uint32_t> outer_done{0};
-  pool.ParallelFor(4, 4, [&](uint32_t) {
+  ParallelForAt(pool, 4, 4, [&](uint32_t) {
     EXPECT_TRUE(ThreadPool::InParallelRegion());
     // The nested region must run entirely on this thread (serial), and
     // must not deadlock even though every worker may be busy with the
     // outer region.
     const std::thread::id me = std::this_thread::get_id();
     std::vector<std::thread::id> ran_on(50);
-    pool.ParallelFor(50, 4, [&](uint32_t j) {
+    ParallelForAt(pool, 50, 4, [&](uint32_t j) {
       ran_on[j] = std::this_thread::get_id();
     });
     for (const auto& id : ran_on) EXPECT_EQ(id, me);
@@ -132,7 +142,7 @@ TEST(ThreadPoolTest, SerialFallbackDoesNotMarkRegion) {
   // loop nested under an explicitly-serial outer loop may still
   // parallelize (the Monte Carlo serial-outer/parallel-inner shape).
   ThreadPool pool(2);
-  pool.ParallelFor(3, 1, [&](uint32_t) {
+  ParallelForAt(pool, 3, 1, [&](uint32_t) {
     EXPECT_FALSE(ThreadPool::InParallelRegion());
   });
 }
@@ -149,8 +159,8 @@ TEST(ThreadPoolTest, LifetimeStatsCountRegionsAndTasks) {
   EXPECT_EQ(before.tasks_run, 0u);
   EXPECT_EQ(before.serial_degradations, 0u);
 
-  pool.ParallelFor(100, 4, [](uint32_t) {});
-  pool.ParallelFor(100, 4, [](uint32_t) {});
+  ParallelForAt(pool, 100, 4, [](uint32_t) {});
+  ParallelForAt(pool, 100, 4, [](uint32_t) {});
   const ThreadPoolStats after = pool.GetStats();
   EXPECT_EQ(after.regions, 2u);
   // Shard 0 runs inline on the caller; the rest are pool tasks.
@@ -158,7 +168,7 @@ TEST(ThreadPoolTest, LifetimeStatsCountRegionsAndTasks) {
   EXPECT_EQ(after.serial_degradations, 0u);
 
   // A single-shard call never reaches the pool and counts nothing.
-  pool.ParallelFor(100, 1, [](uint32_t) {});
+  ParallelForAt(pool, 100, 1, [](uint32_t) {});
   EXPECT_EQ(pool.GetStats().regions, 2u);
 }
 
@@ -167,8 +177,8 @@ TEST(ThreadPoolTest, NestedRegionsCountAsSerialDegradations) {
   // issued from inside a parallel region silently runs serial — the
   // counter makes that visible.
   ThreadPool pool(2);
-  pool.ParallelFor(4, 4, [&](uint32_t) {
-    pool.ParallelFor(4, 4, [](uint32_t) {});
+  ParallelForAt(pool, 4, 4, [&](uint32_t) {
+    ParallelForAt(pool, 4, 4, [](uint32_t) {});
   });
   const ThreadPoolStats stats = pool.GetStats();
   EXPECT_EQ(stats.serial_degradations, 4u);
@@ -176,8 +186,8 @@ TEST(ThreadPoolTest, NestedRegionsCountAsSerialDegradations) {
   EXPECT_EQ(stats.regions, 1u);
 
   // Explicitly-serial inner loops (shards <= 1) are not degradations.
-  pool.ParallelFor(4, 4, [&](uint32_t) {
-    pool.ParallelFor(4, 1, [](uint32_t) {});
+  ParallelForAt(pool, 4, 4, [&](uint32_t) {
+    ParallelForAt(pool, 4, 1, [](uint32_t) {});
   });
   EXPECT_EQ(pool.GetStats().serial_degradations, 4u);
 }
@@ -185,11 +195,11 @@ TEST(ThreadPoolTest, NestedRegionsCountAsSerialDegradations) {
 TEST(ThreadPoolTest, QueueWaitCollectionIsOffByDefaultAndGated) {
   ThreadPool pool(2);
   EXPECT_FALSE(pool.collect_queue_wait());
-  pool.ParallelFor(64, 4, [](uint32_t) {});
+  ParallelForAt(pool, 64, 4, [](uint32_t) {});
   EXPECT_EQ(pool.GetStats().queue_wait_count, 0u);
 
   pool.set_collect_queue_wait(true);
-  pool.ParallelFor(64, 4, [](uint32_t) {});
+  ParallelForAt(pool, 64, 4, [](uint32_t) {});
   pool.set_collect_queue_wait(false);
   const ThreadPoolStats stats = pool.GetStats();
   EXPECT_GT(stats.queue_wait_count, 0u);
@@ -200,7 +210,7 @@ TEST(ThreadPoolTest, QueueWaitCollectionIsOffByDefaultAndGated) {
   EXPECT_EQ(bucket_sum, stats.queue_wait_count);
 
   // Back off: no further samples accumulate.
-  pool.ParallelFor(64, 4, [](uint32_t) {});
+  ParallelForAt(pool, 64, 4, [](uint32_t) {});
   EXPECT_EQ(pool.GetStats().queue_wait_count, stats.queue_wait_count);
 }
 
@@ -209,7 +219,7 @@ TEST(ThreadPoolTest, WorkerIdsAreStableAndNonZeroOnWorkers) {
   // caller thread reports 0 unless it is itself a pool worker.
   ThreadPool pool(3);
   std::vector<uint32_t> seen(64, 0);
-  pool.ParallelFor(64, 64, [&](uint32_t i) {
+  ParallelForAt(pool, 64, 64, [&](uint32_t i) {
     seen[i] = ThreadPool::CurrentWorkerId();
   });
   // Shard 0 ran inline on this thread; its id must match ours.
@@ -225,7 +235,7 @@ TEST(ThreadPoolTest, SlotWritesAreDeterministic) {
   ThreadPool pool(4);
   auto run = [&](uint32_t n, uint32_t shards, uint32_t grain) {
     std::vector<uint64_t> out(n);
-    pool.ParallelFor(
+    ParallelForAt(pool, 
         n, shards,
         [&](uint32_t i) {
           out[i] = static_cast<uint64_t>(i) * 2654435761u + 7;
@@ -252,7 +262,7 @@ TEST(ThreadPoolTest, RegionUnderTwoGrainsRunsOnTheCaller) {
   const std::thread::id me = std::this_thread::get_id();
   for (uint32_t n : {1u, 63u, 127u}) {
     std::vector<std::thread::id> ran_on(n);
-    pool.ParallelFor(
+    ParallelForAt(pool, 
         n, 4, [&](uint32_t i) { ran_on[i] = std::this_thread::get_id(); },
         /*grain=*/64);
     for (const auto& id : ran_on) EXPECT_EQ(id, me) << "n " << n;
@@ -265,15 +275,53 @@ TEST(ThreadPoolTest, RegionUnderTwoGrainsRunsOnTheCaller) {
 TEST(ThreadPoolTest, RegionAboveTheGrainStillFansOut) {
   ThreadPool pool(3);
   // 128 items at grain 64: two shards, one of them a pool task.
-  pool.ParallelFor(128, 4, [](uint32_t) {}, /*grain=*/64);
+  ParallelForAt(pool, 128, 4, [](uint32_t) {}, /*grain=*/64);
   ThreadPoolStats stats = pool.GetStats();
   EXPECT_EQ(stats.regions, 1u);
   EXPECT_EQ(stats.tasks_run, 1u);
   // 1024 items at grain 64 allow 16 shards; the width caps them at 4.
-  pool.ParallelFor(1024, 4, [](uint32_t) {}, /*grain=*/64);
+  ParallelForAt(pool, 1024, 4, [](uint32_t) {}, /*grain=*/64);
   stats = pool.GetStats();
   EXPECT_EQ(stats.regions, 2u);
   EXPECT_EQ(stats.tasks_run, 4u);
+}
+
+TEST(ThreadPoolTest, WidthScopesNestAndZeroInherits) {
+  EXPECT_EQ(ThreadPool::CurrentWidth(), 0u);
+  {
+    const ScopedWidth outer(3);
+    EXPECT_EQ(ThreadPool::CurrentWidth(), 3u);
+    {
+      const ScopedWidth inherit(0);
+      EXPECT_EQ(ThreadPool::CurrentWidth(), 3u);
+    }
+    {
+      const ScopedWidth serial(1);
+      EXPECT_EQ(ThreadPool::CurrentWidth(), 1u);
+    }
+    EXPECT_EQ(ThreadPool::CurrentWidth(), 3u);
+    // The width belongs to this thread alone.
+    uint32_t other = 99;
+    std::thread([&] { other = ThreadPool::CurrentWidth(); }).join();
+    EXPECT_EQ(other, 0u);
+  }
+  EXPECT_EQ(ThreadPool::CurrentWidth(), 0u);
+}
+
+TEST(ThreadPoolTest, ShardsForIsCappedByWidthAndGrain) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.ShardsFor(1000), pool.DefaultShards());
+  const ScopedWidth width(8);
+  EXPECT_EQ(pool.ShardsFor(1000), 8u);  // An explicit width is uncapped.
+  EXPECT_EQ(pool.ShardsFor(5), 5u);
+  EXPECT_EQ(pool.ShardsFor(1000, 200), 5u);
+  EXPECT_EQ(pool.ShardsFor(127, 64), 1u);
+  EXPECT_EQ(pool.ShardsFor(0), 1u);
+  EXPECT_EQ(pool.ShardsFor(1000, 0), 8u);  // Grain 0 reads as 1.
+  // Inside a running region every plan is serial, as the region is.
+  std::vector<uint32_t> nested(8, 0);
+  pool.ParallelFor(8, [&](uint32_t i) { nested[i] = pool.ShardsFor(1000); });
+  EXPECT_EQ(nested, std::vector<uint32_t>(8, 1u));
 }
 
 }  // namespace

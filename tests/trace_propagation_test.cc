@@ -39,9 +39,10 @@ TEST(TracePropagationTest, ParallelForSpansParentUnderSubmittingSpan) {
   // region, at num_threads >= 4.
   obs::ScopedCollection collection(true);
   ThreadPool pool(4);
+  const ScopedWidth width(2);
   {
     obs::TraceSpan region("test.region");
-    pool.ParallelFor(32, 2, [](uint32_t i) {
+    pool.ParallelFor(32, [](uint32_t i) {
       obs::TraceSpan shard("test.shard");
       shard.AddAttr("item", i);
     });
@@ -64,13 +65,14 @@ TEST(TracePropagationTest, ParallelForSpansParentUnderSubmittingSpan) {
 TEST(TracePropagationTest, CurrentSpanIdPropagatesIntoPoolTasks) {
   obs::ScopedCollection collection(true);
   ThreadPool pool(4);
+  const ScopedWidth width(2);
   uint64_t submitter_span = 0;
   std::atomic<uint32_t> mismatches{0};
   {
     obs::TraceSpan region("test.region");
     submitter_span = obs::CurrentSpanId();
     ASSERT_NE(submitter_span, 0u);
-    pool.ParallelFor(16, 2, [&](uint32_t) {
+    pool.ParallelFor(16, [&](uint32_t) {
       // Inside a task with no span of its own, the current id IS the
       // submitter's innermost span — the propagated context.
       if (obs::CurrentSpanId() != submitter_span) {
@@ -90,9 +92,10 @@ TEST(TracePropagationTest, NestedSpansInsideTasksChainToTheirOwnParent) {
   // to outer), never inner -> submitter directly.
   obs::ScopedCollection collection(true);
   ThreadPool pool(4);
+  const ScopedWidth width(2);
   {
     obs::TraceSpan region("test.region");
-    pool.ParallelFor(8, 2, [](uint32_t) {
+    pool.ParallelFor(8, [](uint32_t) {
       obs::TraceSpan outer("test.outer");
       obs::TraceSpan inner("test.inner");
     });
@@ -119,16 +122,17 @@ TEST(TracePropagationTest, WorkersRestoreContextBetweenRegions) {
   // region span only.
   obs::ScopedCollection collection(true);
   ThreadPool pool(4);
+  const ScopedWidth width(2);
   {
     obs::TraceSpan a("test.region_a");
-    pool.ParallelFor(16, 2, [](uint32_t) { obs::TraceSpan s("test.shard_a"); });
+    pool.ParallelFor(16, [](uint32_t) { obs::TraceSpan s("test.shard_a"); });
   }
   {
     obs::TraceSpan b("test.region_b");
-    pool.ParallelFor(16, 2, [](uint32_t) { obs::TraceSpan s("test.shard_b"); });
+    pool.ParallelFor(16, [](uint32_t) { obs::TraceSpan s("test.shard_b"); });
   }
   // And with no region open at all, tasks see no stale context.
-  pool.ParallelFor(16, 2, [](uint32_t) { obs::TraceSpan s("test.shard_none"); });
+  pool.ParallelFor(16, [](uint32_t) { obs::TraceSpan s("test.shard_none"); });
 
   obs::Trace trace = obs::Tracer::Global().Collect();
   const auto a = EventsNamed(trace, "test.region_a");

@@ -227,7 +227,7 @@ TEST(TraceSpanTest, PoolSpansRootWhenSubmitterHasNoSpan) {
   // the submitter has no active span, worker spans are roots.
   obs::ScopedCollection collection(true);
   ThreadPool pool(4);
-  pool.ParallelFor(8, 0, [](uint32_t i) {
+  pool.ParallelFor(8, [](uint32_t i) {
     obs::TraceSpan span("test.worker");
     span.AddAttr("item", i);
   });
