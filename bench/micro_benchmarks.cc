@@ -117,17 +117,17 @@ BENCHMARK(BM_ReadCsvBaseline)->Unit(benchmark::kMillisecond);
 
 void BM_ReadCsvParallel(benchmark::State& state) {
   auto& s = CsvBenchState::Get();
-  CsvOptions options;
-  options.num_threads = static_cast<uint32_t>(state.range(0));
+  const uint32_t num_threads = static_cast<uint32_t>(state.range(0));
+  const ScopedWidth width(num_threads);
   uint64_t rows = 0;
   for (auto _ : state) {
-    auto t = ReadCsv(s.path, "T", s.schema, options);
+    auto t = ReadCsv(s.path, "T", s.schema);
     if (!t.ok()) std::abort();
     rows = t->num_rows();
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(state.iterations() * rows);
-  state.SetLabel(options.num_threads == 1 ? "serial" : "hw");
+  state.SetLabel(num_threads == 1 ? "serial" : "hw");
 }
 BENCHMARK(BM_ReadCsvParallel)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 

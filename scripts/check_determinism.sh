@@ -5,9 +5,11 @@
 # bit-for-bit determinism regressions for search/filters/Monte Carlo, the
 # greedy tie-break, the factorized-vs-materialized equivalence sweep
 # (every Factorized* suite, including the avoid-materialization pipeline
-# end to end), and the run-width suite (RunWidthTest: a width-1 pipeline
+# end to end), the run-width suite (RunWidthTest: a width-1 pipeline
 # touches no pool worker, and widths 1, 2 and 8 give the same bits for
-# every classifier on both views).
+# every classifier on both views), and the learners' own
+# BitIdenticalAcrossThreadCounts tests (DecisionTreeTest, GbtTest), whose
+# large inputs shard the per-node histogram, split and subtraction loops.
 # A second pass runs the obs-labeled suite under TSAN: the telemetry
 # pipeline's lock-free sharded histograms, cross-thread span
 # propagation, and concurrent registry snapshots (the writer-storm test)
@@ -63,7 +65,7 @@ cmake --build "${BUILD_DIR}" -j"${JOBS}"
 
 # Everything whose name binds it to the threading/determinism contract.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R 'ThreadPool|ParallelFor|Determinism|TieBreak|ThreadInvariant|ParallelSearch|Factorized|RunWidth' \
+  -R 'ThreadPool|ParallelFor|Determinism|TieBreak|ThreadInvariant|ParallelSearch|Factorized|RunWidth|BitIdenticalAcrossThreadCounts' \
   "$@"
 
 # The observability suite (metrics/trace/propagation/exporter tests,

@@ -383,15 +383,9 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
   if (backend == ScoringBackend::kNbDelta) {
     const double alpha = static_cast<const NaiveBayes&>(*probe).alpha();
     if (stats == nullptr) stats = BuildViewStats(view, train_rows);
-    std::unique_ptr<NbSubsetEvaluator> ev =
-        mat != nullptr
-            ? std::make_unique<NbSubsetEvaluator>(*mat, std::move(stats),
-                                                  eval_rows, metric, alpha,
-                                                  candidates)
-            : MakeFactorizedNbEvaluator(*fac, std::move(stats), eval_rows,
-                                        metric, alpha, candidates);
-    return std::unique_ptr<CandidateScorer>(
-        std::make_unique<NbDeltaScorer>(std::move(ev)));
+    return std::unique_ptr<CandidateScorer>(std::make_unique<NbDeltaScorer>(
+        std::make_unique<NbSubsetEvaluator>(view, std::move(stats), eval_rows,
+                                            metric, alpha, candidates)));
   }
 
   // Labels are gathered once per scorer, not once per candidate.

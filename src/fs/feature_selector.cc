@@ -2,20 +2,8 @@
 
 #include "common/thread_pool.h"
 #include "fs/candidate_eval.h"
-#include "ml/factorized.h"
 
 namespace hamlet {
-
-const std::vector<uint32_t>& DataView::labels() const {
-  return materialized_ != nullptr ? materialized_->labels()
-                                  : factorized_->labels();
-}
-
-std::vector<std::string> DataView::FeatureNames(
-    const std::vector<uint32_t>& indices) const {
-  return materialized_ != nullptr ? materialized_->FeatureNames(indices)
-                                  : factorized_->FeatureNames(indices);
-}
 
 Result<SelectionResult> FeatureSelector::SearchWithStats(
     const DataView& view, const HoldoutSplit& split,

@@ -15,35 +15,12 @@
 #include "data/encoded_dataset.h"
 #include "data/splits.h"
 #include "ml/classifier.h"
+#include "ml/data_view.h"
 #include "stats/metrics.h"
 
 namespace hamlet {
 
-class FactorizedDataset;
 struct SuffStats;
-
-/// The data a search reads: the materialized join (an EncodedDataset) or
-/// the factorized (S, R) view (ml/factorized.h), which answers the join
-/// without building it. Feature indices, labels and rows mean the same
-/// in both, since the factorized feature space equals FromTableAuto on
-/// the joined table.
-class DataView {
- public:
-  explicit DataView(const EncodedDataset& data) : materialized_(&data) {}
-  explicit DataView(const FactorizedDataset& data) : factorized_(&data) {}
-
-  /// Exactly one of these is non-null.
-  const EncodedDataset* materialized() const { return materialized_; }
-  const FactorizedDataset* factorized() const { return factorized_; }
-
-  const std::vector<uint32_t>& labels() const;
-  std::vector<std::string> FeatureNames(
-      const std::vector<uint32_t>& indices) const;
-
- private:
-  const EncodedDataset* materialized_ = nullptr;
-  const FactorizedDataset* factorized_ = nullptr;
-};
 
 /// Outcome of a feature selection run.
 struct SelectionResult {

@@ -40,6 +40,7 @@
 #include "fs/filters.h"
 #include "fs/greedy_search.h"
 #include "fs/runner.h"
+#include "ml/data_view.h"              // Joined or factorized view.
 #include "ml/decision_tree.h"          // Histogram CART (high capacity).
 #include "ml/eval.h"
 #include "ml/factorized.h"             // Train over (S, R) without the join.

@@ -66,6 +66,10 @@ struct SuffStats;
 /// it. Contract: with the same underlying tables, TrainFactorized must
 /// produce a model bit-identical to Train on the materialized join, and
 /// PredictFactorized must return the materialized Predict's output.
+/// DecisionTree and Gbt meet it structurally: both of a learner's
+/// entries call one training body on a DataView (ml/data_view.h), whose
+/// GatherCodes is the only step where the views differ, so the body runs
+/// on the same gathered codes either way.
 class FactorizedTrainable {
  public:
   virtual ~FactorizedTrainable() = default;

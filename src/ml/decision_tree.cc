@@ -8,7 +8,7 @@
 #include "common/check.h"
 #include "common/parallel_for.h"
 #include "common/string_util.h"
-#include "ml/factorized.h"
+#include "ml/data_view.h"
 #include "ml/suff_stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -57,7 +57,7 @@ struct NodeWork {
   uint32_t depth = 0;
 };
 
-/// Grows the flat pre-order node arrays. One instance per TrainImpl call;
+/// Grows the flat pre-order node arrays. One instance per training;
 /// recursion is depth-bounded by max_depth, and a parent's histograms are
 /// moved into the larger child (subtraction trick) before recursing, so
 /// live histogram memory is O(depth * d * card * K), not O(nodes).
@@ -68,6 +68,7 @@ struct TreeBuilder {
   const std::vector<std::vector<uint32_t>>& codes;  // Per slot, node-local.
   const std::vector<uint32_t>& cards;
   uint32_t max_depth;
+  uint32_t table_grain;  // TableGrain of the split scan and subtraction.
 
   std::vector<int32_t>* split_slot;
   std::vector<uint32_t>* split_code;
@@ -75,20 +76,24 @@ struct TreeBuilder {
   std::vector<int32_t>* right;
   std::vector<double>* scores;
 
-  /// One parallel pass over `items` (one feature slot per work item, each
-  /// writing only its own table — the BuildSuffStats sharding contract).
+  /// One pass over `items` (one feature slot per work item, each writing
+  /// only its own table — the BuildSuffStats sharding contract), parallel
+  /// when the node's rows x slots are worth it.
   void BuildHistograms(const std::vector<uint32_t>& items,
                        std::vector<std::vector<uint64_t>>* hist) const {
     const uint32_t d = static_cast<uint32_t>(codes.size());
     hist->resize(d);
-    ParallelFor(d, [&](uint32_t jj) {
-      std::vector<uint64_t>& h = (*hist)[jj];
-      h.assign(static_cast<size_t>(cards[jj]) * num_classes, 0);
-      const std::vector<uint32_t>& col = codes[jj];
-      for (uint32_t i : items) {
-        ++h[static_cast<size_t>(col[i]) * num_classes + labels[i]];
-      }
-    });
+    ParallelFor(
+        d,
+        [&](uint32_t jj) {
+          std::vector<uint64_t>& h = (*hist)[jj];
+          h.assign(static_cast<size_t>(cards[jj]) * num_classes, 0);
+          const std::vector<uint32_t>& col = codes[jj];
+          for (uint32_t i : items) {
+            ++h[static_cast<size_t>(col[i]) * num_classes + labels[i]];
+          }
+        },
+        NodeGrain(items.size()));
   }
 
   int32_t Grow(NodeWork&& w) {
@@ -126,27 +131,32 @@ struct TreeBuilder {
     std::vector<SlotBest> best(d);
     const double parent_gini = GiniOf(w.cls.data(), num_classes, n_node);
     const double n_d = static_cast<double>(n_node);
-    ParallelFor(d, [&](uint32_t jj) {
-      const std::vector<uint64_t>& h = w.hist[jj];
-      std::vector<uint64_t> l(num_classes), r(num_classes);
-      SlotBest b;
-      for (uint32_t v = 0; v < cards[jj]; ++v) {
-        uint64_t nl = 0;
-        for (uint32_t y = 0; y < num_classes; ++y) {
-          l[y] = h[static_cast<size_t>(v) * num_classes + y];
-          nl += l[y];
-        }
-        if (nl == 0 || nl == n_node) continue;
-        for (uint32_t y = 0; y < num_classes; ++y) r[y] = w.cls[y] - l[y];
-        const uint64_t nr = n_node - nl;
-        const double weighted =
-            (static_cast<double>(nl) / n_d) * GiniOf(l.data(), num_classes, nl) +
-            (static_cast<double>(nr) / n_d) * GiniOf(r.data(), num_classes, nr);
-        const double gain = parent_gini - weighted;
-        if (!b.valid || gain > b.gain) b = {gain, v, true};
-      }
-      best[jj] = b;
-    });
+    ParallelFor(
+        d,
+        [&](uint32_t jj) {
+          const std::vector<uint64_t>& h = w.hist[jj];
+          std::vector<uint64_t> l(num_classes), r(num_classes);
+          SlotBest b;
+          for (uint32_t v = 0; v < cards[jj]; ++v) {
+            uint64_t nl = 0;
+            for (uint32_t y = 0; y < num_classes; ++y) {
+              l[y] = h[static_cast<size_t>(v) * num_classes + y];
+              nl += l[y];
+            }
+            if (nl == 0 || nl == n_node) continue;
+            for (uint32_t y = 0; y < num_classes; ++y) r[y] = w.cls[y] - l[y];
+            const uint64_t nr = n_node - nl;
+            const double weighted =
+                (static_cast<double>(nl) / n_d) *
+                    GiniOf(l.data(), num_classes, nl) +
+                (static_cast<double>(nr) / n_d) *
+                    GiniOf(r.data(), num_classes, nr);
+            const double gain = parent_gini - weighted;
+            if (!b.valid || gain > b.gain) b = {gain, v, true};
+          }
+          best[jj] = b;
+        },
+        table_grain);
     int32_t pick = -1;
     double pick_gain = options.min_gain;
     for (uint32_t jj = 0; jj < d; ++jj) {
@@ -177,18 +187,21 @@ struct TreeBuilder {
     }
 
     // Subtraction trick: build the smaller child's histograms with one
-    // parallel pass, then derive the sibling's by subtracting them from
-    // the parent's (exact — integer counts). The parent's tables are
-    // moved, not copied.
+    // pass, then derive the sibling's by subtracting them from the
+    // parent's (exact — integer counts). The parent's tables are moved,
+    // not copied.
     NodeWork* small = lw.items.size() <= rw.items.size() ? &lw : &rw;
     NodeWork* big = small == &lw ? &rw : &lw;
     BuildHistograms(small->items, &small->hist);
     big->hist = std::move(w.hist);
-    ParallelFor(d, [&](uint32_t jj) {
-      std::vector<uint64_t>& bh = big->hist[jj];
-      const std::vector<uint64_t>& sh = small->hist[jj];
-      for (size_t x = 0; x < bh.size(); ++x) bh[x] -= sh[x];
-    });
+    ParallelFor(
+        d,
+        [&](uint32_t jj) {
+          std::vector<uint64_t>& bh = big->hist[jj];
+          const std::vector<uint64_t>& sh = small->hist[jj];
+          for (size_t x = 0; x < bh.size(); ++x) bh[x] -= sh[x];
+        },
+        table_grain);
 
     const int32_t lidx = Grow(std::move(lw));
     const int32_t ridx = Grow(std::move(rw));
@@ -218,6 +231,19 @@ bool RootStatsUsable(const SuffStats* stats, uint64_t num_rows,
   return true;
 }
 
+/// Each slot's codes at `rows`, one slot per work item.
+std::vector<std::vector<uint32_t>> GatherSlotCodes(
+    const DataView& view, const std::vector<uint32_t>& features,
+    const std::vector<uint32_t>& rows) {
+  const uint32_t d = static_cast<uint32_t>(features.size());
+  std::vector<std::vector<uint32_t>> codes(d);
+  ParallelFor(
+      d,
+      [&](uint32_t jj) { view.GatherCodes(features[jj], rows, &codes[jj]); },
+      NodeGrain(rows.size()));
+  return codes;
+}
+
 }  // namespace
 
 DecisionTree::DecisionTree(DecisionTreeOptions options)
@@ -229,121 +255,61 @@ DecisionTree::DecisionTree(DecisionTreeOptions options)
 Status DecisionTree::Train(const EncodedDataset& data,
                            const std::vector<uint32_t>& rows,
                            const std::vector<uint32_t>& features) {
-  obs::ScopedLatency latency(TreeTrainHistogram());
-  if (data.num_classes() == 0) {
-    return Status::InvalidArgument("dataset has zero classes");
-  }
-  for (uint32_t j : features) {
-    if (j >= data.num_features()) {
-      return Status::InvalidArgument(
-          StringFormat("feature index %u out of range (%u features)", j,
-                       data.num_features()));
-    }
-  }
-  num_classes_ = data.num_classes();
-  features_ = features;
-  cardinalities_.clear();
-  cardinalities_.reserve(features_.size());
-  for (uint32_t j : features_) cardinalities_.push_back(data.meta(j).cardinality);
-
-  std::vector<uint32_t> labels;
-  labels.reserve(rows.size());
-  for (uint32_t r : rows) {
-    if (r >= data.num_rows()) {
-      return Status::InvalidArgument(
-          StringFormat("row index %u out of range (%u rows)", r,
-                       data.num_rows()));
-    }
-    labels.push_back(data.labels()[r]);
-  }
-
-  const uint32_t d = static_cast<uint32_t>(features_.size());
-  std::vector<std::vector<uint32_t>> codes(d);
-  ParallelFor(d, [&](uint32_t jj) {
-    const std::vector<uint32_t>& col = data.feature(features_[jj]);
-    codes[jj].resize(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) codes[jj][i] = col[rows[i]];
-  });
-  return TrainImpl(num_classes_, labels, codes, nullptr);
+  return TrainView(DataView(data), rows, features, nullptr);
 }
 
 Status DecisionTree::TrainFactorized(const FactorizedDataset& data,
                                      const std::vector<uint32_t>& rows,
                                      const std::vector<uint32_t>& features,
                                      const SuffStats* stats) {
-  obs::ScopedLatency latency(TreeTrainHistogram());
-  if (data.num_classes() == 0) {
-    return Status::InvalidArgument("dataset has zero classes");
-  }
-  for (uint32_t j : features) {
-    if (j >= data.num_features()) {
-      return Status::InvalidArgument(
-          StringFormat("feature index %u out of range (%u features)", j,
-                       data.num_features()));
-    }
-  }
-  num_classes_ = data.num_classes();
-  features_ = features;
-  cardinalities_.clear();
-  cardinalities_.reserve(features_.size());
-  for (uint32_t j : features_) cardinalities_.push_back(data.meta(j).cardinality);
-
-  std::vector<uint32_t> labels;
-  labels.reserve(rows.size());
-  for (uint32_t r : rows) {
-    if (r >= data.num_rows()) {
-      return Status::InvalidArgument(
-          StringFormat("row index %u out of range (%u rows)", r,
-                       data.num_rows()));
-    }
-    labels.push_back(data.labels()[r]);
-  }
-
-  // Candidate columns come through the FK -> R hops; by the GatherCodes
-  // contract each equals the materialized join's column at `rows`, so
-  // every histogram below is bit-identical to the materialized path's.
-  const uint32_t d = static_cast<uint32_t>(features_.size());
-  std::vector<std::vector<uint32_t>> codes(d);
-  ParallelFor(d, [&](uint32_t jj) {
-    data.GatherCodes(features_[jj], rows, &codes[jj]);
-  });
-
-  const SuffStats* root =
-      RootStatsUsable(stats, rows.size(), num_classes_, features_,
-                      cardinalities_)
-          ? stats
-          : nullptr;
-  return TrainImpl(num_classes_, labels, codes, root);
+  return TrainView(DataView(data), rows, features, stats);
 }
 
-Status DecisionTree::TrainImpl(uint32_t num_classes,
-                               const std::vector<uint32_t>& labels,
-                               const std::vector<std::vector<uint32_t>>& codes,
-                               const SuffStats* root_stats) {
+Status DecisionTree::TrainView(const DataView& view,
+                               const std::vector<uint32_t>& rows,
+                               const std::vector<uint32_t>& features,
+                               const SuffStats* stats) {
+  obs::ScopedLatency latency(TreeTrainHistogram());
+  HAMLET_ASSIGN_OR_RETURN(TreeTrainingSet set,
+                          GatherTreeTrainingSet(view, rows, features));
+  num_classes_ = view.num_classes();
+  features_ = features;
+  cardinalities_ = std::move(set.cardinalities);
   split_slot_.clear();
   split_code_.clear();
   left_.clear();
   right_.clear();
   scores_.clear();
 
-  TreeBuilder builder{options_,     num_classes,    labels,
-                      codes,        cardinalities_, options_.max_depth,
-                      &split_slot_, &split_code_,   &left_,
-                      &right_,      &scores_};
+  TreeBuilder builder{options_,
+                      num_classes_,
+                      set.labels,
+                      set.codes,
+                      cardinalities_,
+                      options_.max_depth,
+                      TableGrain(cardinalities_, num_classes_),
+                      &split_slot_,
+                      &split_code_,
+                      &left_,
+                      &right_,
+                      &scores_};
 
   NodeWork root;
-  root.items.resize(labels.size());
+  root.items.resize(rows.size());
   std::iota(root.items.begin(), root.items.end(), 0u);
   root.depth = 0;
-  if (root_stats != nullptr) {
-    root.cls = root_stats->class_counts;
-    root.hist.resize(codes.size());
+  if (RootStatsUsable(stats, rows.size(), num_classes_, features_,
+                      cardinalities_)) {
+    // The counts are integers, so the statistics' tables equal the
+    // histograms a pass over the gathered codes would build.
+    root.cls = stats->class_counts;
+    root.hist.resize(features_.size());
     for (size_t jj = 0; jj < features_.size(); ++jj) {
-      root.hist[jj] = root_stats->feature_counts[features_[jj]];
+      root.hist[jj] = stats->feature_counts[features_[jj]];
     }
   } else {
-    root.cls.assign(num_classes, 0);
-    for (uint32_t y : labels) ++root.cls[y];
+    root.cls.assign(num_classes_, 0);
+    for (uint32_t y : set.labels) ++root.cls[y];
     builder.BuildHistograms(root.items, &root.hist);
   }
   builder.Grow(std::move(root));
@@ -387,22 +353,10 @@ std::vector<uint32_t> DecisionTree::Predict(
 Status DecisionTree::PredictFactorized(const FactorizedDataset& data,
                                        const std::vector<uint32_t>& rows,
                                        std::vector<uint32_t>* out) const {
-  if (num_nodes() == 0) {
-    return Status::FailedPrecondition(
-        "DecisionTree::PredictFactorized before Train");
-  }
-  for (uint32_t j : features_) {
-    if (j >= data.num_features()) {
-      return Status::InvalidArgument(StringFormat(
-          "trained feature index %u out of range (%u features)", j,
-          data.num_features()));
-    }
-  }
-  const uint32_t d = static_cast<uint32_t>(features_.size());
-  std::vector<std::vector<uint32_t>> cols(d);
-  ParallelFor(d, [&](uint32_t jj) {
-    data.GatherCodes(features_[jj], rows, &cols[jj]);
-  });
+  HAMLET_ASSIGN_OR_RETURN(
+      const std::vector<std::vector<uint32_t>> cols,
+      GatherTrainedCodes(DataView(data), "DecisionTree", num_nodes() > 0,
+                         features_, rows));
   out->resize(rows.size());
   ParallelFor(static_cast<uint32_t>(rows.size()),
               [&](uint32_t i) {
@@ -552,6 +506,61 @@ Status ValidateTreeStructure(const std::vector<int32_t>& split_slot,
         StringFormat("%s: unreachable nodes", context));
   }
   return Status::OK();
+}
+
+uint32_t TableGrain(const std::vector<uint32_t>& cardinalities,
+                    uint32_t entries_per_code) {
+  uint64_t entries = 0;
+  for (uint32_t card : cardinalities) entries += card;
+  return NodeGrain(entries * entries_per_code /
+                   std::max<size_t>(cardinalities.size(), 1));
+}
+
+Result<TreeTrainingSet> GatherTreeTrainingSet(
+    const DataView& view, const std::vector<uint32_t>& rows,
+    const std::vector<uint32_t>& features) {
+  if (view.num_classes() == 0) {
+    return Status::InvalidArgument("dataset has zero classes");
+  }
+  TreeTrainingSet set;
+  set.cardinalities.reserve(features.size());
+  for (uint32_t j : features) {
+    if (j >= view.num_features()) {
+      return Status::InvalidArgument(
+          StringFormat("feature index %u out of range (%u features)", j,
+                       view.num_features()));
+    }
+    set.cardinalities.push_back(view.meta(j).cardinality);
+  }
+  const std::vector<uint32_t>& labels = view.labels();
+  set.labels.reserve(rows.size());
+  for (uint32_t r : rows) {
+    if (r >= labels.size()) {
+      return Status::InvalidArgument(StringFormat(
+          "row index %u out of range (%u rows)", r, view.num_rows()));
+    }
+    set.labels.push_back(labels[r]);
+  }
+  set.codes = GatherSlotCodes(view, features, rows);
+  return set;
+}
+
+Result<std::vector<std::vector<uint32_t>>> GatherTrainedCodes(
+    const DataView& view, const char* model, bool trained,
+    const std::vector<uint32_t>& features,
+    const std::vector<uint32_t>& rows) {
+  if (!trained) {
+    return Status::FailedPrecondition(
+        StringFormat("%s::PredictFactorized before Train", model));
+  }
+  for (uint32_t j : features) {
+    if (j >= view.num_features()) {
+      return Status::InvalidArgument(StringFormat(
+          "trained feature index %u out of range (%u features)", j,
+          view.num_features()));
+    }
+  }
+  return GatherSlotCodes(view, features, rows);
 }
 
 }  // namespace hamlet

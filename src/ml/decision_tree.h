@@ -10,14 +10,22 @@
 /// Every split is scored from per-(feature, value, class) contingency
 /// counts — the same integer histograms SuffStats holds — so a node's
 /// candidate splits cost one table scan of its histogram, not a data
-/// scan. Node histograms are built with one parallel pass over the node's
-/// rows (one feature per work item, the BuildSuffStats sharding
-/// contract); a node's sibling gets its histogram by subtracting the
+/// scan. Node histograms are built with one pass over the node's rows
+/// (one feature per work item, the BuildSuffStats sharding contract,
+/// sharded when the node's rows x slots reach the grain rule NodeGrain
+/// below); a node's sibling gets its histogram by subtracting the
 /// built child from the parent (the classic "subtraction trick"), which
 /// is exact because the counts are integers. TrainFactorized can take the
 /// root histograms from the train split's SuffStats (the counts are
 /// bit-identical, see ml/factorized.h), so feature-selection searches
 /// that retrain hundreds of trees on one split pay for them once.
+///
+/// Train and TrainFactorized are two entries to one training body. The
+/// views differ only in how a slot's codes are gathered
+/// (DataView::GatherCodes: a column read on the joined table, an
+/// S.FK -> R hop per row on the factorized view), and the prelude this
+/// file shares with Gbt (GatherTreeTrainingSet) does that gather once, so
+/// everything after it is the same code on the same codes.
 ///
 /// Determinism contract (mirrors the rest of the library): histograms are
 /// integer counts built one-feature-per-work-item, the best split is
@@ -38,6 +46,7 @@
 
 namespace hamlet {
 
+class DataView;
 struct SuffStats;
 
 /// Training knobs. `alpha` smooths the leaf class probabilities exactly
@@ -135,10 +144,11 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
   static Result<DecisionTree> FromParams(DecisionTreeParams params);
 
  private:
-  Status TrainImpl(uint32_t num_classes,
-                   const std::vector<uint32_t>& labels,
-                   const std::vector<std::vector<uint32_t>>& codes,
-                   const SuffStats* root_stats);
+  // The one training body behind Train and TrainFactorized; only the
+  // factorized entry passes `stats`.
+  Status TrainView(const DataView& view, const std::vector<uint32_t>& rows,
+                   const std::vector<uint32_t>& features,
+                   const SuffStats* stats);
   int32_t WalkToLeaf(const EncodedDataset& data, uint32_t row) const;
 
   DecisionTreeOptions options_;
@@ -168,6 +178,62 @@ Status ValidateTreeStructure(const std::vector<int32_t>& split_slot,
                              size_t num_slots,
                              const std::vector<uint32_t>& cardinalities,
                              const char* context);
+
+/// Fewest cells worth one shard of a tree learner's loops. A cell is one
+/// row of one slot in a histogram pass or gather, or one table entry in a
+/// split scan or sibling subtraction; it costs 1-4 ns, while waking pool
+/// workers for a region costs 10-20 us. Measured on a 4-CPU host (a
+/// histogram pass over a node's rows x {2, 8, 16} slots, 40 codes, 5
+/// classes, medians of 5 runs): passes of up to 8192 cells ran 1.3-15x
+/// faster inline than on 2 or 4 shards; at 16384 cells 2 shards lost
+/// 1.5x on 2 slots, tied on 16 and won 2x on 8; from 32768 cells the
+/// best of 2 and 4 shards won by 1.1-3x. 8192 cells per shard keeps the
+/// first inline and shards from 16384 cells on.
+inline constexpr uint64_t kNodeCellGrain = 8192;
+
+/// The grain, in items, of a tree learner's loop whose items cost
+/// `cells_per_item` cells each: the fewest items that carry
+/// kNodeCellGrain cells. The one grain rule of both learners' per-node
+/// loops (histogram pass: the node's rows per slot; split scan and
+/// subtraction: table entries per slot), GBT's gradient loop and the
+/// training prelude's gather, so a small node never starts a pool region.
+inline uint32_t NodeGrain(uint64_t cells_per_item) {
+  const uint64_t cells = cells_per_item == 0 ? 1 : cells_per_item;
+  return static_cast<uint32_t>((kNodeCellGrain + cells - 1) / cells);
+}
+
+/// NodeGrain of the per-slot table loops (split scan, sibling
+/// subtraction) over tables of `entries_per_code` entries per code of
+/// each slot's cardinality: a slot's cost is the mean table size.
+uint32_t TableGrain(const std::vector<uint32_t>& cardinalities,
+                    uint32_t entries_per_code);
+
+/// What a tree learner trains from, gathered from either view.
+struct TreeTrainingSet {
+  std::vector<uint32_t> labels;              ///< Per training row.
+  std::vector<uint32_t> cardinalities;       ///< Per slot, |D_F| of the view.
+  std::vector<std::vector<uint32_t>> codes;  ///< Per slot, per training row.
+};
+
+/// The training prelude DecisionTree and Gbt share, for either view.
+/// InvalidArgument when the view has zero classes, or a feature or row
+/// index is past it; otherwise the labels at `rows`, the cardinalities of
+/// `features`, and each slot's codes at `rows`, gathered through
+/// DataView::GatherCodes one slot per work item. The gather is the only
+/// step where the views differ, so both training entries run one body on
+/// the same codes.
+Result<TreeTrainingSet> GatherTreeTrainingSet(
+    const DataView& view, const std::vector<uint32_t>& rows,
+    const std::vector<uint32_t>& features);
+
+/// The prediction prelude of both learners' PredictFactorized:
+/// FailedPrecondition ("`model`::PredictFactorized before Train") unless
+/// `trained`, InvalidArgument when a trained feature index is past the
+/// view; otherwise each trained slot's codes at `rows`.
+Result<std::vector<std::vector<uint32_t>>> GatherTrainedCodes(
+    const DataView& view, const char* model, bool trained,
+    const std::vector<uint32_t>& features,
+    const std::vector<uint32_t>& rows);
 
 }  // namespace hamlet
 

@@ -265,20 +265,4 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
   return stats;
 }
 
-std::unique_ptr<NbSubsetEvaluator> MakeFactorizedNbEvaluator(
-    const FactorizedDataset& data, std::shared_ptr<const SuffStats> stats,
-    const std::vector<uint32_t>& eval_rows, ErrorMetric metric, double alpha,
-    const std::vector<uint32_t>& candidates) {
-  std::vector<uint32_t> eval_labels;
-  eval_labels.reserve(eval_rows.size());
-  for (uint32_t r : eval_rows) eval_labels.push_back(data.labels()[r]);
-  return std::make_unique<NbSubsetEvaluator>(
-      CheckStatsFit(std::move(stats), data.num_classes(), data.metas(),
-                    candidates),
-      std::move(eval_labels), metric, alpha, candidates,
-      [&data, &eval_rows](uint32_t j, std::vector<uint32_t>* out) {
-        data.GatherCodes(j, eval_rows, out);
-      });
-}
-
 }  // namespace hamlet

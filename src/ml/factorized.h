@@ -28,7 +28,6 @@
 /// selector, and thread count.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,7 +35,6 @@
 #include "data/encoded_dataset.h"
 #include "ml/suff_stats.h"
 #include "relational/catalog.h"
-#include "stats/metrics.h"
 
 namespace hamlet {
 
@@ -153,14 +151,6 @@ class FactorizedDataset {
 /// fs.factorized_group_ns / fs.factorized_scatter_ns histograms.
 SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
                                    const std::vector<uint32_t>& rows);
-
-/// An NbSubsetEvaluator whose evaluation codes are gathered through the
-/// FK hops — identical inputs to the materialized evaluator, so every
-/// Eval result is bit-identical. `stats` must fit `data` (CheckStatsFit).
-std::unique_ptr<NbSubsetEvaluator> MakeFactorizedNbEvaluator(
-    const FactorizedDataset& data, std::shared_ptr<const SuffStats> stats,
-    const std::vector<uint32_t>& eval_rows, ErrorMetric metric, double alpha,
-    const std::vector<uint32_t>& candidates);
 
 }  // namespace hamlet
 

@@ -6,9 +6,8 @@
 
 #include "common/check.h"
 #include "common/parallel_for.h"
-#include "common/string_util.h"
 #include "ml/decision_tree.h"
-#include "ml/factorized.h"
+#include "ml/data_view.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -59,6 +58,7 @@ struct RegTreeBuilder {
   uint32_t k;
   uint32_t num_classes;
   uint32_t max_depth;
+  uint32_t table_grain;  // TableGrain of the split scan and subtraction.
   std::vector<double>* scores;   // Flat [i * num_classes + k], updated.
   GbtTree* tree;
 
@@ -68,19 +68,22 @@ struct RegTreeBuilder {
     const uint32_t d = static_cast<uint32_t>(codes.size());
     gh->resize(d);
     cnt->resize(d);
-    ParallelFor(d, [&](uint32_t jj) {
-      std::vector<double>& gj = (*gh)[jj];
-      std::vector<uint64_t>& cj = (*cnt)[jj];
-      gj.assign(static_cast<size_t>(cards[jj]) * 2, 0.0);
-      cj.assign(cards[jj], 0);
-      const std::vector<uint32_t>& col = codes[jj];
-      for (uint32_t i : items) {
-        const size_t c = col[i];
-        gj[c * 2] += g[static_cast<size_t>(i) * num_classes + k];
-        gj[c * 2 + 1] += h[static_cast<size_t>(i) * num_classes + k];
-        ++cj[c];
-      }
-    });
+    ParallelFor(
+        d,
+        [&](uint32_t jj) {
+          std::vector<double>& gj = (*gh)[jj];
+          std::vector<uint64_t>& cj = (*cnt)[jj];
+          gj.assign(static_cast<size_t>(cards[jj]) * 2, 0.0);
+          cj.assign(cards[jj], 0);
+          const std::vector<uint32_t>& col = codes[jj];
+          for (uint32_t i : items) {
+            const size_t c = col[i];
+            gj[c * 2] += g[static_cast<size_t>(i) * num_classes + k];
+            gj[c * 2 + 1] += h[static_cast<size_t>(i) * num_classes + k];
+            ++cj[c];
+          }
+        },
+        NodeGrain(items.size()));
   }
 
   int32_t Grow(RegNodeWork&& w) {
@@ -107,23 +110,27 @@ struct RegTreeBuilder {
       std::vector<SlotBest> best(d);
       const double parent_obj =
           (w.g_total * w.g_total) / (w.h_total + options.lambda);
-      ParallelFor(d, [&](uint32_t jj) {
-        const std::vector<double>& gj = w.gh[jj];
-        const std::vector<uint64_t>& cj = w.cnt[jj];
-        SlotBest b;
-        for (uint32_t v = 0; v < cards[jj]; ++v) {
-          const uint64_t nl = cj[v];
-          if (nl == 0 || nl == n_node) continue;
-          const double gl = gj[static_cast<size_t>(v) * 2];
-          const double hl_v = gj[static_cast<size_t>(v) * 2 + 1];
-          const double gr = w.g_total - gl;
-          const double hr = w.h_total - hl_v;
-          const double gain = (gl * gl) / (hl_v + options.lambda) +
-                              (gr * gr) / (hr + options.lambda) - parent_obj;
-          if (!b.valid || gain > b.gain) b = {gain, v, true};
-        }
-        best[jj] = b;
-      });
+      ParallelFor(
+          d,
+          [&](uint32_t jj) {
+            const std::vector<double>& gj = w.gh[jj];
+            const std::vector<uint64_t>& cj = w.cnt[jj];
+            SlotBest b;
+            for (uint32_t v = 0; v < cards[jj]; ++v) {
+              const uint64_t nl = cj[v];
+              if (nl == 0 || nl == n_node) continue;
+              const double gl = gj[static_cast<size_t>(v) * 2];
+              const double hl_v = gj[static_cast<size_t>(v) * 2 + 1];
+              const double gr = w.g_total - gl;
+              const double hr = w.h_total - hl_v;
+              const double gain = (gl * gl) / (hl_v + options.lambda) +
+                                  (gr * gr) / (hr + options.lambda) -
+                                  parent_obj;
+              if (!b.valid || gain > b.gain) b = {gain, v, true};
+            }
+            best[jj] = b;
+          },
+          table_grain);
       double pick_gain = options.min_gain;
       for (uint32_t jj = 0; jj < d; ++jj) {
         if (best[jj].valid && best[jj].gain > pick_gain) {
@@ -165,14 +172,17 @@ struct RegTreeBuilder {
     big->gh = std::move(w.gh);
     big->cnt = std::move(w.cnt);
     const uint32_t d = static_cast<uint32_t>(codes.size());
-    ParallelFor(d, [&](uint32_t jj) {
-      std::vector<double>& bg = big->gh[jj];
-      std::vector<uint64_t>& bc = big->cnt[jj];
-      const std::vector<double>& sg = small->gh[jj];
-      const std::vector<uint64_t>& sc = small->cnt[jj];
-      for (size_t x = 0; x < bg.size(); ++x) bg[x] -= sg[x];
-      for (size_t x = 0; x < bc.size(); ++x) bc[x] -= sc[x];
-    });
+    ParallelFor(
+        d,
+        [&](uint32_t jj) {
+          std::vector<double>& bg = big->gh[jj];
+          std::vector<uint64_t>& bc = big->cnt[jj];
+          const std::vector<double>& sg = small->gh[jj];
+          const std::vector<uint64_t>& sc = small->cnt[jj];
+          for (size_t x = 0; x < bg.size(); ++x) bg[x] -= sg[x];
+          for (size_t x = 0; x < bc.size(); ++x) bc[x] -= sc[x];
+        },
+        table_grain);
 
     const int32_t lidx = Grow(std::move(lw));
     const int32_t ridx = Grow(std::move(rw));
@@ -208,94 +218,31 @@ Gbt::Gbt(GbtOptions options) : options_(options) {
 Status Gbt::Train(const EncodedDataset& data,
                   const std::vector<uint32_t>& rows,
                   const std::vector<uint32_t>& features) {
-  obs::ScopedLatency latency(GbtTrainHistogram());
-  if (data.num_classes() == 0) {
-    return Status::InvalidArgument("dataset has zero classes");
-  }
-  for (uint32_t j : features) {
-    if (j >= data.num_features()) {
-      return Status::InvalidArgument(
-          StringFormat("feature index %u out of range (%u features)", j,
-                       data.num_features()));
-    }
-  }
-  num_classes_ = data.num_classes();
-  features_ = features;
-  cardinalities_.clear();
-  cardinalities_.reserve(features_.size());
-  for (uint32_t j : features_) cardinalities_.push_back(data.meta(j).cardinality);
-
-  std::vector<uint32_t> labels;
-  labels.reserve(rows.size());
-  for (uint32_t r : rows) {
-    if (r >= data.num_rows()) {
-      return Status::InvalidArgument(
-          StringFormat("row index %u out of range (%u rows)", r,
-                       data.num_rows()));
-    }
-    labels.push_back(data.labels()[r]);
-  }
-
-  const uint32_t d = static_cast<uint32_t>(features_.size());
-  std::vector<std::vector<uint32_t>> codes(d);
-  ParallelFor(d, [&](uint32_t jj) {
-    const std::vector<uint32_t>& col = data.feature(features_[jj]);
-    codes[jj].resize(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) codes[jj][i] = col[rows[i]];
-  });
-  return TrainImpl(num_classes_, labels, codes);
+  return TrainView(DataView(data), rows, features);
 }
 
 Status Gbt::TrainFactorized(const FactorizedDataset& data,
                             const std::vector<uint32_t>& rows,
                             const std::vector<uint32_t>& features,
                             const SuffStats* /*stats*/) {
-  obs::ScopedLatency latency(GbtTrainHistogram());
-  if (data.num_classes() == 0) {
-    return Status::InvalidArgument("dataset has zero classes");
-  }
-  for (uint32_t j : features) {
-    if (j >= data.num_features()) {
-      return Status::InvalidArgument(
-          StringFormat("feature index %u out of range (%u features)", j,
-                       data.num_features()));
-    }
-  }
-  num_classes_ = data.num_classes();
-  features_ = features;
-  cardinalities_.clear();
-  cardinalities_.reserve(features_.size());
-  for (uint32_t j : features_) cardinalities_.push_back(data.meta(j).cardinality);
-
-  std::vector<uint32_t> labels;
-  labels.reserve(rows.size());
-  for (uint32_t r : rows) {
-    if (r >= data.num_rows()) {
-      return Status::InvalidArgument(
-          StringFormat("row index %u out of range (%u rows)", r,
-                       data.num_rows()));
-    }
-    labels.push_back(data.labels()[r]);
-  }
-
-  // Candidate columns through the FK -> R hops: by the GatherCodes
-  // contract each equals the materialized join's column at `rows`, so
-  // TrainImpl — a pure function of (labels, codes) — produces the
-  // bit-identical ensemble.
-  const uint32_t d = static_cast<uint32_t>(features_.size());
-  std::vector<std::vector<uint32_t>> codes(d);
-  ParallelFor(d, [&](uint32_t jj) {
-    data.GatherCodes(features_[jj], rows, &codes[jj]);
-  });
-  return TrainImpl(num_classes_, labels, codes);
+  return TrainView(DataView(data), rows, features);
 }
 
-Status Gbt::TrainImpl(uint32_t num_classes,
-                      const std::vector<uint32_t>& labels,
-                      const std::vector<std::vector<uint32_t>>& codes) {
+Status Gbt::TrainView(const DataView& view,
+                      const std::vector<uint32_t>& rows,
+                      const std::vector<uint32_t>& features) {
+  obs::ScopedLatency latency(GbtTrainHistogram());
+  HAMLET_ASSIGN_OR_RETURN(TreeTrainingSet set,
+                          GatherTreeTrainingSet(view, rows, features));
+  num_classes_ = view.num_classes();
+  features_ = features;
+  cardinalities_ = std::move(set.cardinalities);
+  const std::vector<uint32_t>& labels = set.labels;
+  const std::vector<std::vector<uint32_t>>& codes = set.codes;
+
   trees_.clear();
   const uint32_t n = static_cast<uint32_t>(labels.size());
-  const uint32_t K = num_classes;
+  const uint32_t K = num_classes_;
 
   // Base scores: smoothed log priors (pseudo-count 1), the same kind of
   // expression the tree leaves and the NB prior use.
@@ -318,33 +265,40 @@ Status Gbt::TrainImpl(uint32_t num_classes,
 
   std::vector<double> g(static_cast<size_t>(n) * K);
   std::vector<double> h(static_cast<size_t>(n) * K);
+  // Two gradient sums and a count per code.
+  const uint32_t table_grain = TableGrain(cardinalities_, 3);
   trees_.reserve(static_cast<size_t>(options_.num_rounds) * K);
   for (uint32_t m = 0; m < options_.num_rounds; ++m) {
     // Softmax gradients/hessians. Rows are independent (each work item
     // writes only its own K slots), and within a row every sum runs in
-    // ascending class order — deterministic at any thread count.
-    ParallelFor(n, [&](uint32_t i) {
-      const double* s = &scores[static_cast<size_t>(i) * K];
-      double max_s = s[0];
-      for (uint32_t y = 1; y < K; ++y) {
-        if (s[y] > max_s) max_s = s[y];
-      }
-      double sum = 0.0;
-      for (uint32_t y = 0; y < K; ++y) sum += std::exp(s[y] - max_s);
-      for (uint32_t y = 0; y < K; ++y) {
-        const double p = std::exp(s[y] - max_s) / sum;
-        const size_t at = static_cast<size_t>(i) * K + y;
-        g[at] = p - (labels[i] == y ? 1.0 : 0.0);
-        h[at] = p * (1.0 - p);
-      }
-    });
+    // ascending class order — deterministic at any thread count. A row
+    // costs 2K exps; one class measured ~18 ns against a histogram
+    // cell's 1-4 ns, so a row counts as 8K cells.
+    ParallelFor(
+        n,
+        [&](uint32_t i) {
+          const double* s = &scores[static_cast<size_t>(i) * K];
+          double max_s = s[0];
+          for (uint32_t y = 1; y < K; ++y) {
+            if (s[y] > max_s) max_s = s[y];
+          }
+          double sum = 0.0;
+          for (uint32_t y = 0; y < K; ++y) sum += std::exp(s[y] - max_s);
+          for (uint32_t y = 0; y < K; ++y) {
+            const double p = std::exp(s[y] - max_s) / sum;
+            const size_t at = static_cast<size_t>(i) * K + y;
+            g[at] = p - (labels[i] == y ? 1.0 : 0.0);
+            h[at] = p * (1.0 - p);
+          }
+        },
+        NodeGrain(8 * static_cast<uint64_t>(K)));
 
     for (uint32_t k = 0; k < K; ++k) {
       GbtTree tree;
-      RegTreeBuilder builder{options_, codes,  cardinalities_,
-                             g,        h,      k,
-                             K,        options_.max_depth,
-                             &scores,  &tree};
+      RegTreeBuilder builder{options_,    codes, cardinalities_,
+                             g,           h,     k,
+                             K,           options_.max_depth,
+                             table_grain, &scores, &tree};
       RegNodeWork root;
       root.items.resize(n);
       std::iota(root.items.begin(), root.items.end(), 0u);
@@ -397,21 +351,10 @@ std::vector<uint32_t> Gbt::Predict(const EncodedDataset& data,
 Status Gbt::PredictFactorized(const FactorizedDataset& data,
                               const std::vector<uint32_t>& rows,
                               std::vector<uint32_t>* out) const {
-  if (num_classes_ == 0) {
-    return Status::FailedPrecondition("Gbt::PredictFactorized before Train");
-  }
-  for (uint32_t j : features_) {
-    if (j >= data.num_features()) {
-      return Status::InvalidArgument(StringFormat(
-          "trained feature index %u out of range (%u features)", j,
-          data.num_features()));
-    }
-  }
-  const uint32_t d = static_cast<uint32_t>(features_.size());
-  std::vector<std::vector<uint32_t>> cols(d);
-  ParallelFor(d, [&](uint32_t jj) {
-    data.GatherCodes(features_[jj], rows, &cols[jj]);
-  });
+  HAMLET_ASSIGN_OR_RETURN(
+      const std::vector<std::vector<uint32_t>> cols,
+      GatherTrainedCodes(DataView(data), "Gbt", num_classes_ > 0, features_,
+                         rows));
   out->resize(rows.size());
   ParallelFor(
       static_cast<uint32_t>(rows.size()),

@@ -13,18 +13,20 @@
 ///     G_L^2/(H_L+λ) + G_R^2/(H_R+λ) - G^2/(H+λ)
 /// read from per-(feature, code) gradient/hessian histograms, and leaf
 /// values -η·G/(H+λ). Histograms use the same machinery as the
-/// classification tree: one parallel pass per node (one feature slot per
-/// work item, items accumulated in ascending order) and the subtraction
-/// trick for siblings.
+/// classification tree: one pass per node (one feature slot per work
+/// item, items accumulated in ascending order, sharded by the same
+/// NodeGrain rule) and the subtraction trick for siblings.
 ///
 /// Determinism contract: every floating-point accumulation is pinned —
 /// gradients per row in ascending (row, class) order, histogram buckets
 /// in ascending item order within a slot's single work item, node totals
 /// serially in item order, winners by serial slot-ordered reduction with
 /// strictly-greater gain (lowest slot, then lowest code, wins exact
-/// ties). The factorized path (TrainFactorized) reads candidate columns
-/// through the FK -> R hops and then runs the byte-identical code path,
-/// so ensembles are bit-identical at any thread count AND between the
+/// ties). Train and TrainFactorized call one training body, which gathers
+/// the candidate columns through the view (GatherTreeTrainingSet in
+/// ml/decision_tree.h: a column read on the joined table, the FK -> R
+/// hops on the factorized view) and then runs the same code on them, so
+/// ensembles are bit-identical at any thread count AND between the
 /// materialized and factorized views (docs/TREES.md; ctest label
 /// `factorized`).
 
@@ -36,6 +38,8 @@
 #include "ml/classifier.h"
 
 namespace hamlet {
+
+class DataView;
 
 /// Training knobs. `candidate_rounds`/`candidate_max_depth` are the
 /// cheap-refit budget: the forward and backward searches train each
@@ -131,8 +135,9 @@ class Gbt : public Classifier, public FactorizedTrainable {
   static Result<Gbt> FromParams(GbtParams params);
 
  private:
-  Status TrainImpl(uint32_t num_classes, const std::vector<uint32_t>& labels,
-                   const std::vector<std::vector<uint32_t>>& codes);
+  // The one training body behind Train and TrainFactorized.
+  Status TrainView(const DataView& view, const std::vector<uint32_t>& rows,
+                   const std::vector<uint32_t>& features);
 
   GbtOptions options_;
   uint32_t num_classes_ = 0;

@@ -16,6 +16,26 @@ namespace {
 thread_local std::vector<uint32_t> t_predicted;
 thread_local std::vector<double> t_scores;
 
+std::shared_ptr<const SuffStats> CheckStatsFit(
+    std::shared_ptr<const SuffStats> stats, const DataView& view,
+    const std::vector<uint32_t>& candidates) {
+  HAMLET_CHECK(stats != nullptr, "NbSubsetEvaluator needs statistics");
+  HAMLET_CHECK(stats->num_classes == view.num_classes(),
+               "statistics for a different dataset: %u classes, want %u",
+               stats->num_classes, view.num_classes());
+  HAMLET_CHECK(stats->feature_counts.size() == view.num_features(),
+               "statistics for a different dataset: %zu features, want %u",
+               stats->feature_counts.size(), view.num_features());
+  for (uint32_t j : candidates) {
+    HAMLET_CHECK(j < view.num_features() &&
+                     stats->cardinalities[j] == view.meta(j).cardinality,
+                 "statistics for a different dataset: feature %u's "
+                 "cardinality differs",
+                 j);
+  }
+  return stats;
+}
+
 }  // namespace
 
 SuffStats BuildSuffStats(const EncodedDataset& data,
@@ -50,69 +70,20 @@ SuffStats BuildSuffStats(const EncodedDataset& data,
   return stats;
 }
 
-std::shared_ptr<const SuffStats> CheckStatsFit(
-    std::shared_ptr<const SuffStats> stats, uint32_t num_classes,
-    const std::vector<FeatureMeta>& metas,
-    const std::vector<uint32_t>& candidates) {
-  HAMLET_CHECK(stats != nullptr, "NbSubsetEvaluator needs statistics");
-  HAMLET_CHECK(stats->num_classes == num_classes,
-               "statistics for a different dataset: %u classes, want %u",
-               stats->num_classes, num_classes);
-  HAMLET_CHECK(stats->feature_counts.size() == metas.size(),
-               "statistics for a different dataset: %zu features, want %zu",
-               stats->feature_counts.size(), metas.size());
-  for (uint32_t j : candidates) {
-    HAMLET_CHECK(j < metas.size() &&
-                     stats->cardinalities[j] == metas[j].cardinality,
-                 "statistics for a different dataset: feature %u's "
-                 "cardinality differs",
-                 j);
-  }
-  return stats;
-}
-
-namespace {
-
-std::vector<uint32_t> GatherEvalLabels(const EncodedDataset& data,
-                                       const std::vector<uint32_t>& rows) {
-  std::vector<uint32_t> labels;
-  labels.reserve(rows.size());
-  for (uint32_t r : rows) labels.push_back(data.labels()[r]);
-  return labels;
-}
-
-}  // namespace
-
-NbSubsetEvaluator::NbSubsetEvaluator(const EncodedDataset& data,
+NbSubsetEvaluator::NbSubsetEvaluator(const DataView& view,
                                      std::shared_ptr<const SuffStats> stats,
-                                     std::vector<uint32_t> eval_rows,
+                                     const std::vector<uint32_t>& eval_rows,
                                      ErrorMetric metric, double alpha,
                                      const std::vector<uint32_t>& candidates)
-    : NbSubsetEvaluator(
-          CheckStatsFit(std::move(stats), data.num_classes(), data.metas(),
-                        candidates),
-          GatherEvalLabels(data, eval_rows), metric, alpha, candidates,
-          [&data, &eval_rows](uint32_t j, std::vector<uint32_t>* out) {
-            const uint32_t* col = data.feature(j).data();
-            out->resize(eval_rows.size());
-            for (size_t i = 0; i < eval_rows.size(); ++i) {
-              (*out)[i] = col[eval_rows[i]];
-            }
-          }) {}
-
-NbSubsetEvaluator::NbSubsetEvaluator(std::shared_ptr<const SuffStats> stats,
-                                     std::vector<uint32_t> eval_labels,
-                                     ErrorMetric metric, double alpha,
-                                     const std::vector<uint32_t>& candidates,
-                                     const CodeGather& gather_codes)
-    : stats_(std::move(stats)),
-      eval_labels_(std::move(eval_labels)),
+    : stats_(CheckStatsFit(std::move(stats), view, candidates)),
       metric_(metric) {
-  HAMLET_CHECK(stats_ != nullptr, "NbSubsetEvaluator needs statistics");
   num_classes_ = stats_->num_classes;
   HAMLET_CHECK(stats_->num_rows > 0,
                "cannot evaluate models over zero training rows");
   HAMLET_CHECK(alpha > 0.0, "Laplace alpha must be > 0, got %f", alpha);
+  const std::vector<uint32_t>& labels = view.labels();
+  eval_labels_.reserve(eval_rows.size());
+  for (uint32_t r : eval_rows) eval_labels_.push_back(labels[r]);
 
   // Smoothed log priors — the exact expression NaiveBayes::Train uses, on
   // the exact same integer counts, so the doubles are identical.
@@ -126,7 +97,7 @@ NbSubsetEvaluator::NbSubsetEvaluator(std::shared_ptr<const SuffStats> stats,
 
   // One log-likelihood table per candidate feature, derived once (the
   // scan path re-derives these for every candidate model it trains),
-  // plus the candidate's evaluation-row codes from the gather callback.
+  // plus the candidate's evaluation-row codes, gathered through the view.
   const size_t num_features = stats_->feature_counts.size();
   log_likelihoods_.resize(num_features);
   eval_codes_.resize(num_features);
@@ -151,10 +122,7 @@ NbSubsetEvaluator::NbSubsetEvaluator(std::shared_ptr<const SuffStats> stats,
                     log_denom;
           }
         }
-        gather_codes(j, &eval_codes_[j]);
-        HAMLET_CHECK(eval_codes_[j].size() == eval_labels_.size(),
-                     "gather for feature %u produced %zu codes, want %zu", j,
-                     eval_codes_[j].size(), eval_labels_.size());
+        view.GatherCodes(j, eval_rows, &eval_codes_[j]);
       });
 }
 

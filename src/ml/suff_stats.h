@@ -28,14 +28,17 @@
 /// per-row, per-class base log-scores of the current subset on an
 /// evaluation split, so scoring candidate S ∪ {f} is one O(rows × classes)
 /// delta pass over feature f's log-likelihood column (see
-/// docs/PERFORMANCE.md for the summation-order invariants).
+/// docs/PERFORMANCE.md for the summation-order invariants). It gathers
+/// its evaluation codes once, through the one seam between the views
+/// (DataView::GatherCodes, ml/data_view.h), so one constructor serves the
+/// joined table and the factorized view with the same codes.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "data/encoded_dataset.h"
+#include "ml/data_view.h"
 #include "stats/metrics.h"
 
 namespace hamlet {
@@ -59,17 +62,6 @@ struct SuffStats {
 SuffStats BuildSuffStats(const EncodedDataset& data,
                          const std::vector<uint32_t>& rows);
 
-/// Returns `stats` after aborting unless they fit a dataset with
-/// `num_classes` classes and the features `metas`: the class count and
-/// the feature count match, and every one of `candidates` has the
-/// dataset's cardinality. The NbSubsetEvaluator entry points that take a
-/// dataset check this before reading a table, so statistics built for a
-/// different dataset can never index past one.
-std::shared_ptr<const SuffStats> CheckStatsFit(
-    std::shared_ptr<const SuffStats> stats, uint32_t num_classes,
-    const std::vector<FeatureMeta>& metas,
-    const std::vector<uint32_t>& candidates);
-
 /// Incremental Naive Bayes subset scorer over a fixed evaluation split.
 ///
 /// Construction derives, from the sufficient statistics, the smoothed log
@@ -89,32 +81,20 @@ std::shared_ptr<const SuffStats> CheckStatsFit(
 /// read-only state plus thread-local scratch); the base mutators are not.
 class NbSubsetEvaluator {
  public:
-  /// Fills `out` with candidate feature `j`'s code at every evaluation
-  /// row, in evaluation-row order. The EncodedDataset constructor gathers
-  /// straight from the code columns; the factorized path gathers through
-  /// the FK -> R hop (ml/factorized.h). Either way the evaluator's hot
-  /// loops read the same codes a materialized gather would produce.
-  using CodeGather = std::function<void(uint32_t, std::vector<uint32_t>*)>;
-
   /// `candidates` limits which features get log-likelihood tables (and
   /// thus may appear in Eval calls). `alpha` is the NB Laplace smoothing
-  /// pseudo-count and must match the factory's. `stats` must fit `data`
-  /// (CheckStatsFit).
-  NbSubsetEvaluator(const EncodedDataset& data,
+  /// pseudo-count and must match the factory's. Aborts unless `stats` fit
+  /// `view`: the class count and the feature count match, and every
+  /// candidate has the view's cardinality, so statistics built for other
+  /// data can never index past a table. Each candidate's codes at
+  /// `eval_rows` are gathered once, through the view
+  /// (DataView::GatherCodes), so the hot loops read the same codes on the
+  /// materialized and the factorized view.
+  NbSubsetEvaluator(const DataView& view,
                     std::shared_ptr<const SuffStats> stats,
-                    std::vector<uint32_t> eval_rows, ErrorMetric metric,
-                    double alpha, const std::vector<uint32_t>& candidates);
-
-  /// Core constructor from pre-gathered parts; no dataset needed.
-  /// `eval_labels[i]` is the truth label of evaluation row i and
-  /// `gather_codes` supplies each candidate's evaluation codes (called
-  /// only during construction). The stats and the gather must describe
-  /// the same feature space; with identical inputs every Eval result is
-  /// bit-identical to the EncodedDataset constructor's.
-  NbSubsetEvaluator(std::shared_ptr<const SuffStats> stats,
-                    std::vector<uint32_t> eval_labels, ErrorMetric metric,
-                    double alpha, const std::vector<uint32_t>& candidates,
-                    const CodeGather& gather_codes);
+                    const std::vector<uint32_t>& eval_rows,
+                    ErrorMetric metric, double alpha,
+                    const std::vector<uint32_t>& candidates);
 
   /// Error of an arbitrary subset (features summed in the given order).
   double EvalSubset(const std::vector<uint32_t>& features) const;
@@ -167,9 +147,8 @@ class NbSubsetEvaluator {
   /// Indexed by feature id; empty unless the feature was a candidate.
   std::vector<std::vector<double>> log_likelihoods_;
   /// Per candidate feature: its codes at the evaluation rows (same
-  /// indexing as log_likelihoods_). Pre-gathering decouples the hot loops
-  /// from any dataset object — the factorized path supplies codes through
-  /// the FK hop — and the loops read codes sequentially either way.
+  /// indexing as log_likelihoods_), gathered through the view once, so
+  /// the hot loops read codes sequentially on either view.
   std::vector<std::vector<uint32_t>> eval_codes_;
   /// Current base subset scores, flat [i * num_classes + c].
   std::vector<double> base_;

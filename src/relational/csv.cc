@@ -409,7 +409,6 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
                                  std::string table_name, Schema schema,
                                  std::vector<std::shared_ptr<Domain>> domains,
                                  const CsvOptions& options) {
-  const ScopedWidth width(options.num_threads);
   obs::TraceSpan span("ingest.csv");
   std::string buffer;
   {
@@ -542,9 +541,10 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
   std::vector<std::vector<uint32_t>> final_codes(num_columns);
   {
     obs::ScopedLatency latency(MergeLatency);
-    // Columns are independent (distinct fresh Domain objects; fixed
-    // domains are read-only), so the merge shards per column.
-    ParallelFor(num_columns, [&](uint32_t c) {
+    // A serial loop over the columns: the merge is a small share of the
+    // read, and it costs the same CPU sharded or not.
+    std::vector<uint32_t> translate;
+    for (uint32_t c = 0; c < num_columns; ++c) {
       std::vector<uint32_t>& out = final_codes[c];
       if (outs.size() == 1) {
         // Single chunk: the local codes are already the global codes. A
@@ -557,10 +557,9 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
           }
         }
         out = std::move(outs[0].codes[c]);
-        return;
+        continue;
       }
       out.resize(total_rows);
-      std::vector<uint32_t> translate;
       for (size_t j = 0; j < outs.size(); ++j) {
         const std::vector<uint32_t>& chunk_codes = outs[j].codes[c];
         uint64_t pos = row_offset[j];
@@ -575,7 +574,7 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
           for (uint32_t code : chunk_codes) out[pos++] = code;
         }
       }
-    });
+    }
   }
 
   RowsCounter().Add(total_rows);

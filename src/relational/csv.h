@@ -10,16 +10,18 @@
 /// itself stays typeless. RFC-4180-style quoting ("" escapes a quote) is
 /// supported, including quoted fields that span line breaks.
 ///
-/// Ingestion is chunked and parallel (docs/PERFORMANCE.md "Chunked
-/// parallel CSV ingest"): the file is read into one buffer, a serial
-/// framing scan splits it into record-aligned byte ranges, and each chunk
-/// is tokenized into per-chunk dictionaries. A chunk dictionary is a list
-/// of std::string_view labels into the buffer (only fields that needed
-/// unescaping are copied) behind a FlatLabelIndex (relational/domain.h),
-/// so the parse allocates nothing per label. The dictionaries merge
-/// deterministically in chunk order, materializing each distinct label
-/// once, in its Domain — so codes and domain label order are
-/// bit-identical to a serial read at any width.
+/// Ingestion is chunked (docs/PERFORMANCE.md "Chunked parallel CSV
+/// ingest"): the file is read into one buffer, a serial framing scan
+/// splits it into record-aligned byte ranges, and the chunks are
+/// tokenized in parallel, at the caller's width (a ScopedWidth,
+/// common/thread_pool.h), into per-chunk dictionaries. A chunk dictionary
+/// is a list of std::string_view labels into the buffer (only fields that
+/// needed unescaping are copied) behind a FlatLabelIndex
+/// (relational/domain.h), so the parse allocates nothing per label. One
+/// serial pass then merges the dictionaries column by column, in chunk
+/// order, materializing each distinct label once, in its Domain — so
+/// codes and domain label order are bit-identical to a serial read at any
+/// width.
 
 #include <string>
 #include <vector>
@@ -37,11 +39,6 @@ struct CsvOptions {
   /// header is a line-numbered error in BOTH modes — such rows signal
   /// broken framing, and dropping them would silently bias the data.
   bool strict = true;
-  /// The read's parallel width (common/thread_pool.h): parse chunks and
-  /// merge shards, at most this many (1 = serial). 0 inherits the
-  /// caller's width, or every hardware thread at top level. Every value
-  /// produces the same table: same codes, same domain label order.
-  uint32_t num_threads = 0;
   /// Floor on bytes per parse chunk, so tiny files stay single-chunk
   /// where sharding overhead would dominate. Tests lower it to force
   /// multi-chunk parsing on small inputs; the result is identical.

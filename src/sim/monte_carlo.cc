@@ -175,7 +175,6 @@ Result<MonteCarloResult> RunMonteCarlo(const SimConfig& config,
   ClassifierFactory nb = MakeNaiveBayesFactory();
   const ClassifierFactory& make = factory != nullptr ? *factory : nb;
 
-  const ScopedWidth width(options.num_threads);
   obs::TraceSpan span("sim.monte_carlo");
   if (span.active()) {
     span.AddAttr("repeats", options.num_repeats);

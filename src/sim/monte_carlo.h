@@ -36,19 +36,6 @@ struct MonteCarloOptions {
   uint32_t num_training_sets = 100;  ///< |S| of the decomposition.
   uint32_t num_repeats = 10;         ///< Outer seed repeats.
   uint64_t seed = 42;
-  /// The run's parallel width (common/thread_pool.h; 1 = serial, 0
-  /// inherits the caller's width, or every hardware thread at top level).
-  /// Every loop of the protocol, model trainings included, runs on the
-  /// shared persistent pool at this width. The outer repeat loop
-  /// parallelizes first (each repeat forks its RNG from its index and
-  /// writes only its own slot); within a repeat the training-set loop
-  /// parallelizes the model trainings (draws stay serial to preserve the
-  /// RNG stream, predictions land in per-index slots, accumulation
-  /// replays serially in index order). Nested regions degrade to serial
-  /// on the shared pool, so the two levels compose without
-  /// oversubscription — and results are bit-for-bit identical at any
-  /// width.
-  uint32_t num_threads = 0;
 };
 
 /// Decompositions per variant (averaged over repeats), plus the derived
@@ -68,7 +55,16 @@ struct MonteCarloResult {
 };
 
 /// Runs the full protocol for one configuration with the given classifier
-/// (defaults to Naive Bayes when `factory` is null).
+/// (defaults to Naive Bayes when `factory` is null), at the caller's
+/// parallel width (a ScopedWidth, common/thread_pool.h; every hardware
+/// thread when none is open). The outer repeat loop parallelizes first
+/// (each repeat forks its RNG from its index and writes only its own
+/// slot); within a repeat the training-set loop parallelizes the model
+/// trainings (draws stay serial to preserve the RNG stream, predictions
+/// land in per-index slots, accumulation replays serially in index
+/// order). Nested regions degrade to serial on the shared pool, so the
+/// two levels compose without oversubscription — and results are
+/// bit-for-bit identical at any width.
 Result<MonteCarloResult> RunMonteCarlo(const SimConfig& config,
                                        const MonteCarloOptions& options,
                                        const ClassifierFactory* factory =

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "relational/csv.h"
 
 namespace hamlet {
@@ -52,9 +53,8 @@ TEST_P(CsvRoundTripTest, RandomTablesSurvive) {
                      std::to_string(GetParam()) + ".csv";
   ASSERT_TRUE(WriteCsv(original, path).ok());
   for (uint32_t num_threads : {1u, 4u}) {
-    CsvOptions options;
-    options.num_threads = num_threads;
-    auto reread = ReadCsv(path, "T", schema, options);
+    const ScopedWidth width(num_threads);
+    auto reread = ReadCsv(path, "T", schema);
     ASSERT_TRUE(reread.ok()) << reread.status();
 
     ASSERT_EQ(reread->num_rows(), original.num_rows());

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -351,16 +352,17 @@ TEST_F(CsvTest, ErrorsAreIdenticalAcrossThreadCounts) {
   std::string path = WriteTemp(contents);
   Schema schema({ColumnSpec::Feature("A"), ColumnSpec::Feature("B")});
 
-  CsvOptions serial;
-  serial.num_threads = 1;
-  auto base = ReadCsv(path, "T", schema, serial);
+  auto base = [&] {
+    const ScopedWidth width(1);
+    return ReadCsv(path, "T", schema);
+  }();
   ASSERT_FALSE(base.ok());
   EXPECT_NE(base.status().message().find(":52:"), std::string::npos)
       << base.status();
 
   for (uint32_t num_threads : {2u, 8u}) {
+    const ScopedWidth width(num_threads);
     CsvOptions options;
-    options.num_threads = num_threads;
     options.min_chunk_bytes = 1;  // Force one chunk per shard.
     auto t = ReadCsv(path, "T", schema, options);
     ASSERT_FALSE(t.ok());
@@ -378,9 +380,10 @@ TEST_F(CsvTest, StrictDomainErrorIsIdenticalAcrossThreadCounts) {
   auto closed =
       std::make_shared<Domain>(std::vector<std::string>{"yes", "no"});
 
-  CsvOptions serial;
-  serial.num_threads = 1;
-  auto base = ReadCsvWithDomains(path, "T", schema, {closed}, serial);
+  auto base = [&] {
+    const ScopedWidth width(1);
+    return ReadCsvWithDomains(path, "T", schema, {closed});
+  }();
   ASSERT_FALSE(base.ok());
   EXPECT_NE(base.status().message().find(":42:"), std::string::npos)
       << base.status();
@@ -388,8 +391,8 @@ TEST_F(CsvTest, StrictDomainErrorIsIdenticalAcrossThreadCounts) {
       << base.status();
 
   for (uint32_t num_threads : {2u, 8u}) {
+    const ScopedWidth width(num_threads);
     CsvOptions options;
-    options.num_threads = num_threads;
     options.min_chunk_bytes = 1;
     auto t = ReadCsvWithDomains(path, "T", schema, {closed}, options);
     ASSERT_FALSE(t.ok());
@@ -408,15 +411,16 @@ TEST_F(CsvTest, QuotedNewlinesAcrossChunkBoundaries) {
   std::string path = WriteTemp(contents);
   Schema schema({ColumnSpec::Feature("A"), ColumnSpec::Feature("B")});
 
-  CsvOptions serial;
-  serial.num_threads = 1;
-  auto base = ReadCsv(path, "T", schema, serial);
+  auto base = [&] {
+    const ScopedWidth width(1);
+    return ReadCsv(path, "T", schema);
+  }();
   ASSERT_TRUE(base.ok()) << base.status();
   ASSERT_EQ(base->num_rows(), 200u);
 
   for (uint32_t num_threads : {2u, 8u, 16u}) {
+    const ScopedWidth width(num_threads);
     CsvOptions options;
-    options.num_threads = num_threads;
     options.min_chunk_bytes = 1;
     auto t = ReadCsv(path, "T", schema, options);
     ASSERT_TRUE(t.ok()) << t.status();
@@ -445,17 +449,20 @@ TEST_F(CsvTest, LenientSkipsDoNotPolluteDictionaries) {
       std::make_shared<Domain>(std::vector<std::string>{"yes", "no"});
 
   CsvOptions serial;
-  serial.num_threads = 1;
   serial.strict = false;
-  auto base = ReadCsvWithDomains(path, "T", schema, {closed, nullptr}, serial);
+  auto base = [&] {
+    const ScopedWidth width(1);
+    return ReadCsvWithDomains(path, "T", schema, {closed, nullptr},
+                              serial);
+  }();
   ASSERT_TRUE(base.ok()) << base.status();
   ASSERT_EQ(base->num_rows(), 20u);
   // Skipped rows contributed nothing to B's dictionary.
   EXPECT_EQ(base->column(1).domain()->size(), 20u);
 
   for (uint32_t num_threads : {2u, 8u}) {
+    const ScopedWidth width(num_threads);
     CsvOptions options;
-    options.num_threads = num_threads;
     options.min_chunk_bytes = 1;
     options.strict = false;
     auto t = ReadCsvWithDomains(path, "T", schema, {closed, nullptr}, options);
@@ -533,8 +540,8 @@ TEST_F(CsvMutationTest, MutantsReadIdenticallyAtOneAndEightThreads) {
     const bool strict = m % 2 == 0;
     std::vector<Result<Table>> reads;
     for (uint32_t num_threads : {1u, 8u}) {
+      const ScopedWidth width(num_threads);
       CsvOptions options;
-      options.num_threads = num_threads;
       options.min_chunk_bytes = 64;
       options.strict = strict;
       reads.push_back(ReadCsvWithDomains(path, "T", schema,

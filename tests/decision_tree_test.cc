@@ -4,7 +4,9 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "datasets/registry.h"
 #include "fs/candidate_eval.h"
+#include "ml/factorized.h"
 #include "ml/naive_bayes.h"
 #include "stats/metrics.h"
 
@@ -26,6 +28,14 @@ EncodedDataset NoisyCopyDataset(uint64_t seed, uint32_t n) {
     y[i] = rng.Bernoulli(0.9) ? f[i] : (f[i] + 1) % 3;
   }
   return EncodedDataset({f, g}, {{"F", 3}, {"G", 5}}, y, 3);
+}
+
+// A small factorized view: Walmart's entity with every FK factorized.
+FactorizedDataset SmallFactorizedView() {
+  NormalizedDataset dataset = *MakeDataset("Walmart", 0.01, 9);
+  std::vector<std::string> fks;
+  for (const auto& fk : dataset.foreign_keys()) fks.push_back(fk.fk_column);
+  return *FactorizedDataset::Make(dataset, fks);
 }
 
 TEST(DecisionTreeTest, LearnsSimpleConcept) {
@@ -69,25 +79,34 @@ TEST(DecisionTreeTest, CapturesXorThatNaiveBayesCannot) {
   EXPECT_LT(ZeroOneError(truth, tree.Predict(d, rows)), 0.05);
 }
 
+// The 900-row input is under the node grain (NodeGrain), so it trains
+// inline at every width; the 20,000-row one shards its node loops.
 TEST(DecisionTreeTest, BitIdenticalAcrossThreadCounts) {
-  EncodedDataset d = NoisyCopyDataset(3, 900);
-  const std::vector<uint32_t> rows = AllRows(d);
-  DecisionTree ref;
-  {
-    const ScopedWidth serial(1);
-    ASSERT_TRUE(ref.Train(d, rows, {0, 1}).ok());
-  }
-  const DecisionTreeParams ref_params = ref.ExportParams();
-  for (uint32_t threads : {2u, 8u, 0u}) {
-    const ScopedWidth width(threads);
-    DecisionTree tree;
-    ASSERT_TRUE(tree.Train(d, rows, {0, 1}).ok());
-    const DecisionTreeParams p = tree.ExportParams();
-    EXPECT_EQ(p.split_slot, ref_params.split_slot) << threads;
-    EXPECT_EQ(p.split_code, ref_params.split_code) << threads;
-    EXPECT_EQ(p.left, ref_params.left) << threads;
-    EXPECT_EQ(p.right, ref_params.right) << threads;
-    EXPECT_EQ(p.scores, ref_params.scores) << threads;
+  for (uint32_t n : {900u, 20000u}) {
+    EncodedDataset d = NoisyCopyDataset(3, n);
+    const std::vector<uint32_t> rows = AllRows(d);
+    DecisionTree ref;
+    {
+      const ScopedWidth serial(1);
+      ASSERT_TRUE(ref.Train(d, rows, {0, 1}).ok());
+    }
+    const DecisionTreeParams ref_params = ref.ExportParams();
+    for (uint32_t threads : {2u, 8u, 0u}) {
+      const ScopedWidth width(threads);
+      const uint64_t regions = ThreadPool::Global().GetStats().regions;
+      DecisionTree tree;
+      ASSERT_TRUE(tree.Train(d, rows, {0, 1}).ok());
+      if (n == 20000 && threads == 8) {
+        EXPECT_GT(ThreadPool::Global().GetStats().regions, regions)
+            << "the large input must shard at width 8";
+      }
+      const DecisionTreeParams p = tree.ExportParams();
+      EXPECT_EQ(p.split_slot, ref_params.split_slot) << n << " " << threads;
+      EXPECT_EQ(p.split_code, ref_params.split_code) << n << " " << threads;
+      EXPECT_EQ(p.left, ref_params.left) << n << " " << threads;
+      EXPECT_EQ(p.right, ref_params.right) << n << " " << threads;
+      EXPECT_EQ(p.scores, ref_params.scores) << n << " " << threads;
+    }
   }
 }
 
@@ -224,6 +243,25 @@ TEST(DecisionTreeTest, TrainRejectsBadIndices) {
   DecisionTree tree;
   EXPECT_FALSE(tree.Train(d, AllRows(d), {0, 7}).ok());  // Bad feature.
   EXPECT_FALSE(tree.Train(d, {0, 1, 5000}, {0}).ok());   // Bad row.
+  // The factorized entries run the same prelude: the same rejections,
+  // and a model no training succeeded on cannot predict.
+  const FactorizedDataset fac = SmallFactorizedView();
+  const uint32_t bad_feature = fac.num_features();
+  const uint32_t bad_row = fac.num_rows();
+  DecisionTree fresh;
+  std::vector<uint32_t> predicted;
+  const Status before = fresh.PredictFactorized(fac, {0, 1}, &predicted);
+  EXPECT_EQ(before.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(before.message().find("DecisionTree::PredictFactorized before Train"),
+            std::string::npos)
+      << before;
+  EXPECT_EQ(fresh.TrainFactorized(fac, {0, 1}, {0, bad_feature}, nullptr)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fresh.TrainFactorized(fac, {0, bad_row}, {0}, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fresh.PredictFactorized(fac, {0, 1}, &predicted).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -170,12 +170,13 @@ TEST(DeterminismTest, MonteCarloIdenticalAtAnyThreadCount) {
   MonteCarloOptions options;
   options.num_training_sets = 25;
   options.num_repeats = 3;
-  options.num_threads = 1;
-  const MonteCarloResult ref = *RunMonteCarlo(config, options);
+  const MonteCarloResult ref = [&] {
+    const ScopedWidth width(1);
+    return *RunMonteCarlo(config, options);
+  }();
   for (uint32_t threads : kThreadCounts) {
-    MonteCarloOptions parallel = options;
-    parallel.num_threads = threads;
-    const MonteCarloResult got = *RunMonteCarlo(config, parallel);
+    const ScopedWidth width(threads);
+    const MonteCarloResult got = *RunMonteCarlo(config, options);
     ExpectSameDecomposition(ref.use_all, got.use_all, threads);
     ExpectSameDecomposition(ref.no_join, got.no_join, threads);
     ExpectSameDecomposition(ref.no_fk, got.no_fk, threads);
@@ -192,12 +193,13 @@ TEST(DeterminismTest, MonteCarloSingleRepeatParallelizesInnerLoop) {
   MonteCarloOptions options;
   options.num_training_sets = 40;
   options.num_repeats = 1;
-  options.num_threads = 1;
-  const MonteCarloResult ref = *RunMonteCarlo(config, options);
+  const MonteCarloResult ref = [&] {
+    const ScopedWidth width(1);
+    return *RunMonteCarlo(config, options);
+  }();
   for (uint32_t threads : kThreadCounts) {
-    MonteCarloOptions parallel = options;
-    parallel.num_threads = threads;
-    const MonteCarloResult got = *RunMonteCarlo(config, parallel);
+    const ScopedWidth width(threads);
+    const MonteCarloResult got = *RunMonteCarlo(config, options);
     ExpectSameDecomposition(ref.use_all, got.use_all, threads);
     ExpectSameDecomposition(ref.no_join, got.no_join, threads);
     ExpectSameDecomposition(ref.no_fk, got.no_fk, threads);

@@ -26,6 +26,7 @@
 #include "fs/greedy_search.h"
 #include "fs/runner.h"
 #include "analytics/pipeline.h"
+#include "ml/data_view.h"
 #include "ml/factorized.h"
 #include "ml/naive_bayes.h"
 #include "ml/suff_stats.h"
@@ -119,6 +120,14 @@ TEST(FactorizedViewTest, FeatureSpaceMatchesMaterializedJoin) {
           << "feature " << j;
       t.fac.GatherCodes(j, all_rows, &gathered);
       EXPECT_EQ(gathered, t.mat->feature(j)) << "feature " << j;
+      // The one seam between the views gathers the same codes from both.
+      for (const DataView& view : {DataView(*t.mat), DataView(t.fac)}) {
+        gathered.clear();
+        view.GatherCodes(j, all_rows, &gathered);
+        EXPECT_EQ(gathered, t.mat->feature(j))
+            << "feature " << j
+            << (view.factorized() != nullptr ? " factorized" : " joined");
+      }
     }
   }
 }
@@ -160,9 +169,9 @@ TEST(FactorizedSuffStatsTest, EvaluatorRejectsEntityOnlyStats) {
   ASSERT_FALSE(t.fac.relations().empty());
   auto entity_only = std::make_shared<const SuffStats>(
       BuildSuffStats(t.fac.entity(), t.split.train));
-  EXPECT_DEATH(MakeFactorizedNbEvaluator(t.fac, entity_only,
-                                         t.split.validation, t.metric, 1.0,
-                                         t.fac.AllFeatureIndices()),
+  EXPECT_DEATH(NbSubsetEvaluator(DataView(t.fac), entity_only,
+                                 t.split.validation, t.metric, 1.0,
+                                 t.fac.AllFeatureIndices()),
                "different dataset");
 }
 

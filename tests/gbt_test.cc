@@ -4,8 +4,10 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "datasets/registry.h"
 #include "fs/candidate_eval.h"
 #include "ml/decision_tree.h"
+#include "ml/factorized.h"
 #include "ml/naive_bayes.h"
 #include "stats/metrics.h"
 
@@ -27,6 +29,14 @@ EncodedDataset NoisyCopyDataset(uint64_t seed, uint32_t n) {
     y[i] = rng.Bernoulli(0.9) ? f[i] : (f[i] + 1) % 3;
   }
   return EncodedDataset({f, g}, {{"F", 3}, {"G", 5}}, y, 3);
+}
+
+// A small factorized view: Walmart's entity with every FK factorized.
+FactorizedDataset SmallFactorizedView() {
+  NormalizedDataset dataset = *MakeDataset("Walmart", 0.01, 9);
+  std::vector<std::string> fks;
+  for (const auto& fk : dataset.foreign_keys()) fks.push_back(fk.fk_column);
+  return *FactorizedDataset::Make(dataset, fks);
 }
 
 TEST(GbtTest, LearnsSimpleConcept) {
@@ -80,29 +90,38 @@ TEST(GbtTest, MoreRoundsDoNotHurtTrainError) {
             ZeroOneError(truth, a.Predict(d, rows)) + 1e-12);
 }
 
+// The 900-row input's nodes are under the node grain (NodeGrain), so only
+// its gradient loop shards; the 20,000-row one shards its node loops too.
 TEST(GbtTest, BitIdenticalAcrossThreadCounts) {
-  EncodedDataset d = NoisyCopyDataset(4, 900);
-  const std::vector<uint32_t> rows = AllRows(d);
-  GbtOptions ref_options;
-  ref_options.num_rounds = 6;
-  Gbt ref(ref_options);
-  {
-    const ScopedWidth serial(1);
-    ASSERT_TRUE(ref.Train(d, rows, {0, 1}).ok());
-  }
-  const GbtParams ref_params = ref.ExportParams();
-  for (uint32_t threads : {2u, 8u, 0u}) {
-    const ScopedWidth width(threads);
-    Gbt gbt(ref_options);
-    ASSERT_TRUE(gbt.Train(d, rows, {0, 1}).ok());
-    const GbtParams p = gbt.ExportParams();
-    EXPECT_EQ(p.base_scores, ref_params.base_scores) << threads;
-    ASSERT_EQ(p.trees.size(), ref_params.trees.size()) << threads;
-    for (size_t m = 0; m < p.trees.size(); ++m) {
-      EXPECT_EQ(p.trees[m].split_slot, ref_params.trees[m].split_slot)
-          << "threads " << threads << " tree " << m;
-      EXPECT_EQ(p.trees[m].value, ref_params.trees[m].value)
-          << "threads " << threads << " tree " << m;
+  for (uint32_t n : {900u, 20000u}) {
+    EncodedDataset d = NoisyCopyDataset(4, n);
+    const std::vector<uint32_t> rows = AllRows(d);
+    GbtOptions ref_options;
+    ref_options.num_rounds = 6;
+    Gbt ref(ref_options);
+    {
+      const ScopedWidth serial(1);
+      ASSERT_TRUE(ref.Train(d, rows, {0, 1}).ok());
+    }
+    const GbtParams ref_params = ref.ExportParams();
+    for (uint32_t threads : {2u, 8u, 0u}) {
+      const ScopedWidth width(threads);
+      const uint64_t regions = ThreadPool::Global().GetStats().regions;
+      Gbt gbt(ref_options);
+      ASSERT_TRUE(gbt.Train(d, rows, {0, 1}).ok());
+      if (threads == 8) {
+        EXPECT_GT(ThreadPool::Global().GetStats().regions, regions)
+            << n << " rows must shard at width 8";
+      }
+      const GbtParams p = gbt.ExportParams();
+      EXPECT_EQ(p.base_scores, ref_params.base_scores) << n << " " << threads;
+      ASSERT_EQ(p.trees.size(), ref_params.trees.size()) << threads;
+      for (size_t m = 0; m < p.trees.size(); ++m) {
+        EXPECT_EQ(p.trees[m].split_slot, ref_params.trees[m].split_slot)
+            << n << " rows, threads " << threads << " tree " << m;
+        EXPECT_EQ(p.trees[m].value, ref_params.trees[m].value)
+            << n << " rows, threads " << threads << " tree " << m;
+      }
     }
   }
 }
@@ -210,6 +229,25 @@ TEST(GbtTest, TrainRejectsBadIndices) {
   Gbt gbt;
   EXPECT_FALSE(gbt.Train(d, AllRows(d), {0, 7}).ok());
   EXPECT_FALSE(gbt.Train(d, {0, 1, 5000}, {0}).ok());
+  // The factorized entries run the same prelude: the same rejections,
+  // and a model no training succeeded on cannot predict.
+  const FactorizedDataset fac = SmallFactorizedView();
+  const uint32_t bad_feature = fac.num_features();
+  const uint32_t bad_row = fac.num_rows();
+  Gbt fresh;
+  std::vector<uint32_t> predicted;
+  const Status before = fresh.PredictFactorized(fac, {0, 1}, &predicted);
+  EXPECT_EQ(before.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(before.message().find("Gbt::PredictFactorized before Train"),
+            std::string::npos)
+      << before;
+  EXPECT_EQ(fresh.TrainFactorized(fac, {0, 1}, {0, bad_feature}, nullptr)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fresh.TrainFactorized(fac, {0, bad_row}, {0}, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fresh.PredictFactorized(fac, {0, 1}, &predicted).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

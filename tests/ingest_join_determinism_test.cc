@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analytics/pipeline.h"
+#include "common/thread_pool.h"
 #include "datasets/registry.h"
 #include "legacy_hash_join.h"
 #include "relational/catalog.h"
@@ -120,8 +121,8 @@ TEST_F(CsvDeterminismTest, ParallelReadMatchesLegacySerialReader) {
   ASSERT_EQ(legacy->num_rows(), 500u);
 
   for (uint32_t num_threads : {1u, 2u, 8u}) {
+    const ScopedWidth width(num_threads);
     CsvOptions par;
-    par.num_threads = num_threads;
     par.min_chunk_bytes = 64;  // Force real chunking on this small file.
     auto t = ReadCsv(path, "T", schema, par);
     ASSERT_TRUE(t.ok()) << t.status();
@@ -146,9 +147,9 @@ TEST_F(CsvDeterminismTest, LenientModeMatchesLegacyAcrossThreadCounts) {
   ASSERT_TRUE(legacy.ok()) << legacy.status();
 
   for (uint32_t num_threads : {1u, 2u, 8u}) {
+    const ScopedWidth width(num_threads);
     CsvOptions par;
     par.strict = false;
-    par.num_threads = num_threads;
     par.min_chunk_bytes = 64;
     auto t = ReadCsvWithDomains(path, "T", schema, {closed, nullptr}, par);
     ASSERT_TRUE(t.ok()) << t.status();
@@ -227,8 +228,8 @@ TEST_F(CsvDeterminismTest, EscapedLabelsMatchLegacyAcrossChunks) {
     ASSERT_EQ(expected.column(1).domain()->size(), 2000u);
 
     for (uint32_t num_threads : {1u, 2u, 8u}) {
+      const ScopedWidth width(num_threads);
       CsvOptions par;
-      par.num_threads = num_threads;
       par.min_chunk_bytes = 64;
       auto t = ReadCsv(path, "T", schema, par);
       ASSERT_TRUE(t.ok()) << t.status();
@@ -251,15 +252,16 @@ TEST_F(CsvDeterminismTest, BundledDatasetRoundTripIsThreadInvariant) {
       ::testing::TempDir() + "/hamlet_det_walmart_roundtrip.csv";
   ASSERT_TRUE(WriteCsv(*joined, path).ok());
 
-  CsvOptions serial;
-  serial.num_threads = 1;
-  auto base = ReadCsv(path, joined->name(), joined->schema(), serial);
+  auto base = [&] {
+    const ScopedWidth width(1);
+    return ReadCsv(path, joined->name(), joined->schema());
+  }();
   ASSERT_TRUE(base.ok()) << base.status();
   ASSERT_EQ(base->num_rows(), joined->num_rows());
 
   for (uint32_t num_threads : {2u, 8u}) {
+    const ScopedWidth width(num_threads);
     CsvOptions par;
-    par.num_threads = num_threads;
     par.min_chunk_bytes = 1024;
     auto t = ReadCsv(path, joined->name(), joined->schema(), par);
     ASSERT_TRUE(t.ok()) << t.status();

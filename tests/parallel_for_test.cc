@@ -63,15 +63,16 @@ TEST(ParallelForTest, MonteCarloIdenticalAtAnyThreadCount) {
   SimConfig c;
   c.n_s = 300;
   c.n_r = 30;
-  MonteCarloOptions serial;
-  serial.num_training_sets = 20;
-  serial.num_repeats = 4;
-  serial.num_threads = 1;
-  auto a = *RunMonteCarlo(c, serial);
+  MonteCarloOptions options;
+  options.num_training_sets = 20;
+  options.num_repeats = 4;
+  auto a = [&] {
+    const ScopedWidth width(1);
+    return *RunMonteCarlo(c, options);
+  }();
   for (uint32_t threads : {2u, 4u, 7u, 0u}) {
-    MonteCarloOptions parallel = serial;
-    parallel.num_threads = threads;
-    auto b = *RunMonteCarlo(c, parallel);
+    const ScopedWidth width(threads);
+    auto b = *RunMonteCarlo(c, options);
     EXPECT_EQ(a.no_join.avg_test_error, b.no_join.avg_test_error)
         << "threads " << threads;
     EXPECT_EQ(a.use_all.avg_net_variance, b.use_all.avg_net_variance)

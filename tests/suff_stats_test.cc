@@ -232,8 +232,8 @@ TEST(NbSubsetEvaluatorTest, EvalPathsAgreeWithEachOther) {
   const std::vector<uint32_t> candidates = c.data->AllFeatureIndices();
   auto stats = std::make_shared<const SuffStats>(
       BuildSuffStats(*c.data, c.split.train));
-  NbSubsetEvaluator ev(*c.data, stats, c.split.validation, c.metric, 1.0,
-                       candidates);
+  NbSubsetEvaluator ev(DataView(*c.data), stats, c.split.validation,
+                       c.metric, 1.0, candidates);
 
   std::vector<uint32_t> subset;
   ev.ResetBase(subset);
@@ -264,7 +264,7 @@ TEST(NbSubsetEvaluatorTest, StatsOfAnotherDatasetAbort) {
   EncodedCase expedia = MakeEncodedCase(kDatasetCases[1], 28);
   auto foreign = std::make_shared<const SuffStats>(
       BuildSuffStats(*expedia.data, expedia.split.train));
-  EXPECT_DEATH(NbSubsetEvaluator(*walmart.data, foreign,
+  EXPECT_DEATH(NbSubsetEvaluator(DataView(*walmart.data), foreign,
                                  walmart.split.validation, walmart.metric,
                                  1.0, walmart.data->AllFeatureIndices()),
                "different dataset");
@@ -278,12 +278,12 @@ TEST(NbSubsetEvaluatorTest, StatsOfAnotherDatasetAbort) {
   const std::vector<uint32_t> rows = {0, 1, 2, 3};
   auto wide_stats =
       std::make_shared<const SuffStats>(BuildSuffStats(wide, rows));
-  EXPECT_DEATH(NbSubsetEvaluator(narrow, wide_stats, rows,
+  EXPECT_DEATH(NbSubsetEvaluator(DataView(narrow), wide_stats, rows,
                                  ErrorMetric::kZeroOne, 1.0, {0, 1}),
                "feature 1's cardinality");
   // The check covers candidates only: F alone fits.
-  NbSubsetEvaluator only_f(narrow, wide_stats, rows, ErrorMetric::kZeroOne,
-                           1.0, {0});
+  NbSubsetEvaluator only_f(DataView(narrow), wide_stats, rows,
+                           ErrorMetric::kZeroOne, 1.0, {0});
   EXPECT_EQ(only_f.num_eval_rows(), 4u);
 }
 
