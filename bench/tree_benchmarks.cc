@@ -69,8 +69,7 @@ void BM_TreeTrainFactorized(benchmark::State& state) {
   const ScopedWidth serial(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        tree.TrainFactorized(data, c.rows, data.AllFeatureIndices(), nullptr)
-            .ok());
+        tree.Train(data, c.rows, data.AllFeatureIndices()).ok());
   }
   state.SetItemsProcessed(state.iterations() * c.rows.size());
   state.counters["nodes"] = tree.num_nodes();
@@ -110,8 +109,7 @@ void BM_GbtTrainFactorized(benchmark::State& state) {
   const ScopedWidth serial(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        gbt.TrainFactorized(data, c.rows, data.AllFeatureIndices(), nullptr)
-            .ok());
+        gbt.Train(data, c.rows, data.AllFeatureIndices()).ok());
   }
   state.SetItemsProcessed(state.iterations() * c.rows.size() *
                           options.num_rounds);

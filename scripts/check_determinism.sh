@@ -35,7 +35,12 @@
 # service's resolve + score path, and the CSV and JSON readers — the CSV
 # reader including its multi-chunk determinism sweeps and seeded
 # mutation fuzz, whose chunk dictionaries view the file buffer, and the
-# flat label index under Domain. The same ASan tree then runs the obs
+# flat label index under Domain (the JSON reader is test support, built
+# into the test binaries). It also runs the factorized view's gathers:
+# FactorizedViewTest (DataView::GatherCodes on both views) and the tree
+# learners' FactorizedTreeTest/FactorizedGbtTest, whose one Train and
+# one Predict per learner read either view through those gathers and
+# index the gathered codes. The same ASan tree then runs the obs
 # suite: a run's span tree (obs::RunTrace) is closed by its destructor
 # on every early error return, and an untraced run erases its events
 # from the Tracer's shards under their locks.
@@ -95,7 +100,7 @@ cmake -B "${ASAN_BUILD_DIR}" -S . \
   -DHAMLET_BUILD_EXAMPLES=OFF
 cmake --build "${ASAN_BUILD_DIR}" -j"${JOBS}"
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
-  -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest' \
+  -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest|FactorizedTreeTest|FactorizedGbtTest|FactorizedViewTest' \
   "$@"
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure -L obs "$@"
 

@@ -162,9 +162,8 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
     const HoldoutSplit split = make_split(data.num_rows());
     HAMLET_ASSIGN_OR_RETURN(
         report.selection,
-        RunFeatureSelectionFactorized(*selector, data, split, factory,
-                                      config.metric,
-                                      data.AllFeatureIndices()));
+        RunFeatureSelection(*selector, data, split, factory, config.metric,
+                            data.AllFeatureIndices()));
   } else {
     report.tables_joined = static_cast<uint32_t>(to_join.size());
     Table table;

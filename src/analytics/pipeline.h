@@ -89,9 +89,9 @@ struct PipelineConfig {
   /// roughly the joined table's size (docs/PERFORMANCE.md). Naive Bayes
   /// trains from factorized statistics, and the tree classifiers
   /// (kDecisionTree, kGradientBoostedTrees) train through the FK hops
-  /// (FactorizedTrainable); other classifiers — and NB force_scan_eval
-  /// runs — fall back to materialization. PipelineReport::factorized
-  /// says which path ran.
+  /// (Classifier::ReadsFactorizedView); other classifiers — and NB
+  /// force_scan_eval runs — fall back to materialization.
+  /// PipelineReport::factorized says which path ran.
   bool avoid_materialization = false;
   /// When non-empty (and the run is traced), append one structured
   /// metrics snapshot line to this JSONL file at the end of the run

@@ -8,7 +8,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "ml/decision_tree.h"
-#include "ml/eval.h"
 #include "ml/factorized.h"
 #include "ml/gbt.h"
 #include "ml/naive_bayes.h"
@@ -55,14 +54,12 @@ Result<ScoringBackend> ChooseScoringBackend(const Classifier& model,
     return ScoringBackend::kNbDelta;
   }
   if (!factorized_view) return ScoringBackend::kScan;
-  if (dynamic_cast<const FactorizedTrainable*>(&model) != nullptr) {
-    return ScoringBackend::kFactorizedScan;
-  }
+  if (model.ReadsFactorizedView()) return ScoringBackend::kFactorizedScan;
   return Status::InvalidArgument(StringFormat(
       "the factorized view cannot score %s models: it needs Naive Bayes "
-      "with the sufficient-statistics path on, or a FactorizedTrainable "
-      "classifier such as decision_tree or gbt (no scan exists without the "
-      "materialized join)",
+      "with the sufficient-statistics path on, or a classifier that reads "
+      "the factorized view such as decision_tree or gbt (no scan exists "
+      "without the materialized join)",
       model.name().c_str()));
 }
 
@@ -339,29 +336,6 @@ class RetrainScorer final : public CandidateScorer {
   std::vector<uint32_t> base_;
 };
 
-// The kFactorizedScan retrain: a fresh FactorizedTrainable model over the
-// normalized (S, R) view. The classifiers guarantee models bit-identical
-// to training on the materialized join, so every error equals kScan's.
-Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,
-                                       const FactorizedDataset& data,
-                                       const std::vector<uint32_t>& train_rows,
-                                       const SuffStats* train_stats,
-                                       const std::vector<uint32_t>& eval_rows,
-                                       const std::vector<uint32_t>& eval_labels,
-                                       const std::vector<uint32_t>& features,
-                                       ErrorMetric metric) {
-  std::unique_ptr<Classifier> model = factory();
-  auto* factorized = dynamic_cast<FactorizedTrainable*>(model.get());
-  HAMLET_CHECK(factorized != nullptr, "%s is not FactorizedTrainable",
-               model->name().c_str());
-  HAMLET_RETURN_NOT_OK(
-      factorized->TrainFactorized(data, train_rows, features, train_stats));
-  std::vector<uint32_t> predicted;
-  HAMLET_RETURN_NOT_OK(
-      factorized->PredictFactorized(data, eval_rows, &predicted));
-  return ComputeError(metric, eval_labels, predicted);
-}
-
 }  // namespace
 
 Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
@@ -375,11 +349,10 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
   // The factory is an opaque std::function; probe one instance to learn
   // the concrete classifier (and Naive Bayes' smoothing constant).
   std::unique_ptr<Classifier> probe = factory();
-  const EncodedDataset* mat = view.materialized();
-  const FactorizedDataset* fac = view.factorized();
   HAMLET_ASSIGN_OR_RETURN(
       ScoringBackend backend,
-      ChooseScoringBackend(*probe, fac != nullptr, force_scan_eval));
+      ChooseScoringBackend(*probe, view.factorized() != nullptr,
+                           force_scan_eval));
   if (backend == ScoringBackend::kNbDelta) {
     const double alpha = static_cast<const NaiveBayes&>(*probe).alpha();
     if (stats == nullptr) stats = BuildViewStats(view, train_rows);
@@ -388,26 +361,22 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
                                             metric, alpha, candidates)));
   }
 
-  // Labels are gathered once per scorer, not once per candidate.
+  // kScan and kFactorizedScan: one retrain on either view. The view is
+  // two pointers, copied into the scorer; labels are gathered once per
+  // scorer, not once per candidate. Every model trains and predicts the
+  // same bits on both views, so every error equals the materialized one.
   std::vector<uint32_t> labels;
   labels.reserve(eval_rows.size());
   for (uint32_t r : eval_rows) labels.push_back(view.labels()[r]);
-  RetrainScorer::Retrain retrain;
-  if (backend == ScoringBackend::kScan) {
-    retrain = [&factory, mat, &train_rows, &eval_rows,
-               labels = std::move(labels),
-               metric](const std::vector<uint32_t>& features) {
-      return TrainAndScore(factory, *mat, train_rows, eval_rows, labels,
-                           features, metric);
-    };
-  } else {
-    retrain = [&factory, fac, &train_rows, stats = std::move(stats),
-               &eval_rows, labels = std::move(labels),
-               metric](const std::vector<uint32_t>& features) {
-      return TrainAndScoreFactorized(factory, *fac, train_rows, stats.get(),
-                                     eval_rows, labels, features, metric);
-    };
-  }
+  RetrainScorer::Retrain retrain =
+      [&factory, view, &train_rows, stats = std::move(stats), &eval_rows,
+       labels = std::move(labels),
+       metric](const std::vector<uint32_t>& features) -> Result<double> {
+    std::unique_ptr<Classifier> model = factory();
+    HAMLET_RETURN_NOT_OK(
+        model->Train(view, train_rows, features, stats.get()));
+    return ComputeError(metric, labels, model->Predict(view, eval_rows));
+  };
   return std::unique_ptr<CandidateScorer>(
       std::make_unique<RetrainScorer>(std::move(retrain)));
 }

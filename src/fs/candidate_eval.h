@@ -11,10 +11,15 @@
 ///   - kNbDelta: Naive Bayes scored by NbSubsetEvaluator from sufficient
 ///     statistics, on either view (the factorized statistics never
 ///     materialize the join);
-///   - kScan: a fresh model per subset through ml/eval.h's TrainAndScore,
-///     on the materialized view;
-///   - kFactorizedScan: a fresh FactorizedTrainable model (decision_tree,
-///     gbt) per subset, trained and scored through the FK hops.
+///   - kScan: a fresh model per subset, on the materialized view;
+///   - kFactorizedScan: a fresh model per subset on the factorized view,
+///     for the classifiers that read it (Classifier::ReadsFactorizedView:
+///     decision_tree, gbt), trained and scored through the FK hops.
+///
+/// The two scans are one retrain: factory, then Classifier::Train on the
+/// view with the run's statistics, then Predict on the view, then
+/// ComputeError. They differ only in the view they are handed, and keep
+/// two names because the span attributes and docs report which view ran.
 ///
 /// Every backend records `fs.models_trained` and `fs.candidate_eval_ns`
 /// the same way (kNbDelta adds `fs.delta_evals`), writes each candidate's
@@ -53,8 +58,8 @@ obs::Counter& FsDeltaEvalsCounter();
 /// How a search's candidate subsets are scored.
 enum class ScoringBackend {
   kNbDelta,         ///< NbSubsetEvaluator over sufficient statistics.
-  kScan,            ///< TrainAndScore per subset (materialized view).
-  kFactorizedScan,  ///< FactorizedTrainable retrain per subset.
+  kScan,            ///< Retrain per subset on the materialized view.
+  kFactorizedScan,  ///< Retrain per subset on the factorized view.
 };
 
 /// Span-attribute form of a backend: "nb_delta", "scan" or
@@ -63,8 +68,8 @@ const char* ScoringBackendName(ScoringBackend backend);
 
 /// The one backend decision. A Naive Bayes `model` takes kNbDelta unless
 /// `force_scan_eval` is set. Beyond that, the materialized view retrains
-/// any classifier (kScan) and the factorized view retrains
-/// FactorizedTrainable ones (kFactorizedScan).
+/// any classifier (kScan) and the factorized view retrains the ones that
+/// read it, Classifier::ReadsFactorizedView (kFactorizedScan).
 /// Every other factorized combination — logistic regression, TAN, or
 /// Naive Bayes with the statistics path off — is InvalidArgument, since
 /// no scan exists without the materialized join.
@@ -138,7 +143,7 @@ ClassifierFactory WithRefitBudget(ClassifierFactory factory);
 /// `eval_rows` under `metric`. `candidates` lists every feature the
 /// scorer may be asked about. `stats` are StatsForScorer's statistics of
 /// `train_rows`: kNbDelta scores from them (and builds them when given
-/// nullptr), and kFactorizedScan hands them to every retrain so a
+/// nullptr), and both scans hand them to every retrain's Train, so a
 /// decision tree seeds its root histograms from them. InvalidArgument on
 /// an empty `train_rows` or when no backend serves the combination.
 Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "data/encoded_dataset.h"
 #include "data/splits.h"
 #include "ml/classifier.h"
@@ -53,38 +54,27 @@ class FeatureSelector {
       const std::vector<uint32_t>& candidates,
       std::shared_ptr<const SuffStats> stats) = 0;
 
-  /// Search over the materialized join, with the statistics its scorer
-  /// reads built first.
-  Result<SelectionResult> Select(const EncodedDataset& data,
+  /// Search over either view (ml/data_view.h), with the statistics its
+  /// scorer reads built first (StatsForScorer), at this selector's width.
+  /// On the factorized (S, R) view the join is never materialized: Naive
+  /// Bayes scores from the view's sufficient statistics, and classifiers
+  /// that read the view (decision_tree, gbt) retrain through the FK hops.
+  /// Any other factory there, and Naive Bayes with the
+  /// sufficient-statistics path off, is InvalidArgument. Selections,
+  /// errors, and tie-breaks are bit-for-bit identical on both views at
+  /// any thread count.
+  Result<SelectionResult> Select(const DataView& view,
                                  const HoldoutSplit& split,
                                  const ClassifierFactory& factory,
                                  ErrorMetric metric,
-                                 const std::vector<uint32_t>& candidates) {
-    return SearchWithStats(DataView(data), split, factory, metric,
-                           candidates);
-  }
-
-  /// Search over the factorized (S, R) view, without materializing the
-  /// join. Naive Bayes scores from the view's sufficient statistics;
-  /// FactorizedTrainable classifiers (decision_tree, gbt) retrain through
-  /// the FK hops. Any other factory, and Naive Bayes with the
-  /// sufficient-statistics path off, is InvalidArgument. Selections,
-  /// errors, and tie-breaks are bit-for-bit identical to Select on the
-  /// materialized join at any thread count.
-  Result<SelectionResult> SelectFactorized(
-      const FactorizedDataset& data, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) {
-    return SearchWithStats(DataView(data), split, factory, metric,
-                           candidates);
-  }
+                                 const std::vector<uint32_t>& candidates);
 
   /// Method name ("forward_selection", "mi_filter", ...).
   virtual std::string name() const = 0;
 
   /// The parallel width of this selector's runs (common/thread_pool.h):
-  /// Select, SelectFactorized and the runner's search and final fit open
-  /// it, so every loop they reach — candidate scoring, statistics builds,
+  /// Select and the runner's search and final fit run under OpenWidth,
+  /// so every loop they reach — candidate scoring, statistics builds,
   /// each model's own training — shards this many ways (1 = serial). 0
   /// inherits the caller's width, or every hardware thread at top level.
   /// Every setting yields bit-for-bit identical selections: candidate
@@ -92,7 +82,10 @@ class FeatureSelector {
   /// chosen by a serial index-ordered reduction, so ties break by index —
   /// never by completion order.
   void set_num_threads(uint32_t num_threads) { num_threads_ = num_threads; }
-  uint32_t num_threads() const { return num_threads_; }
+
+  /// The one place this selector's width is opened: a ScopedWidth of
+  /// set_num_threads' value, held for the run it brackets.
+  ScopedWidth OpenWidth() const { return ScopedWidth(num_threads_); }
 
   /// Forces the original scan-based evaluation (full model retrain per
   /// candidate) even when a sufficient-statistics fast path is available.
@@ -107,12 +100,6 @@ class FeatureSelector {
 
  private:
   uint32_t num_threads_ = 0;
-
-  // Search with StatsForScorer's statistics of split.train.
-  Result<SelectionResult> SearchWithStats(
-      const DataView& view, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates);
 };
 
 }  // namespace hamlet

@@ -54,18 +54,13 @@ std::vector<FsMethod> AllFsMethods() {
           FsMethod::kMiFilter, FsMethod::kIgrFilter};
 }
 
-namespace {
-
-// The one search + final-fit body behind both public runners.
-Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
-                                    const DataView& view,
-                                    const HoldoutSplit& split,
-                                    const ClassifierFactory& factory,
-                                    ErrorMetric metric,
-                                    const std::vector<uint32_t>& candidates) {
+Result<FsRunReport> RunFeatureSelection(
+    FeatureSelector& selector, const DataView& view,
+    const HoldoutSplit& split, const ClassifierFactory& factory,
+    ErrorMetric metric, const std::vector<uint32_t>& candidates) {
   FsRunReport report;
   report.method = selector.name();
-  const ScopedWidth width(selector.num_threads());
+  const ScopedWidth width = selector.OpenWidth();
 
   // The run's own span tree is its stopwatch: nested under `pipeline`
   // when RunPipeline calls, its own root otherwise.
@@ -120,22 +115,12 @@ Result<FsRunReport> RunSearchAndFit(FeatureSelector& selector,
   return report;
 }
 
-}  // namespace
-
-Result<FsRunReport> RunFeatureSelection(
-    FeatureSelector& selector, const EncodedDataset& data,
-    const HoldoutSplit& split, const ClassifierFactory& factory,
-    ErrorMetric metric, const std::vector<uint32_t>& candidates) {
-  return RunSearchAndFit(selector, DataView(data), split, factory, metric,
-                         candidates);
-}
-
 Result<FsRunReport> RunFeatureSelectionFactorized(
     FeatureSelector& selector, const FactorizedDataset& data,
     const HoldoutSplit& split, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates) {
-  return RunSearchAndFit(selector, DataView(data), split, factory, metric,
-                         candidates);
+  return RunFeatureSelection(selector, data, split, factory, metric,
+                             candidates);
 }
 
 }  // namespace hamlet

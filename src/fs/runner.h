@@ -57,21 +57,22 @@ struct FsRunReport {
 };
 
 /// Runs `selector` over `candidates`, then fits the chosen subset on
-/// `split.train` and reports the error on `split.test`.
+/// `split.train` and reports the error on `split.test`, on either view
+/// (ml/data_view.h). The final model trains and scores through the same
+/// candidate scorer as the search (fs/candidate_eval.h), so on the
+/// factorized (S, R) view no joined table is materialized, not even for
+/// the holdout scoring: Naive Bayes trains from the view's statistics,
+/// decision trees and GBT train and predict through the FK hops, and
+/// anything else is InvalidArgument. Reports carry the same fields and
+/// stage names on both views, and every number except the timings is
+/// bit-identical.
 Result<FsRunReport> RunFeatureSelection(
-    FeatureSelector& selector, const EncodedDataset& data,
+    FeatureSelector& selector, const DataView& view,
     const HoldoutSplit& split, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates);
 
-/// RunFeatureSelection over the factorized (S, R) view: the search runs
-/// through SelectFactorized and the final model trains and scores through
-/// the same candidate scorer (fs/candidate_eval.h), so no joined table is
-/// materialized, not even for the holdout scoring. Naive Bayes trains
-/// from the view's statistics; decision trees and GBT train and predict
-/// through the FK hops; anything else is InvalidArgument. Both runners
-/// share one body, so reports carry the same fields and stage names, and
-/// every number except the timings is bit-identical to the materialized
-/// run.
+/// RunFeatureSelection on the factorized view: a forward kept for
+/// callers that name it.
 Result<FsRunReport> RunFeatureSelectionFactorized(
     FeatureSelector& selector, const FactorizedDataset& data,
     const HoldoutSplit& split, const ClassifierFactory& factory,

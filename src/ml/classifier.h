@@ -4,8 +4,12 @@
 /// \file classifier.h
 /// The classifier abstraction shared by feature selection, the simulation
 /// study, and the end-to-end experiments. Training is expressed over
-/// (dataset, row subset, feature subset) so wrapper methods can re-train
-/// on many subsets without copying data.
+/// (data view, row subset, feature subset) so wrapper methods can
+/// re-train on many subsets without copying data. The view is either the
+/// materialized join or the factorized (S, R) pair (ml/data_view.h); both
+/// convert implicitly, so one entry serves both, and a model that can
+/// learn from the factorized view does so behind the same Train and
+/// Predict as the joined table.
 
 #include <cstdint>
 #include <functional>
@@ -15,8 +19,11 @@
 
 #include "common/status.h"
 #include "data/encoded_dataset.h"
+#include "ml/data_view.h"
 
 namespace hamlet {
+
+struct SuffStats;
 
 /// A trainable multi-class classifier over categorical features.
 class Classifier {
@@ -24,19 +31,35 @@ class Classifier {
   virtual ~Classifier() = default;
 
   /// Fits the model on `data` restricted to `rows`, using only the feature
-  /// indices in `features` (possibly empty: a prior-only model).
-  virtual Status Train(const EncodedDataset& data,
-                       const std::vector<uint32_t>& rows,
-                       const std::vector<uint32_t>& features) = 0;
+  /// indices in `features` (possibly empty: a prior-only model). `stats`
+  /// is nullptr or the sufficient statistics of (data, rows)
+  /// (ml/suff_stats.h); a model may read them in place of a data pass and
+  /// is bit-identical either way (DecisionTree's root histograms, Naive
+  /// Bayes' whole model). InvalidArgument on a factorized view the model
+  /// cannot read. Non-virtual, so no override hides it: models implement
+  /// DoTrain.
+  Status Train(const DataView& data, const std::vector<uint32_t>& rows,
+               const std::vector<uint32_t>& features,
+               const SuffStats* stats = nullptr) {
+    return DoTrain(data, rows, features, stats);
+  }
 
   /// Predicted class code for one row of `data` (which must share the
   /// feature layout of the training dataset).
   virtual uint32_t PredictOne(const EncodedDataset& data,
                               uint32_t row) const = 0;
 
-  /// Predictions for many rows; the default loops over PredictOne.
+  /// Predictions for many rows of `data`, equal on either view to
+  /// PredictOne on the joined table at the same rows. The default loops
+  /// over PredictOne, so it needs the materialized view.
   virtual std::vector<uint32_t> Predict(
-      const EncodedDataset& data, const std::vector<uint32_t>& rows) const;
+      const DataView& data, const std::vector<uint32_t>& rows) const;
+
+  /// True when Train and Predict read the factorized view's codes
+  /// themselves, with no statistics (DecisionTree, Gbt): such a model
+  /// retrains per candidate subset without the join. ChooseScoringBackend
+  /// (fs/candidate_eval.h) is its one reader.
+  virtual bool ReadsFactorizedView() const { return false; }
 
   /// Human-readable model name ("naive_bayes", ...).
   virtual std::string name() const = 0;
@@ -49,47 +72,26 @@ class Classifier {
   /// it reads out of bounds, so the serving layer checks block layouts
   /// against it before scoring.
   virtual uint32_t trained_cardinality(size_t jj) const = 0;
+
+ protected:
+  /// The model's training body behind Train.
+  virtual Status DoTrain(const DataView& data,
+                         const std::vector<uint32_t>& rows,
+                         const std::vector<uint32_t>& features,
+                         const SuffStats* stats) = 0;
+
+  /// OK on the materialized view; InvalidArgument naming this model on
+  /// the factorized one — the guard of models that read joined rows only.
+  Status RequireMaterialized(const DataView& data) const;
+
+  /// `data`'s joined table; a checked failure naming this model on the
+  /// factorized view — the guard of predictions that read joined rows.
+  const EncodedDataset& MaterializedForPredict(const DataView& data) const;
 };
 
 /// Creates fresh classifier instances; wrappers re-train one model per
 /// candidate subset.
 using ClassifierFactory = std::function<std::unique_ptr<Classifier>()>;
-
-class FactorizedDataset;
-struct SuffStats;
-
-/// Optional capability: classifiers that can also train and predict over
-/// the normalized (S, R) view (ml/factorized.h) without materializing the
-/// join. The fs searches and the analytics pipeline probe a factory's
-/// product for this via dynamic_cast — the same probe pattern the Naive
-/// Bayes fast path uses — and route avoid-materialization runs through
-/// it. Contract: with the same underlying tables, TrainFactorized must
-/// produce a model bit-identical to Train on the materialized join, and
-/// PredictFactorized must return the materialized Predict's output.
-/// DecisionTree and Gbt meet it structurally: both of a learner's
-/// entries call one training body on a DataView (ml/data_view.h), whose
-/// GatherCodes is the only step where the views differ, so the body runs
-/// on the same gathered codes either way.
-class FactorizedTrainable {
- public:
-  virtual ~FactorizedTrainable() = default;
-
-  /// Factorized twin of Classifier::Train over the normalized view.
-  /// `stats` is nullptr or the sufficient statistics of (data, rows)
-  /// (ml/suff_stats.h), which a model may read in place of a data pass
-  /// (DecisionTree's root histograms); the model is bit-identical either
-  /// way.
-  virtual Status TrainFactorized(const FactorizedDataset& data,
-                                 const std::vector<uint32_t>& rows,
-                                 const std::vector<uint32_t>& features,
-                                 const SuffStats* stats) = 0;
-
-  /// Predictions at `rows` of the factorized view; equal to Predict on
-  /// the materialized join at the same rows.
-  virtual Status PredictFactorized(const FactorizedDataset& data,
-                                   const std::vector<uint32_t>& rows,
-                                   std::vector<uint32_t>* out) const = 0;
-};
 
 }  // namespace hamlet
 

@@ -13,6 +13,13 @@
 /// learners' training and prediction preludes, NbSubsetEvaluator, the
 /// candidate scorers — is written once against this class, so training on
 /// either view runs the same body on the same gathered codes.
+///
+/// Classifier::Train and Classifier::Predict take a DataView, and both
+/// constructors are implicit (a view type, like std::string_view), so a
+/// call with either dataset reaches the one entry. A view holds two
+/// pointers and owns nothing: whatever keeps one past a call (a candidate
+/// scorer does, beside the row lists it also borrows) must not outlive
+/// the dataset.
 
 #include <cstdint>
 #include <string>
@@ -27,8 +34,9 @@ class FactorizedDataset;
 /// A non-owning view of the data a model trains or is scored on.
 class DataView {
  public:
-  explicit DataView(const EncodedDataset& data) : materialized_(&data) {}
-  explicit DataView(const FactorizedDataset& data) : factorized_(&data) {}
+  DataView(const EncodedDataset& data) : materialized_(&data) {}  // NOLINT
+  DataView(const FactorizedDataset& data)                          // NOLINT
+      : factorized_(&data) {}
 
   /// Exactly one of these is non-null.
   const EncodedDataset* materialized() const { return materialized_; }

@@ -252,23 +252,10 @@ DecisionTree::DecisionTree(DecisionTreeOptions options)
                "DecisionTree alpha must be positive, got %f", options_.alpha);
 }
 
-Status DecisionTree::Train(const EncodedDataset& data,
-                           const std::vector<uint32_t>& rows,
-                           const std::vector<uint32_t>& features) {
-  return TrainView(DataView(data), rows, features, nullptr);
-}
-
-Status DecisionTree::TrainFactorized(const FactorizedDataset& data,
-                                     const std::vector<uint32_t>& rows,
-                                     const std::vector<uint32_t>& features,
-                                     const SuffStats* stats) {
-  return TrainView(DataView(data), rows, features, stats);
-}
-
-Status DecisionTree::TrainView(const DataView& view,
-                               const std::vector<uint32_t>& rows,
-                               const std::vector<uint32_t>& features,
-                               const SuffStats* stats) {
+Status DecisionTree::DoTrain(const DataView& view,
+                             const std::vector<uint32_t>& rows,
+                             const std::vector<uint32_t>& features,
+                             const SuffStats* stats) {
   obs::ScopedLatency latency(TreeTrainHistogram());
   HAMLET_ASSIGN_OR_RETURN(TreeTrainingSet set,
                           GatherTreeTrainingSet(view, rows, features));
@@ -319,21 +306,7 @@ Status DecisionTree::TrainView(const DataView& view,
   return Status::OK();
 }
 
-int32_t DecisionTree::WalkToLeaf(const EncodedDataset& data,
-                                 uint32_t row) const {
-  int32_t node = 0;
-  while (split_slot_[node] >= 0) {
-    const uint32_t slot = static_cast<uint32_t>(split_slot_[node]);
-    const uint32_t code = data.feature(features_[slot])[row];
-    node = code == split_code_[node] ? left_[node] : right_[node];
-  }
-  return node;
-}
-
-uint32_t DecisionTree::PredictOne(const EncodedDataset& data,
-                                  uint32_t row) const {
-  HAMLET_CHECK(num_nodes() > 0, "DecisionTree::PredictOne before Train");
-  const int32_t node = WalkToLeaf(data, row);
+uint32_t DecisionTree::BestClass(int32_t node) const {
   const double* s = &scores_[static_cast<size_t>(node) * num_classes_];
   uint32_t best = 0;
   for (uint32_t c = 1; c < num_classes_; ++c) {
@@ -342,46 +315,33 @@ uint32_t DecisionTree::PredictOne(const EncodedDataset& data,
   return best;
 }
 
-std::vector<uint32_t> DecisionTree::Predict(
-    const EncodedDataset& data, const std::vector<uint32_t>& rows) const {
-  std::vector<uint32_t> out(rows.size());
-  ParallelFor(static_cast<uint32_t>(rows.size()),
-              [&](uint32_t i) { out[i] = PredictOne(data, rows[i]); });
-  return out;
+uint32_t DecisionTree::PredictOne(const EncodedDataset& data,
+                                  uint32_t row) const {
+  HAMLET_CHECK(num_nodes() > 0, "DecisionTree::PredictOne before Train");
+  return BestClass(LeafOf(
+      [&](uint32_t slot) { return data.feature(features_[slot])[row]; }));
 }
 
-Status DecisionTree::PredictFactorized(const FactorizedDataset& data,
-                                       const std::vector<uint32_t>& rows,
-                                       std::vector<uint32_t>* out) const {
-  HAMLET_ASSIGN_OR_RETURN(
-      const std::vector<std::vector<uint32_t>> cols,
-      GatherTrainedCodes(DataView(data), "DecisionTree", num_nodes() > 0,
-                         features_, rows));
-  out->resize(rows.size());
-  ParallelFor(static_cast<uint32_t>(rows.size()),
-              [&](uint32_t i) {
-                int32_t node = 0;
-                while (split_slot_[node] >= 0) {
-                  const uint32_t slot =
-                      static_cast<uint32_t>(split_slot_[node]);
-                  node = cols[slot][i] == split_code_[node] ? left_[node]
-                                                            : right_[node];
-                }
-                const double* s =
-                    &scores_[static_cast<size_t>(node) * num_classes_];
-                uint32_t best = 0;
-                for (uint32_t c = 1; c < num_classes_; ++c) {
-                  if (s[c] > s[best]) best = c;
-                }
-                (*out)[i] = best;
-              });
-  return Status::OK();
+std::vector<uint32_t> DecisionTree::Predict(
+    const DataView& data, const std::vector<uint32_t>& rows) const {
+  const std::vector<std::vector<uint32_t>> cols = GatherTrainedCodes(
+      data, "DecisionTree", num_nodes() > 0, features_, rows);
+  std::vector<uint32_t> out(rows.size());
+  ParallelFor(
+      static_cast<uint32_t>(rows.size()),
+      [&](uint32_t i) {
+        out[i] =
+            BestClass(LeafOf([&](uint32_t slot) { return cols[slot][i]; }));
+      },
+      NodeGrain(LongestWalk(split_slot_, left_, right_)));
+  return out;
 }
 
 void DecisionTree::LogScoresInto(const EncodedDataset& data, uint32_t row,
                                  std::vector<double>* out) const {
   HAMLET_CHECK(num_nodes() > 0, "DecisionTree::LogScoresInto before Train");
-  const int32_t node = WalkToLeaf(data, row);
+  const int32_t node = LeafOf(
+      [&](uint32_t slot) { return data.feature(features_[slot])[row]; });
   const double* s = &scores_[static_cast<size_t>(node) * num_classes_];
   out->assign(s, s + num_classes_);
 }
@@ -545,22 +505,34 @@ Result<TreeTrainingSet> GatherTreeTrainingSet(
   return set;
 }
 
-Result<std::vector<std::vector<uint32_t>>> GatherTrainedCodes(
+std::vector<std::vector<uint32_t>> GatherTrainedCodes(
     const DataView& view, const char* model, bool trained,
     const std::vector<uint32_t>& features,
     const std::vector<uint32_t>& rows) {
-  if (!trained) {
-    return Status::FailedPrecondition(
-        StringFormat("%s::PredictFactorized before Train", model));
-  }
+  HAMLET_CHECK(trained, "%s::Predict before Train", model);
   for (uint32_t j : features) {
-    if (j >= view.num_features()) {
-      return Status::InvalidArgument(StringFormat(
-          "trained feature index %u out of range (%u features)", j,
-          view.num_features()));
-    }
+    HAMLET_CHECK(j < view.num_features(),
+                 "trained feature index %u out of range (%u features)", j,
+                 view.num_features());
   }
   return GatherSlotCodes(view, features, rows);
+}
+
+uint32_t LongestWalk(const std::vector<int32_t>& split_slot,
+                     const std::vector<int32_t>& left,
+                     const std::vector<int32_t>& right) {
+  // Pre-order storage puts every child after its parent, so one forward
+  // pass sees each node's walk length before its children's.
+  std::vector<uint32_t> walk(split_slot.size(), 1);
+  uint32_t longest = 0;
+  for (size_t i = 0; i < split_slot.size(); ++i) {
+    if (split_slot[i] < 0) {
+      longest = std::max(longest, walk[i]);
+    } else {
+      walk[left[i]] = walk[right[i]] = walk[i] + 1;
+    }
+  }
+  return longest;
 }
 
 }  // namespace hamlet

@@ -15,17 +15,18 @@
 /// sharded when the node's rows x slots reach the grain rule NodeGrain
 /// below); a node's sibling gets its histogram by subtracting the
 /// built child from the parent (the classic "subtraction trick"), which
-/// is exact because the counts are integers. TrainFactorized can take the
-/// root histograms from the train split's SuffStats (the counts are
-/// bit-identical, see ml/factorized.h), so feature-selection searches
-/// that retrain hundreds of trees on one split pay for them once.
+/// is exact because the counts are integers. Train can take the root
+/// histograms from its `stats` argument, the train split's SuffStats (the
+/// counts are bit-identical, see ml/factorized.h), so feature-selection
+/// searches that retrain hundreds of trees on one split pay for them once.
 ///
-/// Train and TrainFactorized are two entries to one training body. The
-/// views differ only in how a slot's codes are gathered
+/// Train and Predict take either view (ml/data_view.h), and each has one
+/// body. The views differ only in how a slot's codes are gathered
 /// (DataView::GatherCodes: a column read on the joined table, an
-/// S.FK -> R hop per row on the factorized view), and the prelude this
-/// file shares with Gbt (GatherTreeTrainingSet) does that gather once, so
-/// everything after it is the same code on the same codes.
+/// S.FK -> R hop per row on the factorized view), and the preludes this
+/// file shares with Gbt (GatherTreeTrainingSet, GatherTrainedCodes) do
+/// that gather once, so everything after it is the same code on the same
+/// codes.
 ///
 /// Determinism contract (mirrors the rest of the library): histograms are
 /// integer counts built one-feature-per-work-item, the best split is
@@ -45,9 +46,6 @@
 #include "ml/classifier.h"
 
 namespace hamlet {
-
-class DataView;
-struct SuffStats;
 
 /// Training knobs. `alpha` smooths the leaf class probabilities exactly
 /// like the Naive Bayes prior (footnote 2's handling of values absent
@@ -86,34 +84,20 @@ struct DecisionTreeParams {
 /// Histogram CART classifier:
 ///   predict argmax_y leaf_scores[y]  (first strictly-greatest wins)
 /// over binary one-vs-rest categorical splits chosen by Gini decrease.
-class DecisionTree : public Classifier, public FactorizedTrainable {
+class DecisionTree : public Classifier {
  public:
   explicit DecisionTree(DecisionTreeOptions options = {});
 
-  /// Trains on (rows, features) of the materialized dataset.
-  Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
-               const std::vector<uint32_t>& features) override;
-
-  /// Trains over the normalized (S, R) view: candidate columns are read
-  /// through the FK -> R hops (FactorizedDataset::GatherCodes). When
-  /// `stats` (the factorized SuffStats of rows, whose counts come from
-  /// the group-by-FK-code aggregation, never a materialized join) fit the
-  /// trained features, the root histograms are copied from them instead
-  /// of built by a pass. Bit-identical to Train on the joined twin.
-  Status TrainFactorized(const FactorizedDataset& data,
-                         const std::vector<uint32_t>& rows,
-                         const std::vector<uint32_t>& features,
-                         const SuffStats* stats) override;
-
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
+  /// Gathers the trained columns at `rows` (GatherTrainedCodes), then
+  /// walks each row to its leaf, sharded by NodeGrain over the tree's
+  /// longest walk. Equal to PredictOne at every row, on either view.
   std::vector<uint32_t> Predict(
-      const EncodedDataset& data,
+      const DataView& data,
       const std::vector<uint32_t>& rows) const override;
 
-  Status PredictFactorized(const FactorizedDataset& data,
-                           const std::vector<uint32_t>& rows,
-                           std::vector<uint32_t>* out) const override;
+  bool ReadsFactorizedView() const override { return true; }
 
   std::string name() const override { return "decision_tree"; }
 
@@ -143,13 +127,29 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
   /// out-of-domain split code) — the deserialization entry point.
   static Result<DecisionTree> FromParams(DecisionTreeParams params);
 
+ protected:
+  /// Trains on either view: candidate columns are gathered through
+  /// GatherTreeTrainingSet. When `stats` fit the trained features (same
+  /// rows and classes, a table per slot of its cardinality), the root
+  /// histograms are copied from them instead of built by a pass; the
+  /// counts are integers, so the tree is the same bits either way.
+  Status DoTrain(const DataView& data, const std::vector<uint32_t>& rows,
+                 const std::vector<uint32_t>& features,
+                 const SuffStats* stats) override;
+
  private:
-  // The one training body behind Train and TrainFactorized; only the
-  // factorized entry passes `stats`.
-  Status TrainView(const DataView& view, const std::vector<uint32_t>& rows,
-                   const std::vector<uint32_t>& features,
-                   const SuffStats* stats);
-  int32_t WalkToLeaf(const EncodedDataset& data, uint32_t row) const;
+  // The leaf a row reaches when `code(slot)` yields its code per slot.
+  template <typename CodeAt>
+  int32_t LeafOf(const CodeAt& code) const {
+    int32_t node = 0;
+    while (split_slot_[node] >= 0) {
+      const uint32_t slot = static_cast<uint32_t>(split_slot_[node]);
+      node = code(slot) == split_code_[node] ? left_[node] : right_[node];
+    }
+    return node;
+  }
+  // The leaf's first strictly-greatest class score.
+  uint32_t BestClass(int32_t node) const;
 
   DecisionTreeOptions options_;
   uint32_t num_classes_ = 0;
@@ -195,8 +195,10 @@ inline constexpr uint64_t kNodeCellGrain = 8192;
 /// `cells_per_item` cells each: the fewest items that carry
 /// kNodeCellGrain cells. The one grain rule of both learners' per-node
 /// loops (histogram pass: the node's rows per slot; split scan and
-/// subtraction: table entries per slot), GBT's gradient loop and the
-/// training prelude's gather, so a small node never starts a pool region.
+/// subtraction: table entries per slot), GBT's gradient loop, the
+/// preludes' gather and Predict's row loop (a row's cells are the node
+/// steps of its walks, LongestWalk per tree), so a small node or a small
+/// batch never starts a pool region.
 inline uint32_t NodeGrain(uint64_t cells_per_item) {
   const uint64_t cells = cells_per_item == 0 ? 1 : cells_per_item;
   return static_cast<uint32_t>((kNodeCellGrain + cells - 1) / cells);
@@ -226,14 +228,20 @@ Result<TreeTrainingSet> GatherTreeTrainingSet(
     const DataView& view, const std::vector<uint32_t>& rows,
     const std::vector<uint32_t>& features);
 
-/// The prediction prelude of both learners' PredictFactorized:
-/// FailedPrecondition ("`model`::PredictFactorized before Train") unless
-/// `trained`, InvalidArgument when a trained feature index is past the
-/// view; otherwise each trained slot's codes at `rows`.
-Result<std::vector<std::vector<uint32_t>>> GatherTrainedCodes(
+/// The prediction prelude of both learners' Predict, for either view:
+/// each trained slot's codes at `rows`. A checked failure
+/// ("`model`::Predict before Train") unless `trained`, as PredictOne's,
+/// and when a trained feature index is past the view.
+std::vector<std::vector<uint32_t>> GatherTrainedCodes(
     const DataView& view, const char* model, bool trained,
     const std::vector<uint32_t>& features,
     const std::vector<uint32_t>& rows);
+
+/// Nodes a row visits on the longest root-to-leaf walk of one flat
+/// pre-order tree (1 for a lone leaf): Predict's cells per row.
+uint32_t LongestWalk(const std::vector<int32_t>& split_slot,
+                     const std::vector<int32_t>& left,
+                     const std::vector<int32_t>& right);
 
 }  // namespace hamlet
 

@@ -62,19 +62,4 @@ Result<double> TrainAndScore(const ClassifierFactory& factory,
   return sm.error;
 }
 
-Result<double> TrainAndScore(const ClassifierFactory& factory,
-                             const EncodedDataset& data,
-                             const std::vector<uint32_t>& train_rows,
-                             const std::vector<uint32_t>& eval_rows,
-                             const std::vector<uint32_t>& eval_labels,
-                             const std::vector<uint32_t>& features,
-                             ErrorMetric metric) {
-  HAMLET_DCHECK(eval_labels.size() == eval_rows.size(),
-                "eval_labels/eval_rows size mismatch");
-  std::unique_ptr<Classifier> model = factory();
-  HAMLET_RETURN_NOT_OK(model->Train(data, train_rows, features));
-  std::vector<uint32_t> predicted = model->Predict(data, eval_rows);
-  return ComputeError(metric, eval_labels, predicted);
-}
-
 }  // namespace hamlet

@@ -25,17 +25,6 @@ Result<double> TrainAndScore(const ClassifierFactory& factory,
                              const std::vector<uint32_t>& features,
                              ErrorMetric metric);
 
-/// Variant taking the evaluation labels pre-gathered (`eval_labels[i]`
-/// must be the label of `eval_rows[i]`). Hot loops that score hundreds of
-/// candidates against one split gather once instead of per call.
-Result<double> TrainAndScore(const ClassifierFactory& factory,
-                             const EncodedDataset& data,
-                             const std::vector<uint32_t>& train_rows,
-                             const std::vector<uint32_t>& eval_rows,
-                             const std::vector<uint32_t>& eval_labels,
-                             const std::vector<uint32_t>& features,
-                             ErrorMetric metric);
-
 /// Trains on `train_rows` and returns the trained model plus its error on
 /// `eval_rows` (used when the caller also needs predictions).
 struct ScoredModel {

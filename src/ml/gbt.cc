@@ -215,22 +215,9 @@ Gbt::Gbt(GbtOptions options) : options_(options) {
                options_.lambda);
 }
 
-Status Gbt::Train(const EncodedDataset& data,
-                  const std::vector<uint32_t>& rows,
-                  const std::vector<uint32_t>& features) {
-  return TrainView(DataView(data), rows, features);
-}
-
-Status Gbt::TrainFactorized(const FactorizedDataset& data,
-                            const std::vector<uint32_t>& rows,
-                            const std::vector<uint32_t>& features,
-                            const SuffStats* /*stats*/) {
-  return TrainView(DataView(data), rows, features);
-}
-
-Status Gbt::TrainView(const DataView& view,
-                      const std::vector<uint32_t>& rows,
-                      const std::vector<uint32_t>& features) {
+Status Gbt::DoTrain(const DataView& view, const std::vector<uint32_t>& rows,
+                    const std::vector<uint32_t>& features,
+                    const SuffStats* /*stats*/) {
   obs::ScopedLatency latency(GbtTrainHistogram());
   HAMLET_ASSIGN_OR_RETURN(TreeTrainingSet set,
                           GatherTreeTrainingSet(view, rows, features));
@@ -318,21 +305,16 @@ Status Gbt::TrainView(const DataView& view,
   return Status::OK();
 }
 
-void Gbt::LogScoresInto(const EncodedDataset& data, uint32_t row,
-                        std::vector<double>* out) const {
-  HAMLET_CHECK(num_classes_ > 0, "Gbt::LogScoresInto before Train");
+template <typename CodeAt>
+void Gbt::ScoresInto(const CodeAt& code, std::vector<double>* out) const {
   out->assign(base_scores_.begin(), base_scores_.end());
   for (size_t t = 0; t < trees_.size(); ++t) {
     const uint32_t k = static_cast<uint32_t>(t % num_classes_);
-    (*out)[k] += TreeValueAt(trees_[t], [&](uint32_t slot) {
-      return data.feature(features_[slot])[row];
-    });
+    (*out)[k] += TreeValueAt(trees_[t], code);
   }
 }
 
-uint32_t Gbt::PredictOne(const EncodedDataset& data, uint32_t row) const {
-  thread_local std::vector<double> scores;
-  LogScoresInto(data, row, &scores);
+uint32_t Gbt::BestClass(const std::vector<double>& scores) const {
   uint32_t best = 0;
   for (uint32_t c = 1; c < num_classes_; ++c) {
     if (scores[c] > scores[best]) best = c;
@@ -340,39 +322,37 @@ uint32_t Gbt::PredictOne(const EncodedDataset& data, uint32_t row) const {
   return best;
 }
 
-std::vector<uint32_t> Gbt::Predict(const EncodedDataset& data,
-                                   const std::vector<uint32_t>& rows) const {
-  std::vector<uint32_t> out(rows.size());
-  ParallelFor(static_cast<uint32_t>(rows.size()),
-              [&](uint32_t i) { out[i] = PredictOne(data, rows[i]); });
-  return out;
+void Gbt::LogScoresInto(const EncodedDataset& data, uint32_t row,
+                        std::vector<double>* out) const {
+  HAMLET_CHECK(num_classes_ > 0, "Gbt::LogScoresInto before Train");
+  ScoresInto(
+      [&](uint32_t slot) { return data.feature(features_[slot])[row]; }, out);
 }
 
-Status Gbt::PredictFactorized(const FactorizedDataset& data,
-                              const std::vector<uint32_t>& rows,
-                              std::vector<uint32_t>* out) const {
-  HAMLET_ASSIGN_OR_RETURN(
-      const std::vector<std::vector<uint32_t>> cols,
-      GatherTrainedCodes(DataView(data), "Gbt", num_classes_ > 0, features_,
-                         rows));
-  out->resize(rows.size());
+uint32_t Gbt::PredictOne(const EncodedDataset& data, uint32_t row) const {
+  thread_local std::vector<double> scores;
+  LogScoresInto(data, row, &scores);
+  return BestClass(scores);
+}
+
+std::vector<uint32_t> Gbt::Predict(const DataView& data,
+                                   const std::vector<uint32_t>& rows) const {
+  const std::vector<std::vector<uint32_t>> cols =
+      GatherTrainedCodes(data, "Gbt", num_classes_ > 0, features_, rows);
+  uint64_t walk = 0;
+  for (const GbtTree& t : trees_) {
+    walk += LongestWalk(t.split_slot, t.left, t.right);
+  }
+  std::vector<uint32_t> out(rows.size());
   ParallelFor(
       static_cast<uint32_t>(rows.size()),
       [&](uint32_t i) {
         thread_local std::vector<double> scores;
-        scores.assign(base_scores_.begin(), base_scores_.end());
-        for (size_t t = 0; t < trees_.size(); ++t) {
-          const uint32_t k = static_cast<uint32_t>(t % num_classes_);
-          scores[k] += TreeValueAt(
-              trees_[t], [&](uint32_t slot) { return cols[slot][i]; });
-        }
-        uint32_t best = 0;
-        for (uint32_t c = 1; c < num_classes_; ++c) {
-          if (scores[c] > scores[best]) best = c;
-        }
-        (*out)[i] = best;
-      });
-  return Status::OK();
+        ScoresInto([&](uint32_t slot) { return cols[slot][i]; }, &scores);
+        out[i] = BestClass(scores);
+      },
+      NodeGrain(walk));
+  return out;
 }
 
 uint32_t Gbt::trained_cardinality(size_t jj) const {

@@ -22,13 +22,13 @@
 /// in ascending item order within a slot's single work item, node totals
 /// serially in item order, winners by serial slot-ordered reduction with
 /// strictly-greater gain (lowest slot, then lowest code, wins exact
-/// ties). Train and TrainFactorized call one training body, which gathers
-/// the candidate columns through the view (GatherTreeTrainingSet in
-/// ml/decision_tree.h: a column read on the joined table, the FK -> R
-/// hops on the factorized view) and then runs the same code on them, so
-/// ensembles are bit-identical at any thread count AND between the
-/// materialized and factorized views (docs/TREES.md; ctest label
-/// `factorized`).
+/// ties). Train and Predict take either view (ml/data_view.h), and each
+/// has one body, which gathers the columns through the view
+/// (GatherTreeTrainingSet and GatherTrainedCodes in ml/decision_tree.h:
+/// a column read on the joined table, the FK -> R hops on the factorized
+/// view) and then runs the same code on them, so ensembles are
+/// bit-identical at any thread count AND between the materialized and
+/// factorized views (docs/TREES.md; ctest label `factorized`).
 
 #include <cstdint>
 #include <memory>
@@ -38,8 +38,6 @@
 #include "ml/classifier.h"
 
 namespace hamlet {
-
-class DataView;
 
 /// Training knobs. `candidate_rounds`/`candidate_max_depth` are the
 /// cheap-refit budget: the forward and backward searches train each
@@ -83,31 +81,21 @@ struct GbtParams {
 /// Gradient-boosted one-vs-rest ensemble:
 ///   score_y(x) = base_y + sum_m tree_{m,y}(x),
 ///   predict argmax_y score_y  (first strictly-greatest wins).
-class Gbt : public Classifier, public FactorizedTrainable {
+class Gbt : public Classifier {
  public:
   explicit Gbt(GbtOptions options = {});
 
-  Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
-               const std::vector<uint32_t>& features) override;
-
-  /// Trains over the normalized (S, R) view (candidate columns gathered
-  /// through the FK hops); bit-identical to Train on the joined twin.
-  /// Gradient histograms are not contingency counts, so `stats` is
-  /// unused.
-  Status TrainFactorized(const FactorizedDataset& data,
-                         const std::vector<uint32_t>& rows,
-                         const std::vector<uint32_t>& features,
-                         const SuffStats* stats) override;
-
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
+  /// Gathers the trained columns at `rows` (GatherTrainedCodes), then
+  /// sums each row's tree values, sharded by NodeGrain over the summed
+  /// LongestWalk of the trees. Equal to PredictOne at every row, on
+  /// either view.
   std::vector<uint32_t> Predict(
-      const EncodedDataset& data,
+      const DataView& data,
       const std::vector<uint32_t>& rows) const override;
 
-  Status PredictFactorized(const FactorizedDataset& data,
-                           const std::vector<uint32_t>& rows,
-                           std::vector<uint32_t>* out) const override;
+  bool ReadsFactorizedView() const override { return true; }
 
   std::string name() const override { return "gbt"; }
 
@@ -134,10 +122,21 @@ class Gbt : public Classifier, public FactorizedTrainable {
   /// inconsistency — the deserialization entry point.
   static Result<Gbt> FromParams(GbtParams params);
 
+ protected:
+  /// Trains on either view: candidate columns are gathered through
+  /// GatherTreeTrainingSet. Gradient histograms are not contingency
+  /// counts, so `stats` is unused.
+  Status DoTrain(const DataView& data, const std::vector<uint32_t>& rows,
+                 const std::vector<uint32_t>& features,
+                 const SuffStats* stats) override;
+
  private:
-  // The one training body behind Train and TrainFactorized.
-  Status TrainView(const DataView& view, const std::vector<uint32_t>& rows,
-                   const std::vector<uint32_t>& features);
+  // Boosted per-class logits into `*out`, the codes per slot from
+  // `code(slot)`; the one scoring body of LogScoresInto and Predict.
+  template <typename CodeAt>
+  void ScoresInto(const CodeAt& code, std::vector<double>* out) const;
+  // The first strictly-greatest of `scores`.
+  uint32_t BestClass(const std::vector<double>& scores) const;
 
   GbtOptions options_;
   uint32_t num_classes_ = 0;

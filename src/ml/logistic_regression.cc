@@ -27,9 +27,12 @@ void LogisticRegression::ActiveDims(const EncodedDataset& data, uint32_t row,
   }
 }
 
-Status LogisticRegression::Train(const EncodedDataset& data,
-                                 const std::vector<uint32_t>& rows,
-                                 const std::vector<uint32_t>& features) {
+Status LogisticRegression::DoTrain(const DataView& view,
+                                   const std::vector<uint32_t>& rows,
+                                   const std::vector<uint32_t>& features,
+                                   const SuffStats* /*stats*/) {
+  HAMLET_RETURN_NOT_OK(RequireMaterialized(view));
+  const EncodedDataset& data = *view.materialized();
   if (rows.empty()) {
     return Status::InvalidArgument(
         "cannot train logistic regression on zero rows");
@@ -151,14 +154,6 @@ uint32_t LogisticRegression::PredictOne(const EncodedDataset& data,
     if (scores[c] > scores[best]) best = c;
   }
   return best;
-}
-
-std::vector<uint32_t> LogisticRegression::Predict(
-    const EncodedDataset& data, const std::vector<uint32_t>& rows) const {
-  std::vector<uint32_t> out;
-  out.reserve(rows.size());
-  for (uint32_t r : rows) out.push_back(PredictOne(data, r));
-  return out;
 }
 
 std::vector<uint32_t> LogisticRegression::ZeroedFeatures(double eps) const {

@@ -59,14 +59,7 @@ class LogisticRegression : public Classifier {
  public:
   explicit LogisticRegression(LogisticRegressionOptions options = {});
 
-  Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
-               const std::vector<uint32_t>& features) override;
-
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
-
-  std::vector<uint32_t> Predict(
-      const EncodedDataset& data,
-      const std::vector<uint32_t>& rows) const override;
 
   std::string name() const override { return "logistic_regression"; }
 
@@ -101,6 +94,13 @@ class LogisticRegression : public Classifier {
   /// deserialization entry point.
   static Result<LogisticRegression> FromParams(LogisticRegressionParams
                                                    params);
+
+ protected:
+  /// Trains on the materialized view; InvalidArgument on the factorized
+  /// one. `stats` is unused.
+  Status DoTrain(const DataView& data, const std::vector<uint32_t>& rows,
+                 const std::vector<uint32_t>& features,
+                 const SuffStats* stats) override;
 
  private:
   /// Active one-hot dims of `row` under the trained feature layout;

@@ -12,12 +12,16 @@ NaiveBayes::NaiveBayes(double alpha) : alpha_(alpha) {
   HAMLET_CHECK(alpha > 0.0, "Laplace alpha must be > 0, got %f", alpha);
 }
 
-Status NaiveBayes::Train(const EncodedDataset& data,
-                         const std::vector<uint32_t>& rows,
-                         const std::vector<uint32_t>& features) {
+Status NaiveBayes::DoTrain(const DataView& view,
+                           const std::vector<uint32_t>& rows,
+                           const std::vector<uint32_t>& features,
+                           const SuffStats* given) {
+  if (given != nullptr) return TrainFromStats(*given, features);
+  HAMLET_RETURN_NOT_OK(RequireMaterialized(view));
+  const EncodedDataset& data = *view.materialized();
   // One scan counts the classes and the trained features' tables, and
   // the model is derived from those counts by TrainFromStats: one set of
-  // expressions for both entry points, so their models are bit-identical.
+  // expressions with or without `given`, so the models are bit-identical.
   SuffStats stats;
   stats.num_classes = data.num_classes();
   stats.num_rows = rows.size();
@@ -126,7 +130,8 @@ uint32_t NaiveBayes::PredictOne(const EncodedDataset& data,
 }
 
 std::vector<uint32_t> NaiveBayes::Predict(
-    const EncodedDataset& data, const std::vector<uint32_t>& rows) const {
+    const DataView& view, const std::vector<uint32_t>& rows) const {
+  const EncodedDataset& data = MaterializedForPredict(view);
   std::vector<uint32_t> out;
   out.reserve(rows.size());
   // Hand-rolled loop rather than PredictOne to keep the scores vector and

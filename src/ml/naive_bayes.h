@@ -35,23 +35,20 @@ class NaiveBayes : public Classifier {
   /// `alpha` is the Laplace smoothing pseudo-count (> 0).
   explicit NaiveBayes(double alpha = 1.0);
 
-  /// Trains on (rows, features) with one scan of the rows, which counts
-  /// the trained features' tables and hands them to TrainFromStats. A
-  /// caller that already holds the statistics of (data, rows) calls
-  /// TrainFromStats directly; the result is bit-identical either way.
-  Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
-               const std::vector<uint32_t>& features) override;
-
   /// Trains from precomputed sufficient statistics: zero data scans. Uses
   /// the exact floating-point expressions of the scan path on the exact
-  /// same integer counts, so the resulting model is bit-identical.
+  /// same integer counts, so the resulting model is bit-identical. Train
+  /// with `stats` comes here, on either view; Train without them scans
+  /// the materialized view once, counting the trained features' tables,
+  /// and hands those to it, so both give the same bits. The factorized
+  /// view without statistics is InvalidArgument.
   Status TrainFromStats(const SuffStats& stats,
                         const std::vector<uint32_t>& features);
 
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
   std::vector<uint32_t> Predict(
-      const EncodedDataset& data,
+      const DataView& data,
       const std::vector<uint32_t>& rows) const override;
 
   std::string name() const override { return "naive_bayes"; }
@@ -91,6 +88,11 @@ class NaiveBayes : public Classifier {
   /// the params are inconsistent (size mismatches, alpha <= 0, zero
   /// classes) instead of crashing — the deserialization entry point.
   static Result<NaiveBayes> FromParams(NaiveBayesParams params);
+
+ protected:
+  Status DoTrain(const DataView& data, const std::vector<uint32_t>& rows,
+                 const std::vector<uint32_t>& features,
+                 const SuffStats* stats) override;
 
  private:
   double alpha_;

@@ -52,9 +52,12 @@ TreeAugmentedNaiveBayes::TreeAugmentedNaiveBayes(double alpha)
   HAMLET_CHECK(alpha > 0.0, "Laplace alpha must be > 0, got %f", alpha);
 }
 
-Status TreeAugmentedNaiveBayes::Train(const EncodedDataset& data,
-                                      const std::vector<uint32_t>& rows,
-                                      const std::vector<uint32_t>& features) {
+Status TreeAugmentedNaiveBayes::DoTrain(const DataView& view,
+                                        const std::vector<uint32_t>& rows,
+                                        const std::vector<uint32_t>& features,
+                                        const SuffStats* /*stats*/) {
+  HAMLET_RETURN_NOT_OK(RequireMaterialized(view));
+  const EncodedDataset& data = *view.materialized();
   if (rows.empty()) {
     return Status::InvalidArgument("cannot train TAN on zero rows");
   }

@@ -24,9 +24,6 @@ class TreeAugmentedNaiveBayes : public Classifier {
  public:
   explicit TreeAugmentedNaiveBayes(double alpha = 1.0);
 
-  Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
-               const std::vector<uint32_t>& features) override;
-
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
   std::string name() const override { return "tan"; }
@@ -44,6 +41,13 @@ class TreeAugmentedNaiveBayes : public Classifier {
   /// The conditional mutual information I(Xi;Xj|Y) used for edge (i,j)
   /// during training (positions into the trained feature list).
   double EdgeWeight(uint32_t i, uint32_t j) const;
+
+ protected:
+  /// Trains on the materialized view; InvalidArgument on the factorized
+  /// one. `stats` is unused.
+  Status DoTrain(const DataView& data, const std::vector<uint32_t>& rows,
+                 const std::vector<uint32_t>& features,
+                 const SuffStats* stats) override;
 
  private:
   double alpha_;

@@ -128,8 +128,8 @@ Status RunOneRepeat(const SimConfig& config,
       std::iota(train_rows.begin(), train_rows.end(), 0u);
 
       // With Naive Bayes, one sufficient-statistics pass over the draw
-      // serves all three variant trainings (TrainFromStats derives each
-      // model from the counts — bit-identical to a scan Train).
+      // serves all three variant trainings (Train derives each model from
+      // the counts it is handed — bit-identical to a scan).
       const SuffStats stats =
           nb_variants ? BuildSuffStats(train.data, train_rows) : SuffStats{};
 
@@ -138,10 +138,8 @@ Status RunOneRepeat(const SimConfig& config,
       auto run_variant = [&](const std::vector<uint32_t>& feats,
                              std::vector<uint32_t>* out) -> Status {
         std::unique_ptr<Classifier> model = make();
-        HAMLET_RETURN_NOT_OK(
-            nb_variants
-                ? static_cast<NaiveBayes&>(*model).TrainFromStats(stats, feats)
-                : model->Train(train.data, train_rows, feats));
+        HAMLET_RETURN_NOT_OK(model->Train(train.data, train_rows, feats,
+                                          nb_variants ? &stats : nullptr));
         SimModelsTrainedCounter().Add(1);
         *out = model->Predict(test.data, test_rows);
         return Status::OK();

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json_reader.h"
+#include "json_reader.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"

@@ -206,8 +206,7 @@ TEST(FactorizedSelectionTest, AllMethodsBitIdenticalAcrossThreadCounts) {
         selector->set_num_threads(threads);
         auto mat = selector->Select(*t.mat, t.split, factory, t.metric, cands);
         ASSERT_TRUE(mat.ok()) << mat.status();
-        auto fac = selector->SelectFactorized(t.fac, t.split, factory,
-                                              t.metric, cands);
+        auto fac = selector->Select(t.fac, t.split, factory, t.metric, cands);
         ASSERT_TRUE(fac.ok()) << fac.status();
         EXPECT_EQ(fac->selected, mat->selected);
         EXPECT_EQ(fac->validation_error, mat->validation_error);
@@ -229,8 +228,8 @@ TEST(FactorizedSelectionTest, ModelParametersAndHoldoutBitIdentical) {
     auto mat = RunFeatureSelection(forward, *t.mat, t.split, factory,
                                    t.metric, candidates);
     ASSERT_TRUE(mat.ok()) << mat.status();
-    auto fac = RunFeatureSelectionFactorized(forward, t.fac, t.split, factory,
-                                             t.metric, candidates);
+    auto fac = RunFeatureSelection(forward, t.fac, t.split, factory,
+                                   t.metric, candidates);
     ASSERT_TRUE(fac.ok()) << fac.status();
 
     EXPECT_EQ(fac->selection.selected, mat->selection.selected);
@@ -239,12 +238,16 @@ TEST(FactorizedSelectionTest, ModelParametersAndHoldoutBitIdentical) {
     EXPECT_EQ(fac->holdout_test_error, mat->holdout_test_error);
 
     // The final models themselves: trained from the two statistics
-    // builds, every exported double must agree bit-for-bit.
+    // builds (the factorized one through Train on the view, which reads
+    // them in place of rows), every exported double must agree
+    // bit-for-bit.
     const SuffStats mat_stats = BuildSuffStats(*t.mat, t.split.train);
     const SuffStats fac_stats = BuildFactorizedSuffStats(t.fac, t.split.train);
     NaiveBayes nb_mat(1.0), nb_fac(1.0);
     ASSERT_TRUE(nb_mat.TrainFromStats(mat_stats, mat->selection.selected).ok());
-    ASSERT_TRUE(nb_fac.TrainFromStats(fac_stats, fac->selection.selected).ok());
+    ASSERT_TRUE(nb_fac.Train(t.fac, t.split.train, fac->selection.selected,
+                             &fac_stats)
+                    .ok());
     const NaiveBayesParams pm = nb_mat.ExportParams();
     const NaiveBayesParams pf = nb_fac.ExportParams();
     EXPECT_EQ(pf.features, pm.features);
@@ -299,9 +302,8 @@ TEST(FactorizedEdgeCaseTest, FkSkewedDatasetBitIdentical) {
   ClassifierFactory factory = MakeNaiveBayesFactory();
   auto mr = forward.Select(mat, split, factory, ErrorMetric::kZeroOne,
                            mat.AllFeatureIndices());
-  auto fr = forward.SelectFactorized(fac, split, factory,
-                                     ErrorMetric::kZeroOne,
-                                     fac.AllFeatureIndices());
+  auto fr = forward.Select(fac, split, factory, ErrorMetric::kZeroOne,
+                           fac.AllFeatureIndices());
   ASSERT_TRUE(mr.ok() && fr.ok());
   EXPECT_EQ(fr->selected, mr->selected);
   EXPECT_EQ(fr->validation_error, mr->validation_error);

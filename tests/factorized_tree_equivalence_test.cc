@@ -140,16 +140,10 @@ TEST(FactorizedTreeTest, TrainBitIdenticalAcrossViewsAndThreads) {
                                    "materialized");
 
       DecisionTree fac_tree;
-      ASSERT_TRUE(
-          fac_tree.TrainFactorized(t.fac, t.split.train, features, nullptr)
-              .ok());
+      ASSERT_TRUE(fac_tree.Train(t.fac, t.split.train, features).ok());
       ExpectTreeParamsBitIdentical(fac_tree.ExportParams(), ref_params,
                                    "factorized");
-
-      std::vector<uint32_t> fac_pred;
-      ASSERT_TRUE(
-          fac_tree.PredictFactorized(t.fac, t.split.test, &fac_pred).ok());
-      EXPECT_EQ(fac_pred, ref_pred);
+      EXPECT_EQ(fac_tree.Predict(t.fac, t.split.test), ref_pred);
     }
   }
 }
@@ -180,16 +174,10 @@ TEST(FactorizedGbtTest, TrainBitIdenticalAcrossViewsAndThreads) {
                                   "materialized");
 
       Gbt fac_gbt(ref_options);
-      ASSERT_TRUE(
-          fac_gbt.TrainFactorized(t.fac, t.split.train, features, nullptr)
-              .ok());
+      ASSERT_TRUE(fac_gbt.Train(t.fac, t.split.train, features).ok());
       ExpectGbtParamsBitIdentical(fac_gbt.ExportParams(), ref_params,
                                   "factorized");
-
-      std::vector<uint32_t> fac_pred;
-      ASSERT_TRUE(
-          fac_gbt.PredictFactorized(t.fac, t.split.test, &fac_pred).ok());
-      EXPECT_EQ(fac_pred, ref_pred);
+      EXPECT_EQ(fac_gbt.Predict(t.fac, t.split.test), ref_pred);
     }
   }
 }
@@ -204,8 +192,7 @@ TEST(FactorizedTreeTest, ExplicitRootStatsDoNotChangeBits) {
 
   // None: the root histograms are counted from the gathered codes.
   DecisionTree none(options);
-  ASSERT_TRUE(
-      none.TrainFactorized(t.fac, t.split.train, features, nullptr).ok());
+  ASSERT_TRUE(none.Train(t.fac, t.split.train, features).ok());
   DecisionTree mat(options);
   ASSERT_TRUE(mat.Train(*t.mat, t.split.train, features).ok());
   ExpectTreeParamsBitIdentical(none.ExportParams(), mat.ExportParams(),
@@ -215,19 +202,26 @@ TEST(FactorizedTreeTest, ExplicitRootStatsDoNotChangeBits) {
   // factorized statistics — integer counts, so bit-identical.
   const SuffStats stats = BuildFactorizedSuffStats(t.fac, t.split.train);
   DecisionTree seeded(options);
-  ASSERT_TRUE(
-      seeded.TrainFactorized(t.fac, t.split.train, features, &stats).ok());
+  ASSERT_TRUE(seeded.Train(t.fac, t.split.train, features, &stats).ok());
   ExpectTreeParamsBitIdentical(seeded.ExportParams(), none.ExportParams(),
                                "explicit root statistics");
+
+  // The same on the materialized view: its statistics seed the root of
+  // a tree trained on the joined table, with the same bits.
+  const SuffStats mat_stats = BuildSuffStats(*t.mat, t.split.train);
+  DecisionTree mat_seeded(options);
+  ASSERT_TRUE(
+      mat_seeded.Train(*t.mat, t.split.train, features, &mat_stats).ok());
+  ExpectTreeParamsBitIdentical(mat_seeded.ExportParams(), mat.ExportParams(),
+                               "materialized root statistics");
 
   // The argument is really read: altered root counts move the root's
   // stored class scores.
   SuffStats altered = stats;
   altered.class_counts[0] += 1000;
   DecisionTree from_altered(options);
-  ASSERT_TRUE(from_altered
-                  .TrainFactorized(t.fac, t.split.train, features, &altered)
-                  .ok());
+  ASSERT_TRUE(
+      from_altered.Train(t.fac, t.split.train, features, &altered).ok());
   EXPECT_NE(from_altered.ExportParams().scores, none.ExportParams().scores);
 }
 
@@ -260,8 +254,8 @@ TEST(FactorizedTreeSelectionTest, EverySelectorMatchesMaterialized) {
       auto mat =
           selector->Select(*t.mat, t.split, factory, t.metric, candidates);
       ASSERT_TRUE(mat.ok()) << mat.status();
-      auto fac = selector->SelectFactorized(t.fac, t.split, factory, t.metric,
-                                            candidates);
+      auto fac =
+          selector->Select(t.fac, t.split, factory, t.metric, candidates);
       ASSERT_TRUE(fac.ok()) << fac.status();
       EXPECT_EQ(fac->selected, mat->selected);
       EXPECT_EQ(fac->validation_error, mat->validation_error);
@@ -281,7 +275,7 @@ TEST(FactorizedGbtSelectionTest, ForwardSelectionMatchesMaterialized) {
     auto mat = forward.Select(*t.mat, t.split, factory, t.metric, candidates);
     ASSERT_TRUE(mat.ok()) << mat.status();
     auto fac =
-        forward.SelectFactorized(t.fac, t.split, factory, t.metric, candidates);
+        forward.Select(t.fac, t.split, factory, t.metric, candidates);
     ASSERT_TRUE(fac.ok()) << fac.status();
     EXPECT_EQ(fac->selected, mat->selected);
     EXPECT_EQ(fac->validation_error, mat->validation_error);
@@ -301,8 +295,8 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
   auto mat = RunFeatureSelection(forward, *t.mat, t.split, factory, t.metric,
                                  candidates);
   ASSERT_TRUE(mat.ok()) << mat.status();
-  auto fac = RunFeatureSelectionFactorized(forward, t.fac, t.split, factory,
-                                           t.metric, candidates);
+  auto fac = RunFeatureSelection(forward, t.fac, t.split, factory, t.metric,
+                                 candidates);
   ASSERT_TRUE(fac.ok()) << fac.status();
 
   EXPECT_EQ(fac->selection.selected, mat->selection.selected);
@@ -318,10 +312,7 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
   ASSERT_TRUE(
       from_mat.Train(*t.mat, t.split.train, mat->selection.selected).ok());
   ASSERT_TRUE(
-      from_fac
-          .TrainFactorized(t.fac, t.split.train, fac->selection.selected,
-                           nullptr)
-          .ok());
+      from_fac.Train(t.fac, t.split.train, fac->selection.selected).ok());
   ExpectTreeParamsBitIdentical(from_fac.ExportParams(), from_mat.ExportParams(),
                                "final fit");
 }
@@ -435,23 +426,30 @@ TEST(FactorizedRejectionTest, NonFactorizedClassifiersAreInvalidArgument) {
     for (auto& selector : selectors) {
       SCOPED_TRACE(std::string(factory_name) + " " + selector->name());
       auto selection =
-          selector->SelectFactorized(t.fac, t.split, factory, t.metric, few);
+          selector->Select(t.fac, t.split, factory, t.metric, few);
       EXPECT_EQ(selection.status().code(), StatusCode::kInvalidArgument);
-      auto report = RunFeatureSelectionFactorized(*selector, t.fac, t.split,
-                                                  factory, t.metric, few);
+      auto report = RunFeatureSelection(*selector, t.fac, t.split, factory,
+                                        t.metric, few);
       EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
     }
+    // The models themselves refuse the view they cannot read.
+    SCOPED_TRACE(factory_name);
+    const Status trained = factory()->Train(t.fac, t.split.train, few);
+    EXPECT_EQ(trained.code(), StatusCode::kInvalidArgument) << trained;
   }
-  // Naive Bayes has no factorized scan: with the statistics path forced
-  // off, the factorized view is rejected too.
+  // Naive Bayes reads the factorized view only through its statistics:
+  // Train without them is InvalidArgument there, and with the statistics
+  // path forced off, the selector rejects the view too.
+  NaiveBayes nb;
+  EXPECT_EQ(nb.Train(t.fac, t.split.train, few).code(),
+            StatusCode::kInvalidArgument);
   ForwardSelection forward;
   forward.set_force_scan_eval(true);
-  EXPECT_EQ(forward
-                .SelectFactorized(t.fac, t.split, MakeNaiveBayesFactory(),
-                                  t.metric, few)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      forward.Select(t.fac, t.split, MakeNaiveBayesFactory(), t.metric, few)
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(FactorizedRejectionTest, ExhaustiveCapHoldsOnFactorizedView) {
@@ -461,8 +459,7 @@ TEST(FactorizedRejectionTest, ExhaustiveCapHoldsOnFactorizedView) {
   ExhaustiveSelection capped(/*max_candidates=*/2);
   for (const ClassifierFactory& factory :
        {MakeNaiveBayesFactory(), MakeDecisionTreeFactory()}) {
-    auto result =
-        capped.SelectFactorized(t.fac, t.split, factory, t.metric, all);
+    auto result = capped.Select(t.fac, t.split, factory, t.metric, all);
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
 }

@@ -123,6 +123,17 @@ TEST(GbtTest, BitIdenticalAcrossThreadCounts) {
             << n << " rows, threads " << threads << " tree " << m;
       }
     }
+    // A 16-row batch is under Predict's row grain (NodeGrain over the
+    // node steps of a row's walks), so it scores inline at width 8, with
+    // the bits of PredictOne.
+    const std::vector<uint32_t> batch(rows.begin(), rows.begin() + 16);
+    std::vector<uint32_t> one_by_one;
+    for (uint32_t r : batch) one_by_one.push_back(ref.PredictOne(d, r));
+    const ScopedWidth width(8);
+    const uint64_t regions = ThreadPool::Global().GetStats().regions;
+    EXPECT_EQ(ref.Predict(d, batch), one_by_one) << n;
+    EXPECT_EQ(ThreadPool::Global().GetStats().regions, regions)
+        << n << ": a 16-row Predict must not start a pool region";
   }
 }
 
@@ -229,25 +240,20 @@ TEST(GbtTest, TrainRejectsBadIndices) {
   Gbt gbt;
   EXPECT_FALSE(gbt.Train(d, AllRows(d), {0, 7}).ok());
   EXPECT_FALSE(gbt.Train(d, {0, 1, 5000}, {0}).ok());
-  // The factorized entries run the same prelude: the same rejections,
-  // and a model no training succeeded on cannot predict.
+  // The factorized view runs the same prelude: the same rejections,
+  // and a model no training succeeded on cannot predict on either view —
+  // a checked failure, like PredictOne's on the joined table.
   const FactorizedDataset fac = SmallFactorizedView();
   const uint32_t bad_feature = fac.num_features();
   const uint32_t bad_row = fac.num_rows();
   Gbt fresh;
-  std::vector<uint32_t> predicted;
-  const Status before = fresh.PredictFactorized(fac, {0, 1}, &predicted);
-  EXPECT_EQ(before.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(before.message().find("Gbt::PredictFactorized before Train"),
-            std::string::npos)
-      << before;
-  EXPECT_EQ(fresh.TrainFactorized(fac, {0, 1}, {0, bad_feature}, nullptr)
-                .code(),
+  EXPECT_DEATH((void)fresh.Predict(fac, {0, 1}), "Gbt::Predict before Train");
+  EXPECT_EQ(fresh.Train(fac, {0, 1}, {0, bad_feature}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(fresh.TrainFactorized(fac, {0, bad_row}, {0}, nullptr).code(),
+  EXPECT_EQ(fresh.Train(fac, {0, bad_row}, {0}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(fresh.PredictFactorized(fac, {0, 1}, &predicted).code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_DEATH((void)fresh.Predict(fac, {0, 1}), "Gbt::Predict before Train");
+  EXPECT_DEATH((void)fresh.Predict(d, {0, 1}), "Gbt::Predict before Train");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "common/json_reader.h"
+#include "json_reader.h"
 
 #include <gtest/gtest.h>
 

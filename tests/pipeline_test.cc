@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json_reader.h"
+#include "json_reader.h"
 #include "datasets/registry.h"
 
 namespace hamlet {

@@ -84,6 +84,13 @@ TEST(SuffStatsTest, TrainFromStatsMatchesScanTrainBitExactly) {
   for (size_t c2 = 0; c2 < scan.log_priors().size(); ++c2) {
     EXPECT_EQ(scan.log_priors()[c2], from_stats.log_priors()[c2]);
   }
+  // Train with the statistics handed in reads them in place of the scan:
+  // the same bits as without them.
+  NaiveBayes given(1.0);
+  ASSERT_TRUE(given.Train(*c.data, c.split.train, features, &stats).ok());
+  EXPECT_EQ(given.ExportParams().log_priors, scan.ExportParams().log_priors);
+  EXPECT_EQ(given.ExportParams().log_likelihoods,
+            scan.ExportParams().log_likelihoods);
   for (uint32_t r : c.split.validation) {
     const std::vector<double> a = scan.LogScores(*c.data, r);
     const std::vector<double> b = from_stats.LogScores(*c.data, r);
