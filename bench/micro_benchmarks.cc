@@ -649,7 +649,7 @@ struct ServeBenchState {
               .string();
       std::filesystem::remove_all(root);
       s->store = std::make_unique<serve::ArtifactStore>(root);
-      if (!s->store->PutNaiveBayes("m", s->model).ok()) std::abort();
+      if (!s->store->PutModel("m", s->model).ok()) std::abort();
       serve::ServiceOptions on;
       s->batched = std::make_unique<serve::HamletService>(s->store.get(), on);
       serve::ServiceOptions off;
@@ -687,7 +687,7 @@ void BM_SerdeSave(benchmark::State& state) {
   size_t bytes = 0;
   for (auto _ : state) {
     std::string out = dataset ? serve::SerializeDataset(s.draw.data)
-                              : serve::SerializeNaiveBayes(s.model);
+                              : *serve::SerializeModel(s.model);
     bytes = out.size();
     benchmark::DoNotOptimize(out.data());
   }
@@ -700,13 +700,13 @@ void BM_SerdeLoad(benchmark::State& state) {
   auto& s = ServeBenchState::Get();
   const bool dataset = state.range(0) == 1;
   const std::string bytes = dataset ? serve::SerializeDataset(s.draw.data)
-                                    : serve::SerializeNaiveBayes(s.model);
+                                    : *serve::SerializeModel(s.model);
   for (auto _ : state) {
     if (dataset) {
       auto back = serve::DeserializeDataset(bytes);
       benchmark::DoNotOptimize(back.ok());
     } else {
-      auto back = serve::DeserializeNaiveBayes(bytes);
+      auto back = serve::DeserializeModel(bytes);
       benchmark::DoNotOptimize(back.ok());
     }
   }

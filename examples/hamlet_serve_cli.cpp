@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(root);
   ArtifactStore store(root);
   if (!store.PutDataset("churn_data", draw.data).ok() ||
-      !store.PutNaiveBayes("churn_nb", model).ok()) {
+      !store.PutModel("churn_nb", model).ok()) {
     std::fprintf(stderr, "artifact store setup failed\n");
     return 1;
   }

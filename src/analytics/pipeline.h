@@ -89,7 +89,7 @@ struct PipelineConfig {
   /// roughly the joined table's size (docs/PERFORMANCE.md). Naive Bayes
   /// trains from factorized statistics, and the tree classifiers
   /// (kDecisionTree, kGradientBoostedTrees) train through the FK hops
-  /// (Classifier::ReadsFactorizedView); other classifiers — and NB
+  /// (ModelTraits::reads_factorized_view); other classifiers — and NB
   /// force_scan_eval runs — fall back to materialization.
   /// PipelineReport::factorized says which path ran.
   bool avoid_materialization = false;

@@ -7,9 +7,7 @@
 #include "common/parallel_for.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "ml/decision_tree.h"
 #include "ml/factorized.h"
-#include "ml/gbt.h"
 #include "ml/naive_bayes.h"
 #include "ml/suff_stats.h"
 #include "obs/trace.h"
@@ -49,12 +47,12 @@ const char* ScoringBackendName(ScoringBackend backend) {
 Result<ScoringBackend> ChooseScoringBackend(const Classifier& model,
                                             bool factorized_view,
                                             bool force_scan_eval) {
-  if (dynamic_cast<const NaiveBayes*>(&model) != nullptr &&
-      !force_scan_eval) {
+  const ModelTraits traits = model.traits();
+  if (traits.stats == StatsUse::kWholeModel && !force_scan_eval) {
     return ScoringBackend::kNbDelta;
   }
   if (!factorized_view) return ScoringBackend::kScan;
-  if (model.ReadsFactorizedView()) return ScoringBackend::kFactorizedScan;
+  if (traits.reads_factorized_view) return ScoringBackend::kFactorizedScan;
   return Status::InvalidArgument(StringFormat(
       "the factorized view cannot score %s models: it needs Naive Bayes "
       "with the sufficient-statistics path on, or a classifier that reads "
@@ -88,27 +86,14 @@ std::shared_ptr<const SuffStats> StatsForScorer(
       backend.ok() &&
       (*backend == ScoringBackend::kNbDelta ||
        (*backend == ScoringBackend::kFactorizedScan && !force_scan_eval &&
-        dynamic_cast<const DecisionTree*>(probe.get()) != nullptr));
+        probe->traits().stats == StatsUse::kRootHistograms));
   return reads_stats ? BuildViewStats(view, train_rows) : nullptr;
 }
 
 ClassifierFactory WithRefitBudget(ClassifierFactory factory) {
   return [factory = std::move(factory)]() -> std::unique_ptr<Classifier> {
     std::unique_ptr<Classifier> model = factory();
-    if (const auto* tree = dynamic_cast<const DecisionTree*>(model.get())) {
-      DecisionTreeOptions options = tree->options();
-      options.max_depth =
-          std::min(options.max_depth, options.candidate_max_depth);
-      return std::make_unique<DecisionTree>(options);
-    }
-    if (const auto* gbt = dynamic_cast<const Gbt*>(model.get())) {
-      GbtOptions options = gbt->options();
-      options.num_rounds =
-          std::min(options.num_rounds, options.candidate_rounds);
-      options.max_depth =
-          std::min(options.max_depth, options.candidate_max_depth);
-      return std::make_unique<Gbt>(options);
-    }
+    model->CapToCandidateBudget();
     return model;
   };
 }
@@ -347,13 +332,16 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     return Status::InvalidArgument("cannot select features on zero rows");
   }
   // The factory is an opaque std::function; probe one instance to learn
-  // the concrete classifier (and Naive Bayes' smoothing constant).
+  // its traits (and Naive Bayes' smoothing constant).
   std::unique_ptr<Classifier> probe = factory();
   HAMLET_ASSIGN_OR_RETURN(
       ScoringBackend backend,
       ChooseScoringBackend(*probe, view.factorized() != nullptr,
                            force_scan_eval));
   if (backend == ScoringBackend::kNbDelta) {
+    HAMLET_CHECK(probe->traits().kind == ModelKind::kNaiveBayes,
+                 "nb_delta scores Naive Bayes only, not %s",
+                 probe->name().c_str());
     const double alpha = static_cast<const NaiveBayes&>(*probe).alpha();
     if (stats == nullptr) stats = BuildViewStats(view, train_rows);
     return std::unique_ptr<CandidateScorer>(std::make_unique<NbDeltaScorer>(

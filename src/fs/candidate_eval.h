@@ -13,7 +13,7 @@
 ///     materialize the join);
 ///   - kScan: a fresh model per subset, on the materialized view;
 ///   - kFactorizedScan: a fresh model per subset on the factorized view,
-///     for the classifiers that read it (Classifier::ReadsFactorizedView:
+///     for the classifiers that read it (ModelTraits::reads_factorized_view:
 ///     decision_tree, gbt), trained and scored through the FK hops.
 ///
 /// The two scans are one retrain: factory, then Classifier::Train on the
@@ -66,10 +66,12 @@ enum class ScoringBackend {
 /// "factorized_scan".
 const char* ScoringBackendName(ScoringBackend backend);
 
-/// The one backend decision. A Naive Bayes `model` takes kNbDelta unless
-/// `force_scan_eval` is set. Beyond that, the materialized view retrains
-/// any classifier (kScan) and the factorized view retrains the ones that
-/// read it, Classifier::ReadsFactorizedView (kFactorizedScan).
+/// The one backend decision, read from `model.traits()`. A model built
+/// wholly from statistics (StatsUse::kWholeModel: Naive Bayes) takes
+/// kNbDelta unless `force_scan_eval` is set. Beyond that, the
+/// materialized view retrains any classifier (kScan) and the factorized
+/// view retrains the ones that read it, reads_factorized_view
+/// (kFactorizedScan).
 /// Every other factorized combination — logistic regression, TAN, or
 /// Naive Bayes with the statistics path off — is InvalidArgument, since
 /// no scan exists without the materialized join.
@@ -122,17 +124,19 @@ std::shared_ptr<const SuffStats> BuildViewStats(
 
 /// The statistics of `train_rows` that a scorer for `factory`'s product
 /// over `view` reads, built once by BuildViewStats, or nullptr when it
-/// reads none. kNbDelta reads them, and so does a decision tree on
-/// kFactorizedScan (its root histograms) unless `force_scan_eval`. GBT,
-/// every scan, and a combination ChooseScoringBackend rejects read none.
+/// reads none. kNbDelta reads them, and so does a model that reads its
+/// root histograms (StatsUse::kRootHistograms: a decision tree) on
+/// kFactorizedScan unless `force_scan_eval`. GBT, every materialized
+/// scan, and a combination ChooseScoringBackend rejects read none.
 std::shared_ptr<const SuffStats> StatsForScorer(
     const DataView& view, const std::vector<uint32_t>& train_rows,
     const ClassifierFactory& factory, bool force_scan_eval);
 
-/// `factory` with the cheap per-candidate refit budget: its decision
-/// trees grow at most `candidate_max_depth` deep, and its GBT ensembles
-/// at most `candidate_rounds` rounds of `candidate_max_depth`. Every
-/// other classifier is unchanged. The forward and backward searches
+/// `factory` with the cheap per-candidate refit budget
+/// (Classifier::CapToCandidateBudget): its decision trees grow at most
+/// `candidate_max_depth` deep, and its GBT ensembles at most
+/// `candidate_rounds` rounds of `candidate_max_depth`. Every other
+/// classifier is unchanged. The forward and backward searches
 /// score candidates through it, so the O(d^2) wrapper retrains stay
 /// cheap; the budget belongs to those models alone, and the final fit,
 /// or any other training in the process, keeps the full options.

@@ -5,6 +5,38 @@
 
 namespace hamlet {
 
+const char* ModelKindToString(ModelKind kind) {
+  switch (kind) {
+    case ModelKind::kNaiveBayes:
+      return "naive_bayes";
+    case ModelKind::kLogisticRegression:
+      return "logistic_regression";
+    case ModelKind::kTan:
+      return "tan";
+    case ModelKind::kDecisionTree:
+      return "decision_tree";
+    case ModelKind::kGradientBoostedTrees:
+      return "gbt";
+  }
+  return "unknown";
+}
+
+Status Classifier::Train(const DataView& data,
+                         const std::vector<uint32_t>& rows,
+                         const std::vector<uint32_t>& features,
+                         const SuffStats* stats) {
+  const ModelTraits t = traits();
+  const bool reads_view =
+      t.reads_factorized_view ||
+      (stats != nullptr && t.stats == StatsUse::kWholeModel);
+  if (data.factorized() != nullptr && !reads_view) {
+    return Status::InvalidArgument(StringFormat(
+        "%s reads rows of the materialized join, not the factorized view",
+        name().c_str()));
+  }
+  return DoTrain(data, rows, features, stats);
+}
+
 std::vector<uint32_t> Classifier::Predict(
     const DataView& data, const std::vector<uint32_t>& rows) const {
   const EncodedDataset& joined = MaterializedForPredict(data);
@@ -12,13 +44,6 @@ std::vector<uint32_t> Classifier::Predict(
   out.reserve(rows.size());
   for (uint32_t r : rows) out.push_back(PredictOne(joined, r));
   return out;
-}
-
-Status Classifier::RequireMaterialized(const DataView& data) const {
-  if (data.materialized() != nullptr) return Status::OK();
-  return Status::InvalidArgument(StringFormat(
-      "%s reads rows of the materialized join, not the factorized view",
-      name().c_str()));
 }
 
 const EncodedDataset& Classifier::MaterializedForPredict(

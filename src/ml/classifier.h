@@ -25,24 +25,61 @@ namespace hamlet {
 
 struct SuffStats;
 
+/// What a model is: the serving layer's codec key (serve/serde.h) and the
+/// check behind every downcast to a concrete model.
+enum class ModelKind {
+  kNaiveBayes,
+  kLogisticRegression,
+  kTan,
+  kDecisionTree,
+  kGradientBoostedTrees,
+};
+
+/// "naive_bayes" / "logistic_regression" / "tan" / "decision_tree" /
+/// "gbt": every model's name().
+const char* ModelKindToString(ModelKind kind);
+
+/// What a model reads from the sufficient statistics (ml/suff_stats.h)
+/// Train is handed.
+enum class StatsUse {
+  kNone,            ///< Nothing: it trains from the rows alone.
+  kRootHistograms,  ///< Its root histograms (DecisionTree).
+  kWholeModel,      ///< The whole model, on either view (NaiveBayes).
+};
+
+/// A model's description, which every consumer reads instead of casting:
+/// feature selection picks its scoring backend and its statistics from
+/// it, the Monte Carlo study its statistics, serde its codec.
+struct ModelTraits {
+  ModelKind kind;
+  StatsUse stats = StatsUse::kNone;
+  /// True when Train and Predict read the factorized view's codes
+  /// themselves, with no statistics (DecisionTree, Gbt): such a model
+  /// retrains per candidate subset without the join.
+  bool reads_factorized_view = false;
+};
+
 /// A trainable multi-class classifier over categorical features.
 class Classifier {
  public:
   virtual ~Classifier() = default;
 
+  /// This model's description. Each model returns its class's constant
+  /// kTraits, so a consumer holding the class reads it without a model.
+  virtual ModelTraits traits() const = 0;
+
   /// Fits the model on `data` restricted to `rows`, using only the feature
   /// indices in `features` (possibly empty: a prior-only model). `stats`
   /// is nullptr or the sufficient statistics of (data, rows)
   /// (ml/suff_stats.h); a model may read them in place of a data pass and
-  /// is bit-identical either way (DecisionTree's root histograms, Naive
-  /// Bayes' whole model). InvalidArgument on a factorized view the model
-  /// cannot read. Non-virtual, so no override hides it: models implement
-  /// DoTrain.
+  /// is bit-identical either way (traits().stats). InvalidArgument on a
+  /// factorized view the model cannot read: one it does not read itself
+  /// (traits().reads_factorized_view), unless it is built wholly from the
+  /// `stats` given. Non-virtual, so no override hides it: models
+  /// implement DoTrain.
   Status Train(const DataView& data, const std::vector<uint32_t>& rows,
                const std::vector<uint32_t>& features,
-               const SuffStats* stats = nullptr) {
-    return DoTrain(data, rows, features, stats);
-  }
+               const SuffStats* stats = nullptr);
 
   /// Predicted class code for one row of `data` (which must share the
   /// feature layout of the training dataset).
@@ -55,14 +92,13 @@ class Classifier {
   virtual std::vector<uint32_t> Predict(
       const DataView& data, const std::vector<uint32_t>& rows) const;
 
-  /// True when Train and Predict read the factorized view's codes
-  /// themselves, with no statistics (DecisionTree, Gbt): such a model
-  /// retrains per candidate subset without the join. ChooseScoringBackend
-  /// (fs/candidate_eval.h) is its one reader.
-  virtual bool ReadsFactorizedView() const { return false; }
+  /// Caps this untrained model's budget at its cheap candidate-refit
+  /// budget (fs/candidate_eval.h's WithRefitBudget). A no-op for models
+  /// without one; DecisionTree and Gbt cap their depth and rounds.
+  virtual void CapToCandidateBudget() {}
 
-  /// Human-readable model name ("naive_bayes", ...).
-  virtual std::string name() const = 0;
+  /// Human-readable model name, ModelKindToString(traits().kind).
+  std::string name() const { return ModelKindToString(traits().kind); }
 
   /// Trained feature indices (empty before Train()).
   virtual const std::vector<uint32_t>& trained_features() const = 0;
@@ -74,15 +110,12 @@ class Classifier {
   virtual uint32_t trained_cardinality(size_t jj) const = 0;
 
  protected:
-  /// The model's training body behind Train.
+  /// The model's training body behind Train, which has already refused
+  /// a view the model cannot read.
   virtual Status DoTrain(const DataView& data,
                          const std::vector<uint32_t>& rows,
                          const std::vector<uint32_t>& features,
                          const SuffStats* stats) = 0;
-
-  /// OK on the materialized view; InvalidArgument naming this model on
-  /// the factorized one — the guard of models that read joined rows only.
-  Status RequireMaterialized(const DataView& data) const;
 
   /// `data`'s joined table; a checked failure naming this model on the
   /// factorized view — the guard of predictions that read joined rows.

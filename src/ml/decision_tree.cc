@@ -252,6 +252,11 @@ DecisionTree::DecisionTree(DecisionTreeOptions options)
                "DecisionTree alpha must be positive, got %f", options_.alpha);
 }
 
+void DecisionTree::CapToCandidateBudget() {
+  options_.max_depth =
+      std::min(options_.max_depth, options_.candidate_max_depth);
+}
+
 Status DecisionTree::DoTrain(const DataView& view,
                              const std::vector<uint32_t>& rows,
                              const std::vector<uint32_t>& features,

@@ -88,6 +88,11 @@ class DecisionTree : public Classifier {
  public:
   explicit DecisionTree(DecisionTreeOptions options = {});
 
+  static constexpr ModelTraits kTraits = {
+      ModelKind::kDecisionTree, StatsUse::kRootHistograms,
+      /*reads_factorized_view=*/true};
+  ModelTraits traits() const override { return kTraits; }
+
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
   /// Gathers the trained columns at `rows` (GatherTrainedCodes), then
@@ -97,9 +102,8 @@ class DecisionTree : public Classifier {
       const DataView& data,
       const std::vector<uint32_t>& rows) const override;
 
-  bool ReadsFactorizedView() const override { return true; }
-
-  std::string name() const override { return "decision_tree"; }
+  /// Caps max_depth at candidate_max_depth.
+  void CapToCandidateBudget() override;
 
   /// Per-class log-scores of `row`'s leaf, written into `*out` (resized
   /// to num_classes) — the serving layer's batched scoring hook, same

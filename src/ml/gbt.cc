@@ -215,6 +215,13 @@ Gbt::Gbt(GbtOptions options) : options_(options) {
                options_.lambda);
 }
 
+void Gbt::CapToCandidateBudget() {
+  options_.num_rounds =
+      std::min(options_.num_rounds, options_.candidate_rounds);
+  options_.max_depth =
+      std::min(options_.max_depth, options_.candidate_max_depth);
+}
+
 Status Gbt::DoTrain(const DataView& view, const std::vector<uint32_t>& rows,
                     const std::vector<uint32_t>& features,
                     const SuffStats* /*stats*/) {

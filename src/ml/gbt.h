@@ -85,6 +85,11 @@ class Gbt : public Classifier {
  public:
   explicit Gbt(GbtOptions options = {});
 
+  static constexpr ModelTraits kTraits = {ModelKind::kGradientBoostedTrees,
+                                          StatsUse::kNone,
+                                          /*reads_factorized_view=*/true};
+  ModelTraits traits() const override { return kTraits; }
+
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
   /// Gathers the trained columns at `rows` (GatherTrainedCodes), then
@@ -95,9 +100,9 @@ class Gbt : public Classifier {
       const DataView& data,
       const std::vector<uint32_t>& rows) const override;
 
-  bool ReadsFactorizedView() const override { return true; }
-
-  std::string name() const override { return "gbt"; }
+  /// Caps num_rounds at candidate_rounds and max_depth at
+  /// candidate_max_depth.
+  void CapToCandidateBudget() override;
 
   /// Boosted per-class logits of one row, written into `*out` (resized to
   /// num_classes) — the serving layer's batched scoring hook, same

@@ -59,9 +59,10 @@ class LogisticRegression : public Classifier {
  public:
   explicit LogisticRegression(LogisticRegressionOptions options = {});
 
-  uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
+  static constexpr ModelTraits kTraits = {ModelKind::kLogisticRegression};
+  ModelTraits traits() const override { return kTraits; }
 
-  std::string name() const override { return "logistic_regression"; }
+  uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
   /// Features whose entire coefficient group is (numerically) zero after
   /// training — the set L1 implicitly dropped. Returns trained feature
@@ -96,8 +97,7 @@ class LogisticRegression : public Classifier {
                                                    params);
 
  protected:
-  /// Trains on the materialized view; InvalidArgument on the factorized
-  /// one. `stats` is unused.
+  /// Trains on the materialized view. `stats` is unused.
   Status DoTrain(const DataView& data, const std::vector<uint32_t>& rows,
                  const std::vector<uint32_t>& features,
                  const SuffStats* stats) override;

@@ -17,7 +17,6 @@ Status NaiveBayes::DoTrain(const DataView& view,
                            const std::vector<uint32_t>& features,
                            const SuffStats* given) {
   if (given != nullptr) return TrainFromStats(*given, features);
-  HAMLET_RETURN_NOT_OK(RequireMaterialized(view));
   const EncodedDataset& data = *view.materialized();
   // One scan counts the classes and the trained features' tables, and
   // the model is derived from those counts by TrainFromStats: one set of

@@ -35,6 +35,10 @@ class NaiveBayes : public Classifier {
   /// `alpha` is the Laplace smoothing pseudo-count (> 0).
   explicit NaiveBayes(double alpha = 1.0);
 
+  static constexpr ModelTraits kTraits = {ModelKind::kNaiveBayes,
+                                          StatsUse::kWholeModel};
+  ModelTraits traits() const override { return kTraits; }
+
   /// Trains from precomputed sufficient statistics: zero data scans. Uses
   /// the exact floating-point expressions of the scan path on the exact
   /// same integer counts, so the resulting model is bit-identical. Train
@@ -50,8 +54,6 @@ class NaiveBayes : public Classifier {
   std::vector<uint32_t> Predict(
       const DataView& data,
       const std::vector<uint32_t>& rows) const override;
-
-  std::string name() const override { return "naive_bayes"; }
 
   /// Posterior class log-scores for one row (unnormalized); exposed for
   /// tests and the bias-variance machinery.

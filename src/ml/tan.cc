@@ -56,7 +56,6 @@ Status TreeAugmentedNaiveBayes::DoTrain(const DataView& view,
                                         const std::vector<uint32_t>& rows,
                                         const std::vector<uint32_t>& features,
                                         const SuffStats* /*stats*/) {
-  HAMLET_RETURN_NOT_OK(RequireMaterialized(view));
   const EncodedDataset& data = *view.materialized();
   if (rows.empty()) {
     return Status::InvalidArgument("cannot train TAN on zero rows");

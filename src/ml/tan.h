@@ -24,9 +24,10 @@ class TreeAugmentedNaiveBayes : public Classifier {
  public:
   explicit TreeAugmentedNaiveBayes(double alpha = 1.0);
 
-  uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
+  static constexpr ModelTraits kTraits = {ModelKind::kTan};
+  ModelTraits traits() const override { return kTraits; }
 
-  std::string name() const override { return "tan"; }
+  uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
   uint32_t trained_cardinality(size_t jj) const override;
   const std::vector<uint32_t>& trained_features() const override {
@@ -43,8 +44,7 @@ class TreeAugmentedNaiveBayes : public Classifier {
   double EdgeWeight(uint32_t i, uint32_t j) const;
 
  protected:
-  /// Trains on the materialized view; InvalidArgument on the factorized
-  /// one. `stats` is unused.
+  /// Trains on the materialized view. `stats` is unused.
   Status DoTrain(const DataView& data, const std::vector<uint32_t>& rows,
                  const std::vector<uint32_t>& features,
                  const SuffStats* stats) override;

@@ -152,16 +152,6 @@ Result<uint32_t> ArtifactStore::PutDataset(const std::string& name,
   return PutBytes(name, SerializeDataset(data));
 }
 
-Result<uint32_t> ArtifactStore::PutNaiveBayes(const std::string& name,
-                                              const NaiveBayes& model) {
-  return PutBytes(name, SerializeNaiveBayes(model));
-}
-
-Result<uint32_t> ArtifactStore::PutGbt(const std::string& name,
-                                       const Gbt& model) {
-  return PutBytes(name, SerializeGbt(model));
-}
-
 Result<uint32_t> ArtifactStore::PutModel(const std::string& name,
                                          const Classifier& model) {
   HAMLET_ASSIGN_OR_RETURN(std::string bytes, SerializeModel(model));

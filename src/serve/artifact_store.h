@@ -41,6 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "ml/gbt.h"
+#include "ml/naive_bayes.h"
 #include "serve/serde.h"
 
 namespace hamlet::serve {
@@ -70,14 +72,20 @@ class ArtifactStore {
   /// [A-Za-z0-9_.-], no leading dot, so they stay path-safe). ---
   Result<uint32_t> PutDataset(const std::string& name,
                               const EncodedDataset& data);
-  Result<uint32_t> PutNaiveBayes(const std::string& name,
-                                 const NaiveBayes& model);
-  Result<uint32_t> PutGbt(const std::string& name, const Gbt& model);
   Result<uint32_t> PutFsRunReport(const std::string& name,
                                   const FsRunReport& report);
 
   /// Publishes any servable model under its own kind (SerializeModel).
   Result<uint32_t> PutModel(const std::string& name, const Classifier& model);
+
+  /// PutModel of one kind; kept for the benchmark harness's callers.
+  Result<uint32_t> PutNaiveBayes(const std::string& name,
+                                 const NaiveBayes& model) {
+    return PutModel(name, model);
+  }
+  Result<uint32_t> PutGbt(const std::string& name, const Gbt& model) {
+    return PutModel(name, model);
+  }
 
   /// --- Readers: resolve the version (kLatest → highest), consult the
   /// LRU, load + verify + deserialize on miss. NotFound when the name
@@ -93,16 +101,30 @@ class ArtifactStore {
   Result<std::shared_ptr<const EncodedDataset>> GetDataset(
       const std::string& name, uint32_t version = kLatest);
 
-  /// Typed getters: GetModel plus a checked downcast (kKindMismatch when
-  /// the stored model is of another kind).
+  /// GetModel as the concrete `Model` (ModelAs); kKindMismatch when the
+  /// stored model is of another kind. The pointer shares the cached
+  /// model's ownership.
+  template <typename Model>
+  Result<std::shared_ptr<const Model>> GetModelAs(const std::string& name,
+                                                  uint32_t version = kLatest) {
+    HAMLET_ASSIGN_OR_RETURN(std::shared_ptr<const Classifier> model,
+                            GetModel(name, version));
+    const Model* typed = ModelAs<Model>(*model);
+    if (typed == nullptr) {
+      return KindMismatchError(model->name(),
+                               ModelKindToString(Model::kTraits.kind));
+    }
+    return std::shared_ptr<const Model>(std::move(model), typed);
+  }
+
+  /// GetModelAs of one kind; kept for the benchmark harness's callers.
   Result<std::shared_ptr<const NaiveBayes>> GetNaiveBayes(
       const std::string& name, uint32_t version = kLatest) {
-    return GetModelAs<NaiveBayes>(name, version, ArtifactKind::kNaiveBayes);
+    return GetModelAs<NaiveBayes>(name, version);
   }
   Result<std::shared_ptr<const Gbt>> GetGbt(const std::string& name,
                                             uint32_t version = kLatest) {
-    return GetModelAs<Gbt>(name, version,
-                           ArtifactKind::kGradientBoostedTrees);
+    return GetModelAs<Gbt>(name, version);
   }
 
   /// Reports are small and rarely re-read; loaded fresh each call.
@@ -167,20 +189,6 @@ class ArtifactStore {
       return *this;
     }
   };
-
-  template <typename Model>
-  Result<std::shared_ptr<const Model>> GetModelAs(const std::string& name,
-                                                  uint32_t version,
-                                                  ArtifactKind kind) {
-    HAMLET_ASSIGN_OR_RETURN(std::shared_ptr<const Classifier> model,
-                            GetModel(name, version));
-    std::shared_ptr<const Model> typed =
-        std::dynamic_pointer_cast<const Model>(model);
-    if (typed == nullptr) {
-      return KindMismatchError(model->name(), ArtifactKindToString(kind));
-    }
-    return typed;
-  }
 
   /// Resolves, then serves (name, version) from the LRU or reads it once;
   /// `want_model` picks the decoder on a miss.

@@ -70,7 +70,7 @@ Result<LoadReport> RunClosedLoopLoad(ArtifactStore* store,
     uint32_t version = 0;
     for (uint32_t v = 0; v < versions; ++v) {
       HAMLET_ASSIGN_OR_RETURN(
-          version, store->PutNaiveBayes(model_names.back(), model));
+          version, store->PutModel(model_names.back(), model));
     }
     model_versions.push_back(version);
   }

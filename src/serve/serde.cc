@@ -6,6 +6,10 @@
 
 #include "common/crc32.h"
 #include "common/string_util.h"
+#include "ml/decision_tree.h"
+#include "ml/gbt.h"
+#include "ml/logistic_regression.h"
+#include "ml/naive_bayes.h"
 
 namespace hamlet::serve {
 
@@ -402,215 +406,133 @@ Result<EncodedDataset> DeserializeDataset(std::string_view bytes) {
                         std::move(labels), num_classes);
 }
 
-// --- NaiveBayes ---
+// --- Model payloads: one Put/Get pair per exported params type ---
 
-std::string SerializeNaiveBayes(const NaiveBayes& model) {
-  NaiveBayesParams params = model.ExportParams();
-  ByteWriter w;
-  w.PutF64(params.alpha);
-  w.PutU32(params.num_classes);
-  w.PutVecU32(params.features);
-  w.PutVecF64(params.log_priors);
+namespace {
+
+void PutParams(const NaiveBayesParams& params, ByteWriter* w) {
+  w->PutF64(params.alpha);
+  w->PutU32(params.num_classes);
+  w->PutVecU32(params.features);
+  w->PutVecF64(params.log_priors);
   for (const std::vector<double>& ll : params.log_likelihoods) {
-    w.PutVecF64(ll);
+    w->PutVecF64(ll);
   }
-  return WrapEnvelope(ArtifactKind::kNaiveBayes, w.Take());
 }
 
-namespace {
-
-Result<NaiveBayes> DecodeNaiveBayes(std::string_view payload) {
-  ByteReader r(payload);
-  NaiveBayesParams params;
-  HAMLET_RETURN_NOT_OK(r.GetF64(&params.alpha));
-  HAMLET_RETURN_NOT_OK(r.GetU32(&params.num_classes));
-  HAMLET_RETURN_NOT_OK(r.GetVecU32(&params.features));
-  HAMLET_RETURN_NOT_OK(r.GetVecF64(&params.log_priors));
-  params.log_likelihoods.resize(params.features.size());
-  for (std::vector<double>& ll : params.log_likelihoods) {
-    HAMLET_RETURN_NOT_OK(r.GetVecF64(&ll));
+Status GetParams(ByteReader* r, NaiveBayesParams* params) {
+  HAMLET_RETURN_NOT_OK(r->GetF64(&params->alpha));
+  HAMLET_RETURN_NOT_OK(r->GetU32(&params->num_classes));
+  HAMLET_RETURN_NOT_OK(r->GetVecU32(&params->features));
+  HAMLET_RETURN_NOT_OK(r->GetVecF64(&params->log_priors));
+  params->log_likelihoods.resize(params->features.size());
+  for (std::vector<double>& ll : params->log_likelihoods) {
+    HAMLET_RETURN_NOT_OK(r->GetVecF64(&ll));
   }
-  HAMLET_RETURN_NOT_OK(r.ExpectEnd());
-  Result<NaiveBayes> model = NaiveBayes::FromParams(std::move(params));
-  if (!model.ok()) return Malformed(model.status().message());
-  return model;
+  return Status::OK();
 }
 
-}  // namespace
-
-Result<NaiveBayes> DeserializeNaiveBayes(std::string_view bytes) {
-  HAMLET_ASSIGN_OR_RETURN(std::string_view payload,
-                          UnwrapEnvelope(bytes, ArtifactKind::kNaiveBayes));
-  return DecodeNaiveBayes(payload);
+void PutParams(const LogisticRegressionParams& params, ByteWriter* w) {
+  w->PutU8(params.options.regularizer == Regularizer::kL1 ? 0 : 1);
+  w->PutF64(params.options.lambda);
+  w->PutU32(params.options.max_epochs);
+  w->PutF64(params.options.learning_rate);
+  w->PutF64(params.options.tolerance);
+  w->PutU32(params.num_classes);
+  w->PutU32(params.num_dims);
+  w->PutVecU32(params.features);
+  w->PutVecU32(params.offsets);
+  w->PutVecF64(params.weights);
 }
 
-// --- LogisticRegression ---
-
-std::string SerializeLogisticRegression(const LogisticRegression& model) {
-  LogisticRegressionParams params = model.ExportParams();
-  ByteWriter w;
-  w.PutU8(params.options.regularizer == Regularizer::kL1 ? 0 : 1);
-  w.PutF64(params.options.lambda);
-  w.PutU32(params.options.max_epochs);
-  w.PutF64(params.options.learning_rate);
-  w.PutF64(params.options.tolerance);
-  w.PutU32(params.num_classes);
-  w.PutU32(params.num_dims);
-  w.PutVecU32(params.features);
-  w.PutVecU32(params.offsets);
-  w.PutVecF64(params.weights);
-  return WrapEnvelope(ArtifactKind::kLogisticRegression, w.Take());
-}
-
-namespace {
-
-Result<LogisticRegression> DecodeLogisticRegression(
-    std::string_view payload) {
-  ByteReader r(payload);
-  LogisticRegressionParams params;
+Status GetParams(ByteReader* r, LogisticRegressionParams* params) {
   uint8_t regularizer = 0;
-  HAMLET_RETURN_NOT_OK(r.GetU8(&regularizer));
+  HAMLET_RETURN_NOT_OK(r->GetU8(&regularizer));
   if (regularizer > 1) {
     return Malformed(
         StringFormat("unknown regularizer code %u", regularizer));
   }
-  params.options.regularizer =
+  params->options.regularizer =
       regularizer == 0 ? Regularizer::kL1 : Regularizer::kL2;
-  HAMLET_RETURN_NOT_OK(r.GetF64(&params.options.lambda));
-  HAMLET_RETURN_NOT_OK(r.GetU32(&params.options.max_epochs));
-  HAMLET_RETURN_NOT_OK(r.GetF64(&params.options.learning_rate));
-  HAMLET_RETURN_NOT_OK(r.GetF64(&params.options.tolerance));
-  HAMLET_RETURN_NOT_OK(r.GetU32(&params.num_classes));
-  HAMLET_RETURN_NOT_OK(r.GetU32(&params.num_dims));
-  HAMLET_RETURN_NOT_OK(r.GetVecU32(&params.features));
-  HAMLET_RETURN_NOT_OK(r.GetVecU32(&params.offsets));
-  HAMLET_RETURN_NOT_OK(r.GetVecF64(&params.weights));
-  HAMLET_RETURN_NOT_OK(r.ExpectEnd());
-  Result<LogisticRegression> model =
-      LogisticRegression::FromParams(std::move(params));
-  if (!model.ok()) return Malformed(model.status().message());
-  return model;
+  HAMLET_RETURN_NOT_OK(r->GetF64(&params->options.lambda));
+  HAMLET_RETURN_NOT_OK(r->GetU32(&params->options.max_epochs));
+  HAMLET_RETURN_NOT_OK(r->GetF64(&params->options.learning_rate));
+  HAMLET_RETURN_NOT_OK(r->GetF64(&params->options.tolerance));
+  HAMLET_RETURN_NOT_OK(r->GetU32(&params->num_classes));
+  HAMLET_RETURN_NOT_OK(r->GetU32(&params->num_dims));
+  HAMLET_RETURN_NOT_OK(r->GetVecU32(&params->features));
+  HAMLET_RETURN_NOT_OK(r->GetVecU32(&params->offsets));
+  return r->GetVecF64(&params->weights);
 }
 
-}  // namespace
-
-Result<LogisticRegression> DeserializeLogisticRegression(
-    std::string_view bytes) {
-  HAMLET_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      UnwrapEnvelope(bytes, ArtifactKind::kLogisticRegression));
-  return DecodeLogisticRegression(payload);
+void PutParams(const DecisionTreeParams& params, ByteWriter* w) {
+  w->PutF64(params.alpha);
+  w->PutU32(params.num_classes);
+  w->PutVecU32(params.features);
+  w->PutVecU32(params.cardinalities);
+  w->PutVecI32(params.split_slot);
+  w->PutVecU32(params.split_code);
+  w->PutVecI32(params.left);
+  w->PutVecI32(params.right);
+  w->PutVecF64(params.scores);
 }
 
-// --- DecisionTree ---
-
-std::string SerializeDecisionTree(const DecisionTree& model) {
-  DecisionTreeParams params = model.ExportParams();
-  ByteWriter w;
-  w.PutF64(params.alpha);
-  w.PutU32(params.num_classes);
-  w.PutVecU32(params.features);
-  w.PutVecU32(params.cardinalities);
-  w.PutVecI32(params.split_slot);
-  w.PutVecU32(params.split_code);
-  w.PutVecI32(params.left);
-  w.PutVecI32(params.right);
-  w.PutVecF64(params.scores);
-  return WrapEnvelope(ArtifactKind::kDecisionTree, w.Take());
+Status GetParams(ByteReader* r, DecisionTreeParams* params) {
+  HAMLET_RETURN_NOT_OK(r->GetF64(&params->alpha));
+  HAMLET_RETURN_NOT_OK(r->GetU32(&params->num_classes));
+  HAMLET_RETURN_NOT_OK(r->GetVecU32(&params->features));
+  HAMLET_RETURN_NOT_OK(r->GetVecU32(&params->cardinalities));
+  HAMLET_RETURN_NOT_OK(r->GetVecI32(&params->split_slot));
+  HAMLET_RETURN_NOT_OK(r->GetVecU32(&params->split_code));
+  HAMLET_RETURN_NOT_OK(r->GetVecI32(&params->left));
+  HAMLET_RETURN_NOT_OK(r->GetVecI32(&params->right));
+  return r->GetVecF64(&params->scores);
 }
 
-namespace {
-
-Result<DecisionTree> DecodeDecisionTree(std::string_view payload) {
-  ByteReader r(payload);
-  DecisionTreeParams params;
-  HAMLET_RETURN_NOT_OK(r.GetF64(&params.alpha));
-  HAMLET_RETURN_NOT_OK(r.GetU32(&params.num_classes));
-  HAMLET_RETURN_NOT_OK(r.GetVecU32(&params.features));
-  HAMLET_RETURN_NOT_OK(r.GetVecU32(&params.cardinalities));
-  HAMLET_RETURN_NOT_OK(r.GetVecI32(&params.split_slot));
-  HAMLET_RETURN_NOT_OK(r.GetVecU32(&params.split_code));
-  HAMLET_RETURN_NOT_OK(r.GetVecI32(&params.left));
-  HAMLET_RETURN_NOT_OK(r.GetVecI32(&params.right));
-  HAMLET_RETURN_NOT_OK(r.GetVecF64(&params.scores));
-  HAMLET_RETURN_NOT_OK(r.ExpectEnd());
-  Result<DecisionTree> model_result =
-      DecisionTree::FromParams(std::move(params));
-  if (!model_result.ok()) return Malformed(model_result.status().message());
-  return model_result;
-}
-
-}  // namespace
-
-Result<DecisionTree> DeserializeDecisionTree(std::string_view bytes) {
-  HAMLET_ASSIGN_OR_RETURN(std::string_view payload,
-                          UnwrapEnvelope(bytes, ArtifactKind::kDecisionTree));
-  return DecodeDecisionTree(payload);
-}
-
-// --- Gbt ---
-
-std::string SerializeGbt(const Gbt& model) {
-  GbtParams params = model.ExportParams();
-  ByteWriter w;
-  w.PutF64(params.learning_rate);
-  w.PutF64(params.lambda);
-  w.PutU32(params.num_classes);
-  w.PutVecU32(params.features);
-  w.PutVecU32(params.cardinalities);
-  w.PutVecF64(params.base_scores);
-  w.PutU64(params.trees.size());
+void PutParams(const GbtParams& params, ByteWriter* w) {
+  w->PutF64(params.learning_rate);
+  w->PutF64(params.lambda);
+  w->PutU32(params.num_classes);
+  w->PutVecU32(params.features);
+  w->PutVecU32(params.cardinalities);
+  w->PutVecF64(params.base_scores);
+  w->PutU64(params.trees.size());
   for (const GbtTree& tree : params.trees) {
-    w.PutVecI32(tree.split_slot);
-    w.PutVecU32(tree.split_code);
-    w.PutVecI32(tree.left);
-    w.PutVecI32(tree.right);
-    w.PutVecF64(tree.value);
+    w->PutVecI32(tree.split_slot);
+    w->PutVecU32(tree.split_code);
+    w->PutVecI32(tree.left);
+    w->PutVecI32(tree.right);
+    w->PutVecF64(tree.value);
   }
-  return WrapEnvelope(ArtifactKind::kGradientBoostedTrees, w.Take());
 }
 
-namespace {
-
-Result<Gbt> DecodeGbt(std::string_view payload) {
-  ByteReader r(payload);
-  GbtParams params;
-  HAMLET_RETURN_NOT_OK(r.GetF64(&params.learning_rate));
-  HAMLET_RETURN_NOT_OK(r.GetF64(&params.lambda));
-  HAMLET_RETURN_NOT_OK(r.GetU32(&params.num_classes));
-  HAMLET_RETURN_NOT_OK(r.GetVecU32(&params.features));
-  HAMLET_RETURN_NOT_OK(r.GetVecU32(&params.cardinalities));
-  HAMLET_RETURN_NOT_OK(r.GetVecF64(&params.base_scores));
+Status GetParams(ByteReader* r, GbtParams* params) {
+  HAMLET_RETURN_NOT_OK(r->GetF64(&params->learning_rate));
+  HAMLET_RETURN_NOT_OK(r->GetF64(&params->lambda));
+  HAMLET_RETURN_NOT_OK(r->GetU32(&params->num_classes));
+  HAMLET_RETURN_NOT_OK(r->GetVecU32(&params->features));
+  HAMLET_RETURN_NOT_OK(r->GetVecU32(&params->cardinalities));
+  HAMLET_RETURN_NOT_OK(r->GetVecF64(&params->base_scores));
   uint64_t num_trees = 0;
-  HAMLET_RETURN_NOT_OK(r.GetU64(&num_trees));
+  HAMLET_RETURN_NOT_OK(r->GetU64(&num_trees));
   // An empty tree still costs five 8-byte vector lengths; bound the count
   // by that before allocating (a flipped length field must produce a
   // typed error, not an OOM).
-  if (num_trees > r.Remaining() / 40) {
+  if (num_trees > r->Remaining() / 40) {
     return Malformed("tree count exceeds the payload size");
   }
-  params.trees.resize(num_trees);
-  for (GbtTree& tree : params.trees) {
-    HAMLET_RETURN_NOT_OK(r.GetVecI32(&tree.split_slot));
-    HAMLET_RETURN_NOT_OK(r.GetVecU32(&tree.split_code));
-    HAMLET_RETURN_NOT_OK(r.GetVecI32(&tree.left));
-    HAMLET_RETURN_NOT_OK(r.GetVecI32(&tree.right));
-    HAMLET_RETURN_NOT_OK(r.GetVecF64(&tree.value));
+  params->trees.resize(num_trees);
+  for (GbtTree& tree : params->trees) {
+    HAMLET_RETURN_NOT_OK(r->GetVecI32(&tree.split_slot));
+    HAMLET_RETURN_NOT_OK(r->GetVecU32(&tree.split_code));
+    HAMLET_RETURN_NOT_OK(r->GetVecI32(&tree.left));
+    HAMLET_RETURN_NOT_OK(r->GetVecI32(&tree.right));
+    HAMLET_RETURN_NOT_OK(r->GetVecF64(&tree.value));
   }
-  HAMLET_RETURN_NOT_OK(r.ExpectEnd());
-  Result<Gbt> model_result = Gbt::FromParams(std::move(params));
-  if (!model_result.ok()) return Malformed(model_result.status().message());
-  return model_result;
+  return Status::OK();
 }
 
 }  // namespace
-
-Result<Gbt> DeserializeGbt(std::string_view bytes) {
-  HAMLET_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      UnwrapEnvelope(bytes, ArtifactKind::kGradientBoostedTrees));
-  return DecodeGbt(payload);
-}
 
 // --- FsRunReport ---
 
@@ -659,47 +581,69 @@ Result<FsRunReport> DeserializeFsRunReport(std::string_view bytes) {
 
 namespace {
 
+// The payload of `model`, a `Model` by its kind (the table's key).
 template <typename Model>
-Result<std::shared_ptr<const Classifier>> Share(Result<Model> model) {
-  HAMLET_RETURN_NOT_OK(model.status());
+std::string EncodeModel(const Classifier& model) {
+  ByteWriter w;
+  PutParams(ModelAs<Model>(model)->ExportParams(), &w);
+  return w.Take();
+}
+
+// A `Model` from its payload: its params, every byte read, then the
+// model's own validation (FromParams), whose failure is kMalformed.
+template <typename Model>
+Result<std::shared_ptr<const Classifier>> DecodeModel(
+    std::string_view payload) {
+  ByteReader r(payload);
+  decltype(std::declval<const Model&>().ExportParams()) params;
+  HAMLET_RETURN_NOT_OK(GetParams(&r, &params));
+  HAMLET_RETURN_NOT_OK(r.ExpectEnd());
+  Result<Model> model = Model::FromParams(std::move(params));
+  if (!model.ok()) return Malformed(model.status().message());
   return std::shared_ptr<const Classifier>(
       std::make_shared<const Model>(std::move(model).ValueOrDie()));
 }
+
+// One servable model kind: its artifact kind and payload codec.
+struct ModelCodec {
+  ModelKind model;
+  ArtifactKind artifact;
+  std::string (*encode)(const Classifier& model);
+  Result<std::shared_ptr<const Classifier>> (*decode)(
+      std::string_view payload);
+};
+
+template <typename Model>
+constexpr ModelCodec CodecOf(ArtifactKind artifact) {
+  return {Model::kTraits.kind, artifact, &EncodeModel<Model>,
+          &DecodeModel<Model>};
+}
+
+// Every servable model kind. TAN has no entry: SerializeModel refuses it.
+constexpr ModelCodec kModelCodecs[] = {
+    CodecOf<NaiveBayes>(ArtifactKind::kNaiveBayes),
+    CodecOf<LogisticRegression>(ArtifactKind::kLogisticRegression),
+    CodecOf<DecisionTree>(ArtifactKind::kDecisionTree),
+    CodecOf<Gbt>(ArtifactKind::kGradientBoostedTrees),
+};
 
 }  // namespace
 
 Result<std::shared_ptr<const Classifier>> DeserializeModel(
     std::string_view bytes) {
   HAMLET_ASSIGN_OR_RETURN(ArtifactKind kind, KindOfSerialized(bytes));
-  const std::string_view payload = PayloadOf(bytes);
-  switch (kind) {
-    case ArtifactKind::kNaiveBayes:
-      return Share(DecodeNaiveBayes(payload));
-    case ArtifactKind::kLogisticRegression:
-      return Share(DecodeLogisticRegression(payload));
-    case ArtifactKind::kDecisionTree:
-      return Share(DecodeDecisionTree(payload));
-    case ArtifactKind::kGradientBoostedTrees:
-      return Share(DecodeGbt(payload));
-    case ArtifactKind::kEncodedDataset:
-    case ArtifactKind::kFsRunReport:
-      break;
+  for (const ModelCodec& codec : kModelCodecs) {
+    if (codec.artifact == kind) return codec.decode(PayloadOf(bytes));
   }
   return KindMismatchError(ArtifactKindToString(kind), "model");
 }
 
 Result<std::string> SerializeModel(const Classifier& model) {
-  if (const auto* nb = dynamic_cast<const NaiveBayes*>(&model)) {
-    return SerializeNaiveBayes(*nb);
-  }
-  if (const auto* lr = dynamic_cast<const LogisticRegression*>(&model)) {
-    return SerializeLogisticRegression(*lr);
-  }
-  if (const auto* tree = dynamic_cast<const DecisionTree*>(&model)) {
-    return SerializeDecisionTree(*tree);
-  }
-  if (const auto* gbt = dynamic_cast<const Gbt*>(&model)) {
-    return SerializeGbt(*gbt);
+  const ModelKind kind = model.traits().kind;
+  for (const ModelCodec& codec : kModelCodecs) {
+    if (codec.model == kind) {
+      return WrapEnvelope(codec.artifact, codec.encode(model));
+    }
   }
   return Status::InvalidArgument(StringFormat(
       "no artifact kind serializes a %s model", model.name().c_str()));

@@ -20,6 +20,13 @@
 ///   [last 4] CRC-32 (common/crc32.h), little-endian u32, over every
 ///            byte before the footer (header + payload)
 ///
+/// A model's payload is its exported params (NaiveBayesParams, ...), and
+/// one codec table keyed by the model's kind (Classifier::traits) serves
+/// every model kind through SerializeModel and DeserializeModel. Tree
+/// payloads store the flat pre-order node arrays, and deserialization
+/// re-validates the structure (ValidateTreeStructure), so a CRC-passing
+/// but inconsistent tree is kMalformed, never a wild pointer walk.
+///
 /// Every Deserialize failure is a typed error: the Status carries a
 /// distinct code per failure class plus a "serde/<tag>:" message prefix
 /// that SerdeErrorOf() parses back into a SerdeError. Corrupt, truncated,
@@ -33,10 +40,7 @@
 #include "common/result.h"
 #include "data/encoded_dataset.h"
 #include "fs/runner.h"
-#include "ml/decision_tree.h"
-#include "ml/gbt.h"
-#include "ml/logistic_regression.h"
-#include "ml/naive_bayes.h"
+#include "ml/classifier.h"
 
 namespace hamlet::serve {
 
@@ -89,38 +93,30 @@ SerdeError SerdeErrorOf(const Status& status);
 std::string SerializeDataset(const EncodedDataset& data);
 Result<EncodedDataset> DeserializeDataset(std::string_view bytes);
 
-std::string SerializeNaiveBayes(const NaiveBayes& model);
-Result<NaiveBayes> DeserializeNaiveBayes(std::string_view bytes);
-
-std::string SerializeLogisticRegression(const LogisticRegression& model);
-Result<LogisticRegression> DeserializeLogisticRegression(
-    std::string_view bytes);
-
-/// Tree payloads store the flat pre-order node arrays of
-/// DecisionTreeParams / GbtParams; deserialization re-validates the
-/// structure (ValidateTreeStructure), so a CRC-passing but inconsistent
-/// tree is kMalformed, never a wild pointer walk.
-std::string SerializeDecisionTree(const DecisionTree& model);
-Result<DecisionTree> DeserializeDecisionTree(std::string_view bytes);
-
-std::string SerializeGbt(const Gbt& model);
-Result<Gbt> DeserializeGbt(std::string_view bytes);
-
 /// FsRunReport serialization persists the selection and every scalar.
 std::string SerializeFsRunReport(const FsRunReport& report);
 Result<FsRunReport> DeserializeFsRunReport(std::string_view bytes);
 
 /// Any servable model: reads the kind once (KindOfSerialized) and
 /// decodes the payload of that kind. Dataset and fs_report bytes are
-/// kKindMismatch. Adding a model kind means its payload codec and one
-/// case here and in SerializeModel; the store and the service need no
-/// change.
+/// kKindMismatch. Adding a model kind means its params' payload codec
+/// and one codec-table entry; the store and the service need no change.
 Result<std::shared_ptr<const Classifier>> DeserializeModel(
     std::string_view bytes);
 
-/// The Serialize* of `model`'s concrete kind; InvalidArgument for a
-/// classifier no artifact kind covers (e.g. TAN).
+/// The artifact of `model`, by the codec its traits().kind keys;
+/// InvalidArgument for a classifier no artifact kind covers (TAN).
 Result<std::string> SerializeModel(const Classifier& model);
+
+/// `model` as its concrete class `Model` when its traits say it is one,
+/// else nullptr: the serving layer's one downcast, checked against
+/// Classifier::traits().
+template <typename Model>
+const Model* ModelAs(const Classifier& model) {
+  return model.traits().kind == Model::kTraits.kind
+             ? static_cast<const Model*>(&model)
+             : nullptr;
+}
 
 /// Validates the envelope (magic, version, kind, size, CRC) and returns
 /// the artifact kind without parsing the payload.

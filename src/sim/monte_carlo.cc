@@ -96,8 +96,8 @@ Status RunOneRepeat(const SimConfig& config,
   const std::vector<uint32_t> f_nofk = generator.NoFkFeatures();
 
   // Probe the opaque factory once: the statistics reuse below only pays
-  // off for classifiers that can train from counts.
-  const bool nb_variants = dynamic_cast<NaiveBayes*>(make().get()) != nullptr;
+  // off for classifiers built wholly from counts.
+  const bool from_stats = make()->traits().stats == StatsUse::kWholeModel;
 
   // Inner training-set loop, parallelized in blocks. Each block's draws
   // are taken serially in t order (preserving the exact RNG stream of a
@@ -131,7 +131,7 @@ Status RunOneRepeat(const SimConfig& config,
       // serves all three variant trainings (Train derives each model from
       // the counts it is handed — bit-identical to a scan).
       const SuffStats stats =
-          nb_variants ? BuildSuffStats(train.data, train_rows) : SuffStats{};
+          from_stats ? BuildSuffStats(train.data, train_rows) : SuffStats{};
 
       // The test set shares the feature layout, so models trained on the
       // training draw can predict it directly.
@@ -139,7 +139,7 @@ Status RunOneRepeat(const SimConfig& config,
                              std::vector<uint32_t>* out) -> Status {
         std::unique_ptr<Classifier> model = make();
         HAMLET_RETURN_NOT_OK(model->Train(train.data, train_rows, feats,
-                                          nb_variants ? &stats : nullptr));
+                                          from_stats ? &stats : nullptr));
         SimModelsTrainedCounter().Add(1);
         *out = model->Predict(test.data, test_rows);
         return Status::OK();

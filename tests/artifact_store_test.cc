@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ml/decision_tree.h"
+#include "ml/logistic_regression.h"
 
 namespace hamlet::serve {
 namespace {
@@ -47,9 +49,9 @@ TEST_F(ArtifactStoreTest, PutAllocatesGrowingVersions) {
   ArtifactStore store(root_);
   EncodedDataset data = MakeData(1);
   NaiveBayes model = TrainNb(data);
-  auto v1 = store.PutNaiveBayes("m", model);
-  auto v2 = store.PutNaiveBayes("m", model);
-  auto v3 = store.PutNaiveBayes("m", model);
+  auto v1 = store.PutModel("m", model);
+  auto v2 = store.PutModel("m", model);
+  auto v3 = store.PutModel("m", model);
   ASSERT_TRUE(v1.ok() && v2.ok() && v3.ok());
   EXPECT_EQ(*v1, 1u);
   EXPECT_EQ(*v2, 2u);
@@ -64,19 +66,19 @@ TEST_F(ArtifactStoreTest, GetLatestResolvesHighestVersion) {
   EncodedDataset data = MakeData(2);
   NaiveBayes a = TrainNb(data, 1.0);
   NaiveBayes b = TrainNb(data, 2.0);  // Distinguishable by alpha.
-  ASSERT_TRUE(store.PutNaiveBayes("m", a).ok());
-  ASSERT_TRUE(store.PutNaiveBayes("m", b).ok());
-  auto latest = store.GetNaiveBayes("m");
+  ASSERT_TRUE(store.PutModel("m", a).ok());
+  ASSERT_TRUE(store.PutModel("m", b).ok());
+  auto latest = store.GetModelAs<NaiveBayes>("m");
   ASSERT_TRUE(latest.ok()) << latest.status();
   EXPECT_EQ((*latest)->alpha(), 2.0);
-  auto pinned = store.GetNaiveBayes("m", 1);
+  auto pinned = store.GetModelAs<NaiveBayes>("m", 1);
   ASSERT_TRUE(pinned.ok());
   EXPECT_EQ((*pinned)->alpha(), 1.0);
 }
 
 TEST_F(ArtifactStoreTest, MissingArtifactsAreNotFound) {
   ArtifactStore store(root_);
-  EXPECT_EQ(store.GetNaiveBayes("absent").status().code(),
+  EXPECT_EQ(store.GetModelAs<NaiveBayes>("absent").status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(store.LatestVersion("absent").status().code(),
             StatusCode::kNotFound);
@@ -99,7 +101,7 @@ TEST_F(ArtifactStoreTest, BadNamesRejected) {
 TEST_F(ArtifactStoreTest, KindMismatchIsTypedError) {
   ArtifactStore store(root_);
   ASSERT_TRUE(store.PutDataset("d", MakeData(5)).ok());
-  auto as_model = store.GetNaiveBayes("d");
+  auto as_model = store.GetModelAs<NaiveBayes>("d");
   ASSERT_FALSE(as_model.ok());
   EXPECT_EQ(SerdeErrorOf(as_model.status()), SerdeError::kKindMismatch);
 }
@@ -122,19 +124,19 @@ TEST_F(ArtifactStoreTest, CorruptFileIsTypedErrorNotCrash) {
 TEST_F(ArtifactStoreTest, CacheHitsAfterFirstLoad) {
   ArtifactStore store(root_);
   EncodedDataset data = MakeData(7);
-  ASSERT_TRUE(store.PutNaiveBayes("m", TrainNb(data)).ok());
-  auto first = store.GetNaiveBayes("m", 1);
+  ASSERT_TRUE(store.PutModel("m", TrainNb(data)).ok());
+  auto first = store.GetModelAs<NaiveBayes>("m", 1);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(store.cache_hits(), 0u);
   EXPECT_EQ(store.cache_misses(), 1u);
-  auto second = store.GetNaiveBayes("m", 1);
+  auto second = store.GetModelAs<NaiveBayes>("m", 1);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(store.cache_hits(), 1u);
   // Cache hits hand back the same deserialized instance.
   EXPECT_EQ(first->get(), second->get());
 
   store.ClearCache();
-  auto third = store.GetNaiveBayes("m", 1);
+  auto third = store.GetModelAs<NaiveBayes>("m", 1);
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(store.cache_hits(), 1u);
   EXPECT_EQ(store.cache_misses(), 2u);
@@ -145,16 +147,16 @@ TEST_F(ArtifactStoreTest, LruEvictsLeastRecentlyUsed) {
   EncodedDataset data = MakeData(8);
   NaiveBayes model = TrainNb(data);
   for (const char* name : {"a", "b", "c"}) {
-    ASSERT_TRUE(store.PutNaiveBayes(name, model).ok());
+    ASSERT_TRUE(store.PutModel(name, model).ok());
   }
-  ASSERT_TRUE(store.GetNaiveBayes("a").ok());  // miss → {a}
-  ASSERT_TRUE(store.GetNaiveBayes("b").ok());  // miss → {a, b}
-  ASSERT_TRUE(store.GetNaiveBayes("a").ok());  // hit, a now most recent
-  ASSERT_TRUE(store.GetNaiveBayes("c").ok());  // miss, evicts b → {a, c}
+  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("a").ok());  // miss → {a}
+  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("b").ok());  // miss → {a, b}
+  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("a").ok());  // hit, a now most recent
+  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("c").ok());  // miss, evicts b → {a, c}
   uint64_t misses_before = store.cache_misses();
-  ASSERT_TRUE(store.GetNaiveBayes("a").ok());  // still cached
+  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("a").ok());  // still cached
   EXPECT_EQ(store.cache_misses(), misses_before);
-  ASSERT_TRUE(store.GetNaiveBayes("b").ok());  // evicted → miss again
+  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("b").ok());  // evicted → miss again
   EXPECT_EQ(store.cache_misses(), misses_before + 1);
 }
 
@@ -162,8 +164,8 @@ TEST_F(ArtifactStoreTest, ListReportsEverythingSorted) {
   ArtifactStore store(root_);
   EncodedDataset data = MakeData(9);
   ASSERT_TRUE(store.PutDataset("data", data).ok());
-  ASSERT_TRUE(store.PutNaiveBayes("model", TrainNb(data)).ok());
-  ASSERT_TRUE(store.PutNaiveBayes("model", TrainNb(data)).ok());
+  ASSERT_TRUE(store.PutModel("model", TrainNb(data)).ok());
+  ASSERT_TRUE(store.PutModel("model", TrainNb(data)).ok());
   auto list = store.List();
   ASSERT_TRUE(list.ok());
   ASSERT_EQ(list->size(), 3u);
@@ -230,7 +232,7 @@ TEST_F(ArtifactStoreTest, TreeModelsRoundTripThroughStore) {
   auto tree_version = store.PutModel("tree", tree);
   ASSERT_TRUE(tree_version.ok()) << tree_version.status();
   EXPECT_EQ(*tree_version, 1u);
-  auto gbt_version = store.PutGbt("gbt", gbt);
+  auto gbt_version = store.PutModel("gbt", gbt);
   ASSERT_TRUE(gbt_version.ok()) << gbt_version.status();
 
   auto tree_kind = store.KindOf("tree");
@@ -240,20 +242,18 @@ TEST_F(ArtifactStoreTest, TreeModelsRoundTripThroughStore) {
   ASSERT_TRUE(gbt_kind.ok());
   EXPECT_EQ(*gbt_kind, ArtifactKind::kGradientBoostedTrees);
 
-  auto tree_back = store.GetModel("tree");
+  auto tree_back = store.GetModelAs<DecisionTree>("tree");
   ASSERT_TRUE(tree_back.ok()) << tree_back.status();
-  const auto* tree_model =
-      dynamic_cast<const DecisionTree*>(tree_back->get());
-  ASSERT_NE(tree_model, nullptr);
-  EXPECT_EQ(tree_model->Predict(data, rows), tree.Predict(data, rows));
-  auto gbt_back = store.GetGbt("gbt");
+  EXPECT_EQ((*tree_back)->Predict(data, rows), tree.Predict(data, rows));
+  auto gbt_back = store.GetModelAs<Gbt>("gbt");
   ASSERT_TRUE(gbt_back.ok()) << gbt_back.status();
   EXPECT_EQ((*gbt_back)->Predict(data, rows), gbt.Predict(data, rows));
 
   // Cache hits hand back the same deserialized instance.
   auto tree_again = store.GetModel("tree");
   ASSERT_TRUE(tree_again.ok());
-  EXPECT_EQ(tree_back->get(), tree_again->get());
+  EXPECT_EQ(static_cast<const Classifier*>(tree_back->get()),
+            tree_again->get());
 }
 
 TEST_F(ArtifactStoreTest, TreeKindMismatchIsTypedError) {
@@ -264,12 +264,20 @@ TEST_F(ArtifactStoreTest, TreeKindMismatchIsTypedError) {
   DecisionTree tree;
   ASSERT_TRUE(tree.Train(data, rows, {0}).ok());
   ASSERT_TRUE(store.PutModel("tree", tree).ok());
+  // The named getters are GetModelAs of one kind.
   auto as_gbt = store.GetGbt("tree");
   ASSERT_FALSE(as_gbt.ok());
   EXPECT_EQ(SerdeErrorOf(as_gbt.status()), SerdeError::kKindMismatch);
+  EXPECT_NE(as_gbt.status().message().find(
+                "holds a decision_tree artifact, caller asked for gbt"),
+            std::string::npos)
+      << as_gbt.status();
   auto as_nb = store.GetNaiveBayes("tree");
   ASSERT_FALSE(as_nb.ok());
   EXPECT_EQ(SerdeErrorOf(as_nb.status()), SerdeError::kKindMismatch);
+  auto as_lr = store.GetModelAs<LogisticRegression>("tree");
+  ASSERT_FALSE(as_lr.ok());
+  EXPECT_EQ(SerdeErrorOf(as_lr.status()), SerdeError::kKindMismatch);
   EXPECT_EQ(store.GetModel("absent").status().code(),
             StatusCode::kNotFound);
 }
@@ -296,10 +304,10 @@ TEST_F(ArtifactStoreTest, GetModelReadsEachVersionOnce) {
   EXPECT_EQ((*model)->name(), "gbt");
   EXPECT_EQ((*model)->Predict(data, rows), gbt.Predict(data, rows));
   EXPECT_EQ(store.cache_misses(), 1u);
-  auto typed = store.GetGbt("gbt");
+  auto typed = store.GetModelAs<Gbt>("gbt");
   ASSERT_TRUE(typed.ok()) << typed.status();
   EXPECT_EQ(static_cast<const Classifier*>(typed->get()), model->get());
-  auto wrong_type = store.GetNaiveBayes("gbt");
+  auto wrong_type = store.GetModelAs<NaiveBayes>("gbt");
   ASSERT_FALSE(wrong_type.ok());
   EXPECT_EQ(SerdeErrorOf(wrong_type.status()), SerdeError::kKindMismatch);
   auto as_dataset = store.GetDataset("gbt");
@@ -343,12 +351,12 @@ TEST_F(ArtifactStoreTest, GenerationCountsSuccessfulPublishes) {
   ArtifactStore store(root_);
   EncodedDataset data = MakeData(20);
   EXPECT_EQ(store.generation(), 0u);
-  ASSERT_TRUE(store.PutNaiveBayes("m", TrainNb(data)).ok());
+  ASSERT_TRUE(store.PutModel("m", TrainNb(data)).ok());
   EXPECT_EQ(store.generation(), 1u);
-  ASSERT_TRUE(store.PutNaiveBayes("m", TrainNb(data)).ok());
+  ASSERT_TRUE(store.PutModel("m", TrainNb(data)).ok());
   ASSERT_TRUE(store.PutDataset("d", data).ok());
   EXPECT_EQ(store.generation(), 3u);
-  EXPECT_FALSE(store.PutNaiveBayes("bad/name", TrainNb(data)).ok());
+  EXPECT_FALSE(store.PutModel("bad/name", TrainNb(data)).ok());
   EXPECT_EQ(store.generation(), 3u);
 }
 
@@ -361,8 +369,8 @@ TEST_F(ArtifactStoreTest, ConcurrentHitsSharePinnedModels) {
   ArtifactStore store(root_);
   EncodedDataset data = MakeData(21);
   NaiveBayes model = TrainNb(data);
-  ASSERT_TRUE(store.PutNaiveBayes("m", model).ok());
-  ASSERT_TRUE(store.GetNaiveBayes("m", 1).ok());  // Warm the cache.
+  ASSERT_TRUE(store.PutModel("m", model).ok());
+  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("m", 1).ok());  // Warm the cache.
   std::vector<uint32_t> rows(data.num_rows());
   for (uint32_t i = 0; i < data.num_rows(); ++i) rows[i] = i;
   const std::vector<uint32_t> expected = model.Predict(data, rows);
@@ -375,7 +383,7 @@ TEST_F(ArtifactStoreTest, ConcurrentHitsSharePinnedModels) {
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       for (int i = 0; i < kGetsPerReader; ++i) {
-        auto hit = store.GetNaiveBayes("m", 1);  // Concrete: pure hit.
+        auto hit = store.GetModelAs<NaiveBayes>("m", 1);  // Concrete: pure hit.
         if (!hit.ok() || (*hit)->Predict(data, rows) != expected) {
           ++failures[t];
         }
@@ -384,7 +392,7 @@ TEST_F(ArtifactStoreTest, ConcurrentHitsSharePinnedModels) {
   }
   std::thread writer([&] {
     for (int i = 0; i < 10; ++i) {
-      if (!store.PutNaiveBayes("other", model).ok()) return;
+      if (!store.PutModel("other", model).ok()) return;
     }
   });
   for (std::thread& t : readers) t.join();

@@ -113,7 +113,7 @@ TEST_F(ShardedServiceTest, ShardCountDeterminism) {
     EncodedDataset data = MakeData(100 + m);
     models.push_back(TrainNb(data));
     ASSERT_TRUE(
-        store_->PutNaiveBayes("m" + std::to_string(m), models.back()).ok());
+        store_->PutModel("m" + std::to_string(m), models.back()).ok());
   }
 
   // One distinct block per (client, request) id and its serial-Predict
@@ -187,7 +187,7 @@ TEST_F(ShardedServiceTest, ShardRoutingIsStable) {
 // every accepted request still completes with full results.
 TEST_F(ShardedServiceTest, OverloadShedsTypedAndNeverPartial) {
   EncodedDataset score_data = MakeData(40);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", TrainNb(score_data)).ok());
+  ASSERT_TRUE(store_->PutModel("m", TrainNb(score_data)).ok());
   ASSERT_TRUE(store_->PutDataset("wide", MakeWideData(41, 20000, 12)).ok());
   NaiveBayes model = TrainNb(score_data);
   auto block = std::make_shared<EncodedDataset>(MakeData(40));
@@ -256,7 +256,7 @@ TEST_F(ShardedServiceTest, OverloadShedsTypedAndNeverPartial) {
 // deadline passes through untouched.
 TEST_F(ShardedServiceTest, DeadlineExpiredAtDequeue) {
   EncodedDataset data = MakeData(50);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", TrainNb(data)).ok());
+  ASSERT_TRUE(store_->PutModel("m", TrainNb(data)).ok());
   auto block = std::make_shared<EncodedDataset>(MakeData(50));
 
   obs::ScopedCollection collection(true);
@@ -295,7 +295,7 @@ TEST_F(ShardedServiceTest, WarmCacheServesHotSwapExactly) {
   const std::vector<uint32_t> expect_v2 =
       v2.Predict(*block, AllRows(*block));
   ASSERT_NE(expect_v1, expect_v2);  // The swap must be observable.
-  ASSERT_TRUE(store_->PutNaiveBayes("hot", v1).ok());
+  ASSERT_TRUE(store_->PutModel("hot", v1).ok());
 
   obs::ScopedCollection collection(true);
   ServiceOptions options;
@@ -313,7 +313,7 @@ TEST_F(ShardedServiceTest, WarmCacheServesHotSwapExactly) {
 
   EXPECT_EQ(score_latest(), expect_v1);  // Cold: resolves + caches.
   EXPECT_EQ(score_latest(), expect_v1);  // Warm: same generation.
-  ASSERT_TRUE(store_->PutNaiveBayes("hot", v2).ok());
+  ASSERT_TRUE(store_->PutModel("hot", v2).ok());
   EXPECT_EQ(score_latest(), expect_v2);  // Generation bumped: re-resolve.
   EXPECT_EQ(score_latest(), expect_v2);
 
@@ -328,7 +328,7 @@ TEST_F(ShardedServiceTest, WarmCacheServesHotSwapExactly) {
 TEST_F(ShardedServiceTest, IdleShardScoresOnTheCallersThread) {
   EncodedDataset data = MakeData(80);
   NaiveBayes model = TrainNb(data);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", model).ok());
+  ASSERT_TRUE(store_->PutModel("m", model).ok());
   auto block = std::make_shared<const EncodedDataset>(MakeData(81, 16));
   const std::vector<uint32_t> expected =
       model.Predict(*block, AllRows(*block));
@@ -373,7 +373,7 @@ TEST_F(ShardedServiceTest, IdleShardScoresOnTheCallersThread) {
 TEST_F(ShardedServiceTest, StopRacingClientsNeverScoresAfterStop) {
   EncodedDataset data = MakeData(90);
   NaiveBayes model = TrainNb(data);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", model).ok());
+  ASSERT_TRUE(store_->PutModel("m", model).ok());
   auto block = std::make_shared<const EncodedDataset>(MakeData(91, 16));
   const std::vector<uint32_t> expected =
       model.Predict(*block, AllRows(*block));
@@ -431,7 +431,7 @@ TEST_F(ShardedServiceTest, StopRacingClientsNeverScoresAfterStop) {
 // BM_ServeScoreBatched comparisons read identical instrumentation.
 TEST_F(ShardedServiceTest, DirectPathRecordsQueueWaitAndBatchProbes) {
   EncodedDataset data = MakeData(70);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", TrainNb(data)).ok());
+  ASSERT_TRUE(store_->PutModel("m", TrainNb(data)).ok());
   auto block = std::make_shared<EncodedDataset>(MakeData(70));
 
   obs::ScopedCollection collection(true);

@@ -10,6 +10,8 @@
 
 #include "common/rng.h"
 #include "data/splits.h"
+#include "ml/decision_tree.h"
+#include "ml/logistic_regression.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -85,7 +87,7 @@ TEST_F(ServiceTest, AdviseMatchesDirectAdvisorCall) {
 TEST_F(ServiceTest, ScoreMatchesSerialPredict) {
   EncodedDataset data = MakeData(1);
   NaiveBayes model = TrainNb(data);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", model).ok());
+  ASSERT_TRUE(store_->PutModel("m", model).ok());
   std::vector<uint32_t> expected = model.Predict(data, AllRows(data));
 
   HamletService service(store_.get());
@@ -138,7 +140,7 @@ TEST_F(ServiceTest, ScoreGbtModel) {
   options.num_rounds = 4;
   Gbt model(options);
   ASSERT_TRUE(model.Train(data, AllRows(data), {0, 1}).ok());
-  ASSERT_TRUE(store_->PutGbt("gbt", model).ok());
+  ASSERT_TRUE(store_->PutModel("gbt", model).ok());
   std::vector<uint32_t> expected = model.Predict(data, AllRows(data));
 
   HamletService service(store_.get());
@@ -213,7 +215,7 @@ TEST_F(ServiceTest, TreeLayoutMismatchRejected) {
 TEST_F(ServiceTest, ConcurrentClientsMatchSerialScoring) {
   EncodedDataset data = MakeData(3);
   NaiveBayes model = TrainNb(data);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", model).ok());
+  ASSERT_TRUE(store_->PutModel("m", model).ok());
   std::vector<uint32_t> expected = model.Predict(data, AllRows(data));
   auto block = std::make_shared<EncodedDataset>(MakeData(3));
 
@@ -251,7 +253,7 @@ TEST_F(ServiceTest, ConcurrentClientsMatchSerialScoring) {
 TEST_F(ServiceTest, BatchedAndUnbatchedAgree) {
   EncodedDataset data = MakeData(4);
   NaiveBayes model = TrainNb(data);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", model).ok());
+  ASSERT_TRUE(store_->PutModel("m", model).ok());
   auto block = std::make_shared<EncodedDataset>(MakeData(4));
   std::vector<uint32_t> expected = model.Predict(data, AllRows(data));
 
@@ -272,7 +274,7 @@ TEST_F(ServiceTest, BatchedAndUnbatchedAgree) {
 TEST_F(ServiceTest, ScoreBatchDirectGroupsAndAgrees) {
   EncodedDataset data = MakeData(5);
   NaiveBayes model = TrainNb(data);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", model).ok());
+  ASSERT_TRUE(store_->PutModel("m", model).ok());
   auto block = std::make_shared<EncodedDataset>(MakeData(5));
   std::vector<uint32_t> expected = model.Predict(data, AllRows(data));
 
@@ -321,7 +323,7 @@ TEST_F(ServiceTest, ScoreErrorsAreTyped) {
 
 TEST_F(ServiceTest, LayoutMismatchRejectedNotCrashed) {
   EncodedDataset data = MakeData(7);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", TrainNb(data)).ok());
+  ASSERT_TRUE(store_->PutModel("m", TrainNb(data)).ok());
   HamletService service(store_.get());
 
   // A block whose feature 1 has the wrong cardinality: scoring it would
@@ -381,7 +383,7 @@ TEST_F(ServiceTest, SelectFeaturesPersistsTheWinningModel) {
 
   // The persisted model scores exactly like a fresh train on the same
   // split + selection.
-  auto persisted = store_->GetNaiveBayes("winner");
+  auto persisted = store_->GetModelAs<NaiveBayes>("winner");
   ASSERT_TRUE(persisted.ok()) << persisted.status();
   NaiveBayes fresh(1.0);
   ASSERT_TRUE(fresh.Train(data, split.train, direct->selection.selected).ok());
@@ -395,7 +397,7 @@ TEST_F(ServiceTest, SelectFeaturesPersistsTheWinningModel) {
 
 TEST_F(ServiceTest, ServeMetricsAndSpansAreRecorded) {
   EncodedDataset data = MakeData(9);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", TrainNb(data)).ok());
+  ASSERT_TRUE(store_->PutModel("m", TrainNb(data)).ok());
   auto block = std::make_shared<EncodedDataset>(MakeData(9));
 
   obs::ScopedCollection collection(true);
@@ -442,7 +444,7 @@ TEST_F(ServiceTest, ServeMetricsAndSpansAreRecorded) {
 
 TEST_F(ServiceTest, DestructorDrainsCleanly) {
   EncodedDataset data = MakeData(10);
-  ASSERT_TRUE(store_->PutNaiveBayes("m", TrainNb(data)).ok());
+  ASSERT_TRUE(store_->PutModel("m", TrainNb(data)).ok());
   auto block = std::make_shared<EncodedDataset>(MakeData(10));
   {
     HamletService service(store_.get());
