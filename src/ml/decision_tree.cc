@@ -231,16 +231,20 @@ bool RootStatsUsable(const SuffStats* stats, uint64_t num_rows,
   return true;
 }
 
-/// Each slot's codes at `rows`, one slot per work item.
+/// The codes at `rows` of each slot in `slots`, one slot per work item,
+/// kSlotGatherCodeGrain codes per shard; the other slots stay empty.
 std::vector<std::vector<uint32_t>> GatherSlotCodes(
     const DataView& view, const std::vector<uint32_t>& features,
-    const std::vector<uint32_t>& rows) {
-  const uint32_t d = static_cast<uint32_t>(features.size());
-  std::vector<std::vector<uint32_t>> codes(d);
+    const std::vector<uint32_t>& slots, const std::vector<uint32_t>& rows) {
+  std::vector<std::vector<uint32_t>> codes(features.size());
+  const uint64_t per_slot = std::max<uint64_t>(rows.size(), 1);
   ParallelFor(
-      d,
-      [&](uint32_t jj) { view.GatherCodes(features[jj], rows, &codes[jj]); },
-      NodeGrain(rows.size()));
+      static_cast<uint32_t>(slots.size()),
+      [&](uint32_t i) {
+        view.GatherCodes(features[slots[i]], rows, &codes[slots[i]]);
+      },
+      static_cast<uint32_t>((kSlotGatherCodeGrain + per_slot - 1) /
+                            per_slot));
   return codes;
 }
 
@@ -329,8 +333,10 @@ uint32_t DecisionTree::PredictOne(const EncodedDataset& data,
 
 std::vector<uint32_t> DecisionTree::Predict(
     const DataView& data, const std::vector<uint32_t>& rows) const {
+  std::vector<bool> tested(features_.size(), false);
+  MarkTestedSlots(split_slot_, &tested);
   const std::vector<std::vector<uint32_t>> cols = GatherTrainedCodes(
-      data, "DecisionTree", num_nodes() > 0, features_, rows);
+      data, "DecisionTree", num_nodes() > 0, features_, tested, rows);
   std::vector<uint32_t> out(rows.size());
   ParallelFor(
       static_cast<uint32_t>(rows.size()),
@@ -506,21 +512,32 @@ Result<TreeTrainingSet> GatherTreeTrainingSet(
     }
     set.labels.push_back(labels[r]);
   }
-  set.codes = GatherSlotCodes(view, features, rows);
+  std::vector<uint32_t> slots(features.size());
+  std::iota(slots.begin(), slots.end(), 0u);
+  set.codes = GatherSlotCodes(view, features, slots, rows);
   return set;
 }
 
 std::vector<std::vector<uint32_t>> GatherTrainedCodes(
     const DataView& view, const char* model, bool trained,
-    const std::vector<uint32_t>& features,
+    const std::vector<uint32_t>& features, const std::vector<bool>& tested,
     const std::vector<uint32_t>& rows) {
   HAMLET_CHECK(trained, "%s::Predict before Train", model);
-  for (uint32_t j : features) {
-    HAMLET_CHECK(j < view.num_features(),
-                 "trained feature index %u out of range (%u features)", j,
-                 view.num_features());
+  std::vector<uint32_t> slots;
+  for (uint32_t jj = 0; jj < features.size(); ++jj) {
+    HAMLET_CHECK(features[jj] < view.num_features(),
+                 "trained feature index %u out of range (%u features)",
+                 features[jj], view.num_features());
+    if (tested[jj]) slots.push_back(jj);
   }
-  return GatherSlotCodes(view, features, rows);
+  return GatherSlotCodes(view, features, slots, rows);
+}
+
+void MarkTestedSlots(const std::vector<int32_t>& split_slot,
+                     std::vector<bool>* tested) {
+  for (int32_t slot : split_slot) {
+    if (slot >= 0) (*tested)[slot] = true;
+  }
 }
 
 uint32_t LongestWalk(const std::vector<int32_t>& split_slot,

@@ -95,7 +95,7 @@ class DecisionTree : public Classifier {
 
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
-  /// Gathers the trained columns at `rows` (GatherTrainedCodes), then
+  /// Gathers the tested columns at `rows` (GatherTrainedCodes), then
   /// walks each row to its leaf, sharded by NodeGrain over the tree's
   /// longest walk. Equal to PredictOne at every row, on either view.
   std::vector<uint32_t> Predict(
@@ -184,7 +184,7 @@ Status ValidateTreeStructure(const std::vector<int32_t>& split_slot,
                              const char* context);
 
 /// Fewest cells worth one shard of a tree learner's loops. A cell is one
-/// row of one slot in a histogram pass or gather, or one table entry in a
+/// row of one slot in a histogram pass, or one table entry in a
 /// split scan or sibling subtraction; it costs 1-4 ns, while waking pool
 /// workers for a region costs 10-20 us. Measured on a 4-CPU host (a
 /// histogram pass over a node's rows x {2, 8, 16} slots, 40 codes, 5
@@ -199,14 +199,26 @@ inline constexpr uint64_t kNodeCellGrain = 8192;
 /// `cells_per_item` cells each: the fewest items that carry
 /// kNodeCellGrain cells. The one grain rule of both learners' per-node
 /// loops (histogram pass: the node's rows per slot; split scan and
-/// subtraction: table entries per slot), GBT's gradient loop, the
-/// preludes' gather and Predict's row loop (a row's cells are the node
-/// steps of its walks, LongestWalk per tree), so a small node or a small
-/// batch never starts a pool region.
+/// subtraction: table entries per slot), GBT's gradient loop and
+/// Predict's row loop (a row's cells are the node steps of its walks,
+/// LongestWalk per tree), so a small node or a small batch never starts a
+/// pool region.
 inline uint32_t NodeGrain(uint64_t cells_per_item) {
   const uint64_t cells = cells_per_item == 0 ? 1 : cells_per_item;
   return static_cast<uint32_t>((kNodeCellGrain + cells - 1) / cells);
 }
+
+/// Fewest gathered codes per shard of the preludes' slot gather (one slot
+/// of `rows` codes per work item). A code costs what a Column::Gather row
+/// costs, 0.5-1.2 ns on either view. Measured on a 4-CPU host (sorted
+/// random rows of MovieLens1M 0.05, 2, 8 or 27 slots of 64-50000 rows,
+/// medians of 201 gathers, two runs): up to 16384 codes inline beat 2
+/// and 4 shards by 1.3-5x in every case; at 32768 codes one run lost
+/// 20-30% on shards and the other won 1.1-1.5x; from 65536 codes 4
+/// shards won 1.3-3.5x in one run and tied or won on the factorized view
+/// in the other. A grain of 16384 keeps every gather of fewer than 32768
+/// codes inline (a 1,024-row Predict of up to 31 tested slots).
+inline constexpr uint64_t kSlotGatherCodeGrain = 16384;
 
 /// NodeGrain of the per-slot table loops (split scan, sibling
 /// subtraction) over tables of `entries_per_code` entries per code of
@@ -233,13 +245,19 @@ Result<TreeTrainingSet> GatherTreeTrainingSet(
     const std::vector<uint32_t>& features);
 
 /// The prediction prelude of both learners' Predict, for either view:
-/// each trained slot's codes at `rows`. A checked failure
+/// the codes at `rows` of each trained slot `tested` marks (the slots some
+/// split tests); the other slots stay empty. A checked failure
 /// ("`model`::Predict before Train") unless `trained`, as PredictOne's,
 /// and when a trained feature index is past the view.
 std::vector<std::vector<uint32_t>> GatherTrainedCodes(
     const DataView& view, const char* model, bool trained,
-    const std::vector<uint32_t>& features,
+    const std::vector<uint32_t>& features, const std::vector<bool>& tested,
     const std::vector<uint32_t>& rows);
+
+/// Marks in `*tested` (one flag per trained slot) every slot a split of
+/// one flat pre-order tree tests.
+void MarkTestedSlots(const std::vector<int32_t>& split_slot,
+                     std::vector<bool>* tested);
 
 /// Nodes a row visits on the longest root-to-leaf walk of one flat
 /// pre-order tree (1 for a lone leaf): Predict's cells per row.

@@ -344,12 +344,14 @@ uint32_t Gbt::PredictOne(const EncodedDataset& data, uint32_t row) const {
 
 std::vector<uint32_t> Gbt::Predict(const DataView& data,
                                    const std::vector<uint32_t>& rows) const {
-  const std::vector<std::vector<uint32_t>> cols =
-      GatherTrainedCodes(data, "Gbt", num_classes_ > 0, features_, rows);
+  std::vector<bool> tested(features_.size(), false);
   uint64_t walk = 0;
   for (const GbtTree& t : trees_) {
+    MarkTestedSlots(t.split_slot, &tested);
     walk += LongestWalk(t.split_slot, t.left, t.right);
   }
+  const std::vector<std::vector<uint32_t>> cols = GatherTrainedCodes(
+      data, "Gbt", num_classes_ > 0, features_, tested, rows);
   std::vector<uint32_t> out(rows.size());
   ParallelFor(
       static_cast<uint32_t>(rows.size()),

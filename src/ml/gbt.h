@@ -92,9 +92,9 @@ class Gbt : public Classifier {
 
   uint32_t PredictOne(const EncodedDataset& data, uint32_t row) const override;
 
-  /// Gathers the trained columns at `rows` (GatherTrainedCodes), then
-  /// sums each row's tree values, sharded by NodeGrain over the summed
-  /// LongestWalk of the trees. Equal to PredictOne at every row, on
+  /// Gathers the columns some tree tests at `rows` (GatherTrainedCodes),
+  /// then sums each row's tree values, sharded by NodeGrain over the
+  /// summed LongestWalk of the trees. Equal to PredictOne at every row, on
   /// either view.
   std::vector<uint32_t> Predict(
       const DataView& data,

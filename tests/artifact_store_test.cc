@@ -149,14 +149,14 @@ TEST_F(ArtifactStoreTest, LruEvictsLeastRecentlyUsed) {
   for (const char* name : {"a", "b", "c"}) {
     ASSERT_TRUE(store.PutModel(name, model).ok());
   }
-  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("a").ok());  // miss → {a}
-  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("b").ok());  // miss → {a, b}
-  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("a").ok());  // hit, a now most recent
-  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("c").ok());  // miss, evicts b → {a, c}
+  ASSERT_TRUE(store.GetModel("a").ok());  // miss → {a}
+  ASSERT_TRUE(store.GetModel("b").ok());  // miss → {a, b}
+  ASSERT_TRUE(store.GetModel("a").ok());  // hit, a now most recent
+  ASSERT_TRUE(store.GetModel("c").ok());  // miss, evicts b → {a, c}
   uint64_t misses_before = store.cache_misses();
-  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("a").ok());  // still cached
+  ASSERT_TRUE(store.GetModel("a").ok());  // still cached
   EXPECT_EQ(store.cache_misses(), misses_before);
-  ASSERT_TRUE(store.GetModelAs<NaiveBayes>("b").ok());  // evicted → miss again
+  ASSERT_TRUE(store.GetModel("b").ok());  // evicted → miss again
   EXPECT_EQ(store.cache_misses(), misses_before + 1);
 }
 

@@ -121,6 +121,42 @@ TEST(DecisionTreeTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Predict gathers only the slots some split tests, kSlotGatherCodeGrain
+// codes per shard: a 1,024-row batch of a default tree trained on 24
+// slots gathers fewer than 2 x 16384 codes, so at width 4 it starts no
+// pool region, and it predicts the bits of width 1.
+TEST(DecisionTreeTest, WidePredictBatchGathersInline) {
+  Rng rng(21);
+  const uint32_t n = 4096;
+  const uint32_t d = 24;
+  std::vector<std::vector<uint32_t>> cols(d, std::vector<uint32_t>(n));
+  std::vector<FeatureMeta> meta;
+  std::vector<uint32_t> y(n);
+  for (uint32_t j = 0; j < d; ++j) {
+    meta.push_back({"F" + std::to_string(j), 6});
+    for (uint32_t i = 0; i < n; ++i) cols[j][i] = rng.Uniform(6);
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    y[i] = rng.Bernoulli(0.8) ? cols[0][i] % 3 : cols[1][i] % 3;
+  }
+  const EncodedDataset data(cols, meta, y, 3);
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Train(data, AllRows(data), data.AllFeatureIndices()).ok());
+  ASSERT_EQ(tree.trained_features().size(), d);
+  const std::vector<uint32_t> rows = AllRows(data);
+  const std::vector<uint32_t> batch(rows.begin(), rows.begin() + 1024);
+  std::vector<uint32_t> serial;
+  {
+    const ScopedWidth width(1);
+    serial = tree.Predict(data, batch);
+  }
+  const ScopedWidth width(4);
+  const uint64_t regions = ThreadPool::Global().GetStats().regions;
+  EXPECT_EQ(tree.Predict(data, batch), serial);
+  EXPECT_EQ(ThreadPool::Global().GetStats().regions, regions)
+      << "a 1,024-row Predict must not start a pool region";
+}
+
 TEST(DecisionTreeTest, DepthZeroTreeIsThePriorModel) {
   EncodedDataset d = NoisyCopyDataset(4, 300);
   DecisionTreeOptions options;
