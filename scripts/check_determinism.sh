@@ -49,7 +49,12 @@
 # plus the JoinDeterminismTest bit-identity sweeps, whose code remaps and
 # FK -> row gathers are index-heavy — and the same byte parsers' serde,
 # CSV (plus the CSV determinism and mutation suites) and JSON suites,
-# and the Domain label index.
+# and the Domain label index. The same UBSan tree runs the artifact
+# store and service suites and the `fs` label: GCC's
+# -fsanitize=undefined includes the vptr check, which catches a wrong
+# downcast behind ModelAs (the store's typed getters, serde's codec
+# table) and the nb_delta scorer's Naive Bayes cast, each checked
+# against Classifier::traits().
 #
 # Usage: scripts/check_determinism.sh [extra ctest args...]
 # Env:   BUILD_DIR (default build-tsan), ASAN_BUILD_DIR (default
@@ -104,8 +109,8 @@ ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
   "$@"
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure -L obs "$@"
 
-# The KFK join and the byte parsers under UndefinedBehaviorSanitizer
-# (separate build tree). UBSan reports and carries on by default;
+# The KFK join, the byte parsers and the kind-checked model downcasts
+# under UndefinedBehaviorSanitizer (separate build tree). UBSan reports and carries on by default;
 # halt_on_error turns a report into a test failure.
 UBSAN_BUILD_DIR=${UBSAN_BUILD_DIR:-build-ubsan}
 cmake -B "${UBSAN_BUILD_DIR}" -S . \
@@ -117,5 +122,6 @@ cmake --build "${UBSAN_BUILD_DIR}" -j"${JOBS}"
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure -L joins "$@"
 ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure \
-  -R 'JoinDeterminismTest|SerdeTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest' \
+  -R 'JoinDeterminismTest|SerdeTest|ArtifactStoreTest|ServiceTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest' \
   "$@"
+ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure -L fs "$@"

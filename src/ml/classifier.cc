@@ -6,19 +6,9 @@
 namespace hamlet {
 
 const char* ModelKindToString(ModelKind kind) {
-  switch (kind) {
-    case ModelKind::kNaiveBayes:
-      return "naive_bayes";
-    case ModelKind::kLogisticRegression:
-      return "logistic_regression";
-    case ModelKind::kTan:
-      return "tan";
-    case ModelKind::kDecisionTree:
-      return "decision_tree";
-    case ModelKind::kGradientBoostedTrees:
-      return "gbt";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+      "naive_bayes", "logistic_regression", "tan", "decision_tree", "gbt"};
+  return kNames[static_cast<size_t>(kind)];
 }
 
 Status Classifier::Train(const DataView& data,
@@ -26,10 +16,8 @@ Status Classifier::Train(const DataView& data,
                          const std::vector<uint32_t>& features,
                          const SuffStats* stats) {
   const ModelTraits t = traits();
-  const bool reads_view =
-      t.reads_factorized_view ||
-      (stats != nullptr && t.stats == StatsUse::kWholeModel);
-  if (data.factorized() != nullptr && !reads_view) {
+  if (data.factorized() != nullptr && !t.reads_factorized_view &&
+      !(stats != nullptr && t.stats == StatsUse::kWholeModel)) {
     return Status::InvalidArgument(StringFormat(
         "%s reads rows of the materialized join, not the factorized view",
         name().c_str()));

@@ -26,7 +26,8 @@ namespace hamlet {
 struct SuffStats;
 
 /// What a model is: the serving layer's codec key (serve/serde.h) and the
-/// check behind every downcast to a concrete model.
+/// check behind every downcast to a concrete model. ModelKindToString
+/// indexes its names by value, in this order.
 enum class ModelKind {
   kNaiveBayes,
   kLogisticRegression,

@@ -231,11 +231,15 @@ bool RootStatsUsable(const SuffStats* stats, uint64_t num_rows,
   return true;
 }
 
-/// The codes at `rows` of each slot in `slots`, one slot per work item,
-/// kSlotGatherCodeGrain codes per shard; the other slots stay empty.
+/// The codes at `rows` of each slot `gather` marks, one slot per work
+/// item, kSlotGatherCodeGrain codes per shard; the other slots stay empty.
 std::vector<std::vector<uint32_t>> GatherSlotCodes(
     const DataView& view, const std::vector<uint32_t>& features,
-    const std::vector<uint32_t>& slots, const std::vector<uint32_t>& rows) {
+    const std::vector<bool>& gather, const std::vector<uint32_t>& rows) {
+  std::vector<uint32_t> slots;
+  for (uint32_t jj = 0; jj < features.size(); ++jj) {
+    if (gather[jj]) slots.push_back(jj);
+  }
   std::vector<std::vector<uint32_t>> codes(features.size());
   const uint64_t per_slot = std::max<uint64_t>(rows.size(), 1);
   ParallelFor(
@@ -512,9 +516,8 @@ Result<TreeTrainingSet> GatherTreeTrainingSet(
     }
     set.labels.push_back(labels[r]);
   }
-  std::vector<uint32_t> slots(features.size());
-  std::iota(slots.begin(), slots.end(), 0u);
-  set.codes = GatherSlotCodes(view, features, slots, rows);
+  set.codes = GatherSlotCodes(
+      view, features, std::vector<bool>(features.size(), true), rows);
   return set;
 }
 
@@ -523,14 +526,12 @@ std::vector<std::vector<uint32_t>> GatherTrainedCodes(
     const std::vector<uint32_t>& features, const std::vector<bool>& tested,
     const std::vector<uint32_t>& rows) {
   HAMLET_CHECK(trained, "%s::Predict before Train", model);
-  std::vector<uint32_t> slots;
-  for (uint32_t jj = 0; jj < features.size(); ++jj) {
-    HAMLET_CHECK(features[jj] < view.num_features(),
-                 "trained feature index %u out of range (%u features)",
-                 features[jj], view.num_features());
-    if (tested[jj]) slots.push_back(jj);
+  for (uint32_t j : features) {
+    HAMLET_CHECK(j < view.num_features(),
+                 "trained feature index %u out of range (%u features)", j,
+                 view.num_features());
   }
-  return GatherSlotCodes(view, features, slots, rows);
+  return GatherSlotCodes(view, features, tested, rows);
 }
 
 void MarkTestedSlots(const std::vector<int32_t>& split_slot,

@@ -121,8 +121,6 @@ class DecisionTree : public Classifier {
     return features_;
   }
 
-  const DecisionTreeOptions& options() const { return options_; }
-
   /// Copies the trained state out as plain data.
   DecisionTreeParams ExportParams() const;
 
