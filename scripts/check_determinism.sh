@@ -110,8 +110,9 @@ ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure -L obs "$@"
 
 # The KFK join, the byte parsers and the kind-checked model downcasts
-# under UndefinedBehaviorSanitizer (separate build tree). UBSan reports and carries on by default;
-# halt_on_error turns a report into a test failure.
+# under UndefinedBehaviorSanitizer (separate build tree). UBSan reports
+# and carries on by default; halt_on_error turns a report into a test
+# failure.
 UBSAN_BUILD_DIR=${UBSAN_BUILD_DIR:-build-ubsan}
 cmake -B "${UBSAN_BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -282,12 +282,21 @@ Status Malformed(std::string detail) {
 }  // namespace
 
 const char* ArtifactKindToString(ArtifactKind kind) {
-  // Indexed by kind value - 1: the values are dense from 1.
-  static constexpr const char* kNames[] = {
-      "dataset",   "naive_bayes",   "logistic_regression",
-      "fs_report", "decision_tree", "gbt"};
-  const uint16_t value = static_cast<uint16_t>(kind);
-  return IsKnownArtifactKind(value) ? kNames[value - 1] : "unknown";
+  switch (kind) {
+    case ArtifactKind::kEncodedDataset:
+      return "dataset";
+    case ArtifactKind::kNaiveBayes:
+      return "naive_bayes";
+    case ArtifactKind::kLogisticRegression:
+      return "logistic_regression";
+    case ArtifactKind::kFsRunReport:
+      return "fs_report";
+    case ArtifactKind::kDecisionTree:
+      return "decision_tree";
+    case ArtifactKind::kGradientBoostedTrees:
+      return "gbt";
+  }
+  return "unknown";
 }
 
 bool IsKnownArtifactKind(uint16_t kind) {
