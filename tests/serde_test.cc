@@ -99,11 +99,28 @@ Result<std::shared_ptr<const Model>> DeserializeAs(std::string_view bytes) {
   return std::shared_ptr<const Model>(std::move(model), typed);
 }
 
-/// One model of every servable kind, serialized: the sweeps' inputs.
-std::vector<std::string> EveryModelKindBytes(uint64_t seed, uint32_t n) {
-  const EncodedDataset data = MakeData(seed, n);
-  return {Bytes(TrainNb(data)), Bytes(TrainLr(data)), Bytes(TrainTree(data)),
-          Bytes(TrainGbt(data))};
+/// Every proper prefix of `bytes` must decode to a typed error.
+void ExpectEveryTruncationIsTyped(const std::string& bytes) {
+  SCOPED_TRACE(ArtifactKindToString(*KindOfSerialized(bytes)));
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    auto back = DeserializeModel(bytes.substr(0, len));
+    ASSERT_FALSE(back.ok()) << "prefix length " << len;
+    EXPECT_NE(SerdeErrorOf(back.status()), SerdeError::kNone)
+        << "prefix length " << len << ": " << back.status();
+  }
+}
+
+/// Flipping any single byte of `bytes` must decode to a typed error.
+void ExpectEveryByteFlipIsTyped(const std::string& bytes) {
+  SCOPED_TRACE(ArtifactKindToString(*KindOfSerialized(bytes)));
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string corrupt = bytes;
+    corrupt[i] = static_cast<char>(~static_cast<uint8_t>(corrupt[i]));
+    auto back = DeserializeModel(corrupt);
+    ASSERT_FALSE(back.ok()) << "byte " << i;
+    EXPECT_NE(SerdeErrorOf(back.status()), SerdeError::kNone)
+        << "byte " << i << ": " << back.status();
+  }
 }
 
 /// Rewrites the CRC footer so a deliberate header edit is the ONLY
@@ -250,18 +267,12 @@ TEST(SerdeTest, WrongFormatVersionRejected) {
   EXPECT_EQ(back.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// Every proper prefix of a model of every servable kind is a typed
-// error.
+// Every proper prefix of a saved model is a typed error (NB and LR
+// here; the tree and GBT sweeps follow their round trips below).
 TEST(SerdeTest, EveryTruncationIsATypedError) {
-  for (const std::string& bytes : EveryModelKindBytes(8, 30)) {
-    SCOPED_TRACE(ArtifactKindToString(*KindOfSerialized(bytes)));
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      auto back = DeserializeModel(bytes.substr(0, len));
-      ASSERT_FALSE(back.ok()) << "prefix length " << len;
-      EXPECT_NE(SerdeErrorOf(back.status()), SerdeError::kNone)
-          << "prefix length " << len << ": " << back.status();
-    }
-  }
+  const EncodedDataset data = MakeData(8, 30);
+  ExpectEveryTruncationIsTyped(Bytes(TrainNb(data)));
+  ExpectEveryTruncationIsTyped(Bytes(TrainLr(data)));
 }
 
 TEST(SerdeTest, TrailingBytesRejected) {
@@ -272,21 +283,14 @@ TEST(SerdeTest, TrailingBytesRejected) {
   EXPECT_EQ(SerdeErrorOf(back.status()), SerdeError::kTrailingBytes);
 }
 
-// The fuzz contract: flipping ANY single byte of a saved model of any
-// servable kind — header, payload, or CRC footer — yields a typed
-// error, never a crash and never a silently wrong artifact.
+// The fuzz contract: flipping ANY single byte of a saved model —
+// header, payload, or CRC footer — yields a typed error, never a crash
+// and never a silently wrong artifact (NB and LR here; the tree and GBT
+// sweeps follow their round trips below).
 TEST(SerdeTest, FlippingAnyByteIsATypedError) {
-  for (const std::string& bytes : EveryModelKindBytes(10, 25)) {
-    SCOPED_TRACE(ArtifactKindToString(*KindOfSerialized(bytes)));
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      std::string corrupt = bytes;
-      corrupt[i] = static_cast<char>(~static_cast<uint8_t>(corrupt[i]));
-      auto back = DeserializeModel(corrupt);
-      ASSERT_FALSE(back.ok()) << "byte " << i;
-      EXPECT_NE(SerdeErrorOf(back.status()), SerdeError::kNone)
-          << "byte " << i << ": " << back.status();
-    }
-  }
+  const EncodedDataset data = MakeData(10, 25);
+  ExpectEveryByteFlipIsTyped(Bytes(TrainNb(data)));
+  ExpectEveryByteFlipIsTyped(Bytes(TrainLr(data)));
 }
 
 TEST(SerdeTest, FlippingFooterBytesIsCrcMismatch) {
@@ -479,6 +483,22 @@ TEST(SerdeTest, TreeKindMismatchesArePinned) {
   auto tree_back = DeserializeAs<Gbt>(Bytes(tree));
   ASSERT_TRUE(tree_back.ok()) << tree_back.status();
   EXPECT_EQ(*tree_back, nullptr);
+}
+
+TEST(SerdeTest, EveryTreeTruncationIsATypedError) {
+  ExpectEveryTruncationIsTyped(Bytes(TrainTree(MakeData(18, 30))));
+}
+
+TEST(SerdeTest, EveryGbtTruncationIsATypedError) {
+  ExpectEveryTruncationIsTyped(Bytes(TrainGbt(MakeData(19, 30))));
+}
+
+TEST(SerdeTest, FlippingAnyTreeByteIsATypedError) {
+  ExpectEveryByteFlipIsTyped(Bytes(TrainTree(MakeData(20, 25))));
+}
+
+TEST(SerdeTest, FlippingAnyGbtByteIsATypedError) {
+  ExpectEveryByteFlipIsTyped(Bytes(TrainGbt(MakeData(21, 25))));
 }
 
 // A CRC-consistent file whose payload violates the tree schema must be
