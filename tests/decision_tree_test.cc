@@ -200,6 +200,44 @@ TEST(DecisionTreeTest, RefitBudgetCapsDepthWhileActive) {
   EXPECT_EQ(after.num_nodes(), full.num_nodes());
 }
 
+// The stop rules: a node under min_rows_split, a node whose best split
+// does not beat min_gain, and a pure node are leaves.
+TEST(DecisionTreeTest, StopRulesMakeTheRootALeaf) {
+  EncodedDataset d = NoisyCopyDataset(10, 600);
+  const std::vector<uint32_t> rows = AllRows(d);
+  {
+    DecisionTreeOptions options;
+    options.min_rows_split = d.num_rows() + 1;
+    DecisionTree tree(options);
+    ASSERT_TRUE(tree.Train(d, rows, {0, 1}).ok());
+    EXPECT_EQ(tree.num_nodes(), 1u);
+  }
+  {
+    // A Gini decrease is at most 1 - 1/K, below 1.
+    DecisionTreeOptions options;
+    options.min_gain = 1.0;
+    DecisionTree tree(options);
+    ASSERT_TRUE(tree.Train(d, rows, {0, 1}).ok());
+    EXPECT_EQ(tree.num_nodes(), 1u);
+  }
+  // With a negative min_gain any split of a mixed node is taken, so only
+  // the purity stop keeps a single-class root from splitting.
+  DecisionTreeOptions options;
+  options.min_gain = -1.0;
+  DecisionTree mixed(options);
+  ASSERT_TRUE(mixed.Train(d, rows, {0, 1}).ok());
+  EXPECT_GT(mixed.num_nodes(), 1u);
+  std::vector<uint32_t> one_class;
+  for (uint32_t r : rows) {
+    if (d.labels()[r] == 1) one_class.push_back(r);
+  }
+  ASSERT_GT(one_class.size(), 100u);
+  DecisionTree pure(options);
+  ASSERT_TRUE(pure.Train(d, one_class, {0, 1}).ok());
+  EXPECT_EQ(pure.num_nodes(), 1u);
+  for (uint32_t r : rows) EXPECT_EQ(pure.PredictOne(d, r), 1u);
+}
+
 TEST(DecisionTreeTest, LogScoresIntoMatchesPredictOne) {
   EncodedDataset d = NoisyCopyDataset(6, 600);
   DecisionTree tree;
