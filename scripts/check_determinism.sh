@@ -40,7 +40,10 @@
 # FactorizedViewTest (DataView::GatherCodes on both views) and the tree
 # learners' FactorizedTreeTest/FactorizedGbtTest, whose one Train and
 # one Predict per learner read either view through those gathers and
-# index the gathered codes. The same ASan tree then runs the obs
+# index the gathered codes, and the learners' own DecisionTreeTest and
+# GbtTest, whose large inputs run the one tree grower's (ml/tree_grower.h)
+# table pass, split scan and subtraction over flat per-code tables. The
+# same ASan tree then runs the obs
 # suite: a run's span tree (obs::RunTrace) is closed by its destructor
 # on every early error return, and an untraced run erases its events
 # from the Tracer's shards under their locks.
@@ -49,7 +52,9 @@
 # plus the JoinDeterminismTest bit-identity sweeps, whose code remaps and
 # FK -> row gathers are index-heavy — and the same byte parsers' serde,
 # CSV (plus the CSV determinism and mutation suites) and JSON suites,
-# and the Domain label index. The same UBSan tree runs the artifact
+# and the Domain label index, and the tree learners (DecisionTreeTest,
+# GbtTest and their factorized twins), whose grower computes every table
+# offset as code x row width. The same UBSan tree runs the artifact
 # store and service suites and the `fs` label: GCC's
 # -fsanitize=undefined includes the vptr check, which catches a wrong
 # downcast behind ModelAs (the store's typed getters, serde's codec
@@ -105,7 +110,7 @@ cmake -B "${ASAN_BUILD_DIR}" -S . \
   -DHAMLET_BUILD_EXAMPLES=OFF
 cmake --build "${ASAN_BUILD_DIR}" -j"${JOBS}"
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
-  -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest|FactorizedTreeTest|FactorizedGbtTest|FactorizedViewTest' \
+  -R 'SerdeTest|ArtifactStoreTest|ServiceTest|ShardedServiceTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest|FactorizedTreeTest|FactorizedGbtTest|FactorizedViewTest|DecisionTreeTest|GbtTest' \
   "$@"
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure -L obs "$@"
 
@@ -123,6 +128,6 @@ cmake --build "${UBSAN_BUILD_DIR}" -j"${JOBS}"
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure -L joins "$@"
 ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure \
-  -R 'JoinDeterminismTest|SerdeTest|ArtifactStoreTest|ServiceTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest' \
+  -R 'JoinDeterminismTest|SerdeTest|ArtifactStoreTest|ServiceTest|CsvTest|CsvDeterminismTest|CsvMutationTest|DomainTest|JsonReaderTest|DecisionTreeTest|GbtTest|FactorizedTreeTest|FactorizedGbtTest' \
   "$@"
 ctest --test-dir "${UBSAN_BUILD_DIR}" --output-on-failure -L fs "$@"

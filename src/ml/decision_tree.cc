@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/parallel_for.h"
 #include "common/string_util.h"
 #include "ml/data_view.h"
 #include "ml/suff_stats.h"
+#include "ml/tree_grower.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -36,7 +35,7 @@ obs::Counter& TreeNodesCounter() {
 }
 
 /// Gini impurity 1 - sum_y p_y^2 of one count vector, accumulated in
-/// ascending class order — the pinned expression both training paths use.
+/// ascending class order — the pinned expression of every split.
 double GiniOf(const uint64_t* counts, uint32_t num_classes, uint64_t total) {
   if (total == 0) return 0.0;
   const double n = static_cast<double>(total);
@@ -48,169 +47,50 @@ double GiniOf(const uint64_t* counts, uint32_t num_classes, uint64_t total) {
   return 1.0 - sum_sq;
 }
 
-/// One node's pending work: its rows (as indices into the gathered code
-/// matrix), its per-slot histograms, and its class counts.
-struct NodeWork {
-  std::vector<uint32_t> items;
-  std::vector<std::vector<uint64_t>> hist;  // Per slot, [code * K + y].
-  std::vector<uint64_t> cls;                // [y].
-  uint32_t depth = 0;
-};
-
-/// Grows the flat pre-order node arrays. One instance per training;
-/// recursion is depth-bounded by max_depth, and a parent's histograms are
-/// moved into the larger child (subtraction trick) before recursing, so
-/// live histogram memory is O(depth * d * card * K), not O(nodes).
-struct TreeBuilder {
-  const DecisionTreeOptions& options;
+/// CART's split criterion (ml/tree_grower.h): a row holds K class counts,
+/// a split gains the Gini decrease, a pure node stops, and every node
+/// carries its smoothed class log-probabilities.
+struct GiniCriterion {
+  using Cell = uint64_t;
+  const std::vector<uint32_t>& labels;  // Per item.
   uint32_t num_classes;
-  const std::vector<uint32_t>& labels;
-  const std::vector<std::vector<uint32_t>>& codes;  // Per slot, node-local.
-  const std::vector<uint32_t>& cards;
-  uint32_t max_depth;
-  uint32_t table_grain;  // TableGrain of the split scan and subtraction.
+  double alpha;
+  std::vector<double>* scores;  // Flat [node * num_classes + y].
 
-  std::vector<int32_t>* split_slot;
-  std::vector<uint32_t>* split_code;
-  std::vector<int32_t>* left;
-  std::vector<int32_t>* right;
-  std::vector<double>* scores;
-
-  /// One pass over `items` (one feature slot per work item, each writing
-  /// only its own table — the BuildSuffStats sharding contract), parallel
-  /// when the node's rows x slots are worth it.
-  void BuildHistograms(const std::vector<uint32_t>& items,
-                       std::vector<std::vector<uint64_t>>* hist) const {
-    const uint32_t d = static_cast<uint32_t>(codes.size());
-    hist->resize(d);
-    ParallelFor(
-        d,
-        [&](uint32_t jj) {
-          std::vector<uint64_t>& h = (*hist)[jj];
-          h.assign(static_cast<size_t>(cards[jj]) * num_classes, 0);
-          const std::vector<uint32_t>& col = codes[jj];
-          for (uint32_t i : items) {
-            ++h[static_cast<size_t>(col[i]) * num_classes + labels[i]];
-          }
-        },
-        NodeGrain(items.size()));
+  uint32_t row_width() const { return num_classes; }
+  void Add(uint32_t i, uint64_t* row) const { ++row[labels[i]]; }
+  uint64_t Count(const uint64_t* row) const {
+    uint64_t n = 0;
+    for (uint32_t y = 0; y < num_classes; ++y) n += row[y];
+    return n;
   }
-
-  int32_t Grow(NodeWork&& w) {
-    const int32_t idx = static_cast<int32_t>(split_slot->size());
-    split_slot->push_back(-1);
-    split_code->push_back(0);
-    left->push_back(-1);
-    right->push_back(-1);
-
-    // Every node carries smoothed class log-probabilities — the same
-    // expression as the Naive Bayes prior, so a depth-0 tree IS the
-    // prior-only model.
-    const uint64_t n_node = w.items.size();
-    const double denom = static_cast<double>(n_node) +
-                         options.alpha * static_cast<double>(num_classes);
+  bool Pure(const uint64_t* total, uint64_t n) const {
     for (uint32_t y = 0; y < num_classes; ++y) {
-      scores->push_back(std::log(
-          (static_cast<double>(w.cls[y]) + options.alpha) / denom));
+      if (total[y] == n) return true;
     }
-
-    if (w.depth >= max_depth || n_node < options.min_rows_split) return idx;
-    for (uint32_t y = 0; y < num_classes; ++y) {
-      if (w.cls[y] == n_node) return idx;  // Pure node.
-    }
-
-    // Best split per slot in parallel (codes ascending, strictly-greater
-    // gain wins), then a serial slot-ordered reduction so the lowest slot
-    // wins exact cross-feature ties at any thread count.
-    const uint32_t d = static_cast<uint32_t>(codes.size());
-    struct SlotBest {
-      double gain = 0.0;
-      uint32_t code = 0;
-      bool valid = false;
-    };
-    std::vector<SlotBest> best(d);
-    const double parent_gini = GiniOf(w.cls.data(), num_classes, n_node);
-    const double n_d = static_cast<double>(n_node);
-    ParallelFor(
-        d,
-        [&](uint32_t jj) {
-          const std::vector<uint64_t>& h = w.hist[jj];
-          std::vector<uint64_t> l(num_classes), r(num_classes);
-          SlotBest b;
-          for (uint32_t v = 0; v < cards[jj]; ++v) {
-            uint64_t nl = 0;
-            for (uint32_t y = 0; y < num_classes; ++y) {
-              l[y] = h[static_cast<size_t>(v) * num_classes + y];
-              nl += l[y];
-            }
-            if (nl == 0 || nl == n_node) continue;
-            for (uint32_t y = 0; y < num_classes; ++y) r[y] = w.cls[y] - l[y];
-            const uint64_t nr = n_node - nl;
-            const double weighted =
-                (static_cast<double>(nl) / n_d) *
-                    GiniOf(l.data(), num_classes, nl) +
-                (static_cast<double>(nr) / n_d) *
-                    GiniOf(r.data(), num_classes, nr);
-            const double gain = parent_gini - weighted;
-            if (!b.valid || gain > b.gain) b = {gain, v, true};
-          }
-          best[jj] = b;
-        },
-        table_grain);
-    int32_t pick = -1;
-    double pick_gain = options.min_gain;
-    for (uint32_t jj = 0; jj < d; ++jj) {
-      if (best[jj].valid && best[jj].gain > pick_gain) {
-        pick = static_cast<int32_t>(jj);
-        pick_gain = best[jj].gain;
-      }
-    }
-    if (pick < 0) return idx;
-
-    // Partition in ascending item order (left = code match).
-    const uint32_t v = best[pick].code;
-    const std::vector<uint32_t>& col = codes[pick];
-    NodeWork lw, rw;
-    lw.depth = rw.depth = w.depth + 1;
-    for (uint32_t i : w.items) {
-      (col[i] == v ? lw.items : rw.items).push_back(i);
-    }
-    w.items.clear();
-    w.items.shrink_to_fit();
-
-    // Child class counts straight from the parent histogram.
-    lw.cls.resize(num_classes);
-    rw.cls.resize(num_classes);
-    for (uint32_t y = 0; y < num_classes; ++y) {
-      lw.cls[y] = w.hist[pick][static_cast<size_t>(v) * num_classes + y];
-      rw.cls[y] = w.cls[y] - lw.cls[y];
-    }
-
-    // Subtraction trick: build the smaller child's histograms with one
-    // pass, then derive the sibling's by subtracting them from the
-    // parent's (exact — integer counts). The parent's tables are moved,
-    // not copied.
-    NodeWork* small = lw.items.size() <= rw.items.size() ? &lw : &rw;
-    NodeWork* big = small == &lw ? &rw : &lw;
-    BuildHistograms(small->items, &small->hist);
-    big->hist = std::move(w.hist);
-    ParallelFor(
-        d,
-        [&](uint32_t jj) {
-          std::vector<uint64_t>& bh = big->hist[jj];
-          const std::vector<uint64_t>& sh = small->hist[jj];
-          for (size_t x = 0; x < bh.size(); ++x) bh[x] -= sh[x];
-        },
-        table_grain);
-
-    const int32_t lidx = Grow(std::move(lw));
-    const int32_t ridx = Grow(std::move(rw));
-    (*split_slot)[idx] = pick;
-    (*split_code)[idx] = v;
-    (*left)[idx] = lidx;
-    (*right)[idx] = ridx;
-    return idx;
+    return false;
   }
+  double Score(const uint64_t* total, uint64_t n) const {
+    return GiniOf(total, num_classes, n);
+  }
+  double Gain(const uint64_t* l, const uint64_t* r, uint64_t nl, uint64_t nr,
+              double parent_gini) const {
+    const double n = static_cast<double>(nl + nr);
+    return parent_gini -
+           ((static_cast<double>(nl) / n) * GiniOf(l, num_classes, nl) +
+            (static_cast<double>(nr) / n) * GiniOf(r, num_classes, nr));
+  }
+  // The same expression as the Naive Bayes prior, so a depth-0 tree IS
+  // the prior-only model.
+  void Payload(const uint64_t* total, uint64_t n) const {
+    const double denom =
+        static_cast<double>(n) + alpha * static_cast<double>(num_classes);
+    for (uint32_t y = 0; y < num_classes; ++y) {
+      scores->push_back(
+          std::log((static_cast<double>(total[y]) + alpha) / denom));
+    }
+  }
+  void Leaf(int32_t, const std::vector<uint32_t>&) const {}
 };
 
 /// True when the statistics can seed the root histograms: same row and
@@ -281,38 +161,29 @@ Status DecisionTree::DoTrain(const DataView& view,
   right_.clear();
   scores_.clear();
 
-  TreeBuilder builder{options_,
-                      num_classes_,
-                      set.labels,
-                      set.codes,
-                      cardinalities_,
-                      options_.max_depth,
-                      TableGrain(cardinalities_, num_classes_),
-                      &split_slot_,
-                      &split_code_,
-                      &left_,
-                      &right_,
-                      &scores_};
-
-  NodeWork root;
-  root.items.resize(rows.size());
-  std::iota(root.items.begin(), root.items.end(), 0u);
-  root.depth = 0;
-  if (RootStatsUsable(stats, rows.size(), num_classes_, features_,
-                      cardinalities_)) {
-    // The counts are integers, so the statistics' tables equal the
-    // histograms a pass over the gathered codes would build.
-    root.cls = stats->class_counts;
-    root.hist.resize(features_.size());
-    for (size_t jj = 0; jj < features_.size(); ++jj) {
-      root.hist[jj] = stats->feature_counts[features_[jj]];
-    }
+  const GiniCriterion criterion{set.labels, num_classes_, options_.alpha,
+                                &scores_};
+  TreeGrower<GiniCriterion> grower{criterion,
+                                   set.codes,
+                                   cardinalities_,
+                                   options_.max_depth,
+                                   options_.min_rows_split,
+                                   options_.min_gain,
+                                   TableGrain(cardinalities_, num_classes_),
+                                   &split_slot_,
+                                   &split_code_,
+                                   &left_,
+                                   &right_};
+  const uint32_t n = static_cast<uint32_t>(rows.size());
+  if (RootStatsUsable(stats, n, num_classes_, features_, cardinalities_)) {
+    // The counts are integers, so the statistics' tables equal the ones a
+    // pass over the gathered codes would build.
+    std::vector<std::vector<uint64_t>> tables;
+    for (uint32_t j : features_) tables.push_back(stats->feature_counts[j]);
+    grower.Grow(grower.Root(n, stats->class_counts, std::move(tables)));
   } else {
-    root.cls.assign(num_classes_, 0);
-    for (uint32_t y : set.labels) ++root.cls[y];
-    builder.BuildHistograms(root.items, &root.hist);
+    grower.Grow(grower.Root(n));
   }
-  builder.Grow(std::move(root));
 
   TreeTrainsCounter().Add(1);
   TreeNodesCounter().Add(num_nodes());
@@ -331,8 +202,10 @@ uint32_t DecisionTree::BestClass(int32_t node) const {
 uint32_t DecisionTree::PredictOne(const EncodedDataset& data,
                                   uint32_t row) const {
   HAMLET_CHECK(num_nodes() > 0, "DecisionTree::PredictOne before Train");
-  return BestClass(LeafOf(
-      [&](uint32_t slot) { return data.feature(features_[slot])[row]; }));
+  return BestClass(LeafOf(split_slot_, split_code_, left_, right_,
+                           [&](uint32_t slot) {
+                             return data.feature(features_[slot])[row];
+                           }));
 }
 
 std::vector<uint32_t> DecisionTree::Predict(
@@ -345,8 +218,9 @@ std::vector<uint32_t> DecisionTree::Predict(
   ParallelFor(
       static_cast<uint32_t>(rows.size()),
       [&](uint32_t i) {
-        out[i] =
-            BestClass(LeafOf([&](uint32_t slot) { return cols[slot][i]; }));
+        out[i] = BestClass(
+            LeafOf(split_slot_, split_code_, left_, right_,
+                   [&](uint32_t slot) { return cols[slot][i]; }));
       },
       NodeGrain(LongestWalk(split_slot_, left_, right_)));
   return out;
@@ -355,8 +229,10 @@ std::vector<uint32_t> DecisionTree::Predict(
 void DecisionTree::LogScoresInto(const EncodedDataset& data, uint32_t row,
                                  std::vector<double>* out) const {
   HAMLET_CHECK(num_nodes() > 0, "DecisionTree::LogScoresInto before Train");
-  const int32_t node = LeafOf(
-      [&](uint32_t slot) { return data.feature(features_[slot])[row]; });
+  const int32_t node =
+      LeafOf(split_slot_, split_code_, left_, right_, [&](uint32_t slot) {
+        return data.feature(features_[slot])[row];
+      });
   const double* s = &scores_[static_cast<size_t>(node) * num_classes_];
   out->assign(s, s + num_classes_);
 }

@@ -10,10 +10,13 @@
 /// Every split is scored from per-(feature, value, class) contingency
 /// counts — the same integer histograms SuffStats holds — so a node's
 /// candidate splits cost one table scan of its histogram, not a data
-/// scan. Node histograms are built with one pass over the node's rows
-/// (one feature per work item, the BuildSuffStats sharding contract,
-/// sharded when the node's rows x slots reach the grain rule NodeGrain
-/// below); a node's sibling gets its histogram by subtracting the
+/// scan. The tree grows through the grower Gbt's regression trees also
+/// use (ml/tree_grower.h); this file supplies only its Gini criterion:
+/// K class counts per code, the Gini decrease, the pure-node stop, and
+/// the smoothed class log-probabilities every node carries. The grower
+/// builds a node's histograms with one pass over its rows (one feature
+/// per work item, the BuildSuffStats sharding contract, sharded by the
+/// grain rule NodeGrain below) and gets the sibling's by subtracting the
 /// built child from the parent (the classic "subtraction trick"), which
 /// is exact because the counts are integers. Train can take the root
 /// histograms from its `stats` argument, the train split's SuffStats (the
@@ -28,15 +31,16 @@
 /// that gather once, so everything after it is the same code on the same
 /// codes.
 ///
-/// Determinism contract (mirrors the rest of the library): histograms are
-/// integer counts built one-feature-per-work-item, the best split is
-/// chosen by a serial reduction in ascending feature-slot order with
-/// strictly-greater-gain wins (lowest slot, then lowest code, wins exact
-/// ties), rows partition in ascending order, and leaf scores use one
-/// pinned floating-point expression. Trees are therefore bit-identical at
-/// any thread count AND between the materialized and factorized training
-/// paths (tests/factorized_tree_equivalence_test.cc, ctest label
-/// `factorized`; docs/TREES.md has the full math).
+/// Determinism contract (mirrors the rest of the library, and is the
+/// grower's): histograms are integer counts built one-feature-per-work-
+/// item, the best split is chosen by a serial reduction in ascending
+/// feature-slot order with strictly-greater-gain wins (lowest slot, then
+/// lowest code, wins exact ties), rows partition in ascending order, and
+/// leaf scores use one pinned floating-point expression. Trees are
+/// therefore bit-identical at any thread count AND between the
+/// materialized and factorized training paths
+/// (tests/factorized_tree_equivalence_test.cc, ctest label `factorized`;
+/// docs/TREES.md has the full math).
 
 #include <cstdint>
 #include <memory>
@@ -140,16 +144,6 @@ class DecisionTree : public Classifier {
                  const SuffStats* stats) override;
 
  private:
-  // The leaf a row reaches when `code(slot)` yields its code per slot.
-  template <typename CodeAt>
-  int32_t LeafOf(const CodeAt& code) const {
-    int32_t node = 0;
-    while (split_slot_[node] >= 0) {
-      const uint32_t slot = static_cast<uint32_t>(split_slot_[node]);
-      node = code(slot) == split_code_[node] ? left_[node] : right_[node];
-    }
-    return node;
-  }
   // The leaf's first strictly-greatest class score.
   uint32_t BestClass(int32_t node) const;
 
@@ -256,6 +250,22 @@ std::vector<std::vector<uint32_t>> GatherTrainedCodes(
 /// one flat pre-order tree tests.
 void MarkTestedSlots(const std::vector<int32_t>& split_slot,
                      std::vector<bool>* tested);
+
+/// The leaf of one flat pre-order tree that a row reaches when
+/// `code(slot)` yields its code per slot: the one tree walk of both
+/// learners' PredictOne, Predict and log-score hooks.
+template <typename CodeAt>
+int32_t LeafOf(const std::vector<int32_t>& split_slot,
+               const std::vector<uint32_t>& split_code,
+               const std::vector<int32_t>& left,
+               const std::vector<int32_t>& right, const CodeAt& code) {
+  int32_t node = 0;
+  while (split_slot[node] >= 0) {
+    const uint32_t slot = static_cast<uint32_t>(split_slot[node]);
+    node = code(slot) == split_code[node] ? left[node] : right[node];
+  }
+  return node;
+}
 
 /// Nodes a row visits on the longest root-to-leaf walk of one flat
 /// pre-order tree (1 for a lone leaf): Predict's cells per row.

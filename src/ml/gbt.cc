@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/parallel_for.h"
 #include "ml/decision_tree.h"
 #include "ml/data_view.h"
+#include "ml/tree_grower.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -33,177 +33,63 @@ obs::Counter& GbtTreesCounter() {
   return counter;
 }
 
-/// One regression-tree node's pending work: its rows plus per-slot
-/// gradient/hessian/count histograms and its G/H totals.
-struct RegNodeWork {
-  std::vector<uint32_t> items;
-  std::vector<std::vector<double>> gh;    // Per slot, [code * 2 + {g, h}].
-  std::vector<std::vector<uint64_t>> cnt; // Per slot, [code].
-  double g_total = 0.0;
-  double h_total = 0.0;
-  uint32_t depth = 0;
+/// One table cell of a regression tree: the gradient and hessian sums
+/// and the item count of one code.
+struct GradCell {
+  double g = 0.0;
+  double h = 0.0;
+  uint64_t n = 0;
+
+  GradCell& operator-=(const GradCell& o) {
+    g -= o.g;
+    h -= o.h;
+    n -= o.n;
+    return *this;
+  }
 };
 
-/// Grows one flat pre-order regression tree for class column `k` and
-/// applies each finalized leaf's value to the boosted score matrix. Same
-/// parallel-histogram + subtraction-trick shape as the classification
-/// TreeBuilder (ml/decision_tree.cc); all double accumulations are pinned
-/// to ascending item order inside one work item per slot.
-struct RegTreeBuilder {
+/// The regression trees' split criterion (ml/tree_grower.h) for class
+/// column `k`: a row is one GradCell, a split gains the XGBoost gain,
+/// every node carries its Newton value, and a leaf folds that value into
+/// the boosted scores of its items.
+struct NewtonCriterion {
+  using Cell = GradCell;
   const GbtOptions& options;
-  const std::vector<std::vector<uint32_t>>& codes;  // Per slot, node-local.
-  const std::vector<uint32_t>& cards;
   const std::vector<double>& g;  // Flat [i * num_classes + k].
   const std::vector<double>& h;
   uint32_t k;
   uint32_t num_classes;
-  uint32_t max_depth;
-  uint32_t table_grain;  // TableGrain of the split scan and subtraction.
-  std::vector<double>* scores;   // Flat [i * num_classes + k], updated.
-  GbtTree* tree;
+  std::vector<double>* scores;  // Flat [i * num_classes + k], updated.
+  std::vector<double>* value;   // The tree's per-node values.
 
-  void BuildHistograms(const std::vector<uint32_t>& items,
-                       std::vector<std::vector<double>>* gh,
-                       std::vector<std::vector<uint64_t>>* cnt) const {
-    const uint32_t d = static_cast<uint32_t>(codes.size());
-    gh->resize(d);
-    cnt->resize(d);
-    ParallelFor(
-        d,
-        [&](uint32_t jj) {
-          std::vector<double>& gj = (*gh)[jj];
-          std::vector<uint64_t>& cj = (*cnt)[jj];
-          gj.assign(static_cast<size_t>(cards[jj]) * 2, 0.0);
-          cj.assign(cards[jj], 0);
-          const std::vector<uint32_t>& col = codes[jj];
-          for (uint32_t i : items) {
-            const size_t c = col[i];
-            gj[c * 2] += g[static_cast<size_t>(i) * num_classes + k];
-            gj[c * 2 + 1] += h[static_cast<size_t>(i) * num_classes + k];
-            ++cj[c];
-          }
-        },
-        NodeGrain(items.size()));
+  uint32_t row_width() const { return 1; }
+  void Add(uint32_t i, GradCell* row) const {
+    const size_t at = static_cast<size_t>(i) * num_classes + k;
+    row->g += g[at];
+    row->h += h[at];
+    ++row->n;
   }
-
-  int32_t Grow(RegNodeWork&& w) {
-    const int32_t idx = static_cast<int32_t>(tree->split_slot.size());
-    tree->split_slot.push_back(-1);
-    tree->split_code.push_back(0);
-    tree->left.push_back(-1);
-    tree->right.push_back(-1);
-    const double hl = w.h_total + options.lambda;
-    const double value =
-        hl > 0.0 ? -(w.g_total / hl) * options.learning_rate : 0.0;
-    tree->value.push_back(value);
-
-    const uint64_t n_node = w.items.size();
-    int32_t pick = -1;
-    uint32_t pick_code = 0;
-    if (w.depth < max_depth && n_node >= options.min_rows_split) {
-      const uint32_t d = static_cast<uint32_t>(codes.size());
-      struct SlotBest {
-        double gain = 0.0;
-        uint32_t code = 0;
-        bool valid = false;
-      };
-      std::vector<SlotBest> best(d);
-      const double parent_obj =
-          (w.g_total * w.g_total) / (w.h_total + options.lambda);
-      ParallelFor(
-          d,
-          [&](uint32_t jj) {
-            const std::vector<double>& gj = w.gh[jj];
-            const std::vector<uint64_t>& cj = w.cnt[jj];
-            SlotBest b;
-            for (uint32_t v = 0; v < cards[jj]; ++v) {
-              const uint64_t nl = cj[v];
-              if (nl == 0 || nl == n_node) continue;
-              const double gl = gj[static_cast<size_t>(v) * 2];
-              const double hl_v = gj[static_cast<size_t>(v) * 2 + 1];
-              const double gr = w.g_total - gl;
-              const double hr = w.h_total - hl_v;
-              const double gain = (gl * gl) / (hl_v + options.lambda) +
-                                  (gr * gr) / (hr + options.lambda) -
-                                  parent_obj;
-              if (!b.valid || gain > b.gain) b = {gain, v, true};
-            }
-            best[jj] = b;
-          },
-          table_grain);
-      double pick_gain = options.min_gain;
-      for (uint32_t jj = 0; jj < d; ++jj) {
-        if (best[jj].valid && best[jj].gain > pick_gain) {
-          pick = static_cast<int32_t>(jj);
-          pick_gain = best[jj].gain;
-          pick_code = best[jj].code;
-        }
-      }
+  uint64_t Count(const GradCell* row) const { return row->n; }
+  bool Pure(const GradCell*, uint64_t) const { return false; }
+  double Score(const GradCell* total, uint64_t) const {
+    return (total->g * total->g) / (total->h + options.lambda);
+  }
+  double Gain(const GradCell* l, const GradCell* r, uint64_t, uint64_t,
+              double parent_obj) const {
+    return (l->g * l->g) / (l->h + options.lambda) +
+           (r->g * r->g) / (r->h + options.lambda) - parent_obj;
+  }
+  void Payload(const GradCell* total, uint64_t) const {
+    const double hl = total->h + options.lambda;
+    value->push_back(hl > 0.0 ? -(total->g / hl) * options.learning_rate
+                              : 0.0);
+  }
+  void Leaf(int32_t node, const std::vector<uint32_t>& items) const {
+    for (uint32_t i : items) {
+      (*scores)[static_cast<size_t>(i) * num_classes + k] += (*value)[node];
     }
-
-    if (pick < 0) {
-      // Finalize the leaf: fold its value into the boosted scores.
-      for (uint32_t i : w.items) {
-        (*scores)[static_cast<size_t>(i) * num_classes + k] += value;
-      }
-      return idx;
-    }
-
-    const std::vector<uint32_t>& col = codes[pick];
-    RegNodeWork lw, rw;
-    lw.depth = rw.depth = w.depth + 1;
-    for (uint32_t i : w.items) {
-      (col[i] == pick_code ? lw.items : rw.items).push_back(i);
-    }
-    w.items.clear();
-    w.items.shrink_to_fit();
-
-    lw.g_total = w.gh[pick][static_cast<size_t>(pick_code) * 2];
-    lw.h_total = w.gh[pick][static_cast<size_t>(pick_code) * 2 + 1];
-    rw.g_total = w.g_total - lw.g_total;
-    rw.h_total = w.h_total - lw.h_total;
-
-    // Subtraction trick: build the smaller child's histograms, derive the
-    // sibling's from the parent's by subtraction (deterministic — both
-    // training paths run the identical sequence of operations).
-    RegNodeWork* small = lw.items.size() <= rw.items.size() ? &lw : &rw;
-    RegNodeWork* big = small == &lw ? &rw : &lw;
-    BuildHistograms(small->items, &small->gh, &small->cnt);
-    big->gh = std::move(w.gh);
-    big->cnt = std::move(w.cnt);
-    const uint32_t d = static_cast<uint32_t>(codes.size());
-    ParallelFor(
-        d,
-        [&](uint32_t jj) {
-          std::vector<double>& bg = big->gh[jj];
-          std::vector<uint64_t>& bc = big->cnt[jj];
-          const std::vector<double>& sg = small->gh[jj];
-          const std::vector<uint64_t>& sc = small->cnt[jj];
-          for (size_t x = 0; x < bg.size(); ++x) bg[x] -= sg[x];
-          for (size_t x = 0; x < bc.size(); ++x) bc[x] -= sc[x];
-        },
-        table_grain);
-
-    const int32_t lidx = Grow(std::move(lw));
-    const int32_t ridx = Grow(std::move(rw));
-    tree->split_slot[idx] = pick;
-    tree->split_code[idx] = pick_code;
-    tree->left[idx] = lidx;
-    tree->right[idx] = ridx;
-    return idx;
   }
 };
-
-/// Leaf value of one tree for a row whose slot codes come from `fetch`.
-template <typename FetchCode>
-double TreeValueAt(const GbtTree& t, const FetchCode& fetch) {
-  int32_t node = 0;
-  while (t.split_slot[node] >= 0) {
-    const uint32_t slot = static_cast<uint32_t>(t.split_slot[node]);
-    node = fetch(slot) == t.split_code[node] ? t.left[node] : t.right[node];
-  }
-  return t.value[node];
-}
 
 }  // namespace
 
@@ -259,7 +145,7 @@ Status Gbt::DoTrain(const DataView& view, const std::vector<uint32_t>& rows,
 
   std::vector<double> g(static_cast<size_t>(n) * K);
   std::vector<double> h(static_cast<size_t>(n) * K);
-  // Two gradient sums and a count per code.
+  // One GradCell, two gradient sums and a count, per code.
   const uint32_t table_grain = TableGrain(cardinalities_, 3);
   trees_.reserve(static_cast<size_t>(options_.num_rounds) * K);
   for (uint32_t m = 0; m < options_.num_rounds; ++m) {
@@ -289,20 +175,20 @@ Status Gbt::DoTrain(const DataView& view, const std::vector<uint32_t>& rows,
 
     for (uint32_t k = 0; k < K; ++k) {
       GbtTree tree;
-      RegTreeBuilder builder{options_,    codes, cardinalities_,
-                             g,           h,     k,
-                             K,           options_.max_depth,
-                             table_grain, &scores, &tree};
-      RegNodeWork root;
-      root.items.resize(n);
-      std::iota(root.items.begin(), root.items.end(), 0u);
-      root.depth = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        root.g_total += g[static_cast<size_t>(i) * K + k];
-        root.h_total += h[static_cast<size_t>(i) * K + k];
-      }
-      builder.BuildHistograms(root.items, &root.gh, &root.cnt);
-      builder.Grow(std::move(root));
+      const NewtonCriterion criterion{options_, g, h, k, K, &scores,
+                                      &tree.value};
+      TreeGrower<NewtonCriterion> grower{criterion,
+                                         codes,
+                                         cardinalities_,
+                                         options_.max_depth,
+                                         options_.min_rows_split,
+                                         options_.min_gain,
+                                         table_grain,
+                                         &tree.split_slot,
+                                         &tree.split_code,
+                                         &tree.left,
+                                         &tree.right};
+      grower.Grow(grower.Root(n));
       trees_.push_back(std::move(tree));
     }
   }
@@ -317,7 +203,9 @@ void Gbt::ScoresInto(const CodeAt& code, std::vector<double>* out) const {
   out->assign(base_scores_.begin(), base_scores_.end());
   for (size_t t = 0; t < trees_.size(); ++t) {
     const uint32_t k = static_cast<uint32_t>(t % num_classes_);
-    (*out)[k] += TreeValueAt(trees_[t], code);
+    const GbtTree& tree = trees_[t];
+    (*out)[k] += tree.value[LeafOf(tree.split_slot, tree.split_code,
+                                   tree.left, tree.right, code)];
   }
 }
 

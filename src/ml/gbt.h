@@ -12,10 +12,14 @@
 /// splits scored by the XGBoost gain
 ///     G_L^2/(H_L+λ) + G_R^2/(H_R+λ) - G^2/(H+λ)
 /// read from per-(feature, code) gradient/hessian histograms, and leaf
-/// values -η·G/(H+λ). Histograms use the same machinery as the
-/// classification tree: one pass per node (one feature slot per work
-/// item, items accumulated in ascending order, sharded by the same
-/// NodeGrain rule) and the subtraction trick for siblings.
+/// values -η·G/(H+λ). Each tree grows through the classification tree's
+/// grower (ml/tree_grower.h) with the Newton criterion: one {Σg, Σh, n}
+/// cell per code, the gain above, no purity stop, the leaf value on
+/// every node, and leaves that fold their value into the boosted scores.
+/// So the histograms are built the same way: one pass per node (one
+/// feature slot per work item, items accumulated in ascending order,
+/// sharded by the same NodeGrain rule) and the subtraction trick for
+/// siblings.
 ///
 /// Determinism contract: every floating-point accumulation is pinned —
 /// gradients per row in ascending (row, class) order, histogram buckets
@@ -117,8 +121,6 @@ class Gbt : public Classifier {
   const std::vector<uint32_t>& trained_features() const override {
     return features_;
   }
-
-  const GbtOptions& options() const { return options_; }
 
   /// Copies the trained state out as plain data.
   GbtParams ExportParams() const;
